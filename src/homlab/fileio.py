@@ -108,23 +108,10 @@ def parse_constraints(text: str, q: int):
     return weight_lines
 
 
-def constraints_to_text(constraints) -> str:
-    lines = []
-    for vec in constraints:
-        lines.append(" ".join(frac_str(x) for x in vec))
-    return "\n".join(lines) + "\n"
-
-
 def power_product_to_list(p: PowerProduct | None):
     if p is None:
         return None
     return [[frac_str(b), frac_str(e)] for b, e in p.factors]
-
-
-def power_product_from_list(factors) -> PowerProduct | None:
-    if factors is None:
-        return None
-    return PowerProduct.of(*((parse_frac(b), parse_frac(e)) for b, e in factors))
 
 
 def report_to_dict(r: IneqReport) -> dict:
@@ -137,18 +124,6 @@ def report_to_dict(r: IneqReport) -> dict:
         "exact": r.exact,
         "slack_log10": r.slack_log10,
     }
-
-
-def report_from_dict(d: dict) -> IneqReport:
-    return IneqReport(
-        d["ineq"],
-        d["instance"],
-        power_product_from_list(d["lhs_factors"]),
-        power_product_from_list(d["rhs_factors"]),
-        d["verdict"],
-        d["exact"],
-        d["slack_log10"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from homlab.counting import (
+    _multiset_permutations,
+    _scaled_matrix,
+    _side_weights,
     biclique_kernel_sum,
+    compile_plan,
+    contract,
     hom,
     hom_clique,
 )
@@ -100,14 +105,6 @@ def _power_product_is_zero(p: PowerProduct | None) -> bool:
     return p is None
 
 
-def _measure(m: Model, lam):
-    if lam is None:
-        return list(m.vertex_weights)
-    if len(lam) != m.q:
-        raise DimensionMismatch("constraint length != q")
-    return [m.vertex_weights[c] * Fraction(lam[c]) for c in range(m.q)]
-
-
 def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> tuple[Fraction, Fraction]:
     """The K_{a,b} norm of a two-variable kernel as a (base, exponent) pair:
     base is the exact pattern sum, exponent 1/(ab)."""
@@ -133,8 +130,8 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, bit_cap=None) 
     zero_rhs = False
     kernel = lambda x, y: m.edge_weights[x][y]
     for u, v in g.edge_list():
-        wu = _measure(m, None if constraints is None else constraints[u])
-        wv = _measure(m, None if constraints is None else constraints[v])
+        wu = _side_weights(m, None if constraints is None else constraints[u])
+        wv = _side_weights(m, None if constraints is None else constraints[v])
         # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
         base = biclique_kernel_sum(kernel, m.q, m.q, degs[v], degs[u], wu, wv)
         if base == 0:
@@ -179,28 +176,16 @@ def check_graphical_bl(g: Graph, kernels: dict, sizes, bit_cap=None) -> IneqRepo
 
 
 def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
-    n = g.n
-    back = [[(u, kernels[(u, v)]) for u in range(v) if g.has_edge(u, v)] for v in range(n)]
-    total = Fraction(0)
-    assignment = [0] * n
-
-    def rec(v: int, partial: Fraction):
-        nonlocal total
-        if v == n:
-            total += partial
-            return
-        for c in range(sizes[v]):
-            t = partial
-            for u, mat in back[v]:
-                t *= mat[assignment[u]][c]
-                if t == 0:
-                    break
-            if t != 0:
-                assignment[v] = c
-                rec(v + 1, t)
-
-    rec(0, Fraction(1))
-    return total
+    """Sum over x in prod_v [sizes[v]] of prod_{uv} kernels[(u, v)][x_u][x_v],
+    with each kernel scaled to integers for the contraction engine."""
+    denom = 1
+    mats = {}
+    for u, v in g.edge_list():
+        scale, mats[(u, v)] = _scaled_matrix([[Fraction(x) for x in row] for row in kernels[(u, v)]])
+        mats[(v, u)] = [list(col) for col in zip(*mats[(u, v)])]
+        denom *= scale
+    choices = [[(c, 1) for c in range(size)] for size in sizes]
+    return Fraction(contract(compile_plan(g.adjacency), choices, lambda u, v: mats[(u, v)]), denom)
 
 
 @lru_cache(maxsize=4096)
@@ -348,32 +333,15 @@ def sym_average_products(alphas, k: int) -> list[Fraction]:
     n = len(alphas)
     sums = {}
     counts = {}
-
-    def rec(start: int, remaining: int, chosen: tuple):
-        if remaining == 0:
-            ell = len(set(chosen))
-            mult = _tuple_orderings(chosen)
-            p = Fraction(1)
-            for i in chosen:
-                p *= alphas[i]
-            sums[ell] = sums.get(ell, Fraction(0)) + mult * p
-            counts[ell] = counts.get(ell, 0) + mult
-            return
-        for i in range(start, n):
-            rec(i, remaining - 1, chosen + (i,))
-
-    rec(0, k, ())
+    for chosen in combinations_with_replacement(range(n), k):
+        ell = len(set(chosen))
+        mult = _multiset_permutations(chosen)
+        p = Fraction(1)
+        for i in chosen:
+            p *= alphas[i]
+        sums[ell] = sums.get(ell, Fraction(0)) + mult * p
+        counts[ell] = counts.get(ell, 0) + mult
     return [sums[ell] / counts[ell] for ell in range(1, min(n, k) + 1)]
-
-
-def _tuple_orderings(chosen: tuple) -> int:
-    out = math.factorial(len(chosen))
-    run = {}
-    for c in chosen:
-        run[c] = run.get(c, 0) + 1
-    for c in run.values():
-        out //= math.factorial(c)
-    return out
 
 
 def _f_poly(alphas, k: int, s: frozenset) -> Fraction:

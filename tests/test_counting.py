@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,8 +8,10 @@ import pytest
 
 from conftest import cc_oracle, hom_oracle, semiproper_oracle
 from homlab.counting import (
+    CONTRACTION_WORK_LIMIT,
     biclique_kernel_sum,
     cc,
+    compile_plan,
     hom,
     hom_biclique,
     hom_clique,
@@ -18,7 +22,15 @@ from homlab.counting import (
     semiproper_count,
 )
 from homlab.errors import DimensionMismatch, LimitExceeded
-from homlab.graphs import Graph, GraphFamilySpec, build_named, enumerate_graphs
+from homlab.graphs import (
+    Graph,
+    GraphFamilySpec,
+    build_named,
+    enumerate_graphs,
+    is_bipartite,
+    tensor_with_k2,
+)
+from homlab.inequalities import _kernel_assignment_sum
 from homlab.models import (
     Model,
     model_complete_looped,
@@ -87,6 +99,149 @@ class TestHom:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             hom(named("complete", 2), model_hardcore(), [(1, 1, 1), (1, 1, 1)])
+
+
+def _small_graphs():
+    for n in range(6):
+        yield from enumerate_graphs(n, dedup_isomorphism=True)
+
+
+def _engine_models():
+    models = []
+    for seed in range(2):
+        for q in (2, 3):
+            models.append(random_model(q, seed, "general"))
+            models.append(random_model(q, seed, "psd"))
+        models.append(random_model(2, seed, "antiferro-2spin"))
+    return models
+
+
+def _random_constraints(rng, n, q):
+    # About one entry in three is zero, so some vertices lose colors.
+    return [tuple(Fraction(rng.randrange(0, 3), rng.randrange(1, 3)) for _ in range(q)) for _ in range(n)]
+
+
+def _disconnected_graphs():
+    out = [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(4, [])]
+    out.append(Graph.from_edges(5, [(0, 1), (1, 2)]))  # isolated vertices 3, 4
+    out.append(Graph.from_edges(6, [(0, 4), (2, 5)]))  # interleaved components
+    for g in (named("path", 3), named("cycle", 4), named("star", 3)):
+        assert is_bipartite(g)
+        out.append(tensor_with_k2(g))  # two copies of g
+    return out
+
+
+class TestContractionEngine:
+    def test_hom_matches_oracle_on_all_small_graphs(self):
+        rng = random.Random(21)
+        models = _engine_models()
+        for g in _small_graphs():
+            for m in rng.sample(models, 3):
+                assert hom(g, m) == hom_oracle(g, m), (g, m)
+                cons = _random_constraints(rng, g.n, m.q)
+                assert hom(g, m, cons) == hom_oracle(g, m, cons), (g, m, cons)
+
+    def test_hom_matches_oracle_on_disconnected_graphs(self):
+        rng = random.Random(22)
+        for g in _disconnected_graphs():
+            for m in _engine_models():
+                if m.q ** g.n > 1000:
+                    continue  # keeps the oracle cheap: the 8-vertex covers run at q = 2
+                assert hom(g, m) == hom_oracle(g, m), (g, m)
+                cons = _random_constraints(rng, g.n, m.q)
+                assert hom(g, m, cons) == hom_oracle(g, m, cons), (g, m, cons)
+
+    def test_double_cover_of_bipartite_graph_squares(self):
+        for g in (named("path", 4), named("cycle", 6), named("biclique", 2, 3)):
+            for seed in range(3):
+                m = random_model(2, seed, "antiferro-2spin")
+                assert hom(tensor_with_k2(g), m) == hom(g, m) ** 2
+
+    def test_empty_and_single_vertex(self):
+        m = random_model(3, 5, "general")
+        assert hom(Graph.from_edges(0, []), m) == 1
+        assert hom(Graph.from_edges(1, []), m) == sum(m.vertex_weights)
+        assert semiproper_count(Graph.from_edges(0, []), []) == 1
+        assert semiproper_count(Graph.from_edges(1, []), [{0, 2, 5}]) == 3
+
+    def test_semiproper_matches_oracle(self):
+        rng = random.Random(23)
+        graphs = list(_small_graphs()) + _disconnected_graphs()
+        for g in graphs:
+            for _ in range(2):
+                lists = [{c for c in range(4) if rng.random() < 0.6} for _ in range(g.n)]
+                looped = {c for c in range(4) if rng.random() < 0.3}
+                got = semiproper_count(g, lists, looped)
+                assert got == semiproper_oracle(g, lists, looped), (g, lists, looped)
+
+    def test_kernel_assignment_sum_matches_enumeration(self):
+        rng = random.Random(24)
+        for g in list(_small_graphs())[::3] + _disconnected_graphs():
+            sizes = [rng.randrange(1, 4) for _ in range(g.n)]
+            kernels = {
+                (u, v): [[Fraction(rng.randrange(0, 4), rng.randrange(1, 4)) for _ in range(sizes[v])] for _ in range(sizes[u])]
+                for u, v in g.edge_list()
+            }
+            want = Fraction(0)
+            for x in itertools.product(*(range(s) for s in sizes)):
+                t = Fraction(1)
+                for (u, v), mat in kernels.items():
+                    t *= mat[x[u]][x[v]]
+                want += t
+            assert _kernel_assignment_sum(g, kernels, sizes) == want, (g, sizes)
+
+    def test_plan_places_each_vertex_once_and_empties_frontier(self):
+        for g in list(_small_graphs()) + _disconnected_graphs() + [named("petersen"), named("cycle", 12)]:
+            plan = compile_plan(g.adjacency)
+            order = [step.vertex for step in plan.steps]
+            assert sorted(order) == list(range(g.n))
+            frontier = []
+            placed = set()
+            for step, width in zip(plan.steps, plan.widths):
+                assert width == len(frontier)
+                placed.add(step.vertex)
+                assert {u for _, u in step.back} == {u for u in g.neighbors(step.vertex) if u in placed}
+                assert all(frontier[i] == u for i, u in step.back)
+                if step.project is not None:
+                    frontier = list(step.project(tuple(frontier)))
+                frontier += [step.vertex] if step.kept else []
+                assert all(set(g.neighbors(u)) - placed for u in frontier)
+            assert frontier == []
+
+    def test_plan_depends_only_on_adjacency(self):
+        g1 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g2 = Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
+        assert g1 is not g2
+        assert compile_plan(g1.adjacency) is compile_plan(g2.adjacency)
+        shape = lambda plan: [
+            (s.vertex, s.back, s.kept, s.project and s.project(tuple(range(w))))
+            for s, w in zip(plan.steps, plan.widths)
+        ]
+        cached = shape(compile_plan(g1.adjacency))
+        compile_plan.cache_clear()
+        assert shape(compile_plan(g2.adjacency)) == cached
+
+    def test_greedy_order_keeps_cycles_narrow(self):
+        plan = compile_plan(named("cycle", 40).adjacency)
+        assert max(plan.widths) <= 2
+        assert hom(named("cycle", 40), model_complete_looped(3, 0)) == 2 ** 40 + 2
+
+    def test_work_limit(self):
+        plan = compile_plan(named("complete", 16).adjacency)
+        assert plan.work(4) > CONTRACTION_WORK_LIMIT
+        with pytest.raises(LimitExceeded):
+            hom(named("complete", 16), model_complete_looped(4, 4))
+
+    def test_oracles_import_only_graph_from_homlab(self):
+        # The brute-force oracles must not share code with the engine.
+        tree = ast.parse((pathlib.Path(__file__).parent / "conftest.py").read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names if alias.name.split(".")[0] == "homlab"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "homlab":
+                imported += ["%s.%s" % (node.module, alias.name) for alias in node.names]
+        assert imported == ["homlab.graphs.Graph"]
 
 
 class TestHomBiclique:

@@ -206,6 +206,15 @@ class TestCli:
         res = run_cli("count", "--graph", "Q17", "--model", "wr")
         assert res.returncode == 1
 
+    def test_count_long_cycle(self):
+        res = run_cli("count", "--graph", "C40", "--model", "Kq:3")
+        assert res.returncode == 0 and res.stdout.strip() == "1099511627778"
+
+    def test_count_over_work_limit_fails_fast(self):
+        res = run_cli("count", "--graph", "K16", "--model", "Kq-looped:4,4")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_scan_verb(self, tmp_path):
         out = tmp_path / "scan.csv"
         res = run_cli(
