@@ -9,7 +9,7 @@ Everything returns Fraction (or int for pure counts); no floats.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -191,46 +191,14 @@ def contract(plan: Plan, choices, edge_matrix) -> int:
 
 
 def hom_biclique(a: int, b: int, m: Model, side_constraints=None) -> Fraction:
-    """hom(K_{a,b}, m) via one-sided contraction in O(q^{min+1}) instead of
-    the naive O(q^{a+b}).
+    """hom(K_{a,b}, m): `biclique_kernel_sum` of the edge weights.
 
     `side_constraints` is an optional (lambda_a, lambda_b) pair applied to
     every vertex of the respective side.
     """
-    lam_a = lam_b = None
-    if side_constraints is not None:
-        lam_a, lam_b = side_constraints
-    if b > a:
-        # Contract over the smaller exponent side.
-        return hom_biclique(b, a, m, None if side_constraints is None else (lam_b, lam_a))
-    q = m.q
-    wa = _side_weights(m, lam_a)
-    wb = _side_weights(m, lam_b)
-    if a == 0 and b == 0:
-        return Fraction(1)
-    if b == 0:
-        return sum(wa, Fraction(0)) ** a
-    total = Fraction(0)
+    lam_a, lam_b = (None, None) if side_constraints is None else side_constraints
     ew = m.edge_weights
-    # Iterate color multisets for the b side with multinomial multiplicity.
-    for combo in combinations_with_replacement(range(q), b):
-        weight_b = Fraction(_multiset_permutations(combo))
-        for c in combo:
-            weight_b *= wb[c]
-        if weight_b == 0:
-            continue
-        inner = Fraction(0)
-        for x in range(q):
-            t = wa[x]
-            if t == 0:
-                continue
-            for c in combo:
-                t *= ew[x][c]
-                if t == 0:
-                    break
-            inner += t
-        total += weight_b * inner ** a
-    return total
+    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, _side_weights(m, lam_a), _side_weights(m, lam_b))
 
 
 def _side_weights(m: Model, lam):
@@ -251,11 +219,23 @@ def _multiset_permutations(combo: tuple) -> int:
     return out
 
 
+def _biclique_work(size1: int, size2: int, a: int, b: int) -> int:
+    # Multisets of the b points on side 2, times an a-side row product each.
+    return comb(size2 + b - 1, b) * size1 * b
+
+
 def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> Fraction:
     """K_{a,b} pattern sum of a kernel f(x, y): sum over x in [size1]^a,
     y in [size2]^b of prod f(x_i, y_j), with optional per-point measures.
 
-    Contracted over the cheaper side: cost O(size^{min(a,b)+1}).
+    Contracted over the cheaper side: the other side's points are summed
+    as multisets with multinomial weight, and each multiset's a-side sum
+    is raised to the power a.  The kernel is tabulated once and scaled to
+    integers by the lcm of its denominators, the measures likewise (with
+    zero-weight points dropped), so the loop is pure big-int arithmetic
+    and the exact scale is divided back out once.  Raises LimitExceeded
+    when the work, C(size2 + b - 1, b) * size1 * b on the contracted
+    side, exceeds CONTRACTION_WORK_LIMIT.
     """
     w1 = [Fraction(1)] * size1 if w1 is None else [Fraction(x) for x in w1]
     w2 = [Fraction(1)] * size2 if w2 is None else [Fraction(x) for x in w2]
@@ -265,29 +245,27 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
         return sum(w2, Fraction(0)) ** b
     if b == 0:
         return sum(w1, Fraction(0)) ** a
-    cost_contract_b = size2 ** b
-    cost_contract_a = size1 ** a
-    if cost_contract_a < cost_contract_b:
-        return biclique_kernel_sum(lambda y, x: f(x, y), size2, size1, b, a, w2, w1)
-    total = Fraction(0)
-    for combo in combinations_with_replacement(range(size2), b):
-        wy = Fraction(_multiset_permutations(combo))
-        for c in combo:
-            wy *= w2[c]
-        if wy == 0:
-            continue
-        inner = Fraction(0)
-        for x in range(size1):
-            t = w1[x]
-            if t == 0:
-                continue
-            for c in combo:
-                t *= f(x, c)
-                if t == 0:
-                    break
-            inner += t
-        total += wy * inner ** a
-    return total
+    table = [[Fraction(f(x, y)) for y in range(size2)] for x in range(size1)]
+    work = _biclique_work(size1, size2, a, b)
+    if _biclique_work(size2, size1, b, a) < work:
+        table = [list(col) for col in zip(*table)]
+        size1, size2, a, b, w1, w2 = size2, size1, b, a, w2, w1
+        work = _biclique_work(size1, size2, a, b)
+    if work > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded(
+            "biclique work bound %d exceeds %d (K_{%d,%d}, sizes %d and %d)"
+            % (work, CONTRACTION_WORK_LIMIT, a, b, size1, size2)
+        )
+    kernel_scale, kernel = _scaled_matrix(table)
+    scale1, points1 = _scaled_colors(w1)
+    scale2, points2 = _scaled_colors(w2)
+    rows = [(w, kernel[x]) for x, w in points1]
+    total = 0
+    for combo in combinations_with_replacement(points2, b):
+        ys = [y for y, _ in combo]
+        inner = sum(prod(map(row.__getitem__, ys), start=w) for w, row in rows)
+        total += _multiset_permutations(ys) * prod(w for _, w in combo) * inner ** a
+    return Fraction(total, scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
 
 
 def ominus(a_set, b, looped) -> frozenset:
@@ -335,30 +313,36 @@ def semiproper_count(g: Graph, lists, looped=()) -> int:
 
 def hom_clique(a: int, m: Model, lam=None) -> Fraction:
     """h_a(lambda) = hom with weights lambda on the complete graph K_a;
-    h_0 = 1."""
+    h_0 = 1.
+
+    Every vertex carries the same weights, so a coloring's weight depends
+    only on its color multiset: the sum runs over the C(q + a - 1, a)
+    multisets with multinomial weight, on integer-scaled weights, instead
+    of over the q^a colorings.  Raises LimitExceeded when
+    C(q + a - 1, a) * a^2 exceeds CONTRACTION_WORK_LIMIT, with q the
+    number of nonzero-weight colors.
+    """
     if a == 0:
         return Fraction(1)
-    weights = _side_weights(m, lam)
-    ew = m.edge_weights
-    q = m.q
-    total = Fraction(0)
-
-    def rec(depth: int, chosen: tuple, partial: Fraction):
-        nonlocal total
-        if depth == a:
-            total += partial
-            return
-        for c in range(q):
-            t = partial * weights[c]
-            for prev in chosen:
-                if t == 0:
-                    break
-                t *= ew[prev][c]
-            if t != 0:
-                rec(depth + 1, chosen + (c,), t)
-
-    rec(0, (), Fraction(1))
-    return total
+    weight_scale, colors = _scaled_colors(_side_weights(m, lam))
+    q = len(colors)
+    work = comb(q + a - 1, a) * a * a
+    if work > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded(
+            "clique work bound %d exceeds %d (K_%d, q = %d)" % (work, CONTRACTION_WORK_LIMIT, a, q)
+        )
+    edge_scale, ew = _scaled_matrix(m.edge_weights)
+    total = 0
+    for combo in combinations_with_replacement(range(q), a):
+        counts = [(c, w, combo.count(i)) for i, (c, w) in enumerate(colors) if i in combo]
+        t = _multiset_permutations(combo)
+        for i, (c, w, k) in enumerate(counts):
+            row = ew[c]
+            t *= w ** k * row[c] ** (k * (k - 1) // 2)
+            for d, _, j in counts[i + 1 :]:
+                t *= row[d] ** (k * j)
+        total += t
+    return Fraction(total, weight_scale ** a * edge_scale ** (a * (a - 1) // 2))
 
 
 class EpsPolynomial:

@@ -7,7 +7,7 @@ Rationals are always stored as strings to avoid float round-trips.
 import json
 from fractions import Fraction
 
-from homlab.errors import InvalidArgument
+from homlab.errors import InvalidArgument, InvalidSpec
 from homlab.graphs import Graph, parse_graph_name, read_edge_list, read_graph6
 from homlab.inequalities import IneqReport
 from homlab.models import Model
@@ -52,17 +52,27 @@ def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.strip()
+    if not stripped:
+        raise InvalidSpec("graph file %s is empty" % path)
     if stripped.startswith("{"):
-        return graph_from_dict(json.loads(stripped))
+        try:
+            return graph_from_dict(json.loads(stripped))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidSpec("graph file %s is not a graph document: %s" % (path, exc)) from None
     first = stripped.splitlines()[0].strip()
-    if " " in first and all(t.isdigit() for t in first.split()):
+    # A graph6 line has no whitespace; an edge list starts "n m".
+    if len(first.split()) > 1:
         return read_edge_list(text)
     return read_graph6(first)
 
 
 def load_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        return model_from_dict(json.loads(text))
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise InvalidSpec("model file %s is not a model document: %s" % (path, exc)) from None
 
 
 def graph_from_any(spec: str) -> Graph:

@@ -23,11 +23,11 @@ class Graph:
     def __post_init__(self):
         adj = [0] * self.n
         for e in self.edges:
+            if len(e) == 1:
+                raise InvalidSpec("self-loop at %d" % min(e))
             u, v = sorted(e)
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidSpec("edge endpoint out of range: (%d, %d)" % (u, v))
-            if u == v:
-                raise InvalidSpec("self-loop at %d" % u)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "adjacency", tuple(adj))
@@ -445,14 +445,23 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 def read_edge_list(text: str) -> Graph:
     """First line "n m", then m lines "u v" with 0-based vertex ids."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    n, m = (int(t) for t in lines[0].split())
-    edges = []
-    for ln in lines[1 : 1 + m]:
-        u, v = (int(t) for t in ln.split())
-        edges.append((u, v))
+    if not lines:
+        raise InvalidSpec("edge list is empty")
+    n, m = _int_pair(lines[0])
+    edges = [_int_pair(ln) for ln in lines[1 : 1 + m]]
     if len(edges) != m:
         raise InvalidSpec("edge list declares %d edges, found %d" % (m, len(edges)))
     return Graph.from_edges(n, edges)
+
+
+def _int_pair(line: str) -> tuple[int, int]:
+    tokens = line.split()
+    try:
+        if len(tokens) == 2:
+            return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        pass
+    raise InvalidSpec("edge-list line %r is not two integers" % line.strip())
 
 
 def write_edge_list(g: Graph) -> str:
@@ -467,14 +476,20 @@ def read_graph6(line: str) -> Graph:
     if s.startswith(">>graph6<<"):
         s = s[10:]
     data = [ord(c) - 63 for c in s]
+    if not data or not all(0 <= x <= 63 for x in data):
+        raise InvalidSpec("not a graph6 line: %r" % line.strip())
     if data[0] <= 62:
         n, data = data[0], data[1:]
-    else:
+    elif len(data) >= 4:
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         data = data[4:]
+    else:
+        raise InvalidSpec("graph6 line %r ends inside its vertex count" % line.strip())
     bits = []
     for value in data:
         bits.extend((value >> (5 - i)) & 1 for i in range(6))
+    if len(bits) < n * (n - 1) // 2:
+        raise InvalidSpec("graph6 line %r is too short for %d vertices" % (line.strip(), n))
     edges = []
     k = 0
     for v in range(n):

@@ -114,26 +114,38 @@ def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None,
     return base, Fraction(1, a * b)
 
 
-def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, bit_cap=None) -> IneqReport:
+def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, bit_cap=None, memo=None) -> IneqReport:
     """hom(G, H) vs prod_{uv} hom(K_{d_u, d_v}, H)^{1/(d_u d_v)}.
 
     With constraints, each biclique factor propagates the endpoint
     constraints to the corresponding side, matching the list form of the
     semiproper theorem.  Must hold for triangle-free G (any H); a violation
     for G with triangles is a legitimate finding.
+
+    `memo` is an optional dict owned by the caller, one per model: factors
+    are looked up in it by (d_v, d_u, lambda_u, lambda_v) before they are
+    computed, and stored in it after.  Without one, a local dict still
+    shares the factors of repeated degree pairs within this call.
     """
     degs = g.degrees()
     if any(d == 0 for d in degs):
         raise IsolatedVertex("reverse-sidorenko needs no isolated vertices")
     lhs_value = hom(g, m, constraints)
+    if memo is None:
+        memo = {}
     factors = []
     zero_rhs = False
     kernel = lambda x, y: m.edge_weights[x][y]
     for u, v in g.edge_list():
-        wu = _side_weights(m, None if constraints is None else constraints[u])
-        wv = _side_weights(m, None if constraints is None else constraints[v])
-        # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
-        base = biclique_kernel_sum(kernel, m.q, m.q, degs[v], degs[u], wu, wv)
+        lam_u = None if constraints is None else tuple(constraints[u])
+        lam_v = None if constraints is None else tuple(constraints[v])
+        key = (degs[v], degs[u], lam_u, lam_v)
+        base = memo.get(key)
+        if base is None:
+            # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
+            base = memo[key] = biclique_kernel_sum(
+                kernel, m.q, m.q, degs[v], degs[u], _side_weights(m, lam_u), _side_weights(m, lam_v)
+            )
         if base == 0:
             zero_rhs = True
             continue

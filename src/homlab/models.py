@@ -190,6 +190,13 @@ def parse_model_name(name: str) -> Model:
     """Parse CLI syntax: "Kq:3", "Kq-looped:5,2", "hardcore", "wr",
     "heps:1/10", "ising:w00,w01,w11", "random:kind,q,seed"."""
     name = name.strip()
+    try:
+        return _parse_model_name(name)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument("cannot parse model name %r" % name) from None
+
+
+def _parse_model_name(name: str) -> Model:
     head, _, rest = name.partition(":")
     head = head.lower()
     if head == "kq":

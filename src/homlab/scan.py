@@ -42,6 +42,12 @@ from homlab.models import Model, parse_model_name, random_model
 SCAN_INEQUALITIES = ("reverse-sidorenko", "clique-max", "bst")
 FORCE_EXACT_BIT_CAP = 1 << 62
 
+# Reverse-Sidorenko factor memos of the run_scan in progress, one dict per
+# model index of the job.  run_scan empties it on entry and on exit, so no
+# factor outlives a scan; pool workers are started inside run_scan and each
+# fills its own copy.
+_FACTOR_MEMO: dict[int, dict] = {}
+
 
 @dataclass
 class ScanJob:
@@ -173,9 +179,11 @@ def random_lists(seed: int, gid: str, n: int, q: int) -> list[frozenset[int]]:
     return lists
 
 
-def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, bit_cap=None):
+def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, bit_cap=None, memo=None):
+    """Decide one cell.  `memo` is a reverse-Sidorenko factor memo for
+    this model (see check_reverse_sidorenko); the other checkers ignore it."""
     if ineq == "reverse-sidorenko":
-        return check_reverse_sidorenko(graph, model, constraints, bit_cap)
+        return check_reverse_sidorenko(graph, model, constraints, bit_cap, memo)
     if ineq == "clique-max":
         return check_clique_max(graph, model, constraints, bit_cap)
     if ineq == "bst":
@@ -191,21 +199,21 @@ def _cells_for_job(job: ScanJob):
         list_seeds = list(job.lists["seeds"])
     cells = []
     for gid, g in graphs:
-        for mid, m in models:
+        for model_index, (mid, m) in enumerate(models):
             for ls in list_seeds:
                 constraints = None
                 if ls is not None:
                     lists = random_lists(ls, gid, g.n, m.q)
                     constraints = [tuple(Fraction(1 if c in allowed else 0) for c in range(m.q)) for allowed in lists]
                 instance_id = "%s|%s" % (gid, mid) + ("|lists:%d" % ls if ls is not None else "")
-                cells.append((instance_id, g, m, constraints))
+                cells.append((instance_id, g, model_index, m, constraints))
     return cells
 
 
 def _run_cell(args):
-    instance_id, ineq, g, m, constraints, bit_cap = args
+    instance_id, ineq, g, model_index, m, constraints, bit_cap = args
     try:
-        report = check_instance(ineq, g, m, constraints, bit_cap)
+        report = check_instance(ineq, g, m, constraints, bit_cap, _FACTOR_MEMO.setdefault(model_index, {}))
         return instance_id, "ok", report_to_dict(report)
     except UndecidedAtPrecisionCap as exc:
         return instance_id, "undecided", str(exc)
@@ -218,10 +226,18 @@ def run_scan(job: ScanJob) -> ScanSummary:
     worker count.  Every violated instance is re-checked once on the
     forced-exact path before entering the findings list.
     """
+    _FACTOR_MEMO.clear()
+    try:
+        return _run_scan(job)
+    finally:
+        _FACTOR_MEMO.clear()
+
+
+def _run_scan(job: ScanJob) -> ScanSummary:
     cells = _cells_for_job(job)
     tasks = [
-        (instance_id, job.ineq, g, m, constraints, job.bit_cap)
-        for instance_id, g, m, constraints in cells
+        (instance_id, job.ineq, g, model_index, m, constraints, job.bit_cap)
+        for instance_id, g, model_index, m, constraints in cells
     ]
     if job.jobs > 1:
         with ProcessPoolExecutor(max_workers=job.jobs) as pool:
@@ -230,7 +246,7 @@ def run_scan(job: ScanJob) -> ScanSummary:
         results = [_run_cell(t) for t in tasks]
 
     summary = ScanSummary(job=job.to_dict())
-    cell_by_id = {instance_id: (g, m, constraints) for instance_id, g, m, constraints in cells}
+    cell_by_id = {cell[0]: cell[1:] for cell in cells}
     for instance_id, status, payload in results:
         if status == "undecided":
             summary.instances_checked += 1
@@ -247,8 +263,9 @@ def run_scan(job: ScanJob) -> ScanSummary:
         report = payload
         verdict = report["verdict"]
         if verdict == "violated":
-            g, m, constraints = cell_by_id[instance_id]
-            recheck = check_instance(job.ineq, g, m, constraints, FORCE_EXACT_BIT_CAP)
+            g, model_index, m, constraints = cell_by_id[instance_id]
+            memo = _FACTOR_MEMO.setdefault(model_index, {})
+            recheck = check_instance(job.ineq, g, m, constraints, FORCE_EXACT_BIT_CAP, memo)
             report = report_to_dict(recheck)
             verdict = report["verdict"]
         summary.histogram[verdict] += 1
@@ -267,7 +284,7 @@ def run_scan(job: ScanJob) -> ScanSummary:
             if summary.worst is None or slack < summary.worst["slack_log10"]:
                 summary.worst = {"instance_id": instance_id, "slack_log10": slack}
         if verdict == "violated":
-            g, m, constraints = cell_by_id[instance_id]
+            g, _, m, constraints = cell_by_id[instance_id]
             summary.findings.append(
                 {
                     "instance_id": instance_id,
@@ -308,9 +325,10 @@ def search_counterexample(ineq: str, graph_source: dict, model_source: dict, bud
     job = ScanJob(ineq, graph_source, model_source, lists=lists, finding_mode=True)
     cells = _cells_for_job(job)[:budget]
     findings = []
-    for instance_id, g, m, constraints in cells:
+    memos = {}
+    for instance_id, g, model_index, m, constraints in cells:
         try:
-            report = check_instance(ineq, g, m, constraints, FORCE_EXACT_BIT_CAP)
+            report = check_instance(ineq, g, m, constraints, FORCE_EXACT_BIT_CAP, memos.setdefault(model_index, {}))
         except HomlabError:
             continue
         if report.verdict == "violated":

@@ -309,6 +309,69 @@ class TestBicliqueKernelSum:
             assert compare_power_products(small, large).ordering in ("less", "equal")
 
 
+def kernel_sum_by_product(f, size1, size2, a, b, w1, w2):
+    """The K_{a,b} pattern sum straight from its definition."""
+    total = Fraction(0)
+    for xs in itertools.product(range(size1), repeat=a):
+        for ys in itertools.product(range(size2), repeat=b):
+            t = Fraction(1)
+            for x in xs:
+                t *= w1[x]
+            for y in ys:
+                t *= w2[y]
+            for x in xs:
+                for y in ys:
+                    t *= f(x, y)
+            total += t
+    return total
+
+
+class TestBicliqueKernelSumDifferential:
+    def random_case(self, rng):
+        size1, size2 = rng.randrange(1, 5), rng.randrange(1, 5)
+        entry = lambda: Fraction(rng.choice([0, 0, 1, 2, 3, 5]), rng.choice([1, 2, 3, 7]))
+        mat = [[entry() for _ in range(size2)] for _ in range(size1)]
+        w1 = [entry() for _ in range(size1)]
+        w2 = [entry() for _ in range(size2)]
+        return mat, size1, size2, w1, w2
+
+    def test_matches_product_sum(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            mat, size1, size2, w1, w2 = self.random_case(rng)
+            f = lambda x, y: mat[x][y]
+            a, b = rng.randrange(0, 4), rng.randrange(0, 4)
+            expected = kernel_sum_by_product(f, size1, size2, a, b, w1, w2)
+            assert biclique_kernel_sum(f, size1, size2, a, b, w1, w2) == expected, (mat, a, b, w1, w2)
+            ones1, ones2 = [Fraction(1)] * size1, [Fraction(1)] * size2
+            assert biclique_kernel_sum(f, size1, size2, a, b) == kernel_sum_by_product(f, size1, size2, a, b, ones1, ones2)
+
+    def test_both_contraction_directions(self):
+        # A lopsided pair contracts the small side whichever argument it is,
+        # and transposing the kernel with the sides never changes the sum.
+        rng = random.Random(32)
+        for _ in range(100):
+            mat, size1, size2, w1, w2 = self.random_case(rng)
+            f = lambda x, y: mat[x][y]
+            for a, b in ((1, 4), (4, 1), (2, 3), (3, 2)):
+                value = biclique_kernel_sum(f, size1, size2, a, b, w1, w2)
+                assert value == biclique_kernel_sum(lambda y, x: f(x, y), size2, size1, b, a, w2, w1)
+                assert value == kernel_sum_by_product(f, size1, size2, a, b, w1, w2)
+
+    def test_zero_weight_points_and_empty_measures(self):
+        f = lambda x, y: Fraction(x + y + 1, 2)
+        assert biclique_kernel_sum(f, 3, 2, 2, 2, [0, 0, 0], [1, 1]) == 0
+        assert biclique_kernel_sum(f, 3, 2, 2, 2, [1, 1, 1], [0, 0]) == 0
+        w1, w2 = [Fraction(0), Fraction(1, 3), Fraction(0)], [Fraction(2), Fraction(0)]
+        assert biclique_kernel_sum(f, 3, 2, 2, 3, w1, w2) == kernel_sum_by_product(f, 3, 2, 2, 3, w1, w2)
+
+    def test_work_limit(self):
+        ones = lambda x, y: 1
+        with pytest.raises(LimitExceeded):
+            biclique_kernel_sum(ones, 8, 8, 21, 21)
+        assert biclique_kernel_sum(ones, 8, 8, 1, 21) == 8 ** 22
+
+
 class TestOminusAndCc:
     def test_ominus_examples(self):
         assert ominus({1, 2, 3}, {2}, set()) == {1, 3}
@@ -391,6 +454,23 @@ class TestHomClique:
         m = model_complete_looped(3, 0)
         lam = (Fraction(1, 2), Fraction(2), Fraction(0))
         assert hom_clique(2, m, lam) == hom(named("complete", 2), m, [lam, lam])
+
+    def test_matches_hom_with_zero_weights_and_fractions(self):
+        rng = random.Random(12)
+        for seed in range(20):
+            m = random_model(rng.randrange(1, 5), seed, "general")
+            lam = tuple(Fraction(rng.choice([0, 1, 2, 5]), rng.choice([1, 3])) for _ in range(m.q))
+            for a in range(1, 6):
+                assert hom_clique(a, m, lam) == hom(named("complete", a), m, [lam] * a), (seed, a)
+
+    def test_work_limit(self):
+        m = model_complete_looped(8, 0)
+        with pytest.raises(LimitExceeded):
+            hom_clique(20, m)
+        # Zero-weight colors do not count towards the bound.
+        lam = (1, 1) + (0,) * 6
+        assert hom_clique(20, m, lam) == 0
+        assert hom_clique(21, model_complete_looped(4, 4)) == 4 ** 21
 
 
 class TestEpsPolynomial:

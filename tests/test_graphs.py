@@ -220,6 +220,16 @@ class TestFormats:
         g = read_edge_list("3 2\n0 1\n1 2\n")
         assert g.edge_list() == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "3 x\n", "3 1\n0 1 2\n", "3 1\n1 1\n"])
+    def test_malformed_edge_list(self, text):
+        with pytest.raises(InvalidSpec):
+            read_edge_list(text)
+
+    @pytest.mark.parametrize("line", ["", "0 x", "~A", "D?"])
+    def test_malformed_graph6(self, line):
+        with pytest.raises(InvalidSpec):
+            read_graph6(line)
+
     def test_graph6_against_networkx(self):
         nx = pytest.importorskip("networkx")
         for seed in range(10):

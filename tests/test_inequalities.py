@@ -103,6 +103,40 @@ class TestReverseSidorenko:
                             assert rep.verdict in ("holds", "equality"), (g, q, ell, cons)
 
 
+class TestReverseSidorenkoMemo:
+    def test_memo_gives_the_same_report(self):
+        rng = random.Random(41)
+        for n in range(2, 6):
+            for g in enumerate_graphs(n, dedup_isomorphism=True, no_isolated=True):
+                m = random_model(rng.randrange(2, 4), rng.randrange(100), "general")
+                cons = [tuple(Fraction(rng.randrange(2)) for _ in range(m.q)) for _ in range(g.n)]
+                for constraints in (None, cons):
+                    memo = {}
+                    first = check_reverse_sidorenko(g, m, constraints, memo=memo)
+                    assert first == check_reverse_sidorenko(g, m, constraints)
+                    assert check_reverse_sidorenko(g, m, constraints, memo=memo) == first
+
+    def test_memo_is_keyed_by_degrees_and_side_constraints(self):
+        g = named("cycle", 6)
+        m = model_complete_looped(3, 0)
+        memo = {}
+        check_reverse_sidorenko(g, m, memo=memo)
+        assert memo == {(2, 2, None, None): Fraction(18)}
+        lam = (Fraction(1), Fraction(1), Fraction(0))
+        full = (Fraction(1),) * 3
+        cons = [lam, full] * 3
+        check_reverse_sidorenko(g, m, cons, memo=memo)
+        assert set(memo) == {(2, 2, None, None), (2, 2, lam, full), (2, 2, full, lam)}
+
+    def test_memo_entries_are_used(self):
+        # A planted factor shows that the memo is read before computing.
+        g = named("cycle", 6)
+        m = model_complete_looped(3, 0)
+        assert check_reverse_sidorenko(g, m).verdict == "holds"
+        planted = {(2, 2, None, None): Fraction(1)}
+        assert check_reverse_sidorenko(g, m, memo=planted).verdict == "violated"
+
+
 class TestCliqueMax:
     def test_path_example(self):
         m = Model.from_rows([[2, 1], [1, 2]])

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from homlab import scan
+from homlab.inequalities import check_reverse_sidorenko
 from homlab.scan import (
     ScanJob,
     emit_report,
@@ -113,6 +115,68 @@ class TestRunScan:
         assert s.instances_checked > 0
 
 
+ACCEPTANCE_7_JOB = dict(
+    ineq="reverse-sidorenko",
+    graphs={
+        "kind": "enumerate",
+        "min_vertices": 2,
+        "max_vertices": 6,
+        "no_isolated": True,
+        "triangle_free": True,
+        "dedup": True,
+    },
+    models={
+        "kind": "union",
+        "parts": [
+            {"kind": "complete-looped", "max_q": 4},
+            {"kind": "random", "rand_kind": "general", "qs": [2, 3, 4], "seeds": list(range(50))},
+        ],
+    },
+)
+ACCEPTANCE_8_JOB = dict(
+    ineq="reverse-sidorenko",
+    graphs={"kind": "enumerate", "min_vertices": 2, "max_vertices": 5, "no_isolated": True, "dedup": True},
+    models={"kind": "complete-looped", "max_q": 3},
+    lists={"kind": "random", "seeds": list(range(20))},
+)
+
+
+class TestFactorMemo:
+    @pytest.mark.parametrize("job", [ACCEPTANCE_7_JOB, ACCEPTANCE_8_JOB], ids=["acceptance-7", "acceptance-8-lists"])
+    def test_reports_match_memo_free_cells(self, job, monkeypatch):
+        with monkeypatch.context() as patch:
+            # Every cell decided on its own, with no memo shared between cells.
+            patch.setattr(
+                scan,
+                "check_reverse_sidorenko",
+                lambda g, m, constraints=None, bit_cap=None, memo=None: check_reverse_sidorenko(g, m, constraints, bit_cap),
+            )
+            expected = {jobs: emit_report(run_scan(ScanJob(jobs=jobs, **job)), "json") for jobs in (1, 2)}
+        for jobs in (1, 2):
+            assert emit_report(run_scan(ScanJob(jobs=jobs, **job)), "json") == expected[jobs]
+
+    def test_memo_empty_after_scan(self):
+        job = ScanJob(
+            ineq="reverse-sidorenko",
+            graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 3, "dedup": True},
+            models={"kind": "named", "names": ["Kq:3", "hardcore"]},
+        )
+        s = run_scan(job)
+        # Graphs with an isolated vertex raise IsolatedVertex in their cells.
+        assert s.errors and s.rows
+        assert scan._FACTOR_MEMO == {}
+
+    def test_memo_empty_after_scan_raises(self, monkeypatch):
+        def fail(report):
+            assert scan._FACTOR_MEMO
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(scan, "report_to_dict", fail)
+        with pytest.raises(RuntimeError):
+            run_scan(small_finding_job(graphs={"kind": "named", "names": ["C4"]}, models={"kind": "named", "names": ["Kq:3"]}))
+        assert scan._FACTOR_MEMO == {}
+
+
 class TestSearch:
     def test_finds_widom_rowlinson_star(self):
         findings = search_counterexample(
@@ -164,7 +228,7 @@ class TestEmit:
         assert "FINDING" in text and "instances checked" in text
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -175,6 +239,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -212,6 +277,39 @@ class TestCli:
 
     def test_count_over_work_limit_fails_fast(self):
         res = run_cli("count", "--graph", "K16", "--model", "Kq-looped:4,4")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+    def test_clique_factor_on_large_star(self):
+        res = run_cli("verify", "--ineq", "clique-max", "--graph", "S20", "--model", "Kq-looped:4,4", timeout=30)
+        assert res.returncode == 0 and "verdict=equality" in res.stdout
+
+    def test_clique_factor_over_work_limit_fails_fast(self):
+        res = run_cli("verify", "--ineq", "clique-max", "--graph", "S19", "--model", "Kq:8", timeout=30)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+    def test_biclique_factor_over_work_limit_fails_fast(self, tmp_path):
+        # Two adjacent centres with 20 leaves each: the centre edge's
+        # factor is K_{21,21}.
+        edges = [(0, 1)] + [(0, v) for v in range(2, 22)] + [(1, v) for v in range(22, 42)]
+        graph = tmp_path / "double-star.txt"
+        graph.write_text("42 %d\n" % len(edges) + "".join("%d %d\n" % e for e in edges))
+        res = run_cli("verify", "--ineq", "reverse-sidorenko", "--graph", str(graph), "--model", "Kq:8", timeout=30)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "graph_text, model",
+        [("0 x\n", "Kq:3"), (None, "Kq:abc"), ("", "Kq:3")],
+        ids=["edge-list-token", "model-spec", "empty-graph-file"],
+    )
+    def test_malformed_input_is_an_error_line(self, tmp_path, graph_text, model):
+        graph = "C4"
+        if graph_text is not None:
+            graph = str(tmp_path / "g.txt")
+            (tmp_path / "g.txt").write_text(graph_text)
+        res = run_cli("count", "--graph", graph, "--model", model)
         assert res.returncode == 1
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
