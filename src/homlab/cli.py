@@ -156,18 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", help="finding replay file (overrides the other flags)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
-    p.add_argument("--bitcap", type=int)
 
     p = sub.add_parser("scan", help="batch verification over a graph x model grid")
     p.add_argument("--ineq", required=True, choices=("reverse-sidorenko", "clique-max", "bst"))
     _add_graph_flags(p)
     _add_model_flags(p)
     p.add_argument("--list-seeds", type=int, help="number of seeded random list assignments per cell")
-    p.add_argument("--finding-mode", action="store_true", help="violations are expected findings, not failures")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out")
-    p.add_argument("--bitcap", type=int)
 
     p = sub.add_parser("search", help="counterexample search within a budget")
     p.add_argument("--ineq", required=True, choices=("reverse-sidorenko", "clique-max", "bst"))
@@ -211,7 +208,7 @@ def _cmd_verify(args) -> int:
         g = graph_from_any(args.graph)
         m = _load_model_arg(args.model)
         constraints = _load_lists(args.lists, m.q) if args.lists else None
-        report = check_instance(args.ineq, g, m, constraints, args.bitcap)
+        report = check_instance(args.ineq, g, m, constraints)
     _emit(_report_text(report, args.format), args.out)
     return EXIT_FINDINGS if report.verdict == "violated" else EXIT_OK
 
@@ -222,9 +219,7 @@ def _cmd_scan(args) -> int:
         graphs=_graph_source_from_args(args),
         models=_model_source_from_args(args),
         lists={"kind": "random", "seeds": list(range(args.list_seeds))} if args.list_seeds else None,
-        finding_mode=args.finding_mode,
         jobs=args.jobs,
-        bit_cap=args.bitcap,
     )
     print("scanning %s ..." % args.ineq, file=sys.stderr)
     summary = run_scan(job)

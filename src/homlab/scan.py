@@ -40,7 +40,6 @@ from homlab.inequalities import (
 from homlab.models import Model, parse_model_name, random_model
 
 SCAN_INEQUALITIES = ("reverse-sidorenko", "clique-max", "bst")
-FORCE_EXACT_BIT_CAP = 1 << 62
 
 # Reverse-Sidorenko factor memos of the run_scan in progress, one dict per
 # model index of the job.  run_scan empties it on entry and on exit, so no
@@ -55,9 +54,7 @@ class ScanJob:
     graphs: dict
     models: dict
     lists: dict | None = None
-    finding_mode: bool = False
     jobs: int = 1
-    bit_cap: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -65,9 +62,7 @@ class ScanJob:
             "graphs": self.graphs,
             "models": self.models,
             "lists": self.lists,
-            "finding_mode": self.finding_mode,
             "jobs": self.jobs,
-            "bit_cap": self.bit_cap,
         }
 
 
@@ -179,15 +174,15 @@ def random_lists(seed: int, gid: str, n: int, q: int) -> list[frozenset[int]]:
     return lists
 
 
-def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, bit_cap=None, memo=None):
+def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo=None):
     """Decide one cell.  `memo` is a reverse-Sidorenko factor memo for
     this model (see check_reverse_sidorenko); the other checkers ignore it."""
     if ineq == "reverse-sidorenko":
-        return check_reverse_sidorenko(graph, model, constraints, bit_cap, memo)
+        return check_reverse_sidorenko(graph, model, constraints, memo)
     if ineq == "clique-max":
-        return check_clique_max(graph, model, constraints, bit_cap)
+        return check_clique_max(graph, model, constraints)
     if ineq == "bst":
-        return check_bst(graph, model, bit_cap)
+        return check_bst(graph, model)
     raise InvalidArgument("unknown inequality %r (scan supports %s)" % (ineq, SCAN_INEQUALITIES))
 
 
@@ -211,9 +206,9 @@ def _cells_for_job(job: ScanJob):
 
 
 def _run_cell(args):
-    instance_id, ineq, g, model_index, m, constraints, bit_cap = args
+    instance_id, ineq, g, model_index, m, constraints = args
     try:
-        report = check_instance(ineq, g, m, constraints, bit_cap, _FACTOR_MEMO.setdefault(model_index, {}))
+        report = check_instance(ineq, g, m, constraints, _FACTOR_MEMO.setdefault(model_index, {}))
         return instance_id, "ok", report_to_dict(report)
     except UndecidedAtPrecisionCap as exc:
         return instance_id, "undecided", str(exc)
@@ -223,9 +218,7 @@ def _run_cell(args):
 
 def run_scan(job: ScanJob) -> ScanSummary:
     """Run the full grid; deterministic for a fixed job regardless of the
-    worker count.  Every violated instance is re-checked once on the
-    forced-exact path before entering the findings list.
-    """
+    worker count."""
     _FACTOR_MEMO.clear()
     try:
         return _run_scan(job)
@@ -236,7 +229,7 @@ def run_scan(job: ScanJob) -> ScanSummary:
 def _run_scan(job: ScanJob) -> ScanSummary:
     cells = _cells_for_job(job)
     tasks = [
-        (instance_id, job.ineq, g, model_index, m, constraints, job.bit_cap)
+        (instance_id, job.ineq, g, model_index, m, constraints)
         for instance_id, g, model_index, m, constraints in cells
     ]
     if job.jobs > 1:
@@ -262,12 +255,6 @@ def _run_scan(job: ScanJob) -> ScanSummary:
         summary.instances_checked += 1
         report = payload
         verdict = report["verdict"]
-        if verdict == "violated":
-            g, model_index, m, constraints = cell_by_id[instance_id]
-            memo = _FACTOR_MEMO.setdefault(model_index, {})
-            recheck = check_instance(job.ineq, g, m, constraints, FORCE_EXACT_BIT_CAP, memo)
-            report = report_to_dict(recheck)
-            verdict = report["verdict"]
         summary.histogram[verdict] += 1
         gid, _, rest = instance_id.partition("|")
         row = {
@@ -309,26 +296,25 @@ def make_replay(ineq: str, g: Graph, m: Model, constraints=None) -> dict:
 
 
 def replay_finding(replay: dict):
-    """Re-run a finding's replay data through the named checker on the
-    forced-exact path."""
+    """Re-run a finding's replay data through the named checker."""
     g = graph_from_dict(replay["graph"])
     m = model_from_dict(replay["model"])
     constraints = replay.get("constraints")
     if constraints is not None:
         constraints = [tuple(Fraction(x) for x in vec) for vec in constraints]
-    return check_instance(replay["ineq"], g, m, constraints, FORCE_EXACT_BIT_CAP)
+    return check_instance(replay["ineq"], g, m, constraints)
 
 
-def search_counterexample(ineq: str, graph_source: dict, model_source: dict, budget: int, lists: dict | None = None) -> list[dict]:
+def search_counterexample(ineq: str, graph_source: dict, model_source: dict, budget: int) -> list[dict]:
     """Scan cells until the budget is exhausted, returning all violations
     with replay data.  An empty list is a legitimate outcome."""
-    job = ScanJob(ineq, graph_source, model_source, lists=lists, finding_mode=True)
+    job = ScanJob(ineq, graph_source, model_source)
     cells = _cells_for_job(job)[:budget]
     findings = []
     memos = {}
     for instance_id, g, model_index, m, constraints in cells:
         try:
-            report = check_instance(ineq, g, m, constraints, FORCE_EXACT_BIT_CAP, memos.setdefault(model_index, {}))
+            report = check_instance(ineq, g, m, constraints, memos.setdefault(model_index, {}))
         except HomlabError:
             continue
         if report.verdict == "violated":

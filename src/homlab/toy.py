@@ -13,6 +13,7 @@ from fractions import Fraction
 from homlab.counting import cc, semiproper_count
 from homlab.graphs import Graph, build_named, GraphFamilySpec
 from homlab.inequalities import IneqReport
+from homlab.lemmas import _float_of_factors
 from homlab.power import RadicalSum, compare_radical_products
 
 R, G, B = 0, 1, 2
@@ -27,14 +28,6 @@ CYCLE_LISTS = (
 )
 
 
-def _rs(x) -> RadicalSum:
-    return RadicalSum.from_rational(Fraction(x))
-
-
-def _atom(base, exponent) -> RadicalSum:
-    return RadicalSum.from_power(Fraction(base), Fraction(exponent))
-
-
 def _report(step: str, small, big, must_be_equality=False) -> IneqReport:
     from homlab.inequalities import clamp_slack
 
@@ -42,20 +35,10 @@ def _report(step: str, small, big, must_be_equality=False) -> IneqReport:
     verdict = {"less": "holds", "equal": "equality", "greater": "violated"}[cmp_result.ordering]
     if must_be_equality and verdict != "equality":
         verdict = "violated"
-    small_f = _float_factors(small)
-    big_f = _float_factors(big)
+    small_f = _float_of_factors(small)
+    big_f = _float_of_factors(big)
     slack = math.log10(big_f / small_f) if small_f > 0 and big_f > 0 else 0.0
     return IneqReport("toy-c6:" + step, "six-cycle toy lists", None, None, verdict, True, clamp_slack(verdict, slack))
-
-
-def _float_factors(factors) -> float:
-    total = 0.0
-    for s, e in factors:
-        v = s.float_value()
-        if v <= 0:
-            return 0.0
-        total += float(e) * math.log10(v)
-    return 10.0 ** total
 
 
 def _path_count(lists) -> int:
@@ -73,8 +56,8 @@ def reproduce_toy_c6() -> list[IneqReport]:
     # cc(L_u, L_v, 2, 2)^{1/4} since the cycle is 2-regular.
     edge_cc = [cc(lists[i], lists[(i + 1) % 6], 2, 2) for i in range(6)]
     total = semiproper_count(c6, lists)
-    main_rhs = [(_rs(base), Fraction(1, 4)) for base in edge_cc]
-    reports.append(_report("main-inequality", [(_rs(total), Fraction(1))], main_rhs))
+    main_rhs = [(RadicalSum.from_rational(base), Fraction(1, 4)) for base in edge_cc]
+    reports.append(_report("main-inequality", [(RadicalSum.from_rational(total), Fraction(1))], main_rhs))
 
     # Conditioning on the first vertex (its list is {R, B}).
     lists_blue = [
@@ -96,8 +79,8 @@ def reproduce_toy_c6() -> list[IneqReport]:
     reports.append(
         _report(
             "condition-on-first-vertex",
-            [(_rs(total), Fraction(1))],
-            [(_rs(count_red + count_blue), Fraction(1))],
+            [(RadicalSum.from_rational(total), Fraction(1))],
+            [(RadicalSum.from_rational(count_red + count_blue), Fraction(1))],
             must_be_equality=True,
         )
     )
@@ -107,29 +90,29 @@ def reproduce_toy_c6() -> list[IneqReport]:
     # the 1/2 power and the interior edges K_{2,2} counts to the 1/4 power.
     def path_bound_factors(path_lists):
         f = [
-            (_rs(cc(path_lists[0], path_lists[1], 2, 1)), Fraction(1, 2)),
-            (_rs(cc(path_lists[1], path_lists[2], 2, 2)), Fraction(1, 4)),
-            (_rs(cc(path_lists[2], path_lists[3], 2, 2)), Fraction(1, 4)),
-            (_rs(cc(path_lists[4], path_lists[3], 2, 1)), Fraction(1, 2)),
+            (RadicalSum.from_rational(cc(path_lists[0], path_lists[1], 2, 1)), Fraction(1, 2)),
+            (RadicalSum.from_rational(cc(path_lists[1], path_lists[2], 2, 2)), Fraction(1, 4)),
+            (RadicalSum.from_rational(cc(path_lists[2], path_lists[3], 2, 2)), Fraction(1, 4)),
+            (RadicalSum.from_rational(cc(path_lists[4], path_lists[3], 2, 1)), Fraction(1, 2)),
         ]
         return f
 
     blue_factors = path_bound_factors(lists_blue)
     red_factors = path_bound_factors(lists_red)
     reports.append(
-        _report("induction-step-blue", [(_rs(count_blue), Fraction(1))], blue_factors)
+        _report("induction-step-blue", [(RadicalSum.from_rational(count_blue), Fraction(1))], blue_factors)
     )
     reports.append(
-        _report("induction-step-red", [(_rs(count_red), Fraction(1))], red_factors)
+        _report("induction-step-red", [(RadicalSum.from_rational(count_red), Fraction(1))], red_factors)
     )
 
     # Cancellation step: sum of the two path bounds against the full
     # product.  Both sides still carry the two interior K_{2,2} factors.
     def factors_to_sum(factors) -> RadicalSum:
-        out = _rs(1)
+        out = RadicalSum.from_rational(1)
         for s, e in factors:
             value = s.as_fraction()
-            out = out * _atom(value, e)
+            out = out * RadicalSum.from_power(value, e)
         return out
 
     lhs_sum = factors_to_sum(blue_factors) + factors_to_sum(red_factors)
@@ -142,14 +125,14 @@ def reproduce_toy_c6() -> list[IneqReport]:
     b1 = cc(lists_blue[4], lists_blue[3], 2, 1)
     a2 = cc(lists_red[0], lists_red[1], 2, 1)
     b2 = cc(lists_red[4], lists_red[3], 2, 1)
-    local_lhs = _atom(a1, Fraction(1, 2)) * _atom(b1, Fraction(1, 2)) + _atom(
+    local_lhs = RadicalSum.from_power(a1, Fraction(1, 2)) * RadicalSum.from_power(b1, Fraction(1, 2)) + RadicalSum.from_power(
         a2, Fraction(1, 2)
-    ) * _atom(b2, Fraction(1, 2))
+    ) * RadicalSum.from_power(b2, Fraction(1, 2))
     local_rhs = [
-        (_rs(edge_cc[0]), Fraction(1, 4)),
-        (_rs(edge_cc[1]), Fraction(1, 4)),
-        (_rs(edge_cc[4]), Fraction(1, 4)),
-        (_rs(edge_cc[5]), Fraction(1, 4)),
+        (RadicalSum.from_rational(edge_cc[0]), Fraction(1, 4)),
+        (RadicalSum.from_rational(edge_cc[1]), Fraction(1, 4)),
+        (RadicalSum.from_rational(edge_cc[4]), Fraction(1, 4)),
+        (RadicalSum.from_rational(edge_cc[5]), Fraction(1, 4)),
     ]
     reports.append(_report("localized", [(local_lhs, Fraction(1))], local_rhs))
 
@@ -158,15 +141,15 @@ def reproduce_toy_c6() -> list[IneqReport]:
     reports.append(
         _report(
             "post-cauchy-schwarz-top",
-            [(_rs(a1 + a2), Fraction(1))],
-            [(_rs(edge_cc[0]), Fraction(1, 2)), (_rs(edge_cc[1]), Fraction(1, 2))],
+            [(RadicalSum.from_rational(a1 + a2), Fraction(1))],
+            [(RadicalSum.from_rational(edge_cc[0]), Fraction(1, 2)), (RadicalSum.from_rational(edge_cc[1]), Fraction(1, 2))],
         )
     )
     reports.append(
         _report(
             "post-cauchy-schwarz-bottom",
-            [(_rs(b1 + b2), Fraction(1))],
-            [(_rs(edge_cc[4]), Fraction(1, 2)), (_rs(edge_cc[5]), Fraction(1, 2))],
+            [(RadicalSum.from_rational(b1 + b2), Fraction(1))],
+            [(RadicalSum.from_rational(edge_cc[4]), Fraction(1, 2)), (RadicalSum.from_rational(edge_cc[5]), Fraction(1, 2))],
             must_be_equality=True,
         )
     )
@@ -178,8 +161,8 @@ def reproduce_toy_c6() -> list[IneqReport]:
     reports.append(
         _report(
             "four-cycle-identity",
-            [(_rs(mixed), Fraction(1))],
-            [(_rs(a1 + a2), Fraction(1))],
+            [(RadicalSum.from_rational(mixed), Fraction(1))],
+            [(RadicalSum.from_rational(a1 + a2), Fraction(1))],
             must_be_equality=True,
         )
     )
@@ -188,8 +171,8 @@ def reproduce_toy_c6() -> list[IneqReport]:
     reports.append(
         _report(
             "final-four-cycle",
-            [(_rs(mixed), Fraction(1))],
-            [(_rs(edge_cc[0]), Fraction(1, 2)), (_rs(edge_cc[1]), Fraction(1, 2))],
+            [(RadicalSum.from_rational(mixed), Fraction(1))],
+            [(RadicalSum.from_rational(edge_cc[0]), Fraction(1, 2)), (RadicalSum.from_rational(edge_cc[1]), Fraction(1, 2))],
         )
     )
     return reports

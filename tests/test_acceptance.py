@@ -133,7 +133,6 @@ class TestAcceptance:
                 "dedup": True,
             },
             models={"kind": "named", "names": ["heps:1/10"]},
-            finding_mode=True,
         )
         summary = run_scan(job)
         assert len(summary.findings) >= 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from homlab.models import (
     model_widom_rowlinson,
     random_model,
 )
+from homlab.power import CLEARING_MAX_BITS, _compare_by_basis, _compare_by_clearing, _exact_bit_estimate
+from homlab.ratmath import lcm_many
 
 
 def named(kind, *params):
@@ -135,6 +138,36 @@ class TestReverseSidorenkoMemo:
         assert check_reverse_sidorenko(g, m).verdict == "holds"
         planted = {(2, 2, None, None): Fraction(1)}
         assert check_reverse_sidorenko(g, m, memo=planted).verdict == "violated"
+
+
+class TestLargeReverseSidorenko:
+    """Cells whose cleared comparison would be too large to clear cheaply
+    are decided exactly over a coprime basis."""
+
+    @staticmethod
+    def cleared_bits(rep):
+        diff = (rep.lhs * rep.rhs ** -1).factors
+        return diff, _exact_bit_estimate(diff, lcm_many(e.denominator for _, e in diff))
+
+    def test_above_ten_million_bits_is_exact_and_fast(self):
+        missing = {(0, 3), (0, 10), (1, 3), (2, 3), (2, 6), (2, 10), (4, 8), (4, 9), (4, 10), (7, 9), (9, 10)}
+        g = Graph.from_edges(11, [(u, v) for u in range(11) for v in range(u + 1, 11) if (u, v) not in missing])
+        m = random_model(2, 0, "general")
+        t0 = time.perf_counter()
+        rep = check_reverse_sidorenko(g, m)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.verdict == "holds" and rep.exact
+        assert self.cleared_bits(rep)[1] > 10 ** 7
+
+    @pytest.mark.parametrize("model", [model_h_eps(Fraction(1, 10)), random_model(2, 0, "general")], ids=["heps", "general"])
+    def test_clearing_and_basis_agree_above_the_threshold(self, model):
+        edges = [(0, 2), (0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
+        rep = check_reverse_sidorenko(Graph.from_edges(8, edges), model)
+        diff, bits = self.cleared_bits(rep)
+        assert CLEARING_MAX_BITS < bits < 10 ** 7
+        ordering = _compare_by_clearing(diff, lcm_many(e.denominator for _, e in diff))
+        assert _compare_by_basis(diff) == ordering
+        assert rep.verdict == {"less": "holds", "greater": "violated"}[ordering] and rep.exact
 
 
 class TestCliqueMax:

@@ -29,7 +29,6 @@ def small_finding_job(**overrides):
             "dedup": True,
         },
         models={"kind": "named", "names": ["heps:1/10"]},
-        finding_mode=True,
     )
     return dataclasses.replace(job, **overrides)
 
@@ -149,7 +148,7 @@ class TestFactorMemo:
             patch.setattr(
                 scan,
                 "check_reverse_sidorenko",
-                lambda g, m, constraints=None, bit_cap=None, memo=None: check_reverse_sidorenko(g, m, constraints, bit_cap),
+                lambda g, m, constraints=None, memo=None: check_reverse_sidorenko(g, m, constraints),
             )
             expected = {jobs: emit_report(run_scan(ScanJob(jobs=jobs, **job)), "json") for jobs in (1, 2)}
         for jobs in (1, 2):
@@ -345,7 +344,6 @@ class TestCli:
             "K3",
             "--models",
             "heps:1/10",
-            "--finding-mode",
             "--format",
             "text",
         )
@@ -391,23 +389,6 @@ class TestCli:
         res = run_cli("count", "--graph", "C6", "--model", "Kq:3", "--lists", str(lists))
         assert res.stdout.strip() == "17"
 
-    def test_bitcap_flag_forces_interval_path(self):
-        res = run_cli(
-            "verify",
-            "--ineq",
-            "reverse-sidorenko",
-            "--graph",
-            "C6",
-            "--model",
-            "Kq:3",
-            "--bitcap",
-            "0",
-            "--format",
-            "json",
-        )
-        assert res.returncode == 0
-        assert json.loads(res.stdout)["exact"] is False
-
     def test_verify_with_lists(self, tmp_path):
         lists = tmp_path / "lists.txt"
         lists.write_text("0: {0,2}\n1: {0,1}\n2: {1,2}\n3: {0,1,2}\n4: {0,2}\n5: {0,1,2}\n")
@@ -434,20 +415,19 @@ class TestCli:
         res = run_cli("count", "--graph", str(json_file), "--model", "hardcore")
         assert res.stdout.strip() == "7"
 
-    def test_bitcap_env(self):
-        res = run_cli(
-            "verify",
-            "--ineq",
-            "reverse-sidorenko",
-            "--graph",
-            "C6",
-            "--model",
-            "Kq:3",
-            "--format",
-            "json",
-            env={"HOMLAB_BITCAP": "0"},
-        )
-        assert json.loads(res.stdout)["exact"] is False
+    def test_verify_large_instance_is_exact(self, tmp_path):
+        # K11 minus 11 edges against a general 2-spin model: the cleared
+        # comparison would need about 2.9e7 bits, so the coprime basis
+        # decides it.
+        missing = {(0, 3), (0, 10), (1, 3), (2, 3), (2, 6), (2, 10), (4, 8), (4, 9), (4, 10), (7, 9), (9, 10)}
+        edges = [(u, v) for u in range(11) for v in range(u + 1, 11) if (u, v) not in missing]
+        graph = tmp_path / "g.txt"
+        graph.write_text("11 %d\n" % len(edges) + "".join("%d %d\n" % e for e in edges))
+        args = ("--ineq", "reverse-sidorenko", "--graph", str(graph), "--model", "random:general,2,0")
+        res = run_cli("verify", *args, "--format", "json", timeout=60)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["verdict"] == "holds" and report["exact"] is True
 
 
 class TestConstraintFiles:
