@@ -17,8 +17,6 @@ from homlab.errors import DimensionMismatch, LimitExceeded
 from homlab.graphs import Graph, triangle_count
 from homlab.models import Model
 
-EPS_POLY_VERTEX_LIMIT = 12
-
 
 def _check_constraints(constraints, n: int, q: int):
     if constraints is None:
@@ -84,8 +82,8 @@ def _scaled_matrix(rows):
 
 
 # ---------------------------------------------------------------------------
-# The contraction engine shared by hom, semiproper_count and the graphical
-# Brascamp-Lieb assignment sum.
+# The contraction engine shared by hom, semiproper_count, the graphical
+# Brascamp-Lieb assignment sum and the eps-polynomial.
 
 # Bound on a plan's work, the sum over its steps of q^(frontier width + 1)
 # with q the most colors allowed at any vertex: the table entries the DP
@@ -313,26 +311,33 @@ def semiproper_count(g: Graph, lists, looped=()) -> int:
 
 def hom_clique(a: int, m: Model, lam=None) -> Fraction:
     """h_a(lambda) = hom with weights lambda on the complete graph K_a;
-    h_0 = 1.
-
-    Every vertex carries the same weights, so a coloring's weight depends
-    only on its color multiset: the sum runs over the C(q + a - 1, a)
-    multisets with multinomial weight, on integer-scaled weights, instead
-    of over the q^a colorings.  Raises LimitExceeded when
-    C(q + a - 1, a) * a^2 exceeds CONTRACTION_WORK_LIMIT, with q the
-    number of nonzero-weight colors.
+    h_0 = 1.  The sum of `clique_terms`.
     """
-    if a == 0:
-        return Fraction(1)
+    denom, terms = clique_terms(a, m, lam)
+    return Fraction(sum(t for _, t in terms), denom)
+
+
+def clique_terms(a: int, m: Model, lam=None):
+    """(denominator, terms) of h_a(lambda) grouped by color multiset.
+
+    Every vertex of K_a carries the same weights, so a coloring's weight
+    depends only on its color multiset: the terms run over the
+    C(q + a - 1, a) multisets instead of the q^a colorings.  Each term is
+    (counts, t): counts pairs every color of the multiset with its
+    multiplicity, and t / denominator is the multiset's weight times its
+    number of orderings, t an int on integer-scaled weights.  Raises
+    LimitExceeded when C(q + a - 1, a) * a^2 exceeds
+    CONTRACTION_WORK_LIMIT, with q the number of nonzero-weight colors.
+    """
     weight_scale, colors = _scaled_colors(_side_weights(m, lam))
     q = len(colors)
-    work = comb(q + a - 1, a) * a * a
+    work = comb(q + a - 1, a) * a * a if a else 0
     if work > CONTRACTION_WORK_LIMIT:
         raise LimitExceeded(
             "clique work bound %d exceeds %d (K_%d, q = %d)" % (work, CONTRACTION_WORK_LIMIT, a, q)
         )
     edge_scale, ew = _scaled_matrix(m.edge_weights)
-    total = 0
+    terms = []
     for combo in combinations_with_replacement(range(q), a):
         counts = [(c, w, combo.count(i)) for i, (c, w) in enumerate(colors) if i in combo]
         t = _multiset_permutations(combo)
@@ -341,8 +346,8 @@ def hom_clique(a: int, m: Model, lam=None) -> Fraction:
             t *= w ** k * row[c] ** (k * (k - 1) // 2)
             for d, _, j in counts[i + 1 :]:
                 t *= row[d] ** (k * j)
-        total += t
-    return Fraction(total, weight_scale ** a * edge_scale ** (a * (a - 1) // 2))
+        terms.append((tuple((c, k) for c, _, k in counts), t))
+    return weight_scale ** a * edge_scale ** (a * (a - 1) // 2), terms
 
 
 class EpsPolynomial:
@@ -369,22 +374,20 @@ def hom_eps_polynomial(g: Graph) -> EpsPolynomial:
     """Expand hom(G, H_eps) = 2^{-n} sum_x (1+2 eps)^{m(x)} exactly, where
     m(x) counts monochromatic edges of the 2-coloring x.
 
+    One contraction with edge matrix [[Y, 1], [1, Y]] gives
+    sum_j N_j Y^j, N_j the number of colorings with j monochromatic
+    edges; since N_j <= 2^n < Y = 2^(n+1), the N_j are its base-Y digits.
     The first coefficients satisfy c_0 = 1, c_1 = |E|, c_2 = C(|E|,2),
     c_3 = C(|E|,3) + |T(G)|.
     """
-    if g.n > EPS_POLY_VERTEX_LIMIT:
-        raise LimitExceeded("eps polynomial limited to n <= %d" % EPS_POLY_VERTEX_LIMIT)
     n = g.n
-    edges = g.edge_list()
-    mono_counts = [0] * (len(edges) + 1)
-    for x in range(1 << n):
-        mono = 0
-        for u, v in edges:
-            if (x >> u & 1) == (x >> v & 1):
-                mono += 1
-        mono_counts[mono] += 1
-    degree = max((j for j, c in enumerate(mono_counts) if c), default=0)
-    coeffs = [Fraction(0)] * (degree + 1)
+    y = 1 << (n + 1)
+    packed = contract(compile_plan(g.adjacency), [[(0, 1), (1, 1)]] * n, lambda u, v: [[y, 1], [1, y]])
+    mono_counts = []
+    while packed:
+        packed, count = divmod(packed, y)
+        mono_counts.append(count)
+    coeffs = [Fraction(0)] * len(mono_counts)
     scale = Fraction(1, 2 ** n)
     for j, count in enumerate(mono_counts):
         if not count:

@@ -10,8 +10,7 @@ not an error: it is the expected outcome off the theorems' hypotheses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 from homlab.counting import (
     _multiset_permutations,
@@ -195,24 +194,27 @@ def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
     return Fraction(contract(compile_plan(g.adjacency), choices, lambda u, v: mats[(u, v)]), denom)
 
 
-@lru_cache(maxsize=4096)
-def _h_cached(m: Model, a: int, lam: tuple | None) -> Fraction:
-    return hom_clique(a, m, lam)
-
-
-def check_clique_max(g: Graph, m: Model, lambdas=None) -> IneqReport:
+def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
     """hom_lambda(G, H) vs prod_v h_{d_v + 1}(lambda_v)^{1/(d_v+1)}.
 
     Must hold when the model is ferromagnetic (PSD); otherwise a violation
     is a finding (e.g. K_{1,4} against Widom-Rowlinson).
+
+    `memo` is an optional dict owned by the caller, one per model, as in
+    check_reverse_sidorenko: factors are keyed by (d_v + 1, lambda_v).
     """
     degs = g.degrees()
     lhs_value = hom(g, m, lambdas)
+    if memo is None:
+        memo = {}
     factors = []
     zero_rhs = False
     for v in range(g.n):
         lam = None if lambdas is None else tuple(Fraction(x) for x in lambdas[v])
-        base = _h_cached(m, degs[v] + 1, lam)
+        key = (degs[v] + 1, lam)
+        base = memo.get(key)
+        if base is None:
+            base = memo[key] = hom_clique(degs[v] + 1, m, lam)
         if base == 0:
             zero_rhs = True
             continue
@@ -329,52 +331,41 @@ def _canonical_transversal(n: int, unsafe_edges) -> int:
 # Symmetric polynomial monotonicity.
 
 
-def sym_average_products(alphas, k: int) -> list[Fraction]:
-    """m_ell for ell = 1..min(n, k): the average of prod alpha_{x_i} over
-    x in [n]^k with exactly ell distinct entries.
+def _sym_sums(alphas, k: int) -> dict:
+    """{ell: (count, total)} over x in [n]^k with exactly ell distinct
+    entries: how many such x there are, and the sum of prod alpha_{x_i}.
 
     Tuples are grouped by their index multiset (the product only depends on
     it), weighted by the number of orderings.
     """
-    alphas = [Fraction(a) for a in alphas]
-    n = len(alphas)
     sums = {}
-    counts = {}
-    for chosen in combinations_with_replacement(range(n), k):
+    for chosen in combinations_with_replacement(range(len(alphas)), k):
         ell = len(set(chosen))
         mult = _multiset_permutations(chosen)
-        p = Fraction(1)
-        for i in chosen:
-            p *= alphas[i]
-        sums[ell] = sums.get(ell, Fraction(0)) + mult * p
-        counts[ell] = counts.get(ell, 0) + mult
-    return [sums[ell] / counts[ell] for ell in range(1, min(n, k) + 1)]
+        count, total = sums.get(ell, (0, Fraction(0)))
+        sums[ell] = (count + mult, total + mult * math.prod((alphas[i] for i in chosen), start=Fraction(1)))
+    return sums
+
+
+def sym_average_products(alphas, k: int) -> list[Fraction]:
+    """m_ell for ell = 1..min(n, k): the average of prod alpha_{x_i} over
+    x in [n]^k with exactly ell distinct entries."""
+    sums = _sym_sums([Fraction(a) for a in alphas], k)
+    return [sums[ell][1] / sums[ell][0] for ell in range(1, min(len(alphas), k) + 1)]
 
 
 def _f_poly(alphas, k: int, s: frozenset) -> Fraction:
     """Sum over x in S^k using every element of S, of prod alpha_{x_i}."""
-    if len(s) > k:
-        return Fraction(0)
-    total = Fraction(0)
-    members = sorted(s)
-    for x in product(members, repeat=k):
-        if set(x) == s:
-            p = Fraction(1)
-            for i in x:
-                p *= alphas[i]
-            total += p
-    return total
+    members = [alphas[i] for i in sorted(s)]
+    return _sym_sums(members, k).get(len(s), (0, Fraction(0)))[1]
 
 
 def validate_f_recursion(alphas, k: int) -> bool:
     """f_{k,S} = sum_{x in S} alpha_x (f_{k-1,S} + f_{k-1,S \\ x})."""
     alphas = [Fraction(a) for a in alphas]
     n = len(alphas)
-    universe = list(range(n))
-    from itertools import combinations
-
     for size in range(1, min(n, k) + 1):
-        for s in combinations(universe, size):
+        for s in combinations(range(n), size):
             s = frozenset(s)
             direct = _f_poly(alphas, k, s)
             recurred = sum(
@@ -386,31 +377,25 @@ def validate_f_recursion(alphas, k: int) -> bool:
     return True
 
 
+def sym_corollary_sides(alphas, k: int, tau) -> tuple[Fraction, Fraction]:
+    """(E[tau(|x|)] E[prod alpha] n^k, E[tau(|x|) prod alpha] n^k) over
+    x in D^k: the two sides of the corollary, cleared of one 1/n^k."""
+    tau = [Fraction(t) for t in tau]
+    sums = _sym_sums([Fraction(a) for a in alphas], k)
+    e_tau = sum((tau[ell] * count for ell, (count, _) in sums.items()), Fraction(0))
+    e_prod = sum((total for _, total in sums.values()), Fraction(0))
+    e_both = sum((tau[ell] * total for ell, (_, total) in sums.items()), Fraction(0))
+    count = sum(count for count, _ in sums.values())
+    return e_tau * e_prod, e_both * count
+
+
 def sym_corollary_holds(alphas, k: int, tau) -> tuple[bool, bool]:
     """E[tau(|x|)] E[prod alpha] <= E[tau(|x|) prod alpha] over x in D^k.
 
     Returns (holds, is_equality).  tau is a sequence tau[0..k], checked
     non-increasing by the caller.
     """
-    alphas = [Fraction(a) for a in alphas]
-    tau = [Fraction(t) for t in tau]
-    n = len(alphas)
-    total = Fraction(0)
-    e_tau = Fraction(0)
-    e_prod = Fraction(0)
-    e_both = Fraction(0)
-    count = 0
-    for x in product(range(n), repeat=k):
-        ell = len(set(x))
-        p = Fraction(1)
-        for i in x:
-            p *= alphas[i]
-        e_tau += tau[ell]
-        e_prod += p
-        e_both += tau[ell] * p
-        count += 1
-    lhs = e_tau * e_prod
-    rhs = e_both * count
+    lhs, rhs = sym_corollary_sides(alphas, k, tau)
     return lhs <= rhs, lhs == rhs
 
 

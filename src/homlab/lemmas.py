@@ -13,12 +13,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 
-from homlab.counting import biclique_kernel_sum, cc, hom, hom_clique, ominus
+from homlab.counting import _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
 from homlab.errors import PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
-from homlab.inequalities import IneqReport, check_sym_monotone, sym_corollary_holds
+from homlab.inequalities import (
+    IneqReport,
+    _verdict_from_comparison,
+    check_sym_monotone,
+    clamp_slack,
+    sym_corollary_sides,
+)
 from homlab.models import Model, classify_model, random_model
 from homlab.power import RadicalSum, compare_radical_products
 
@@ -192,28 +198,17 @@ def _evaluate_local_123(p):
     w2 = [Fraction(x) for x in p["w2"]]
     w3 = [Fraction(x) for x in p["w3"]]
     n1, n2, n3 = len(w1), len(w2), len(w3)
+    # The summand over ys in [n2]^beta depends only on the multiset of ys:
+    # its z-sum part is the same for every x.
+    ys_terms = []
+    for ys in combinations_with_replacement(range(n2), beta):
+        z_sum = sum(w3[z] * math.prod(f23[y][z] for y in ys) for z in range(n3))
+        ys_terms.append((ys, _multiset_permutations(ys) * z_sum ** (gamma - 1)))
     s_l = RadicalSum()
     for x in range(n1):
         if w1[x] == 0:
             continue
-        inner = Fraction(0)
-        for ys in product(range(n2), repeat=beta):
-            t = Fraction(1)
-            for y in ys:
-                t *= w2[y] * f12[x][y]
-                if t == 0:
-                    break
-            if t == 0:
-                continue
-            z_sum = Fraction(0)
-            for z in range(n3):
-                tz = w3[z]
-                for y in ys:
-                    tz *= f23[y][z]
-                    if tz == 0:
-                        break
-                z_sum += tz
-            inner += t * z_sum ** (gamma - 1)
+        inner = sum((t * math.prod(w2[y] * f12[x][y] for y in ys) for ys, t in ys_terms), Fraction(0))
         s_l = s_l + RadicalSum.from_power(inner, Fraction(delta, beta)).scale(w1[x])
     s12 = biclique_kernel_sum(lambda x, y: f12[x][y], n1, n2, gamma, delta, w1, w2)
     s23 = biclique_kernel_sum(lambda y, z: f23[y][z], n2, n3, beta, gamma, w2, w3)
@@ -312,19 +307,25 @@ def _evaluate_color_bcd(p):
     looped = set(p["looped"])
     b_int, c_int, k = p["b"], p["c"], p["k"]
     t = Fraction(p["t"])
+    left = {
+        xi: RadicalSum.from_power(cc(b_set - {xi}, c_set - {xi}, c_int - 1, b_int - 1, looped), t / (b_int - 1))
+        for xi in d_set
+    }
+    right = {
+        xi: RadicalSum.from_power(cc(b_set - {xi}, c_set, c_int, b_int - 1, looped), t * (c_int - 1) / ((b_int - 1) * c_int))
+        for xi in d_set
+    }
     lhs_sum = RadicalSum()
     rhs_sum = RadicalSum()
-    c_size = len(c_set)
-    for x in product(sorted(d_set), repeat=k):
-        term_l = RadicalSum.from_rational(1)
+    # Both summands over x in D^k depend only on the multiset of x.
+    for x in combinations_with_replacement(sorted(d_set), k):
+        mult = _multiset_permutations(x)
+        term_l = RadicalSum.from_rational(mult)
+        term_r = RadicalSum.from_power(len(c_set - set(x)), t).scale(mult) * RadicalSum.from_power(len(c_set), -(1 - Fraction(k, c_int)) * t)
         for xi in x:
-            val = cc(b_set - {xi}, c_set - {xi}, c_int - 1, b_int - 1, looped)
-            term_l = term_l * RadicalSum.from_power(val, t / (b_int - 1))
+            term_l = term_l * left[xi]
+            term_r = term_r * right[xi]
         lhs_sum = lhs_sum + term_l
-        term_r = RadicalSum.from_power(len(c_set - set(x)), t) * RadicalSum.from_power(c_size, -(1 - Fraction(k, c_int)) * t)
-        for xi in x:
-            val = cc(b_set - {xi}, c_set, c_int, b_int - 1, looped)
-            term_r = term_r * RadicalSum.from_power(val, t * (c_int - 1) / ((b_int - 1) * c_int))
         rhs_sum = rhs_sum + term_r
     return [("bcd-correlation", [(lhs_sum, Fraction(1))], [(rhs_sum, Fraction(1))])]
 
@@ -585,29 +586,15 @@ def _validate_m_log_conv(p):
 
 
 def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> RadicalSum:
-    """h_s with weights lam(x) * eta(x)^eta_power, eta given as atoms."""
-    q = m.q
-    ew = m.edge_weights
+    """h_s with weights lam(x) * eta(x)^eta_power, eta given as atoms:
+    each multiset term of h_s(lam) times prod_x eta(x)^(k_x eta_power)."""
+    denom, terms = clique_terms(s, m, lam)
+    powers = {(x, k): eta.int_pow(k * eta_power) for x, eta in enumerate(eta_atoms) for k in range(1, s + 1)}
     out = RadicalSum()
-    if s == 0:
-        return RadicalSum.from_rational(1)
-    for xs in product(range(q), repeat=s):
-        t = Fraction(1)
-        for i, x in enumerate(xs):
-            t *= m.vertex_weights[x] * lam[x]
-            if t == 0:
-                break
-            for y in xs[:i]:
-                t *= ew[y][x]
-                if t == 0:
-                    break
-            if t == 0:
-                break
-        if t == 0:
-            continue
-        term = RadicalSum.from_rational(t)
-        for x in xs:
-            term = term * eta_atoms[x].int_pow(eta_power)
+    for counts, t in terms:
+        term = RadicalSum.from_rational(Fraction(t, denom))
+        for x_k in counts:
+            term = term * powers[x_k]
         out = out + term
     return out
 
@@ -692,25 +679,8 @@ def _evaluate_sym_corollary(p):
     alphas = [Fraction(x) for x in p["alphas"]]
     k = p["k"]
     tau = [Fraction(x) for x in p["tau"]]
-    holds, is_eq = sym_corollary_holds(alphas, k, tau)
-    # Encode as exact rational sides for the comparator.
-    n = len(alphas)
-    e_tau = Fraction(0)
-    e_prod = Fraction(0)
-    e_both = Fraction(0)
-    count = 0
-    for x in product(range(n), repeat=k):
-        ell = len(set(x))
-        pr = Fraction(1)
-        for i in x:
-            pr *= alphas[i]
-        e_tau += tau[ell]
-        e_prod += pr
-        e_both += tau[ell] * pr
-        count += 1
-    lhs = [(RadicalSum.from_rational(e_tau * e_prod), Fraction(1))]
-    rhs = [(RadicalSum.from_rational(e_both * count), Fraction(1))]
-    return [("chebyshev-style-correlation", lhs, rhs)]
+    lhs, rhs = sym_corollary_sides(alphas, k, tau)
+    return [("chebyshev-style-correlation", [(RadicalSum.from_rational(lhs), Fraction(1))], [(RadicalSum.from_rational(rhs), Fraction(1))])]
 
 
 def _random_alphas(rng, n):
@@ -794,57 +764,82 @@ def random_lemma_instance(lemma_id: str, seed: int) -> LemmaInstance:
     return LemmaInstance(lemma_id, _GENERATORS[lemma_id](rng))
 
 
-def _float_of_factors(factors) -> float:
+def _log10_of_factors(factors):
+    """log10 of prod s^e from the float value of each sum; None when a
+    sum's float is not positive."""
     total = 0.0
     for s, e in factors:
-        v = s.float_value()
+        try:
+            v, shift = s.float_value(), 0
+        except OverflowError:
+            # A coefficient past the float range: take the sum's float at
+            # 2^-shift times its value.
+            shift = max(c.numerator.bit_length() - c.denominator.bit_length() for c in s.terms.values())
+            v = s.scale(Fraction(1, 1 << shift)).float_value()
         if v <= 0:
-            return 0.0
+            return None
         total += float(e) * math.log10(v)
-    return 10.0 ** total
+        if shift:
+            total += float(e) * shift * math.log10(2)
+    return total
+
+
+def _float_slack(small, big):
+    """log10(big / small) in floats, or None when a side's float is not
+    positive: log10 of the ratio of the two sides' floats while both are
+    in range, else the difference of their log10 sums."""
+    small_log, big_log = _log10_of_factors(small), _log10_of_factors(big)
+    if small_log is None or big_log is None:
+        return None
+    try:
+        ratio = 10.0 ** big_log / 10.0 ** small_log
+    except (OverflowError, ZeroDivisionError):
+        ratio = 0.0
+    return math.log10(ratio) if 0 < ratio < math.inf else big_log - small_log
+
+
+def decide_checks(checks) -> tuple[str, float]:
+    """Exact verdict and float slack of checks (label, small, big), each
+    the claim small <= big over products of RadicalSum powers.
+
+    Any violated part makes the verdict violated; all-equal parts give
+    equality.  The slack is the least log10(big / small) over the parts
+    whose floats are positive (0 for an equal part without one, and 0 when
+    no part has one), before clamp_slack.
+    """
+    verdicts = []
+    slack = math.inf
+    for _, small, big in checks:
+        verdict = _verdict_from_comparison(compare_radical_products(small, big))
+        verdicts.append(verdict)
+        part = _float_slack(small, big)
+        if part is not None:
+            slack = min(slack, part)
+        elif verdict == "equality":
+            slack = min(slack, 0.0)
+    if "violated" in verdicts:
+        verdict = "violated"
+    elif all(v == "equality" for v in verdicts):
+        verdict = "equality"
+    else:
+        verdict = "holds"
+    if slack == math.inf:
+        slack = 0.0
+    return verdict, slack
 
 
 def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     """Evaluate the named lemma's inequality exactly on the instance.
 
-    Multi-part lemmas (the log-convexity chains) aggregate: any violated
-    part makes the verdict violated; all-equal parts give equality.
+    Multi-part lemmas (the log-convexity chains) aggregate as in
+    decide_checks.
     """
     validate_instance(inst)
     if inst.lemma_id == "sym-monotone":
         rep = check_sym_monotone(inst.params["alphas"], inst.params["k"])
         return IneqReport("sym-monotone", rep.instance, None, None, rep.verdict, rep.exact, rep.slack_log10)
-    checks = _EVALUATORS[inst.lemma_id](inst.params)
-    verdicts = []
-    slack = math.inf
-    for label, small, big in checks:
-        cmp_result = compare_radical_products(small, big)
-        verdicts.append(cmp_result.ordering)
-        small_f = _float_of_factors(small)
-        big_f = _float_of_factors(big)
-        if small_f > 0 and big_f > 0:
-            slack = min(slack, math.log10(big_f / small_f))
-        elif cmp_result.ordering == "equal":
-            slack = min(slack, 0.0)
-    if any(v == "greater" for v in verdicts):
-        verdict = "violated"
-    elif all(v == "equal" for v in verdicts):
-        verdict = "equality"
-    else:
-        verdict = "holds"
-    if slack is math.inf:
-        slack = 0.0
-    from homlab.inequalities import clamp_slack
-
-    return IneqReport(
-        inst.lemma_id,
-        _describe_instance(inst),
-        None,
-        None,
-        verdict,
-        True,
-        clamp_slack(verdict, slack),
-    )
+    verdict, slack = decide_checks(_EVALUATORS[inst.lemma_id](inst.params))
+    return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, clamp_slack(verdict, slack))
 
 
 def _describe_instance(inst: LemmaInstance) -> str:

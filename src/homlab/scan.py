@@ -41,10 +41,10 @@ from homlab.models import Model, parse_model_name, random_model
 
 SCAN_INEQUALITIES = ("reverse-sidorenko", "clique-max", "bst")
 
-# Reverse-Sidorenko factor memos of the run_scan in progress, one dict per
-# model index of the job.  run_scan empties it on entry and on exit, so no
-# factor outlives a scan; pool workers are started inside run_scan and each
-# fills its own copy.
+# Factor memos (reverse-Sidorenko or clique-max) of the run_scan in
+# progress, one dict per model index of the job.  run_scan empties it on
+# entry and on exit, so no factor outlives a scan; pool workers are started
+# inside run_scan and each fills its own copy.
 _FACTOR_MEMO: dict[int, dict] = {}
 
 
@@ -175,12 +175,12 @@ def random_lists(seed: int, gid: str, n: int, q: int) -> list[frozenset[int]]:
 
 
 def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo=None):
-    """Decide one cell.  `memo` is a reverse-Sidorenko factor memo for
-    this model (see check_reverse_sidorenko); the other checkers ignore it."""
+    """Decide one cell.  `memo` is a factor memo for this model (see
+    check_reverse_sidorenko and check_clique_max); check_bst ignores it."""
     if ineq == "reverse-sidorenko":
         return check_reverse_sidorenko(graph, model, constraints, memo)
     if ineq == "clique-max":
-        return check_clique_max(graph, model, constraints)
+        return check_clique_max(graph, model, constraints, memo)
     if ineq == "bst":
         return check_bst(graph, model)
     raise InvalidArgument("unknown inequality %r (scan supports %s)" % (ineq, SCAN_INEQUALITIES))

@@ -7,14 +7,13 @@ Colors are 0=R, 1=G, 2=B; no looped colors.  The cycle lists are
 {R,B}, {R,G}, {G,B}, {R,G,B}, {R,B}, {R,G,B} in cycle order.
 """
 
-import math
 from fractions import Fraction
 
 from homlab.counting import cc, semiproper_count
 from homlab.graphs import Graph, build_named, GraphFamilySpec
-from homlab.inequalities import IneqReport
-from homlab.lemmas import _float_of_factors
-from homlab.power import RadicalSum, compare_radical_products
+from homlab.inequalities import IneqReport, clamp_slack
+from homlab.lemmas import decide_checks
+from homlab.power import RadicalSum
 
 R, G, B = 0, 1, 2
 
@@ -29,15 +28,9 @@ CYCLE_LISTS = (
 
 
 def _report(step: str, small, big, must_be_equality=False) -> IneqReport:
-    from homlab.inequalities import clamp_slack
-
-    cmp_result = compare_radical_products(small, big)
-    verdict = {"less": "holds", "equal": "equality", "greater": "violated"}[cmp_result.ordering]
+    verdict, slack = decide_checks([(step, small, big)])
     if must_be_equality and verdict != "equality":
         verdict = "violated"
-    small_f = _float_of_factors(small)
-    big_f = _float_of_factors(big)
-    slack = math.log10(big_f / small_f) if small_f > 0 and big_f > 0 else 0.0
     return IneqReport("toy-c6:" + step, "six-cycle toy lists", None, None, verdict, True, clamp_slack(verdict, slack))
 
 

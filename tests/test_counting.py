@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -504,6 +505,25 @@ class TestEpsPolynomial:
         g = named("complete", 4)
         assert len(hom_eps_polynomial(g).coefficients) - 1 <= len(g.edges)
 
-    def test_limit(self):
+    def test_long_cycle(self):
+        # hom(C_n, H_eps) = (1 + eps)^n + eps^n.
+        poly = hom_eps_polynomial(named("cycle", 40))
+        assert poly.coefficients[:4] == eps_poly_low_coefficients(named("cycle", 40)) == (1, 40, 780, 9880)
+        assert poly.coefficients == tuple(math.comb(40, k) for k in range(40)) + (2,)
+
+    def test_work_limit(self):
         with pytest.raises(LimitExceeded):
-            hom_eps_polynomial(Graph.from_edges(13, []))
+            hom_eps_polynomial(named("complete", 23))
+
+    def test_matches_enumeration(self):
+        # Reference: sum over all 2^n colorings of (1 + 2 eps)^(monochromatic edges).
+        for n in range(0, 7):
+            for g in enumerate_graphs(n, dedup_isomorphism=True):
+                coeffs = [Fraction(0)] * (len(g.edges) + 1)
+                for x in itertools.product((0, 1), repeat=n):
+                    mono = sum(1 for u, v in g.edge_list() if x[u] == x[v])
+                    for k in range(mono + 1):
+                        coeffs[k] += Fraction(math.comb(mono, k) * 2 ** k, 2 ** n)
+                while len(coeffs) > 1 and coeffs[-1] == 0:
+                    coeffs.pop()
+                assert hom_eps_polynomial(g).coefficients == tuple(coeffs), g

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,6 +17,7 @@ from homlab.graphs import (
     tensor_with_k2,
 )
 from homlab.inequalities import (
+    _f_poly,
     check_bst,
     check_clique_max,
     check_graphical_bl,
@@ -22,6 +25,8 @@ from homlab.inequalities import (
     check_sym_monotone,
     independent_set_masks,
     swap_injection_check,
+    sym_corollary_holds,
+    sym_corollary_sides,
 )
 from homlab.models import (
     Model,
@@ -208,6 +213,35 @@ class TestCliqueMax:
             ]
             rep = check_clique_max(g, m, lambdas)
             assert rep.verdict in ("holds", "equality"), (seed, lambdas)
+
+
+class TestCliqueMaxMemo:
+    def test_memo_gives_the_same_report(self):
+        rng = random.Random(43)
+        for n in range(1, 5):
+            for g in enumerate_graphs(n, dedup_isomorphism=True):
+                m = random_model(rng.randrange(2, 4), rng.randrange(100), "psd")
+                lams = [tuple(Fraction(rng.randrange(3)) for _ in range(m.q)) for _ in range(g.n)]
+                for lambdas in (None, lams):
+                    memo = {}
+                    first = check_clique_max(g, m, lambdas, memo=memo)
+                    assert first == check_clique_max(g, m, lambdas)
+                    assert check_clique_max(g, m, lambdas, memo=memo) == first
+
+    def test_memo_is_keyed_by_clique_size_and_weights(self):
+        m = Model.from_rows([[2, 1], [1, 2]])
+        memo = {}
+        check_clique_max(named("path", 3), m, memo=memo)
+        assert memo == {(2, None): Fraction(6), (3, None): Fraction(28)}
+        lam = (Fraction(1), Fraction(0))
+        check_clique_max(named("path", 3), m, [lam] * 3, memo=memo)
+        assert set(memo) == {(2, None), (3, None), (2, lam), (3, lam)}
+
+    def test_memo_entries_are_used(self):
+        m = Model.from_rows([[2, 1], [1, 2]])
+        assert check_clique_max(named("path", 3), m).verdict == "holds"
+        planted = {(3, None): Fraction(1)}
+        assert check_clique_max(named("path", 3), m, memo=planted).verdict == "violated"
 
 
 class TestBst:
@@ -412,6 +446,49 @@ class TestAntiferroConjectureScan:
                     if rep.verdict == "violated":
                         findings.append((g.edge_list(), m))
         assert findings == []
+
+
+def _sym_corollary_reference(alphas, k, tau):
+    # E[tau(|x|)] E[prod alpha] and E[tau(|x|) prod alpha], each times n^k,
+    # over all n^k tuples.
+    n = len(alphas)
+    e_tau = e_prod = e_both = Fraction(0)
+    for x in itertools.product(range(n), repeat=k):
+        p = math.prod((alphas[i] for i in x), start=Fraction(1))
+        e_tau += tau[len(set(x))]
+        e_prod += p
+        e_both += tau[len(set(x))] * p
+    return e_tau * e_prod, e_both * n ** k
+
+
+def _f_poly_reference(alphas, k, s):
+    return sum(
+        (math.prod((alphas[i] for i in x), start=Fraction(1)) for x in itertools.product(sorted(s), repeat=k) if set(x) == s),
+        Fraction(0),
+    )
+
+
+class TestSymSumsDifferential:
+    def test_corollary_sides_match_tuple_sums(self):
+        rng = random.Random(53)
+        for _ in range(150):
+            alphas = [Fraction(rng.randrange(0, 5), rng.randrange(1, 4)) for _ in range(rng.randrange(0, 5))]
+            k = rng.randrange(0, 6)
+            tau = sorted((Fraction(rng.randrange(0, 5), rng.randrange(1, 4)) for _ in range(k + 1)), reverse=True)
+            lhs, rhs = _sym_corollary_reference(alphas, k, tau)
+            assert sym_corollary_sides(alphas, k, tau) == (lhs, rhs), (alphas, k, tau)
+            assert sym_corollary_holds(alphas, k, tau) == (lhs <= rhs, lhs == rhs)
+
+    def test_f_poly_matches_tuple_sum(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            n = rng.randrange(1, 5)
+            alphas = [Fraction(rng.randrange(0, 5), rng.randrange(1, 4)) for _ in range(n)]
+            for k in range(0, 6):
+                for size in range(0, n + 1):
+                    for s in itertools.combinations(range(n), size):
+                        s = frozenset(s)
+                        assert _f_poly(alphas, k, s) == _f_poly_reference(alphas, k, s), (alphas, k, s)
 
 
 class TestSymMonotone:

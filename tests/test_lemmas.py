@@ -1,3 +1,6 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +10,13 @@ from homlab.fileio import lemma_instance_from_dict, lemma_instance_to_dict
 from homlab.lemmas import (
     LEMMA_IDS,
     LemmaInstance,
+    _hom_clique_radical,
     check_local_lemma,
     random_lemma_instance,
     validate_instance,
 )
+from homlab.models import Model, random_model
+from homlab.power import RadicalSum
 
 
 class TestSpecExamples:
@@ -259,3 +265,49 @@ class TestHLogConvexChain:
                 inst = LemmaInstance("h-log-convex", {"model": m, "t": t, "lam": lam, "nu": nu})
                 rep = check_local_lemma(inst)
                 assert rep.verdict in ("holds", "equality"), (seed, t)
+
+
+def _hom_clique_radical_reference(s, m, lam, eta_atoms, eta_power):
+    # One term per coloring of K_s, as a plain product over all q^s tuples.
+    out = RadicalSum()
+    for xs in itertools.product(range(m.q), repeat=s):
+        t = Fraction(1)
+        for i, x in enumerate(xs):
+            t *= m.vertex_weights[x] * lam[x]
+            for y in xs[:i]:
+                t *= m.edge_weights[y][x]
+        term = RadicalSum.from_rational(t)
+        for x in xs:
+            term = term * eta_atoms[x].int_pow(eta_power)
+        out = out + term
+    return out
+
+
+class TestCliqueRadicalDifferential:
+    def test_matches_tuple_sum(self):
+        rng = random.Random(61)
+        for seed in range(40):
+            q = rng.randrange(1, 4)
+            m = random_model(q, seed, "psd")
+            lam = tuple(Fraction(rng.choice([0, 0, 1, 2, 3]), rng.randrange(1, 3)) for _ in range(q))
+            eta_atoms = [RadicalSum.from_power(rng.randrange(0, 6), Fraction(1, rng.randrange(1, 4))) for _ in range(q)]
+            for s in range(0, 6):
+                power = rng.randrange(0, 3)
+                got = _hom_clique_radical(s, m, lam, eta_atoms, power)
+                want = _hom_clique_radical_reference(s, m, lam, eta_atoms, power)
+                # Same terms in the same order: the float slack sums them in order.
+                assert list(got.terms.items()) == list(want.terms.items()), (seed, s)
+
+    def test_large_exponent_instance_is_fast(self):
+        m = Model.from_rows([[18, 7, 14], [7, Fraction(69, 4), 19], [14, 19, 24]])
+        params = {
+            "model": m,
+            "a": 12,
+            "b": 1,
+            "delta": 12,
+            "lam": (1, 3, 1),
+            "mu": (Fraction(1, 2), Fraction(1, 2), 1),
+        }
+        t0 = time.time()
+        assert check_local_lemma(LemmaInstance("m-log-conv", params)).verdict == "holds"
+        assert time.time() - t0 < 10

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from homlab import scan
-from homlab.inequalities import check_reverse_sidorenko
+from homlab.inequalities import check_clique_max, check_reverse_sidorenko
 from homlab.scan import (
     ScanJob,
     emit_report,
@@ -138,10 +138,19 @@ ACCEPTANCE_8_JOB = dict(
     models={"kind": "complete-looped", "max_q": 3},
     lists={"kind": "random", "seeds": list(range(20))},
 )
+ACCEPTANCE_9_JOB = dict(
+    ineq="clique-max",
+    graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 6, "dedup": True},
+    models={"kind": "random", "rand_kind": "psd", "qs": [2, 3, 4], "seeds": list(range(50))},
+)
 
 
 class TestFactorMemo:
-    @pytest.mark.parametrize("job", [ACCEPTANCE_7_JOB, ACCEPTANCE_8_JOB], ids=["acceptance-7", "acceptance-8-lists"])
+    @pytest.mark.parametrize(
+        "job",
+        [ACCEPTANCE_7_JOB, ACCEPTANCE_8_JOB, ACCEPTANCE_9_JOB],
+        ids=["acceptance-7", "acceptance-8-lists", "acceptance-9-clique"],
+    )
     def test_reports_match_memo_free_cells(self, job, monkeypatch):
         with monkeypatch.context() as patch:
             # Every cell decided on its own, with no memo shared between cells.
@@ -149,6 +158,11 @@ class TestFactorMemo:
                 scan,
                 "check_reverse_sidorenko",
                 lambda g, m, constraints=None, memo=None: check_reverse_sidorenko(g, m, constraints),
+            )
+            patch.setattr(
+                scan,
+                "check_clique_max",
+                lambda g, m, lambdas=None, memo=None: check_clique_max(g, m, lambdas),
             )
             expected = {jobs: emit_report(run_scan(ScanJob(jobs=jobs, **job)), "json") for jobs in (1, 2)}
         for jobs in (1, 2):
@@ -377,6 +391,21 @@ class TestCli:
         res = run_cli("lemma", "--file", str(f), "--format", "json")
         assert res.returncode == 0
         assert json.loads(res.stdout)["verdict"] in ("holds", "equality")
+
+    # At a = 14 the products of this m-log-conv instance exceed 10^308 as
+    # floats; at a = 30 so do single coefficients of its sums.
+    @pytest.mark.parametrize("a", [14, 30])
+    def test_lemma_slack_past_float_range(self, tmp_path, a):
+        from homlab.fileio import lemma_instance_to_dict
+        from homlab.lemmas import random_lemma_instance
+
+        inst = random_lemma_instance("m-log-conv", 3)
+        inst.params.update(a=a, delta=a)
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(lemma_instance_to_dict(inst)))
+        res = run_cli("lemma", "--file", str(f), "--format", "json", timeout=30)
+        assert res.returncode == 0 and "Traceback" not in res.stderr
+        assert json.loads(res.stdout)["verdict"] == "equality"
 
     def test_toy_verb(self):
         res = run_cli("toy-c6")
