@@ -218,22 +218,20 @@ def graph_stats(g: Graph) -> dict:
 # lexicographic ordering (0,1),(0,2),...,(0,n-1),(1,2),...,(n-2,n-1).
 
 
-def _edge_index_table(n: int) -> dict[tuple[int, int], int]:
-    table = {}
+def _rows_to_mask(rows) -> int:
+    """Edge mask of the graph with per-vertex neighbor bitsets `rows`."""
+    n = len(rows)
+    mask = 0
     k = 0
     for u in range(n):
         for v in range(u + 1, n):
-            table[(u, v)] = k
+            mask |= (rows[u] >> v & 1) << k
             k += 1
-    return table
+    return mask
 
 
 def graph_to_mask(g: Graph) -> int:
-    table = _edge_index_table(g.n)
-    mask = 0
-    for u, v in g.edge_list():
-        mask |= 1 << table[(u, v)]
-    return mask
+    return _rows_to_mask(g.adjacency)
 
 
 def mask_to_graph(n: int, mask: int) -> Graph:
@@ -260,122 +258,69 @@ def _mask_rows(n: int, mask: int) -> list[int]:
     return rows
 
 
-def canonical_mask(g: Graph) -> int:
-    """Edge mask of the relabeling with the lexicographically minimal
-    adjacency bitstring, minimized over all vertex permutations.
+def _least_string(rows, early_exit: bool = False) -> int | None:
+    """Least column-major adjacency bitstring over all vertex relabelings.
 
-    The bitstring reads the upper triangle column by column (placing new
-    vertex j contributes bits (0,j),...,(j-1,j)), which lets a
-    branch-and-bound search prune on prefixes.  Exact for n <= 8.
+    The string reads the upper triangle column by column: placing vertex j
+    contributes bits (0,j),...,(j-1,j), so every partial labeling fixes a
+    prefix and a branch is cut once its prefix exceeds the best string's
+    prefix of the same length.  The search starts from the identity
+    labeling's string.  With `early_exit` it returns None the moment some
+    prefix falls below the identity's, i.e. once the graph is known not to
+    be canonical; the dedup sweeps mostly see such graphs.
     """
-    n = g.n
-    if n > ENUMERATION_VERTEX_LIMIT:
-        raise LimitExceeded("canonical form limited to n <= %d" % ENUMERATION_VERTEX_LIMIT)
-    adj = g.adjacency
-    best: list[int | None] = [None]
-
-    def prefix_bits(order: list[int]) -> int:
-        # Bits contributed by the last placed vertex against earlier ones.
-        bits = 0
-        j = len(order) - 1
-        w = order[j]
-        for i in range(j):
-            bits = bits << 1 | (adj[order[i]] >> w & 1)
-        return bits
-
-    def rec(order: list[int], value: int, remaining: list[int]):
-        depth = len(order)
-        if depth == n:
-            if best[0] is None or value < best[0]:
-                best[0] = value
-            return
-        for idx, w in enumerate(remaining):
-            order.append(w)
-            new_bits = prefix_bits(order)
-            new_value = value << depth | new_bits
-            # Compare against the best prefix of the same length.
-            if best[0] is None or new_value <= best[0] >> _tail_bits(n, depth + 1):
-                rec(order, new_value, remaining[:idx] + remaining[idx + 1 :])
-            order.pop()
-
-    rec([], 0, list(range(n)))
-    return _colmajor_value_to_mask(n, best[0] or 0)
-
-
-def _tail_bits(n: int, placed: int) -> int:
-    """Bits of the row-major upper-triangle string not yet decided after
-    `placed` vertices are assigned."""
+    n = len(rows)
     total = n * (n - 1) // 2
-    decided = placed * (placed - 1) // 2
-    return total - decided
-
-
-def _colmajor_value_to_mask(n: int, value: int) -> int:
-    """Convert the column-by-column B&B bitstring back to the edge mask.
-
-    During the search, placing vertex j contributes bits (0,j),(1,j),...,
-    (j-1,j); the edge mask uses row-major (u,v) with u < v.  Both orders
-    contain each pair once, so this is a fixed permutation of bits.
-    """
-    pairs = []
+    best = [0]
     for j in range(1, n):
         for i in range(j):
-            pairs.append((i, j))
-    table = _edge_index_table(n)
-    mask = 0
-    nbits = len(pairs)
-    for pos, (i, j) in enumerate(pairs):
-        if value >> (nbits - 1 - pos) & 1:
-            mask |= 1 << table[(i, j)]
-    return mask
-
-
-def _mask_to_colmajor_value(n: int, mask: int) -> int:
-    table = _edge_index_table(n)
-    value = 0
-    for j in range(1, n):
-        for i in range(j):
-            value = value << 1 | (mask >> table[(i, j)] & 1)
-    return value
-
-
-def is_canonical_mask(n: int, mask: int) -> bool:
-    """True iff no relabeling has a smaller column-major bitstring.
-
-    Early-exit search: branches are pruned the moment their partial
-    bitstring exceeds the mask's own prefix, and the search aborts the
-    moment any strictly smaller relabeling appears.  Equivalent to
-    canonical_mask(g) == mask but far cheaper on non-canonical masks,
-    which is what a dedup sweep mostly sees.
-    """
-    rows = _mask_rows(n, mask)
-    total_bits = n * (n - 1) // 2
-    target = _mask_to_colmajor_value(n, mask)
+            best[0] = best[0] << 1 | (rows[i] >> j & 1)
 
     def rec(order: list[int], value: int, remaining: list[int]) -> bool:
-        """Returns False as soon as a smaller relabeling is found."""
         depth = len(order)
         if depth == n:
+            best[0] = value
             return True
+        shift = total - depth * (depth + 1) // 2
         for idx, w in enumerate(remaining):
             bits = 0
-            for i in range(depth):
-                bits = bits << 1 | (rows[order[i]] >> w & 1)
+            for u in order:
+                bits = bits << 1 | (rows[u] >> w & 1)
             new_value = value << depth | bits
-            decided = (depth + 1) * depth // 2
-            prefix = target >> (total_bits - decided)
+            prefix = best[0] >> shift
             if new_value > prefix:
                 continue
-            if new_value < prefix:
+            if new_value < prefix and early_exit:
                 return False
-            order.append(w)
-            ok = rec(order, new_value, remaining[:idx] + remaining[idx + 1 :])
-            order.pop()
-            if not ok:
+            if not rec(order + [w], new_value, remaining[:idx] + remaining[idx + 1 :]):
                 return False
         return True
 
-    return rec([], 0, list(range(n)))
+    return best[0] if rec([], 0, list(range(n))) else None
+
+
+def canonical_mask(g: Graph) -> int:
+    """Edge mask of the relabeling with the least column-major bitstring,
+    the canonical form.  Limited to n <= 8."""
+    n = g.n
+    if n > ENUMERATION_VERTEX_LIMIT:
+        raise LimitExceeded("canonical form limited to n <= %d" % ENUMERATION_VERTEX_LIMIT)
+    value = _least_string(g.adjacency)
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if value >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return _rows_to_mask(rows)
+
+
+def is_canonical_mask(n: int, mask: int) -> bool:
+    """True iff no relabeling has a smaller column-major bitstring; the
+    early-exit form of canonical_mask(g) == mask."""
+    return _least_string(_mask_rows(n, mask), early_exit=True) is not None
 
 
 def enumerate_graphs(
@@ -389,8 +334,8 @@ def enumerate_graphs(
 
     With dedup, yields exactly one representative per isomorphism class: the
     graph whose edge mask equals its own canonical mask.  Deduped sweeps are
-    cached per (n, filters), so repeated scans pay the permutation search
-    once per process.
+    cached per (n, filters), so repeated scans pay the generation once per
+    process.
     """
     if n > ENUMERATION_VERTEX_LIMIT:
         raise LimitExceeded("enumeration limited to n <= %d" % ENUMERATION_VERTEX_LIMIT)
@@ -417,11 +362,32 @@ def _filtered_masks(n: int, connected: bool, no_isolated: bool, triangle_free: b
 
 @lru_cache(maxsize=64)
 def _dedup_masks(n: int, connected: bool, no_isolated: bool, triangle_free: bool) -> tuple[int, ...]:
-    return tuple(
-        mask
-        for mask in _filtered_masks(n, connected, no_isolated, triangle_free)
-        if is_canonical_mask(n, mask)
-    )
+    """Edge masks of the canonical graphs on n vertices passing the filters,
+    in increasing order, by orderly generation (Read 1978; McKay 1998).
+
+    The column-major string of a graph puts vertex j's bits after the first
+    C(j,2), which are the string of vertices 0..j-1.  So a canonical graph's
+    restriction to its first k vertices is canonical: a smaller relabeling
+    of that prefix would give a smaller full string.  Level k is therefore
+    built by giving each canonical (k-1)-vertex graph a last vertex with
+    every neighbor set, keeping the extensions that pass the full canonicity
+    check.  Triangle-freeness is inherited by induced subgraphs, so a
+    neighbor set spanning an edge is skipped at once; connectivity and
+    isolated vertices are not, so they are checked on level n only.
+    """
+    level = [()]  # neighbor bitsets of each canonical graph on k vertices
+    for k in range(n):
+        grown = []
+        for rows in level:
+            for s in range(1 << k):  # neighbors of the new vertex k
+                if triangle_free and any(s >> u & 1 and rows[u] & s for u in range(k)):
+                    continue
+                ext = tuple(r | (s >> u & 1) << k for u, r in enumerate(rows)) + (s,)
+                if _least_string(ext, early_exit=True) is not None:
+                    grown.append(ext)
+        level = grown
+    masks = [_rows_to_mask(rows) for rows in level if not (no_isolated and 0 in rows)]
+    return tuple(sorted(m for m in masks if not connected or is_connected(mask_to_graph(n, m))))
 
 
 def _mask_has_triangle(n: int, rows: list[int]) -> bool:

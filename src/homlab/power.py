@@ -57,11 +57,14 @@ class PowerProduct:
     def of(*factors) -> "PowerProduct":
         merged: dict[Fraction, Fraction] = {}
         for base, exponent in factors:
-            base = Fraction(base)
-            exponent = Fraction(exponent)
+            # Callers mostly pass Fractions, and Fraction(x) would copy them.
+            if not isinstance(base, Fraction):
+                base = Fraction(base)
+            if not isinstance(exponent, Fraction):
+                exponent = Fraction(exponent)
             if base <= 0:
                 raise InvalidArgument("power product bases must be positive, got %s" % base)
-            merged[base] = merged.get(base, Fraction(0)) + exponent
+            merged[base] = merged[base] + exponent if base in merged else exponent
         kept = tuple(
             sorted((b, e) for b, e in merged.items() if e != 0 and b != 1)
         )

@@ -26,6 +26,7 @@ from homlab.fileio import (
     report_to_dict,
 )
 from homlab.graphs import (
+    ENUMERATION_VERTEX_LIMIT,
     Graph,
     enumerate_graphs,
     graph_to_mask,
@@ -110,15 +111,18 @@ def materialize_graphs(source: dict) -> list[tuple[str, Graph]]:
         out = []
         lo = source.get("min_vertices", 1)
         hi = source["max_vertices"]
-        if hi > 7:
-            raise InvalidArgument("scan enumeration bounds are limited to 7 vertices")
+        dedup = source.get("dedup", True)
+        # Labeled enumeration walks all 2^C(n,2) masks, so it stops at 7.
+        cap = ENUMERATION_VERTEX_LIMIT if dedup else 7
+        if hi > cap:
+            raise InvalidArgument("scan enumeration bounds are limited to %d vertices" % cap)
         for n in range(lo, hi + 1):
             for g in enumerate_graphs(
                 n,
                 connected=source.get("connected", False),
                 no_isolated=source.get("no_isolated", False),
                 triangle_free=source.get("triangle_free", False),
-                dedup_isomorphism=source.get("dedup", True),
+                dedup_isomorphism=dedup,
             ):
                 if source.get("require_triangle") and triangle_count(g) == 0:
                     continue

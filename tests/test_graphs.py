@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from conftest import isomorphic_oracle
@@ -13,6 +15,7 @@ from homlab.graphs import (
     graph_stats,
     graph_to_mask,
     is_bipartite,
+    is_canonical_mask,
     is_triangle_free,
     parse_graph_name,
     read_edge_list,
@@ -21,6 +24,7 @@ from homlab.graphs import (
     triangle_count,
     write_edge_list,
 )
+from homlab.graphs import _dedup_masks, _filtered_masks
 
 
 def named(kind, *params):
@@ -141,9 +145,14 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_graphs(3)) == 8
 
     def test_isomorphism_class_counts(self):
-        assert sum(1 for _ in enumerate_graphs(3, dedup_isomorphism=True)) == 4
-        assert sum(1 for _ in enumerate_graphs(4, dedup_isomorphism=True)) == 11
-        assert sum(1 for _ in enumerate_graphs(5, dedup_isomorphism=True)) == 34
+        oeis = [
+            ({}, [1, 2, 4, 11, 34, 156, 1044]),  # A000088
+            ({"triangle_free": True}, [1, 2, 3, 7, 14, 38, 107]),  # A006785
+            ({"connected": True}, [1, 1, 2, 6, 21, 112, 853]),  # A001349
+        ]
+        for filters, counts in oeis:
+            got = [sum(1 for _ in enumerate_graphs(n, dedup_isomorphism=True, **filters)) for n in range(1, 8)]
+            assert got == counts, filters
 
     def test_dedup_yields_pairwise_nonisomorphic(self):
         for n in range(2, 6):
@@ -175,11 +184,25 @@ class TestEnumeration:
                 assert fast == full, (n, mask)
 
     def test_seven_vertex_class_count(self):
+        assert sum(1 for _ in enumerate_graphs(7, dedup_isomorphism=True)) == 1044
+
+    def test_eight_vertex_class_count(self):
         import os
 
         if not os.environ.get("HOMLAB_SLOW_TESTS"):
-            pytest.skip("set HOMLAB_SLOW_TESTS=1 to run the ~1 minute n=7 sweep")
-        assert sum(1 for _ in enumerate_graphs(7, dedup_isomorphism=True)) == 1044
+            pytest.skip("set HOMLAB_SLOW_TESTS=1 to run the ~15 s n=8 generation")
+        assert sum(1 for _ in enumerate_graphs(8, dedup_isomorphism=True)) == 12346  # A000088
+
+    @pytest.mark.parametrize("connected, no_isolated, triangle_free", list(product([False, True], repeat=3)))
+    def test_generation_matches_filtered_sweep(self, connected, no_isolated, triangle_free):
+        # Reference: filter all 2^C(n,2) labeled masks, keep the canonical ones.
+        for n in range(7):
+            reference = tuple(
+                mask
+                for mask in _filtered_masks(n, connected, no_isolated, triangle_free)
+                if is_canonical_mask(n, mask)
+            )
+            assert _dedup_masks(n, connected, no_isolated, triangle_free) == reference, n
 
     def test_canonical_form_matches_permutation_oracle(self):
         import random

@@ -43,6 +43,10 @@ class TestPowerProduct:
         p = PowerProduct.of((2, Fraction(1, 2)), (2, Fraction(1, 2)))
         assert p.factors == ((Fraction(2), Fraction(1)),)
         assert p.as_fraction() == 2
+        # Ints are wrapped, Fractions taken as they are; both merge alike.
+        q = PowerProduct.of((3, 2), (Fraction(2), Fraction(1, 3)), (Fraction(3), -1))
+        assert q.factors == ((Fraction(2), Fraction(1, 3)), (Fraction(3), Fraction(1)))
+        assert all(type(b) is Fraction and type(e) is Fraction for b, e in q.factors)
 
     def test_unit_base_dropped(self):
         assert PowerProduct.of((1, 5), (3, 0)).factors == ()

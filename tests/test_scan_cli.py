@@ -241,6 +241,11 @@ class TestEmit:
         assert "FINDING" in text and "instances checked" in text
 
 
+def _no_labeled_walk(*args, **kwargs):
+    # An uncapped 8-vertex labeled source would walk 2^28 masks; fail at once.
+    raise AssertionError("enumeration ran past the scan cap")
+
+
 def run_cli(*args, env=None, timeout=None):
     import os
 
@@ -362,6 +367,50 @@ class TestCli:
             "text",
         )
         assert res.returncode == 2 and "FINDING" in res.stdout
+
+    def test_scan_deduped_eight_vertices(self):
+        # Orderly generation prunes triangle-free classes early, so n = 8 is cheap.
+        res = run_cli(
+            "scan",
+            "--ineq",
+            "reverse-sidorenko",
+            "--min-vertices",
+            "8",
+            "--max-vertices",
+            "8",
+            "--triangle-free",
+            "--no-isolated",
+            "--models",
+            "Kq:2",
+            "--format",
+            "text",
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert "instances checked: 303" in res.stdout and "violated=0" in res.stdout
+
+    def test_scan_labeled_eight_vertices_is_an_error(self, monkeypatch, capsys):
+        from homlab import cli
+
+        graph_source = cli._graph_source_from_args
+        monkeypatch.setattr(cli, "_graph_source_from_args", lambda args: {**graph_source(args), "dedup": False})
+        monkeypatch.setattr(scan, "enumerate_graphs", _no_labeled_walk)
+        rc = cli.main(["scan", "--ineq", "reverse-sidorenko", "--max-vertices", "8", "--models", "Kq:2"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "error: scan enumeration bounds are limited to 7 vertices" in err
+        assert "Traceback" not in err
+
+    def test_scan_enumeration_caps(self, monkeypatch):
+        from homlab.errors import InvalidArgument
+
+        with monkeypatch.context() as m:
+            m.setattr(scan, "enumerate_graphs", _no_labeled_walk)
+            with pytest.raises(InvalidArgument, match="limited to 8 vertices"):
+                scan.materialize_graphs({"kind": "enumerate", "max_vertices": 9, "dedup": True})
+            with pytest.raises(InvalidArgument, match="limited to 7 vertices"):
+                scan.materialize_graphs({"kind": "enumerate", "max_vertices": 8, "dedup": False})
+        labeled = scan.materialize_graphs({"kind": "enumerate", "min_vertices": 3, "max_vertices": 3, "dedup": False})
+        assert len(labeled) == 8
 
     def test_search_verb(self):
         res = run_cli(
