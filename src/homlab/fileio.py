@@ -7,6 +7,7 @@ Rationals are always stored as strings to avoid float round-trips.
 import json
 from fractions import Fraction
 
+from homlab.counting import lists_to_constraints
 from homlab.errors import InvalidArgument, InvalidSpec
 from homlab.graphs import Graph, parse_graph_name, read_edge_list, read_graph6
 from homlab.inequalities import IneqReport
@@ -17,10 +18,6 @@ from homlab.power import PowerProduct
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
-
-
-def parse_frac(s) -> Fraction:
-    return Fraction(s)
 
 
 def model_to_dict(m: Model) -> dict:
@@ -34,8 +31,8 @@ def model_to_dict(m: Model) -> dict:
 
 def model_from_dict(d: dict) -> Model:
     return Model.from_rows(
-        [[parse_frac(x) for x in row] for row in d["edge_weights"]],
-        vertex_weights=[parse_frac(x) for x in d["vertex_weights"]],
+        [[Fraction(x) for x in row] for row in d["edge_weights"]],
+        vertex_weights=[Fraction(x) for x in d["vertex_weights"]],
         looped_set=d.get("looped_set", ()),
     )
 
@@ -109,12 +106,7 @@ def parse_constraints(text: str, q: int):
     if shorthand and weight_lines:
         raise InvalidArgument("mix of shorthand and weight lines in constraint file")
     if shorthand:
-        n = max(shorthand) + 1
-        out = []
-        for v in range(n):
-            allowed = shorthand.get(v, set(range(q)))
-            out.append(tuple(Fraction(1 if c in allowed else 0) for c in range(q)))
-        return out
+        return lists_to_constraints([shorthand.get(v, range(q)) for v in range(max(shorthand) + 1)], q)
     return weight_lines
 
 

@@ -45,9 +45,6 @@ class IneqReport:
     exact: bool
     slack_log10: float
 
-    def is_finding(self) -> bool:
-        return self.verdict == "violated"
-
 
 def _verdict_from_comparison(cmp_result: Comparison) -> str:
     return {"less": "holds", "equal": "equality", "greater": "violated"}[cmp_result.ordering]

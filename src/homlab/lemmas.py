@@ -28,22 +28,6 @@ from homlab.inequalities import (
 from homlab.models import Model, classify_model, random_model
 from homlab.power import RadicalSum, compare_radical_products
 
-LEMMA_IDS = (
-    "mixed-norm",
-    "mixed-norm-2",
-    "local-123",
-    "color-holder",
-    "color-bcd",
-    "color-ac",
-    "color-abc",
-    "clique-cs",
-    "h-log-convex",
-    "f-log-conv",
-    "m-log-conv",
-    "sym-monotone",
-    "sym-corollary",
-)
-
 
 @dataclass
 class LemmaInstance:
@@ -360,8 +344,6 @@ def _validate_color_ac(p):
     _require(b_int + c_int >= 3, "b + c >= 3 (exponent b+c-2 must be positive)")
 
 
-_validate_color_abc = _validate_color_ac
-
 
 def _color_lhs_sum(p):
     a_set, b_set, c_set = set(p["A"]), set(p["B"]), set(p["C"])
@@ -432,9 +414,6 @@ def _random_color_ac(rng):
         "b": b_int,
         "c": c_int,
     }
-
-
-_random_color_abc = _random_color_ac
 
 
 # ---------------------------------------------------------------------------
@@ -705,63 +684,39 @@ def _random_sym_corollary(rng):
 # ---------------------------------------------------------------------------
 # Dispatch.
 
-_VALIDATORS = {
-    "mixed-norm": _validate_mixed_norm,
-    "mixed-norm-2": _validate_mixed_norm_2,
-    "local-123": _validate_local_123,
-    "color-holder": _validate_color_holder,
-    "color-bcd": _validate_color_bcd,
-    "color-ac": _validate_color_ac,
-    "color-abc": _validate_color_abc,
-    "clique-cs": _validate_clique_cs,
-    "h-log-convex": _validate_h_log_convex,
-    "f-log-conv": _validate_f_log_conv,
-    "m-log-conv": _validate_m_log_conv,
-    "sym-monotone": _validate_sym_monotone,
-    "sym-corollary": _validate_sym_corollary,
+# Each lemma id's (validate, evaluate, generate).  The table's order is
+# LEMMA_IDS, the order of the `lemma --id` choices and of a battery round.
+# sym-monotone is decided whole by check_sym_monotone and has no evaluator.
+_LEMMAS = {
+    "mixed-norm": (_validate_mixed_norm, _evaluate_mixed_norm, _random_mixed_norm),
+    "mixed-norm-2": (_validate_mixed_norm_2, _evaluate_mixed_norm_2, _random_mixed_norm_2),
+    "local-123": (_validate_local_123, _evaluate_local_123, _random_local_123),
+    "color-holder": (_validate_color_holder, _evaluate_color_holder, _random_color_holder),
+    "color-bcd": (_validate_color_bcd, _evaluate_color_bcd, _random_color_bcd),
+    "color-ac": (_validate_color_ac, _evaluate_color_ac, _random_color_ac),
+    "color-abc": (_validate_color_ac, _evaluate_color_abc, _random_color_ac),
+    "clique-cs": (_validate_clique_cs, _evaluate_clique_cs, _random_clique_cs),
+    "h-log-convex": (_validate_h_log_convex, _evaluate_h_log_convex, _random_h_log_convex),
+    "f-log-conv": (_validate_f_log_conv, _evaluate_f_log_conv, _random_f_log_conv),
+    "m-log-conv": (_validate_m_log_conv, _evaluate_m_log_conv, _random_m_log_conv),
+    "sym-monotone": (_validate_sym_monotone, None, _random_sym_monotone),
+    "sym-corollary": (_validate_sym_corollary, _evaluate_sym_corollary, _random_sym_corollary),
 }
 
-_EVALUATORS = {
-    "mixed-norm": _evaluate_mixed_norm,
-    "mixed-norm-2": _evaluate_mixed_norm_2,
-    "local-123": _evaluate_local_123,
-    "color-holder": _evaluate_color_holder,
-    "color-bcd": _evaluate_color_bcd,
-    "color-ac": _evaluate_color_ac,
-    "color-abc": _evaluate_color_abc,
-    "clique-cs": _evaluate_clique_cs,
-    "h-log-convex": _evaluate_h_log_convex,
-    "f-log-conv": _evaluate_f_log_conv,
-    "m-log-conv": _evaluate_m_log_conv,
-    "sym-corollary": _evaluate_sym_corollary,
-}
-
-_GENERATORS = {
-    "mixed-norm": _random_mixed_norm,
-    "mixed-norm-2": _random_mixed_norm_2,
-    "local-123": _random_local_123,
-    "color-holder": _random_color_holder,
-    "color-bcd": _random_color_bcd,
-    "color-ac": _random_color_ac,
-    "color-abc": _random_color_abc,
-    "clique-cs": _random_clique_cs,
-    "h-log-convex": _random_h_log_convex,
-    "f-log-conv": _random_f_log_conv,
-    "m-log-conv": _random_m_log_conv,
-    "sym-monotone": _random_sym_monotone,
-    "sym-corollary": _random_sym_corollary,
-}
+LEMMA_IDS = tuple(_LEMMAS)
 
 
 def validate_instance(inst: LemmaInstance):
-    if inst.lemma_id not in _VALIDATORS:
+    if inst.lemma_id not in _LEMMAS:
         raise PreconditionViolated("unknown lemma id %r" % inst.lemma_id)
-    _VALIDATORS[inst.lemma_id](inst.params)
+    validate, _, _ = _LEMMAS[inst.lemma_id]
+    validate(inst.params)
 
 
 def random_lemma_instance(lemma_id: str, seed: int) -> LemmaInstance:
     rng = random.Random("%s:%d" % (lemma_id, seed))
-    return LemmaInstance(lemma_id, _GENERATORS[lemma_id](rng))
+    _, _, generate = _LEMMAS[lemma_id]
+    return LemmaInstance(lemma_id, generate(rng))
 
 
 def _log10_of_factors(factors):
@@ -838,7 +793,8 @@ def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     if inst.lemma_id == "sym-monotone":
         rep = check_sym_monotone(inst.params["alphas"], inst.params["k"])
         return IneqReport("sym-monotone", rep.instance, None, None, rep.verdict, rep.exact, rep.slack_log10)
-    verdict, slack = decide_checks(_EVALUATORS[inst.lemma_id](inst.params))
+    _, evaluate, _ = _LEMMAS[inst.lemma_id]
+    verdict, slack = decide_checks(evaluate(inst.params))
     return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, clamp_slack(verdict, slack))
 
 

@@ -20,10 +20,11 @@ Two layers:
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from homlab.errors import InvalidArgument, UndecidedAtPrecisionCap
-from homlab.ratmath import coprime_basis, factorize, integer_nth_root, lcm_many
+from homlab.ratmath import coprime_basis, factorize, integer_nth_root
 
 # Estimated cleared size (bits) above which compare_power_products
 # switches from exponent clearing to the coprime basis.  Set at the
@@ -128,7 +129,7 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     diff = PowerProduct.of(*lhs.factors, *((b, -e) for b, e in rhs.factors)).factors
     if not diff:
         return Comparison("equal", True)
-    scale = lcm_many(e.denominator for _, e in diff)
+    scale = lcm(*(e.denominator for _, e in diff))
     if _exact_bit_estimate(diff, scale) <= CLEARING_MAX_BITS:
         return Comparison(_compare_by_clearing(diff, scale), True)
     return Comparison(_compare_by_basis(diff), True)
@@ -261,7 +262,7 @@ def _key_root_interval(key: RadKey, bits: int) -> tuple[Fraction, Fraction]:
     """Rigorous [lo, hi] for prod p^{e_p}, via one integer n-th root."""
     if not key:
         return Fraction(1), Fraction(1)
-    n = lcm_many(e.denominator for _, e in key)
+    n = lcm(*(e.denominator for _, e in key))
     radicand = 1
     for p, e in key:
         radicand *= p ** int(e * n)
@@ -434,7 +435,7 @@ def compare_radical_products(lhs_factors, rhs_factors) -> Comparison:
         for s, e in factors
         if not s.is_atomic()
     ]
-    scale = lcm_many(denominators) if denominators else 1
+    scale = lcm(*denominators)
 
     def side(factors) -> RadicalSum:
         out = RadicalSum.from_rational(1)

@@ -1,8 +1,5 @@
-"""Exact integer/rational helpers: roots, factoring, coprime bases,
-characteristic polynomials, Sturm sign counts.
-
-All polynomial arithmetic is over fractions.Fraction; coefficient lists are
-lowest-degree-first.
+"""Exact integer/rational helpers: integer roots, factoring, coprime
+bases, and eigenvalue sign counts (inertia) of symmetric rational matrices.
 """
 
 from fractions import Fraction
@@ -59,13 +56,6 @@ def factorize(m: int) -> dict[int, int]:
     return out
 
 
-def lcm_many(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def coprime_basis(numbers) -> list[int]:
     """Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15,
     1993): sorted pairwise-coprime integers > 1 such that every one of
@@ -90,154 +80,37 @@ def coprime_basis(numbers) -> list[int]:
     return sorted(basis)
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over Fraction, lowest degree first.
-
-
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Euclidean division a = q*b + r over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and poly_trim(a):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] -= coef * c
-        poly_trim(a)
-    return poly_trim(q), a
-
-
-def charpoly(matrix: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
-
-    Exact over the rationals; fine for the q <= 8 matrices we classify.
-    Returned lowest-degree-first, monic of degree n.
-    """
-    n = len(matrix)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    aux = [[Fraction(0)] * n for _ in range(n)]  # M_0 = 0
-    for k in range(1, n + 1):
-        # N = M * aux + c_{n-k+1} * I ; actually iterate per the recurrence.
-        prod = [[sum(matrix[i][t] * aux[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            prod[i][i] += coeffs[n - k + 1]
-        trace = sum(
-            sum(matrix[i][t] * prod[t][i] for t in range(n)) for i in range(n)
-        )
-        coeffs[n - k] = -trace / k
-        aux = prod
-    return coeffs
-
-
-def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [poly_trim(list(p))]
-    d = poly_deriv(chain[0])
-    if poly_trim(list(d)):
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            _, r = poly_divmod(chain[-2], chain[-1])
-            r = [-c for c in r]
-            if not poly_trim(r):
-                break
-            chain.append(r)
-    return chain
-
-
-def _sign_changes_at(chain, x, at_infinity=0) -> int:
-    signs = []
-    for pol in chain:
-        if at_infinity:
-            lead = pol[-1]
-            s = (1 if lead > 0 else -1) * (at_infinity ** (len(pol) - 1))
-        else:
-            v = poly_eval(pol, x)
-            s = 0 if v == 0 else (1 if v > 0 else -1)
-        if s:
-            signs.append(1 if s > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
-
-
-def count_roots_in_open_interval(p: list[Fraction], lo, hi) -> int:
-    """Distinct real roots of p in (lo, hi]; lo/hi may be '-inf'/'inf'.
-
-    Sturm's theorem counts roots in (a, b] when p(a), p(b) != 0; we only use
-    endpoints 0 and +/-infinity, and 0 is excluded by dividing out x-powers
-    before calling.
-    """
-    chain = sturm_chain(p)
-    if lo == "-inf":
-        va = _sign_changes_at(chain, None, at_infinity=-1)
-    else:
-        va = _sign_changes_at(chain, Fraction(lo))
-    if hi == "inf":
-        vb = _sign_changes_at(chain, None, at_infinity=1)
-    else:
-        vb = _sign_changes_at(chain, Fraction(hi))
-    return va - vb
-
-
 def eigenvalue_sign_counts(matrix: list[list[Fraction]]) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric rational
     matrix, with multiplicity, decided exactly.
 
-    Multiplicity is recovered by repeatedly deflating the characteristic
-    polynomial by its gcd with its derivative: a symmetric matrix is
-    diagonalizable, so eigenvalue multiplicity equals root multiplicity of
-    the characteristic polynomial.
+    Symmetric elimination: by Sylvester's law of inertia (Phil. Mag. 4,
+    1852) these counts are invariant under congruence, and by Haynsworth's
+    additivity (Linear Algebra Appl. 1, 1968) the inertia of a matrix is
+    that of a nonzero diagonal pivot p plus that of its Schur complement.
+    With every diagonal entry zero but some a_kj nonzero, adding row and
+    column j to row and column k is a congruence that makes a_kk = 2 a_kj.
+    What is left when no entry is nonzero is the zero block.
     """
-    n = len(matrix)
-    p = charpoly(matrix)
-    positive = negative = zero = 0
-    while p and p[0] == 0:
-        zero += 1
-        p = p[1:]
-    # A root of multiplicity m survives m-1 gcd-with-derivative passes, so
-    # summing distinct-root Sturm counts over the passes counts with
-    # multiplicity.  The x^k factor was already stripped, so every pass has
-    # nonzero constant term.
-    while len(p) > 1:
-        positive += count_roots_in_open_interval(p, 0, "inf")
-        negative += count_roots_in_open_interval(p, "-inf", 0)
-        p = _poly_gcd(p, poly_deriv(p))
-    total = positive + negative + zero
-    if total != n:
-        raise AssertionError("eigenvalue count mismatch: %d != %d" % (total, n))
-    return positive, zero, negative
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = poly_trim(list(a))
-    b = poly_trim(list(b))
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, poly_trim(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    a = [[Fraction(x) for x in row] for row in matrix]
+    positive = negative = 0
+    while a:
+        n = len(a)
+        k = next((i for i in range(n) if a[i][i]), None)
+        if k is None:
+            kj = next(((k, j) for k in range(n) for j in range(n) if a[k][j]), None)
+            if kj is None:
+                break
+            k, j = kj
+            for t in range(n):
+                a[k][t] += a[j][t]
+            for t in range(n):
+                a[t][k] += a[t][j]
+        p = a[k][k]
+        if p > 0:
+            positive += 1
+        else:
+            negative += 1
+        rest = [t for t in range(n) if t != k]
+        a = [[a[i][j] - a[i][k] * a[k][j] / p for j in rest] for i in rest]
+    return positive, len(a), negative

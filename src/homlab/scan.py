@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from homlab.counting import lists_to_constraints
 from homlab.errors import HomlabError, InvalidArgument, UndecidedAtPrecisionCap
 from homlab.fileio import (
     graph_from_dict,
@@ -202,8 +203,7 @@ def _cells_for_job(job: ScanJob):
             for ls in list_seeds:
                 constraints = None
                 if ls is not None:
-                    lists = random_lists(ls, gid, g.n, m.q)
-                    constraints = [tuple(Fraction(1 if c in allowed else 0) for c in range(m.q)) for allowed in lists]
+                    constraints = lists_to_constraints(random_lists(ls, gid, g.n, m.q), m.q)
                 instance_id = "%s|%s" % (gid, mid) + ("|lists:%d" % ls if ls is not None else "")
                 cells.append((instance_id, g, model_index, m, constraints))
     return cells

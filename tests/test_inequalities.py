@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -38,7 +39,6 @@ from homlab.models import (
     random_model,
 )
 from homlab.power import CLEARING_MAX_BITS, _compare_by_basis, _compare_by_clearing, _exact_bit_estimate
-from homlab.ratmath import lcm_many
 
 
 def named(kind, *params):
@@ -152,7 +152,7 @@ class TestLargeReverseSidorenko:
     @staticmethod
     def cleared_bits(rep):
         diff = (rep.lhs * rep.rhs ** -1).factors
-        return diff, _exact_bit_estimate(diff, lcm_many(e.denominator for _, e in diff))
+        return diff, _exact_bit_estimate(diff, lcm(*(e.denominator for _, e in diff)))
 
     def test_above_ten_million_bits_is_exact_and_fast(self):
         missing = {(0, 3), (0, 10), (1, 3), (2, 3), (2, 6), (2, 10), (4, 8), (4, 9), (4, 10), (7, 9), (9, 10)}
@@ -170,7 +170,7 @@ class TestLargeReverseSidorenko:
         rep = check_reverse_sidorenko(Graph.from_edges(8, edges), model)
         diff, bits = self.cleared_bits(rep)
         assert CLEARING_MAX_BITS < bits < 10 ** 7
-        ordering = _compare_by_clearing(diff, lcm_many(e.denominator for _, e in diff))
+        ordering = _compare_by_clearing(diff, lcm(*(e.denominator for _, e in diff)))
         assert _compare_by_basis(diff) == ordering
         assert rep.verdict == {"less": "holds", "greater": "violated"}[ordering] and rep.exact
 

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,6 +18,66 @@ from homlab.models import (
     two_spin_is_antiferromagnetic,
     two_spin_is_ferromagnetic,
 )
+from homlab.ratmath import eigenvalue_sign_counts
+
+
+def _charpoly_oracle(matrix):
+    """det(xI - M) of an integer matrix by Faddeev-LeVerrier, lowest degree
+    first: c_n = 1 and, with N_1 = I, c_{n-k} = -tr(M N_k) / k and
+    N_{k+1} = M N_k + c_{n-k} I.  The coefficients are integers, so each
+    division by k is exact."""
+    n = len(matrix)
+    coeffs = [0] * n + [1]
+    aux = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(matrix[i][t] * aux[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        coeffs[n - k], rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        assert rem == 0
+        aux = [[prod[i][j] + (coeffs[n - k] if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _inertia_oracle(matrix):
+    """(positive, zero, negative) eigenvalue counts read off the
+    characteristic polynomial by Descartes' rule of signs, which is exact
+    for a real-rooted polynomial such as a symmetric matrix's: the zero
+    count is the index of the lowest nonzero coefficient, and p(-x) gives
+    the negative count.  The matrix is first scaled to integers, which
+    keeps every eigenvalue's sign."""
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    p = _charpoly_oracle([[int(x * scale) for x in row] for row in matrix])
+    zero = next(i for i, c in enumerate(p) if c)
+    reflected = [c if i % 2 == 0 else -c for i, c in enumerate(p)]
+    return _sign_changes(p), zero, _sign_changes(reflected)
+
+
+def _random_symmetric(rng, q):
+    """A seeded symmetric rational matrix of one of five shapes: general
+    with negative entries, all-zero diagonal, low-rank B^T D B, a scalar
+    multiple of the identity plus a low-rank part, or the zero matrix."""
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    shape = rng.randrange(5)
+    rows = [[Fraction(0)] * q for _ in range(q)]
+    if shape in (0, 1):
+        for i in range(q):
+            for j in range(i, q):
+                rows[i][j] = rows[j][i] = entry() if i != j or shape == 0 else Fraction(0)
+    elif shape in (2, 3):
+        rank = rng.randint(0, q if shape == 2 else 2)
+        b = [[entry() for _ in range(q)] for _ in range(rank)]
+        d = [entry() for _ in range(rank)]
+        shift = entry() if shape == 3 else 0
+        for i in range(q):
+            for j in range(q):
+                rows[i][j] = sum(d[t] * b[t][i] * b[t][j] for t in range(rank)) + (shift if i == j else 0)
+    return rows
 
 
 class TestConstruction:
@@ -76,8 +138,6 @@ class TestClassification:
                 assert c.positive_eigen_count <= 1, (q, ell)
 
     def test_eigen_counts_invariant_under_scaling(self):
-        import random
-
         rng = random.Random(5)
         for seed in range(10):
             m = random_model(3, seed, "general")
@@ -93,14 +153,35 @@ class TestClassification:
         # Exact oracle: real roots (with multiplicity) of the characteristic
         # polynomial; algebraic sign comparisons are decided exactly.
         sympy = pytest.importorskip("sympy")
-        for seed in range(15):
-            m = random_model(3, seed, "general")
+        for seed in range(36):
+            m = random_model(1 + seed % 6, seed, "general")
             mat = sympy.Matrix([[sympy.Rational(str(x)) for x in row] for row in m.edge_weights])
             roots = sympy.real_roots(mat.charpoly().as_expr())
             pos = sum(1 for r in roots if r.is_positive)
             neg = sum(1 for r in roots if r.is_negative)
             c = classify_model(m)
             assert (c.positive_eigen_count, c.negative_eigen_count) == (pos, neg), seed
+
+
+class TestInertia:
+    def test_small_cases(self):
+        assert eigenvalue_sign_counts([]) == (0, 0, 0)
+        assert eigenvalue_sign_counts([[Fraction(-3)]]) == (0, 0, 1)
+        assert eigenvalue_sign_counts([[0, 1], [1, 0]]) == (1, 0, 1)
+        assert eigenvalue_sign_counts([[0, 0, 0], [0, 0, 2], [0, 2, 0]]) == (1, 1, 1)
+        assert eigenvalue_sign_counts([[1, 1], [1, 1]]) == (1, 1, 0)
+
+    def test_input_is_not_modified(self):
+        rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+        eigenvalue_sign_counts(rows)
+        assert rows == [[0, 1], [1, 0]]
+
+    def test_against_descartes_oracle(self):
+        rng = random.Random(2024)
+        for trial in range(2400):
+            q = 1 + trial % 8
+            rows = _random_symmetric(rng, q)
+            assert eigenvalue_sign_counts(rows) == _inertia_oracle(rows), rows
 
 
 class TestTwoSpin:

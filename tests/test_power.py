@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from homlab.power import (
     compare_radical_products,
     power_product_to_radical,
 )
-from homlab.ratmath import coprime_basis, lcm_many
+from homlab.ratmath import coprime_basis
 
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=20)
 fractions_exp = st.fractions(min_value=-4, max_value=4)
@@ -120,7 +120,7 @@ class TestCompareProperties:
             diff = (a * b ** -1).factors
             if not diff:
                 continue
-            scale = lcm_many(e.denominator for _, e in diff)
+            scale = lcm(*(e.denominator for _, e in diff))
             ordering = _compare_by_clearing(diff, scale)
             assert _compare_by_basis(diff) == ordering, (a, b)
             assert compare_power_products(a, b) == (ordering, True)
@@ -205,7 +205,7 @@ class TestBasisOnlyEqualities:
     def assert_basis_equal(self, lhs, rhs):
         diff = (lhs * rhs ** -1).factors
         assert diff
-        assert _exact_bit_estimate(diff, lcm_many(e.denominator for _, e in diff)) > CLEARING_MAX_BITS
+        assert _exact_bit_estimate(diff, lcm(*(e.denominator for _, e in diff))) > CLEARING_MAX_BITS
         assert compare_power_products(lhs, rhs) == ("equal", True)
         assert compare_power_products(rhs, lhs) == ("equal", True)
 
