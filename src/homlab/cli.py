@@ -16,12 +16,14 @@ from homlab.fileio import (
     graph_from_any,
     lemma_instance_from_dict,
     lemma_instance_to_dict,
+    model_from_any,
+    parse_constraints,
     report_to_dict,
 )
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
-from homlab.models import parse_model_name
 from homlab.scan import (
     ScanJob,
+    check_instance,
     emit_report,
     replay_finding,
     run_scan,
@@ -34,19 +36,7 @@ EXIT_OPERATIONAL_ERROR = 1
 EXIT_FINDINGS = 2
 
 
-def _load_model_arg(spec: str):
-    import os
-
-    if os.path.exists(spec):
-        from homlab.fileio import load_model
-
-        return load_model(spec)
-    return parse_model_name(spec)
-
-
 def _load_lists(path: str, q: int):
-    from homlab.fileio import parse_constraints
-
     with open(path, "r", encoding="utf-8") as fh:
         return parse_constraints(fh.read(), q)
 
@@ -189,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     g = graph_from_any(args.graph)
-    m = _load_model_arg(args.model)
+    m = model_from_any(args.model)
     constraints = _load_lists(args.lists, m.q) if args.lists else None
     value = hom(g, m, constraints)
     print(frac_str(value))
@@ -197,8 +187,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from homlab.scan import check_instance
-
     if args.replay:
         with open(args.replay, "r", encoding="utf-8") as fh:
             report = replay_finding(json.load(fh))
@@ -206,7 +194,7 @@ def _cmd_verify(args) -> int:
         if not (args.ineq and args.graph and args.model):
             raise HomlabError("verify needs --replay or all of --ineq/--graph/--model")
         g = graph_from_any(args.graph)
-        m = _load_model_arg(args.model)
+        m = model_from_any(args.model)
         constraints = _load_lists(args.lists, m.q) if args.lists else None
         report = check_instance(args.ineq, g, m, constraints)
     _emit(_report_text(report, args.format), args.out)

@@ -39,7 +39,3 @@ class NotTwoSpin(HomlabError):
 
 class PreconditionViolated(HomlabError):
     """A lemma instance violates the lemma's stated preconditions."""
-
-
-class UndecidedAtPrecisionCap(HomlabError):
-    """Interval comparison still overlaps at the configured precision cap."""

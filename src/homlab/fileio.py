@@ -5,13 +5,14 @@ Rationals are always stored as strings to avoid float round-trips.
 """
 
 import json
+import os
 from fractions import Fraction
 
 from homlab.counting import lists_to_constraints
 from homlab.errors import InvalidArgument, InvalidSpec
 from homlab.graphs import Graph, parse_graph_name, read_edge_list, read_graph6
 from homlab.inequalities import IneqReport
-from homlab.models import Model
+from homlab.models import Model, parse_model_name
 from homlab.power import PowerProduct
 
 
@@ -74,11 +75,16 @@ def load_model(path: str) -> Model:
 
 def graph_from_any(spec: str) -> Graph:
     """Named graph ("C6", "K3,3", "petersen") or a path to a graph file."""
-    import os
-
     if os.path.exists(spec):
         return load_graph(spec)
     return parse_graph_name(spec)
+
+
+def model_from_any(spec: str) -> Model:
+    """Named model ("Kq:3", "wr", "heps:1/10") or a path to a model file."""
+    if os.path.exists(spec):
+        return load_model(spec)
+    return parse_model_name(spec)
 
 
 def parse_constraints(text: str, q: int):

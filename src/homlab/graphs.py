@@ -39,9 +39,6 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 

@@ -96,6 +96,12 @@ def report_from_sides(ineq: str, instance: str, lhs_value: Fraction, rhs: PowerP
     )
 
 
+def _product_or_zero(factors) -> PowerProduct | None:
+    """The product of (base, exponent) factors, or None (a zero RHS for
+    report_from_sides) when some base is 0."""
+    return None if any(base == 0 for base, _ in factors) else PowerProduct.of(*factors)
+
+
 def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> tuple[Fraction, Fraction]:
     """The K_{a,b} norm of a two-variable kernel as a (base, exponent) pair:
     base is the exact pattern sum, exponent 1/(ab)."""
@@ -125,7 +131,6 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
     if memo is None:
         memo = {}
     factors = []
-    zero_rhs = False
     kernel = lambda x, y: m.edge_weights[x][y]
     for u, v in g.edge_list():
         lam_u = None if constraints is None else tuple(constraints[u])
@@ -137,14 +142,9 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
             base = memo[key] = biclique_kernel_sum(
                 kernel, m.q, m.q, degs[v], degs[u], _side_weights(m, lam_u), _side_weights(m, lam_v)
             )
-        if base == 0:
-            zero_rhs = True
-            continue
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
-    if zero_rhs:
-        return report_from_sides("reverse-sidorenko", instance, lhs_value, None)
-    return report_from_sides("reverse-sidorenko", instance, lhs_value, PowerProduct.of(*factors))
+    return report_from_sides("reverse-sidorenko", instance, lhs_value, _product_or_zero(factors))
 
 
 def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
@@ -165,17 +165,12 @@ def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
             raise DimensionMismatch("kernel (%d, %d) has wrong shape" % (u, v))
     lhs_value = _kernel_assignment_sum(g, kernels, sizes)
     factors = []
-    zero_rhs = False
     for u, v in edges:
         mat = kernels[(u, v)]
         base = biclique_kernel_sum(lambda x, y, mat=mat: mat[x][y], sizes[u], sizes[v], degs[v], degs[u])
-        if base == 0:
-            zero_rhs = True
-            continue
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, sizes=%s" % (edges, tuple(sizes))
-    rhs = None if zero_rhs else PowerProduct.of(*factors)
-    return report_from_sides("graphical-bl", instance, lhs_value, rhs)
+    return report_from_sides("graphical-bl", instance, lhs_value, _product_or_zero(factors))
 
 
 def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
@@ -205,20 +200,15 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
     if memo is None:
         memo = {}
     factors = []
-    zero_rhs = False
     for v in range(g.n):
         lam = None if lambdas is None else tuple(Fraction(x) for x in lambdas[v])
         key = (degs[v] + 1, lam)
         base = memo.get(key)
         if base is None:
             base = memo[key] = hom_clique(degs[v] + 1, m, lam)
-        if base == 0:
-            zero_rhs = True
-            continue
         factors.append((base, Fraction(1, degs[v] + 1)))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
-    rhs = None if zero_rhs else PowerProduct.of(*factors)
-    return report_from_sides("clique-max", instance, lhs_value, rhs)
+    return report_from_sides("clique-max", instance, lhs_value, _product_or_zero(factors))
 
 
 def check_bst(g: Graph, m: Model) -> IneqReport:

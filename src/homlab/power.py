@@ -6,7 +6,8 @@ Two layers:
   rational exponents, compared exactly: small cases by clearing exponent
   denominators into big integers, large ones over a coprime basis of the
   bases (equality from the exponent vector, strict signs from rigorous
-  log intervals built on the decimal module's correctly rounded ln).
+  log intervals built on the decimal module's correctly rounded ln,
+  finished by clearing when the intervals reach their precision cap).
 
 * RadicalSum -- a QQ-linear combination of canonical radicals
   prod_p p^{e_p} with fractional prime exponents.  Sums of rational powers
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from homlab.errors import InvalidArgument, UndecidedAtPrecisionCap
+from homlab.errors import InvalidArgument, LimitExceeded
 from homlab.ratmath import coprime_basis, factorize, integer_nth_root
 
 # Estimated cleared size (bits) above which compare_power_products
@@ -33,6 +34,14 @@ from homlab.ratmath import coprime_basis, factorize, integer_nth_root
 # basis 1.3 ms; at 1.5e5 bits, 6.2 ms and 1.2 ms; at 2.9e6 bits, 1.2 s and
 # 2.8 ms.  The benchmark scans' comparisons stay near 10^4 bits or below.
 CLEARING_MAX_BITS = 10 ** 5
+# Estimated cleared size (bits) up to which a difference the log intervals
+# leave undecided at _INTERVAL_MAX_DIGITS is still cleared; above it the
+# comparison raises LimitExceeded.  Clearing 40 random factors took 0.04 s
+# at 2.9e5 bits, 0.3 s at 1.0e6, 0.8-1.0 s at 2.0e6 and 3 s at 3.6e6
+# (2-vCPU VM, CPython 3.11.7), so this keeps the last step near 1 s.
+# The bound matters: the estimate grows with the lcm of the exponent
+# denominators, and lcm(1..24) alone is 5.4e9.
+CLEARING_LIMIT_BITS = 2 * 10 ** 6
 _INTERVAL_START_DIGITS = 60
 _INTERVAL_MAX_DIGITS = 4000
 _ROOT_START_BITS = 48
@@ -124,15 +133,23 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     big-integer powers are compared.  Above it, the difference is written
     over a coprime basis of its numerators and denominators: a zero
     exponent vector means equal, and otherwise the sign of the log sum
-    comes from rigorous log intervals.  Every verdict is exact.
+    comes from rigorous log intervals.  Intervals that still overlap at
+    their precision cap are finished by clearing, up to
+    CLEARING_LIMIT_BITS; beyond that the comparison raises LimitExceeded.
+    Every verdict is exact.
     """
     diff = PowerProduct.of(*lhs.factors, *((b, -e) for b, e in rhs.factors)).factors
     if not diff:
         return Comparison("equal", True)
     scale = lcm(*(e.denominator for _, e in diff))
-    if _exact_bit_estimate(diff, scale) <= CLEARING_MAX_BITS:
-        return Comparison(_compare_by_clearing(diff, scale), True)
-    return Comparison(_compare_by_basis(diff), True)
+    bits = _exact_bit_estimate(diff, scale)
+    if bits > CLEARING_MAX_BITS:
+        try:
+            return Comparison(_compare_by_basis(diff), True)
+        except LimitExceeded as exc:
+            if bits > CLEARING_LIMIT_BITS:
+                raise LimitExceeded("%s, and clearing would take an estimated %d bits" % (exc, bits)) from None
+    return Comparison(_compare_by_clearing(diff, scale), True)
 
 
 def _compare_by_clearing(diff_factors, scale: int) -> str:
@@ -193,8 +210,7 @@ def _ln_interval(n: int, digits: int) -> tuple[Fraction, Fraction]:
 def _sign_by_log_intervals(vector) -> str:
     """Ordering of prod p^E against 1 for integer p > 1, from rigorous
     enclosures of sum E ln p at doubling precision.  Never returns
-    "equal": overlapping intervals at the retry cap raise
-    UndecidedAtPrecisionCap.
+    "equal": overlapping intervals at the retry cap raise LimitExceeded.
     """
     digits = _INTERVAL_START_DIGITS
     while digits <= _INTERVAL_MAX_DIGITS:
@@ -208,9 +224,7 @@ def _sign_by_log_intervals(vector) -> str:
         if lo_total > 0:
             return "greater"
         digits *= 2
-    raise UndecidedAtPrecisionCap(
-        "log-interval comparison undecided at %d digits" % _INTERVAL_MAX_DIGITS
-    )
+    raise LimitExceeded("log-interval comparison undecided at %d digits" % _INTERVAL_MAX_DIGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +381,8 @@ class RadicalSum:
         """Exact sign: canonical cancellation plus interval refinement.
 
         Distinct canonical radicals are linearly independent over QQ, so a
-        nonempty term dict has a nonzero value and refinement terminates.
+        nonempty term dict has a nonzero value and refinement terminates;
+        it raises LimitExceeded if it has not by _ROOT_MAX_BITS.
         """
         if not self.terms:
             return 0
@@ -392,7 +407,7 @@ class RadicalSum:
             if lo_total > 0:
                 return 1
             bits *= 2
-        raise UndecidedAtPrecisionCap("radical sum sign undecided at %d bits" % _ROOT_MAX_BITS)
+        raise LimitExceeded("radical sum sign undecided at %d bits" % _ROOT_MAX_BITS)
 
     def float_value(self) -> float:
         total = 0.0

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from homlab.counting import lists_to_constraints
-from homlab.errors import HomlabError, InvalidArgument, UndecidedAtPrecisionCap
+from homlab.errors import HomlabError, InvalidArgument
 from homlab.fileio import (
+    frac_str,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -39,14 +40,14 @@ from homlab.inequalities import (
     check_clique_max,
     check_reverse_sidorenko,
 )
-from homlab.models import Model, parse_model_name, random_model
+from homlab.models import Model, model_complete_looped, parse_model_name, random_model
 
 SCAN_INEQUALITIES = ("reverse-sidorenko", "clique-max", "bst")
 
-# Factor memos (reverse-Sidorenko or clique-max) of the run_scan in
-# progress, one dict per model index of the job.  run_scan empties it on
-# entry and on exit, so no factor outlives a scan; pool workers are started
-# inside run_scan and each fills its own copy.
+# Factor memos (reverse-Sidorenko or clique-max) of the scan in progress,
+# one dict per model index of the job.  _run_cells empties it on entry and
+# on exit, so no factor outlives a scan; pool workers are started inside
+# _run_cells and each fills its own copy.
 _FACTOR_MEMO: dict[int, dict] = {}
 
 
@@ -59,47 +60,21 @@ class ScanJob:
     jobs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "ineq": self.ineq,
-            "graphs": self.graphs,
-            "models": self.models,
-            "lists": self.lists,
-            "jobs": self.jobs,
-        }
+        return dict(vars(self))
 
 
 @dataclass
 class ScanSummary:
     job: dict
     instances_checked: int = 0
-    histogram: dict = field(default_factory=lambda: {"holds": 0, "equality": 0, "violated": 0, "undecided": 0})
+    histogram: dict = field(default_factory=lambda: {"holds": 0, "equality": 0, "violated": 0})
     rows: list = field(default_factory=list)
     findings: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     worst: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "job": self.job,
-            "instances_checked": self.instances_checked,
-            "histogram": self.histogram,
-            "rows": self.rows,
-            "findings": self.findings,
-            "errors": self.errors,
-            "worst": self.worst,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScanSummary":
-        return ScanSummary(
-            job=d["job"],
-            instances_checked=d["instances_checked"],
-            histogram=d["histogram"],
-            rows=d["rows"],
-            findings=d["findings"],
-            errors=d["errors"],
-            worst=d["worst"],
-        )
+        return dict(vars(self))
 
 
 def materialize_graphs(source: dict) -> list[tuple[str, Graph]]:
@@ -157,7 +132,7 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
         out = []
         for q in range(1, source["max_q"] + 1):
             for ell in range(0, q + 1):
-                out.append(("Kq-looped:%d,%d" % (q, ell), parse_model_name("Kq-looped:%d,%d" % (q, ell))))
+                out.append(("Kq-looped:%d,%d" % (q, ell), model_complete_looped(q, ell)))
         return out
     if kind == "union":
         out = []
@@ -210,46 +185,38 @@ def _cells_for_job(job: ScanJob):
 
 
 def _run_cell(args):
-    instance_id, ineq, g, model_index, m, constraints = args
+    """One cell's outcome: ("ok", report dict) or ("error", message)."""
+    ineq, g, model_index, m, constraints = args
     try:
         report = check_instance(ineq, g, m, constraints, _FACTOR_MEMO.setdefault(model_index, {}))
-        return instance_id, "ok", report_to_dict(report)
-    except UndecidedAtPrecisionCap as exc:
-        return instance_id, "undecided", str(exc)
+        return "ok", report_to_dict(report)
     except HomlabError as exc:
-        return instance_id, "error", "%s: %s" % (type(exc).__name__, exc)
+        return "error", "%s: %s" % (type(exc).__name__, exc)
 
 
 def run_scan(job: ScanJob) -> ScanSummary:
     """Run the full grid; deterministic for a fixed job regardless of the
     worker count."""
+    return _run_cells(job, _cells_for_job(job))
+
+
+def _run_cells(job: ScanJob, cells) -> ScanSummary:
+    """Decide the given cells of `job` (on a pool when job.jobs > 1) and
+    summarize them in order.  Every cell ends in a verdict row or an
+    error entry."""
+    tasks = [(job.ineq, g, model_index, m, constraints) for _, g, model_index, m, constraints in cells]
     _FACTOR_MEMO.clear()
     try:
-        return _run_scan(job)
+        if job.jobs > 1:
+            with ProcessPoolExecutor(max_workers=job.jobs) as pool:
+                results = list(pool.map(_run_cell, tasks, chunksize=16))
+        else:
+            results = [_run_cell(t) for t in tasks]
     finally:
         _FACTOR_MEMO.clear()
 
-
-def _run_scan(job: ScanJob) -> ScanSummary:
-    cells = _cells_for_job(job)
-    tasks = [
-        (instance_id, job.ineq, g, model_index, m, constraints)
-        for instance_id, g, model_index, m, constraints in cells
-    ]
-    if job.jobs > 1:
-        with ProcessPoolExecutor(max_workers=job.jobs) as pool:
-            results = list(pool.map(_run_cell, tasks, chunksize=16))
-    else:
-        results = [_run_cell(t) for t in tasks]
-
     summary = ScanSummary(job=job.to_dict())
-    cell_by_id = {cell[0]: cell[1:] for cell in cells}
-    for instance_id, status, payload in results:
-        if status == "undecided":
-            summary.instances_checked += 1
-            summary.histogram["undecided"] += 1
-            summary.errors.append({"instance_id": instance_id, "error": payload})
-            continue
+    for (instance_id, g, _, m, constraints), (status, payload) in zip(cells, results):
         if status == "error":
             # Per-instance failures are collected, not fatal, and stay
             # outside the verdict histogram (which always totals
@@ -275,7 +242,6 @@ def _run_scan(job: ScanJob) -> ScanSummary:
             if summary.worst is None or slack < summary.worst["slack_log10"]:
                 summary.worst = {"instance_id": instance_id, "slack_log10": slack}
         if verdict == "violated":
-            g, _, m, constraints = cell_by_id[instance_id]
             summary.findings.append(
                 {
                     "instance_id": instance_id,
@@ -287,8 +253,6 @@ def _run_scan(job: ScanJob) -> ScanSummary:
 
 
 def make_replay(ineq: str, g: Graph, m: Model, constraints=None) -> dict:
-    from homlab.fileio import frac_str
-
     return {
         "ineq": ineq,
         "graph": graph_to_dict(g),
@@ -310,26 +274,10 @@ def replay_finding(replay: dict):
 
 
 def search_counterexample(ineq: str, graph_source: dict, model_source: dict, budget: int) -> list[dict]:
-    """Scan cells until the budget is exhausted, returning all violations
+    """Scan the first `budget` cells of the grid, returning all violations
     with replay data.  An empty list is a legitimate outcome."""
     job = ScanJob(ineq, graph_source, model_source)
-    cells = _cells_for_job(job)[:budget]
-    findings = []
-    memos = {}
-    for instance_id, g, model_index, m, constraints in cells:
-        try:
-            report = check_instance(ineq, g, m, constraints, memos.setdefault(model_index, {}))
-        except HomlabError:
-            continue
-        if report.verdict == "violated":
-            findings.append(
-                {
-                    "instance_id": instance_id,
-                    "report": report_to_dict(report),
-                    "replay": make_replay(ineq, g, m, constraints),
-                }
-            )
-    return findings
+    return _run_cells(job, _cells_for_job(job)[:budget]).findings
 
 
 CSV_COLUMNS = ("instance_id", "graph", "model", "verdict", "exact", "slack_log10")
@@ -349,10 +297,7 @@ def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
     if fmt == "text":
         lines = ["inequality: %s" % summary.job["ineq"]]
         lines.append("instances checked: %d" % summary.instances_checked)
-        lines.append(
-            "verdicts: holds=%(holds)d equality=%(equality)d violated=%(violated)d undecided=%(undecided)d"
-            % summary.histogram
-        )
+        lines.append("verdicts: holds=%(holds)d equality=%(equality)d violated=%(violated)d" % summary.histogram)
         if summary.worst:
             lines.append(
                 "worst slack: %s (log10 = %.6g)"
@@ -367,4 +312,4 @@ def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
 
 
 def parse_summary(text: str) -> ScanSummary:
-    return ScanSummary.from_dict(json.loads(text))
+    return ScanSummary(**json.loads(text))

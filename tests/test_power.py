@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import InvalidArgument, UndecidedAtPrecisionCap
+from homlab.errors import InvalidArgument, LimitExceeded
+from homlab import power
 from homlab.power import (
+    CLEARING_LIMIT_BITS,
     CLEARING_MAX_BITS,
     PowerProduct,
     RadicalSum,
@@ -129,7 +131,7 @@ class TestCompareProperties:
 
     def test_interval_path_never_says_equal(self):
         # 4^(1/2) / 2 is exactly 1; the sign step alone cannot tell.
-        with pytest.raises(UndecidedAtPrecisionCap):
+        with pytest.raises(LimitExceeded):
             _sign_by_log_intervals([(4, Fraction(1, 2)), (2, Fraction(-1))])
 
     def test_interval_sign_separates(self):
@@ -231,6 +233,30 @@ class TestBasisOnlyEqualities:
         assert compare_power_products(lhs, rhs) == ("greater", True)
         assert compare_power_products(rhs, lhs) == ("less", True)
 
+    def found_case(self):
+        # (A^2 + 1)^(1/2) against A: the log ratio is about 10^-38000, far
+        # below the interval loop's cap, and the clearing estimate is about
+        # 2.5e5 bits.
+        lhs = PowerProduct.of((self.A ** 2 + 1, Fraction(1, 2)))
+        rhs = PowerProduct.of((self.A, 1))
+        diff = (lhs * rhs ** -1).factors
+        bits = _exact_bit_estimate(diff, lcm(*(e.denominator for _, e in diff)))
+        return lhs, rhs, bits
+
+    def test_interval_cap_finishes_by_clearing(self):
+        lhs, rhs, bits = self.found_case()
+        assert CLEARING_MAX_BITS < bits <= CLEARING_LIMIT_BITS
+        assert compare_power_products(lhs, rhs) == ("greater", True)
+
+    def test_interval_cap_past_clearing_limit_raises(self, monkeypatch):
+        lhs, rhs, bits = self.found_case()
+        # A short interval loop keeps this fast; the case stays undecided.
+        monkeypatch.setattr(power, "_INTERVAL_MAX_DIGITS", 240)
+        assert compare_power_products(rhs, lhs) == ("less", True)
+        monkeypatch.setattr(power, "CLEARING_LIMIT_BITS", bits - 1)
+        with pytest.raises(LimitExceeded, match="undecided at 240 digits"):
+            compare_power_products(rhs, lhs)
+
 
 class TestRadicalSum:
     def test_canonical_merging(self):
@@ -251,6 +277,13 @@ class TestRadicalSum:
             - RadicalSum.from_power(10, Fraction(1, 2))
         )
         assert s.sign() == -1
+
+    def test_sign_past_precision_cap_raises(self, monkeypatch):
+        s = RadicalSum.from_power(2, Fraction(1, 2)) - RadicalSum.from_rational(Fraction(141421, 100000))
+        assert s.sign() == 1
+        monkeypatch.setattr(power, "_ROOT_MAX_BITS", 8)
+        with pytest.raises(LimitExceeded):
+            s.sign()
 
     def test_int_pow(self):
         a = RadicalSum.from_power(2, Fraction(1, 2)) + RadicalSum.from_power(3, Fraction(1, 2))

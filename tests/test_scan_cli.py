@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from homlab import scan
+from homlab import cli, scan
+from homlab.errors import LimitExceeded
 from homlab.inequalities import check_clique_max, check_reverse_sidorenko
 from homlab.scan import (
     ScanJob,
@@ -60,6 +61,24 @@ class TestRunScan:
         s = run_scan(job)
         assert s.errors and all("IsolatedVertex" in e["error"] for e in s.errors)
         assert sum(s.histogram.values()) == s.instances_checked
+
+    def test_limit_exceeded_cell_is_an_error(self, monkeypatch, capsys):
+        check_instance = scan.check_instance
+
+        def capped_c4(ineq, graph, model, constraints=None, memo=None):
+            if graph.n == 4:
+                raise LimitExceeded("comparison undecided")
+            return check_instance(ineq, graph, model, constraints, memo)
+
+        monkeypatch.setattr(scan, "check_instance", capped_c4)
+        s = run_scan(small_finding_job(graphs={"kind": "named", "names": ["C4", "K3,3"]}, models={"kind": "named", "names": ["Kq:2"]}))
+        assert s.errors == [{"instance_id": "C4|Kq:2", "error": "LimitExceeded: comparison undecided"}]
+        assert [r["instance_id"] for r in s.rows] == ["K3,3|Kq:2"]
+        assert s.instances_checked == sum(s.histogram.values()) == 1
+        assert not s.findings
+        code = cli.main(["scan", "--ineq", "reverse-sidorenko", "--graphs", "C4;K3,3", "--models", "Kq:2"])
+        assert code == 1
+        assert "ERROR C4|Kq:2: LimitExceeded: comparison undecided" in capsys.readouterr().out
 
     def test_findings_replay(self):
         s = run_scan(small_finding_job())
@@ -217,6 +236,20 @@ class TestSearch:
         )
         assert findings == []
 
+    @pytest.mark.parametrize("budget", [0, 1, 13, 20, 21, 47, 50, 53, 54, 100])
+    def test_matches_scan_findings(self, budget):
+        # 18 graphs (1 to 4 vertices) x 3 models; graphs with an isolated
+        # vertex are error cells, and cells 19 and 20 (one graph under heps
+        # and wr) are the first findings.
+        graphs = {"kind": "enumerate", "min_vertices": 1, "max_vertices": 4, "dedup": True}
+        models = {"kind": "named", "names": ["Kq:3", "heps:1/10", "wr"]}
+        job = ScanJob("reverse-sidorenko", graphs, models)
+        first = {cell[0] for cell in scan._cells_for_job(job)[:budget]}
+        full = run_scan(job)
+        assert full.errors and len(full.findings) >= 2
+        expected = [f for f in full.findings if f["instance_id"] in first]
+        assert search_counterexample("reverse-sidorenko", graphs, models, budget) == expected
+
 
 class TestEmit:
     def test_csv_header_only_when_empty(self):
@@ -239,6 +272,13 @@ class TestEmit:
         s = run_scan(small_finding_job())
         text = emit_report(s, "text")
         assert "FINDING" in text and "instances checked" in text
+
+    def test_no_undecided_outcome(self):
+        s = run_scan(small_finding_job(graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 4, "dedup": True}))
+        assert s.errors and s.findings
+        assert set(s.histogram) == {"holds", "equality", "violated"}
+        for fmt in ("json", "text"):
+            assert "undecided" not in emit_report(s, fmt)
 
 
 def _no_labeled_walk(*args, **kwargs):
