@@ -111,6 +111,31 @@ class TestReverseSidorenko:
                             assert rep.verdict in ("holds", "equality"), (g, q, ell, cons)
 
 
+class TestZeroFactor:
+    """A zero factor makes the whole RHS zero, even next to nonzero ones."""
+
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    one, zero = Fraction(1), Fraction(0)
+
+    def assert_zero_rhs(self, rep):
+        # The LHS is 0 too, so the verdict is equality, not holds.
+        assert rep.rhs is None and rep.lhs is None
+        assert rep.verdict == "equality"
+
+    def test_reverse_sidorenko(self):
+        # Vertices 0 and 1 may only take color 0, so edge 01's factor is 0.
+        cons = [(self.one, self.zero), (self.one, self.zero), (self.one, self.one)]
+        self.assert_zero_rhs(check_reverse_sidorenko(self.path, model_complete_looped(2, 0), cons))
+
+    def test_clique_max(self):
+        lambdas = [(self.zero, self.zero), (self.one, self.one), (self.one, self.one)]
+        self.assert_zero_rhs(check_clique_max(self.path, model_complete_looped(2, 1), lambdas))
+
+    def test_graphical_bl(self):
+        kernels = {(0, 1): [[0, 0], [0, 0]], (1, 2): [[1, 2], [3, 4]]}
+        self.assert_zero_rhs(check_graphical_bl(self.path, kernels, [2, 2, 2]))
+
+
 class TestReverseSidorenkoMemo:
     def test_memo_gives_the_same_report(self):
         rng = random.Random(41)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -197,6 +198,13 @@ class TestFactorMemo:
         # Graphs with an isolated vertex raise IsolatedVertex in their cells.
         assert s.errors and s.rows
         assert scan._FACTOR_MEMO == {}
+
+    def test_memo_cleared_before_scan(self):
+        job = small_finding_job(graphs={"kind": "named", "names": ["C4"]}, models={"kind": "named", "names": ["Kq:3"]})
+        clean = emit_report(run_scan(job), "json")
+        # A factor left over from elsewhere must not reach this scan's cells.
+        scan._FACTOR_MEMO[0] = {(2, 2, None, None): Fraction(10 ** 9)}
+        assert emit_report(run_scan(job), "json") == clean
 
     def test_memo_empty_after_scan_raises(self, monkeypatch):
         def fail(report):
