@@ -27,7 +27,6 @@ from homlab.scan import (
     emit_report,
     replay_finding,
     run_scan,
-    search_counterexample,
 )
 from homlab.toy import reproduce_toy_c6
 
@@ -212,20 +211,24 @@ def _cmd_scan(args) -> int:
     print("scanning %s ..." % args.ineq, file=sys.stderr)
     summary = run_scan(job)
     _emit(emit_report(summary, args.format), args.out)
-    if summary.errors and not summary.findings:
-        return EXIT_OPERATIONAL_ERROR
-    return EXIT_FINDINGS if summary.findings else EXIT_OK
+    return _scan_exit(summary)
 
 
 def _cmd_search(args) -> int:
-    findings = search_counterexample(
-        args.ineq,
-        _graph_source_from_args(args),
-        _model_source_from_args(args),
-        args.budget,
-    )
-    _emit(json.dumps(findings, indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_FINDINGS if findings else EXIT_OK
+    job = ScanJob(args.ineq, _graph_source_from_args(args), _model_source_from_args(args))
+    summary = run_scan(job, args.budget)
+    _emit(json.dumps(summary.findings, indent=2, sort_keys=True) + "\n", args.out)
+    # Search prints findings only, so its errored cells go to stderr.
+    for e in summary.errors:
+        print("error: %s: %s" % (e["instance_id"], e["error"]), file=sys.stderr)
+    return _scan_exit(summary)
+
+
+def _scan_exit(summary) -> int:
+    """Errors and no findings: exit 1; findings: exit 2; else 0."""
+    if summary.errors and not summary.findings:
+        return EXIT_OPERATIONAL_ERROR
+    return EXIT_FINDINGS if summary.findings else EXIT_OK
 
 
 def _cmd_lemma(args) -> int:

@@ -153,50 +153,57 @@ def add_apexes(g: Graph, count: int) -> Graph:
 
 
 def triangle_count(g: Graph) -> int:
-    total = 0
-    for u, v in g.edge_list():
-        total += (g.adjacency[u] & g.adjacency[v]).bit_count()
-    return total // 3
+    rows = g.adjacency
+    return sum((rows[u] & rows[v]).bit_count() for u, v in g.edge_list()) // 3
 
 
 def is_triangle_free(g: Graph) -> bool:
-    return all((g.adjacency[u] & g.adjacency[v]) == 0 for u, v in g.edge_list())
+    return not _has_triangle(g.adjacency)
+
+
+def _has_triangle(rows) -> bool:
+    """Whether some edge uv of the graph with neighbor bitsets `rows` has
+    a common neighbor of u and v."""
+    n = len(rows)
+    return any(rows[u] >> v & 1 and rows[u] & rows[v] for u in range(n) for v in range(u + 1, n))
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+    return _connected(g.adjacency)
+
+
+def _connected(rows) -> bool:
+    return not rows or _component(rows, 0) == (1 << len(rows)) - 1
+
+
+def _component(rows, start: int) -> int:
+    """Bitset of the vertices reachable from `start` in the graph with
+    per-vertex neighbor bitsets `rows`, by a breadth-first flood fill."""
+    seen = frontier = 1 << start
     while frontier:
-        nxt = 0
-        v = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= g.adjacency[v]
-            f >>= 1
-            v += 1
-        frontier = nxt & ~seen
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
+    """A component is bipartite iff it has no closed walk of odd length,
+    i.e. iff in the double cover G x K_2 (vertex v + i*n is (v, i)) the
+    component of (v, 0) misses (v, 1)."""
+    n = g.n
+    cover = [r << n for r in g.adjacency] + list(g.adjacency)
+    left = (1 << n) - 1
+    while left:
+        v = (left & -left).bit_length() - 1
+        comp = _component(cover, v)
+        if comp >> (v + n) & 1:
+            return False
+        left &= ~(comp | comp >> n)
     return True
 
 
@@ -232,14 +239,8 @@ def graph_to_mask(g: Graph) -> int:
 
 
 def mask_to_graph(n: int, mask: int) -> Graph:
-    edges = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mask >> k & 1:
-                edges.append((u, v))
-            k += 1
-    return Graph.from_edges(n, edges)
+    rows = _mask_rows(n, mask)
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1))
 
 
 def _mask_rows(n: int, mask: int) -> list[int]:
@@ -348,11 +349,11 @@ def _filtered_masks(n: int, connected: bool, no_isolated: bool, triangle_free: b
     m = n * (n - 1) // 2
     for mask in range(1 << m):
         rows = _mask_rows(n, mask)
-        if no_isolated and any(r == 0 for r in rows):
+        if no_isolated and 0 in rows:
             continue
-        if triangle_free and _mask_has_triangle(n, rows):
+        if triangle_free and _has_triangle(rows):
             continue
-        if connected and not is_connected(mask_to_graph(n, mask)):
+        if connected and not _connected(rows):
             continue
         yield mask
 
@@ -383,16 +384,8 @@ def _dedup_masks(n: int, connected: bool, no_isolated: bool, triangle_free: bool
                 if _least_string(ext, early_exit=True) is not None:
                     grown.append(ext)
         level = grown
-    masks = [_rows_to_mask(rows) for rows in level if not (no_isolated and 0 in rows)]
-    return tuple(sorted(m for m in masks if not connected or is_connected(mask_to_graph(n, m))))
-
-
-def _mask_has_triangle(n: int, rows: list[int]) -> bool:
-    for u in range(n):
-        for j in range(u + 1, n):
-            if rows[u] >> j & 1 and rows[u] & rows[j]:
-                return True
-    return False
+    keep = [rows for rows in level if not (no_isolated and 0 in rows) and (not connected or _connected(rows))]
+    return tuple(sorted(map(_rows_to_mask, keep)))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

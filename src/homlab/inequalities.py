@@ -28,7 +28,7 @@ from homlab.errors import (
     LimitExceeded,
     NotTwoSpin,
 )
-from homlab.graphs import Graph, tensor_with_k2
+from homlab.graphs import Graph, _component, tensor_with_k2
 from homlab.models import Model
 from homlab.power import Comparison, PowerProduct, compare_power_products
 
@@ -226,54 +226,43 @@ def check_bst(g: Graph, m: Model) -> IneqReport:
 
 
 def independent_set_masks(g: Graph) -> list[int]:
-    out = []
-    for mask in range(1 << g.n):
-        ok = True
-        mm = mask
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            if g.adjacency[v] & mask:
-                ok = False
-                break
-            mm ^= low
-        if ok:
-            out.append(mask)
-    return out
+    rows = g.adjacency
+    return [s for s in range(1 << g.n) if not any(s >> v & 1 and rows[v] & s for v in range(g.n))]
 
 
 def swap_injection_check(g: Graph) -> dict:
     """Run the swapping injection on the hard-core specialization.
 
-    For every ordered pair (A, B) of independent sets: unsafe edges are
-    those with endpoint patterns (in A only) -- (in B only); T is the
-    canonical transversal picking, in each connected component of the
-    unsafe subgraph, the side containing the component's smallest vertex;
-    swapping A/B membership on T must give an independent set of G x K_2,
-    injectively.
+    For every ordered pair (A, B) of independent sets: unsafe edges join a
+    vertex in A only to one in B only, so A-only and B-only are the two
+    color classes of the unsafe subgraph.  T is the canonical transversal
+    picking, in each connected component of the unsafe subgraph, the class
+    containing the component's smallest vertex; it is recomputable from
+    the swapped image, whose unsafe edges are the same.  Swapping A/B
+    membership on T must give an independent set of G x K_2, injectively.
     """
     if g.n > SWAP_CHECK_VERTEX_LIMIT:
         raise LimitExceeded("swap check limited to n <= %d" % SWAP_CHECK_VERTEX_LIMIT)
     ind = independent_set_masks(g)
-    edges = g.edge_list()
+    rows = g.adjacency
     images = set()
     valid = True
     for a_mask in ind:
         for b_mask in ind:
             only_a = a_mask & ~b_mask
             only_b = b_mask & ~a_mask
-            unsafe = [
-                (u, v)
-                for u, v in edges
-                if (only_a >> u & 1 and only_b >> v & 1)
-                or (only_b >> u & 1 and only_a >> v & 1)
-            ]
-            t_mask = _canonical_transversal(g.n, unsafe)
+            unsafe = [r & (only_b if only_a >> v & 1 else only_a if only_b >> v & 1 else 0) for v, r in enumerate(rows)]
+            t_mask = 0
+            left = sum(1 << v for v, r in enumerate(unsafe) if r)
+            while left:
+                v = (left & -left).bit_length() - 1
+                comp = _component(unsafe, v)
+                t_mask |= comp & (only_a if only_a >> v & 1 else only_b)
+                left &= ~comp
             a_img = (a_mask & ~t_mask) | (b_mask & t_mask)
             b_img = (b_mask & ~t_mask) | (a_mask & t_mask)
-            for u, v in edges:
-                if (a_img >> u & 1 and b_img >> v & 1) or (b_img >> u & 1 and a_img >> v & 1):
-                    valid = False
+            if any(a_img >> v & 1 and r & b_img for v, r in enumerate(rows)):
+                valid = False
             images.add((a_img, b_img))
     return {
         "pairs": len(ind) ** 2,
@@ -282,55 +271,33 @@ def swap_injection_check(g: Graph) -> dict:
     }
 
 
-def _canonical_transversal(n: int, unsafe_edges) -> int:
-    """Pick one endpoint from every unsafe edge: within each component of
-    the (bipartite) unsafe subgraph, take the 2-coloring class containing
-    the smallest vertex.  Deterministic under the fixed order 0..n-1, and
-    recomputable from the swapped image since unsafe edges are unchanged.
-    """
-    adj = {}
-    for u, v in unsafe_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    color = {}
-    t_mask = 0
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        comp = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    comp.append(y)
-                    stack.append(y)
-        side = color[min(comp)]
-        for x in comp:
-            if color[x] == side:
-                t_mask |= 1 << x
-    return t_mask
-
-
 # ---------------------------------------------------------------------------
 # Symmetric polynomial monotonicity.
 
 
-def _sym_sums(alphas, k: int) -> dict:
-    """{ell: (count, total)} over x in [n]^k with exactly ell distinct
-    entries: how many such x there are, and the sum of prod alpha_{x_i}.
+def _support_sums(alphas, k: int) -> dict:
+    """{S: (count, total)} over x in [n]^k whose set of distinct entries is
+    S: how many such x there are, and the sum of prod alpha_{x_i}.
 
     Tuples are grouped by their index multiset (the product only depends on
     it), weighted by the number of orderings.
     """
     sums = {}
     for chosen in combinations_with_replacement(range(len(alphas)), k):
-        ell = len(set(chosen))
+        support = frozenset(chosen)
         mult = _multiset_permutations(chosen)
-        count, total = sums.get(ell, (0, Fraction(0)))
-        sums[ell] = (count + mult, total + mult * math.prod((alphas[i] for i in chosen), start=Fraction(1)))
+        count, total = sums.get(support, (0, Fraction(0)))
+        sums[support] = (count + mult, total + mult * math.prod((alphas[i] for i in chosen), start=Fraction(1)))
+    return sums
+
+
+def _sym_sums(alphas, k: int) -> dict:
+    """{ell: (count, total)} as in _support_sums, merged over the supports
+    of size ell."""
+    sums = {}
+    for support, (count, total) in _support_sums(alphas, k).items():
+        c, t = sums.get(len(support), (0, Fraction(0)))
+        sums[len(support)] = (c + count, t + total)
     return sums
 
 
@@ -341,25 +308,20 @@ def sym_average_products(alphas, k: int) -> list[Fraction]:
     return [sums[ell][1] / sums[ell][0] for ell in range(1, min(len(alphas), k) + 1)]
 
 
-def _f_poly(alphas, k: int, s: frozenset) -> Fraction:
-    """Sum over x in S^k using every element of S, of prod alpha_{x_i}."""
-    members = [alphas[i] for i in sorted(s)]
-    return _sym_sums(members, k).get(len(s), (0, Fraction(0)))[1]
-
-
 def validate_f_recursion(alphas, k: int) -> bool:
-    """f_{k,S} = sum_{x in S} alpha_x (f_{k-1,S} + f_{k-1,S \\ x})."""
+    """f_{k,S} = sum_{x in S} alpha_x (f_{k-1,S} + f_{k-1,S \\ x}), where
+    f_{k,S} sums prod alpha_{x_i} over x in S^k using every element of S:
+    the total of S in _support_sums(alphas, k)."""
+    if k < 1:
+        return True
     alphas = [Fraction(a) for a in alphas]
     n = len(alphas)
+    f_k, f_prev = _support_sums(alphas, k), _support_sums(alphas, k - 1)
     for size in range(1, min(n, k) + 1):
-        for s in combinations(range(n), size):
-            s = frozenset(s)
-            direct = _f_poly(alphas, k, s)
-            recurred = sum(
-                (alphas[x] * (_f_poly(alphas, k - 1, s) + _f_poly(alphas, k - 1, s - {x})) for x in s),
-                Fraction(0),
-            )
-            if direct != recurred:
+        for s in map(frozenset, combinations(range(n), size)):
+            prev = f_prev.get(s, (0, 0))[1]
+            recurred = sum((alphas[x] * (prev + f_prev.get(s - {x}, (0, 0))[1]) for x in s), Fraction(0))
+            if f_k.get(s, (0, 0))[1] != recurred:
                 return False
     return True
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from homlab.counting import _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
-from homlab.errors import PreconditionViolated
+from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
+from homlab.errors import LimitExceeded, PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
 from homlab.inequalities import (
     IneqReport,
@@ -578,12 +578,50 @@ def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> Rad
     return out
 
 
+def _expansion_work(q: int, sides) -> int:
+    """Term work of m-log-conv's checks, from the sizes alone.  Each side
+    is a list of (s, e) for a factor body_s^e; body_s has at most
+    C(q+s-1, s) terms, one per color multiset, and a product of sums of
+    degrees d1 and d2 forms at most C(q+d1-1, d1) * C(q+d2-1, d2) term
+    products.  The work is every body's terms plus the products formed
+    expanding each side as compare_radical_products does, powers by
+    RadicalSum.int_pow's squaring."""
+    terms = lambda d: math.comb(q + d - 1, d)
+    work = 0
+    for side in sides:
+        deg = 0
+        for s, e in side:
+            work += terms(s)
+            power, square = 0, s
+            while e:
+                if e & 1:
+                    work += terms(power) * terms(square)
+                    power += square
+                if e > 1:
+                    work += terms(square) ** 2
+                    square *= 2
+                e >>= 1
+            work += terms(deg) * terms(power)
+            deg += power
+    return work
+
+
 def _evaluate_m_log_conv(p):
     m: Model = p["model"]
     a, b, delta = p["a"], p["b"], p["delta"]
+    q = m.q
+    checks = []
+    if b < delta:
+        checks.append(("step-ratio[b+1 vs b,1]", [(b, 1), (1, 1)], [(b + 1, 1)]))
+        checks.extend(("chain-log-convex[s=%d]" % s, [(s + 1, 2)], [(s, 1), (s + 2, 1)]) for s in range(b, a))
+    checks.append(("endpoint-power", [(1, a + 1)], [(a + 1, 1)]))
+    work = _expansion_work(q, [side for _, small, big in checks for side in (small, big)])
+    if work > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded(
+            "m-log-conv work bound %d exceeds %d (q = %d, a = %d, b = %d)" % (work, CONTRACTION_WORK_LIMIT, q, a, b)
+        )
     lam = tuple(Fraction(x) for x in p["lam"])
     mu = tuple(Fraction(x) for x in p["mu"])
-    q = m.q
     eta_atoms = []
     for x in range(q):
         pointwise = tuple(mu[c] * m.edge_weights[x][c] for c in range(q))
@@ -591,33 +629,18 @@ def _evaluate_m_log_conv(p):
         eta_atoms.append(RadicalSum.from_power(r_x, Fraction(1, b)))
     h_mu = hom_clique(b + 1, m, mu)
 
-    def m_factors(s: int, mult=Fraction(1)):
+    def m_factors(s: int, mult: int):
         body = _hom_clique_radical(s, m, lam, eta_atoms, a + 1 - s)
-        factors = [(body, Fraction(1) * mult)]
+        factors = [(body, Fraction(mult))]
         e = Fraction(s * (s - 1), b + 1) * mult
         if e != 0:
             factors.append((RadicalSum.from_rational(h_mu), e))
         return factors
 
-    checks = []
-    if b < delta:
-        checks.append(
-            (
-                "step-ratio[b+1 vs b,1]",
-                m_factors(b) + m_factors(1),
-                m_factors(b + 1),
-            )
-        )
-        for s in range(b, a):
-            checks.append(
-                (
-                    "chain-log-convex[s=%d]" % s,
-                    m_factors(s + 1, Fraction(2)),
-                    m_factors(s) + m_factors(s + 2),
-                )
-            )
-    checks.append(("endpoint-power", m_factors(1, Fraction(a + 1)), m_factors(a + 1)))
-    return checks
+    return [
+        (label, [f for s, e in small for f in m_factors(s, e)], [f for s, e in big for f in m_factors(s, e)])
+        for label, small, big in checks
+    ]
 
 
 def _random_m_log_conv(rng):
@@ -791,8 +814,7 @@ def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     """
     validate_instance(inst)
     if inst.lemma_id == "sym-monotone":
-        rep = check_sym_monotone(inst.params["alphas"], inst.params["k"])
-        return IneqReport("sym-monotone", rep.instance, None, None, rep.verdict, rep.exact, rep.slack_log10)
+        return check_sym_monotone(inst.params["alphas"], inst.params["k"])
     _, evaluate, _ = _LEMMAS[inst.lemma_id]
     verdict, slack = decide_checks(evaluate(inst.params))
     return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, clamp_slack(verdict, slack))

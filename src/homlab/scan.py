@@ -45,9 +45,9 @@ from homlab.models import Model, model_complete_looped, parse_model_name, random
 SCAN_INEQUALITIES = ("reverse-sidorenko", "clique-max", "bst")
 
 # Factor memos (reverse-Sidorenko or clique-max) of the scan in progress,
-# one dict per model index of the job.  _run_cells empties it on entry and
+# one dict per model index of the job.  run_scan empties it on entry and
 # on exit, so no factor outlives a scan; pool workers are started inside
-# _run_cells and each fills its own copy.
+# run_scan and each fills its own copy.
 _FACTOR_MEMO: dict[int, dict] = {}
 
 
@@ -194,16 +194,12 @@ def _run_cell(args):
         return "error", "%s: %s" % (type(exc).__name__, exc)
 
 
-def run_scan(job: ScanJob) -> ScanSummary:
-    """Run the full grid; deterministic for a fixed job regardless of the
-    worker count."""
-    return _run_cells(job, _cells_for_job(job))
-
-
-def _run_cells(job: ScanJob, cells) -> ScanSummary:
-    """Decide the given cells of `job` (on a pool when job.jobs > 1) and
-    summarize them in order.  Every cell ends in a verdict row or an
-    error entry."""
+def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
+    """Decide the grid's cells, or its first `budget` cells (on a pool when
+    job.jobs > 1), and summarize them in order; deterministic for a fixed
+    job regardless of the worker count.  Every cell ends in a verdict row
+    or an error entry."""
+    cells = _cells_for_job(job)[:budget]
     tasks = [(job.ineq, g, model_index, m, constraints) for _, g, model_index, m, constraints in cells]
     _FACTOR_MEMO.clear()
     try:
@@ -271,13 +267,6 @@ def replay_finding(replay: dict):
     if constraints is not None:
         constraints = [tuple(Fraction(x) for x in vec) for vec in constraints]
     return check_instance(replay["ineq"], g, m, constraints)
-
-
-def search_counterexample(ineq: str, graph_source: dict, model_source: dict, budget: int) -> list[dict]:
-    """Scan the first `budget` cells of the grid, returning all violations
-    with replay data.  An empty list is a legitimate outcome."""
-    job = ScanJob(ineq, graph_source, model_source)
-    return _run_cells(job, _cells_for_job(job)[:budget]).findings
 
 
 CSV_COLUMNS = ("instance_id", "graph", "model", "verdict", "exact", "slack_log10")

@@ -16,7 +16,9 @@ from homlab.graphs import (
     graph_to_mask,
     is_bipartite,
     is_canonical_mask,
+    is_connected,
     is_triangle_free,
+    mask_to_graph,
     parse_graph_name,
     read_edge_list,
     read_graph6,
@@ -216,6 +218,35 @@ class TestEnumeration:
             assert canonical_mask(relabeled) == canonical_mask(g)
             assert are_isomorphic(relabeled, g)
             assert isomorphic_oracle(relabeled, g)
+
+
+class TestPredicates:
+    def test_against_networkx_on_labeled_graphs(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                g_nx = nx.Graph()
+                g_nx.add_nodes_from(range(n))
+                g_nx.add_edges_from(g.edge_list())
+                assert is_connected(g) == nx.is_connected(g_nx), g
+                assert is_bipartite(g) == nx.is_bipartite(g_nx), g
+                assert is_triangle_free(g) == (sum(nx.triangles(g_nx).values()) == 0), g
+
+    def test_empty_graph(self):
+        g = Graph.from_edges(0, [])
+        assert is_connected(g) and is_bipartite(g) and is_triangle_free(g)
+
+    def test_filters_on_rows_match_graph_predicates(self):
+        for n in range(6):
+            every = list(_filtered_masks(n, False, False, False))
+            for connected, triangle_free in product([False, True], repeat=2):
+                want = [
+                    mask
+                    for mask in every
+                    if (not connected or is_connected(mask_to_graph(n, mask)))
+                    and (not triangle_free or is_triangle_free(mask_to_graph(n, mask)))
+                ]
+                assert list(_filtered_masks(n, connected, False, triangle_free)) == want
 
 
 class TestStats:

@@ -18,7 +18,7 @@ from homlab.graphs import (
     tensor_with_k2,
 )
 from homlab.inequalities import (
-    _f_poly,
+    _support_sums,
     check_bst,
     check_clique_max,
     check_graphical_bl,
@@ -342,6 +342,49 @@ class TestSwapInjection:
         for g in enumerate_graphs(4, dedup_isomorphism=True):
             assert len(independent_set_masks(g)) == independent_set_count_oracle(g)
 
+    def test_matches_edge_list_reference(self):
+        for n in range(7):
+            for g in enumerate_graphs(n, dedup_isomorphism=True):
+                assert swap_injection_check(g) == _swap_injection_reference(g), g
+
+
+def _swap_injection_reference(g):
+    """The swapping injection on an explicit unsafe edge list, with T taken
+    by a 2-coloring DFS of the unsafe subgraph."""
+    ind = [s for s in range(1 << g.n) if all(not (s >> u & 1 and s >> v & 1) for u, v in g.edge_list())]
+    images = set()
+    valid = True
+    for a_mask in ind:
+        for b_mask in ind:
+            only_a, only_b = a_mask & ~b_mask, b_mask & ~a_mask
+            adj = {}
+            for u, v in g.edge_list():
+                if (only_a >> u & 1 and only_b >> v & 1) or (only_b >> u & 1 and only_a >> v & 1):
+                    adj.setdefault(u, []).append(v)
+                    adj.setdefault(v, []).append(u)
+            color, t_mask = {}, 0
+            for start in sorted(adj):
+                if start in color:
+                    continue
+                color[start] = 0
+                stack, comp = [start], [start]
+                while stack:
+                    x = stack.pop()
+                    for y in adj[x]:
+                        if y not in color:
+                            color[y] = 1 - color[x]
+                            comp.append(y)
+                            stack.append(y)
+                side = color[min(comp)]
+                t_mask |= sum(1 << x for x in comp if color[x] == side)
+            a_img = (a_mask & ~t_mask) | (b_mask & t_mask)
+            b_img = (b_mask & ~t_mask) | (a_mask & t_mask)
+            for u, v in g.edge_list():
+                if (a_img >> u & 1 and b_img >> v & 1) or (b_img >> u & 1 and a_img >> v & 1):
+                    valid = False
+            images.add((a_img, b_img))
+    return {"pairs": len(ind) ** 2, "images_distinct": len(images) == len(ind) ** 2, "images_valid": valid}
+
 
 class TestGraphicalBL:
     def test_rank_one_equality(self):
@@ -513,7 +556,8 @@ class TestSymSumsDifferential:
                 for size in range(0, n + 1):
                     for s in itertools.combinations(range(n), size):
                         s = frozenset(s)
-                        assert _f_poly(alphas, k, s) == _f_poly_reference(alphas, k, s), (alphas, k, s)
+                        got = _support_sums(alphas, k).get(s, (0, 0))[1]
+                        assert got == _f_poly_reference(alphas, k, s), (alphas, k, s)
 
 
 class TestSymMonotone:

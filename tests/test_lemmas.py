@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from homlab.errors import PreconditionViolated
+from homlab.errors import LimitExceeded, PreconditionViolated
 from homlab.fileio import lemma_instance_from_dict, lemma_instance_to_dict
 from homlab.lemmas import (
     LEMMA_IDS,
@@ -311,3 +311,18 @@ class TestCliqueRadicalDifferential:
         t0 = time.time()
         assert check_local_lemma(LemmaInstance("m-log-conv", params)).verdict == "holds"
         assert time.time() - t0 < 10
+
+    def test_over_work_limit_fails_fast(self):
+        m = Model.from_rows([[18, 7, 14], [7, Fraction(69, 4), 19], [14, 19, 24]])
+        params = {
+            "model": m,
+            "a": 60,
+            "b": 1,
+            "delta": 60,
+            "lam": (1, 3, 1),
+            "mu": (Fraction(1, 2), Fraction(1, 2), 1),
+        }
+        t0 = time.time()
+        with pytest.raises(LimitExceeded, match="m-log-conv work bound"):
+            check_local_lemma(LemmaInstance("m-log-conv", params))
+        assert time.time() - t0 < 1

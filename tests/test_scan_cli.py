@@ -15,7 +15,6 @@ from homlab.scan import (
     parse_summary,
     replay_finding,
     run_scan,
-    search_counterexample,
 )
 
 
@@ -219,17 +218,13 @@ class TestFactorMemo:
 
 class TestSearch:
     def test_finds_widom_rowlinson_star(self):
-        findings = search_counterexample(
-            "clique-max",
-            {"kind": "named", "names": ["K1,1", "K1,2", "K1,3", "K1,4", "K1,5"]},
-            {"kind": "named", "names": ["wr"]},
-            budget=100,
-        )
+        job = ScanJob("clique-max", {"kind": "named", "names": ["K1,1", "K1,2", "K1,3", "K1,4", "K1,5"]}, {"kind": "named", "names": ["wr"]})
+        findings = run_scan(job, budget=100).findings
         ids = [f["instance_id"] for f in findings]
         assert any("K1,4" in i for i in ids)
 
     def test_empty_result_is_fine(self):
-        findings = search_counterexample(
+        job = ScanJob(
             "reverse-sidorenko",
             {
                 "kind": "enumerate",
@@ -240,8 +235,8 @@ class TestSearch:
                 "dedup": True,
             },
             {"kind": "random", "rand_kind": "general", "qs": [3], "seeds": list(range(10))},
-            budget=10000,
         )
+        findings = run_scan(job, budget=10000).findings
         assert findings == []
 
     @pytest.mark.parametrize("budget", [0, 1, 13, 20, 21, 47, 50, 53, 54, 100])
@@ -256,7 +251,7 @@ class TestSearch:
         full = run_scan(job)
         assert full.errors and len(full.findings) >= 2
         expected = [f for f in full.findings if f["instance_id"] in first]
-        assert search_counterexample("reverse-sidorenko", graphs, models, budget) == expected
+        assert run_scan(job, budget).findings == expected
 
 
 class TestEmit:
@@ -474,6 +469,15 @@ class TestCli:
         findings = json.loads(res.stdout)
         assert any("K1,4" in f["instance_id"] for f in findings)
 
+    def test_search_with_only_error_cells_exits_like_scan(self):
+        grid = ("--ineq", "bst", "--graphs", "C4;K3,3", "--models", "Kq:3")
+        res = run_cli("search", *grid)
+        assert res.returncode == 1 and json.loads(res.stdout) == []
+        assert res.stderr.splitlines() == [
+            "error: %s|Kq:3: NotTwoSpin: the swapping bound is stated for 2-spin models" % g for g in ("C4", "K3,3")
+        ]
+        assert run_cli("scan", *grid).returncode == 1
+
     def test_lemma_verb(self):
         res = run_cli("lemma", "--id", "color-abc", "--seed", "3")
         assert res.returncode == 0 and "verdict" in res.stdout
@@ -503,6 +507,19 @@ class TestCli:
         res = run_cli("lemma", "--file", str(f), "--format", "json", timeout=30)
         assert res.returncode == 0 and "Traceback" not in res.stderr
         assert json.loads(res.stdout)["verdict"] == "equality"
+
+    def test_lemma_over_work_limit_fails_fast(self, tmp_path):
+        from homlab.fileio import lemma_instance_to_dict
+        from homlab.lemmas import LemmaInstance
+        from homlab.models import Model
+
+        m = Model.from_rows([[18, 7, 14], [7, Fraction(69, 4), 19], [14, 19, 24]])
+        params = {"model": m, "a": 60, "b": 1, "delta": 60, "lam": (1, 3, 1), "mu": (Fraction(1, 2), Fraction(1, 2), 1)}
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(lemma_instance_to_dict(LemmaInstance("m-log-conv", params))))
+        res = run_cli("lemma", "--file", str(f), timeout=30)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: m-log-conv work bound") and "Traceback" not in res.stderr
 
     def test_toy_verb(self):
         res = run_cli("toy-c6")
