@@ -9,7 +9,7 @@ import os
 from fractions import Fraction
 
 from homlab.counting import lists_to_constraints
-from homlab.errors import InvalidArgument, InvalidSpec
+from homlab.errors import InvalidArgument, InvalidSpec, NegativeWeight
 from homlab.graphs import Graph, parse_graph_name, read_edge_list, read_graph6
 from homlab.inequalities import IneqReport
 from homlab.models import Model, parse_model_name
@@ -90,7 +90,8 @@ def model_from_any(spec: str) -> Model:
 def parse_constraints(text: str, q: int):
     """Vertex constraints, one line per vertex.
 
-    A line is either whitespace-separated rational weights ("1/2 0 3"), or
+    A line is either whitespace-separated nonnegative rational weights
+    ("1/2 0 3"; a negative one raises NegativeWeight), or
     the list shorthand "v: {0,2}" marking allowed colors of vertex v.
     Lines may arrive in any order when using the shorthand.
     """
@@ -108,6 +109,8 @@ def parse_constraints(text: str, q: int):
             weights = tuple(Fraction(t) for t in line.split())
             if len(weights) != q:
                 raise InvalidArgument("constraint line has %d entries, expected %d" % (len(weights), q))
+            if any(w < 0 for w in weights):
+                raise NegativeWeight("constraint line %r has a negative weight" % line)
             weight_lines.append(weights)
     if shorthand and weight_lines:
         raise InvalidArgument("mix of shorthand and weight lines in constraint file")

@@ -2,9 +2,13 @@
 Brascamp-Lieb, clique maximization, the bipartite swapping trick, the
 swapping injection itself, and symmetric-polynomial monotonicity.
 
-Every verdict comes from the exact comparator.  "violated" is a finding,
-not an error: it is the expected outcome off the theorems' hypotheses
-(graphs with triangles, non-PSD models), and a scan reports it as such.
+Every verdict, here and in the lemma battery and the toy reproduction,
+comes from one `decide` over checks (label, small, big) whose sides are
+(base, exponent) lists: one zero rule, all-rational checks on the
+PowerProduct comparator and the rest on the RadicalSum one, and one float
+slack routine.  "violated" is a finding, not an error: it is the expected
+outcome off the theorems' hypotheses (graphs with triangles, non-PSD
+models), and a scan reports it as such.
 """
 
 import math
@@ -24,13 +28,14 @@ from homlab.counting import (
 )
 from homlab.errors import (
     DimensionMismatch,
+    InvalidArgument,
     IsolatedVertex,
     LimitExceeded,
     NotTwoSpin,
 )
 from homlab.graphs import Graph, _component, tensor_with_k2
 from homlab.models import Model
-from homlab.power import Comparison, PowerProduct, compare_power_products
+from homlab.power import Comparison, PowerProduct, RadicalSum, compare_power_products, compare_radical_products
 
 SWAP_CHECK_VERTEX_LIMIT = 7
 
@@ -42,6 +47,8 @@ class IneqReport:
     lhs: PowerProduct | None
     rhs: PowerProduct | None
     verdict: str  # "holds" | "equality" | "violated"
+    # Always True; the report field `exact` comes from it, and perfbench's
+    # correctness gate fails every item whose report lacks it.
     exact: bool
     slack_log10: float
 
@@ -61,45 +68,118 @@ def clamp_slack(verdict: str, slack: float) -> float:
     return slack
 
 
-def _slack(lhs_log10: float, rhs_log10: float) -> float:
-    return rhs_log10 - lhs_log10
+def _side(factors) -> tuple[PowerProduct, list] | None:
+    """One side of a check under the zero rule: the PowerProduct of its
+    rational factors and the list of its other (RadicalSum, exponent)
+    factors, or None when the side is 0.  A RadicalSum with a rational
+    value counts as that rational.
 
-
-def report_from_sides(ineq: str, instance: str, lhs_value: Fraction, rhs: PowerProduct | None) -> IneqReport:
-    """Build a report for LHS (an exact rational) <= RHS (a power product).
-
-    Zero values cannot enter a PowerProduct, so they are dispatched here;
-    a zero RHS is passed as None.
+    A factor with exponent 0 is 1, base 0 included; any other zero base
+    makes the side 0.  A negative base, or 0 to a negative power, raises
+    InvalidArgument.
     """
-    rhs_is_zero = rhs is None
-    if lhs_value < 0:
-        raise ValueError("inequality sides must be nonnegative")
-    if lhs_value == 0 or rhs_is_zero:
-        if lhs_value == 0 and rhs_is_zero:
-            verdict, slack = "equality", 0.0
-        elif lhs_value == 0:
-            verdict, slack = "holds", math.inf
+    rational, radical, zero = [], [], False
+    for base, exponent in factors:
+        if not exponent:
+            continue
+        if isinstance(base, RadicalSum):
+            value = base.as_fraction()
+            if value is None:
+                # Distinct canonical radicals are independent, so this sum is not 0.
+                if base.sign() < 0:
+                    raise InvalidArgument("inequality sides must be nonnegative, got %s" % base)
+                radical.append((base, exponent))
+                continue
+            base = value
+        if base > 0:
+            rational.append((base, exponent))
+        elif base < 0 or exponent < 0:
+            raise InvalidArgument("inequality sides must be nonnegative and finite, got %s^%s" % (base, exponent))
         else:
-            verdict, slack = "violated", -math.inf
-        return IneqReport(ineq, instance, None if lhs_value == 0 else PowerProduct.from_value(lhs_value), None if rhs_is_zero else rhs, verdict, True, slack)
-    lhs = PowerProduct.from_value(lhs_value)
-    cmp_result = compare_power_products(lhs, rhs)
-    verdict = _verdict_from_comparison(cmp_result)
-    return IneqReport(
-        ineq,
-        instance,
-        lhs,
-        rhs,
-        verdict,
-        cmp_result.exact,
-        clamp_slack(verdict, _slack(lhs.log10(), rhs.log10())),
-    )
+            zero = True
+    return None if zero else (PowerProduct.of(*rational), radical)
 
 
-def _product_or_zero(factors) -> PowerProduct | None:
-    """The product of (base, exponent) factors, or None (a zero RHS for
-    report_from_sides) when some base is 0."""
-    return None if any(base == 0 for base, _ in factors) else PowerProduct.of(*factors)
+def _log10(side) -> float | None:
+    """Float log10 of a nonzero side, for the slack only: the rational
+    part's PowerProduct.log10 plus e * log10 of each sum's float.  None
+    when a sum's float is not positive."""
+    product, radical = side
+    total = product.log10()
+    for s, e in radical:
+        try:
+            v, shift = s.float_value(), 0
+        except OverflowError:
+            # A coefficient past the float range: take the sum's float at
+            # 2^-shift times its value.
+            shift = max(c.numerator.bit_length() - c.denominator.bit_length() for c in s.terms.values())
+            v = s.scale(Fraction(1, 1 << shift)).float_value()
+        if v <= 0:
+            return None
+        total += float(e) * math.log10(v)
+        if shift:
+            total += float(e) * shift * math.log10(2)
+    return total
+
+
+def _lifted(side) -> list:
+    """A nonzero side's factors for compare_radical_products, its rational
+    ones lifted as single-term sums."""
+    product, radical = side
+    return [(RadicalSum.from_rational(b), e) for b, e in product.factors] + radical
+
+
+def _decide_sides(sides) -> tuple[str, float]:
+    """decide over (small, big) pairs already read by _side."""
+    verdicts, slacks = [], []
+    for small, big in sides:
+        if small is None or big is None:
+            verdict = "equality" if small is big else "holds" if small is None else "violated"
+            verdicts.append(verdict)
+            slacks.append({"equality": 0.0, "holds": math.inf, "violated": -math.inf}[verdict])
+            continue
+        if small[1] or big[1]:
+            cmp_result = compare_radical_products(_lifted(small), _lifted(big))
+        else:
+            cmp_result = compare_power_products(small[0], big[0])
+        verdicts.append(_verdict_from_comparison(cmp_result))
+        small_log, big_log = _log10(small), _log10(big)
+        if small_log is not None and big_log is not None:
+            slacks.append(big_log - small_log)
+        elif verdicts[-1] == "equality":
+            slacks.append(0.0)
+    if "violated" in verdicts:
+        verdict = "violated"
+    elif all(v == "equality" for v in verdicts):
+        verdict = "equality"
+    else:
+        verdict = "holds"
+    return verdict, clamp_slack(verdict, min(slacks, default=0.0))
+
+
+def decide(checks) -> tuple[str, float]:
+    """Exact verdict and float slack of checks (label, small, big), each the
+    claim small <= big.  A side is a list of (base, exponent) factors whose
+    base is a nonnegative Fraction (or int) or RadicalSum, exponent rational.
+
+    Zero rule (see _side): 0 <= 0 is equality with slack 0.0, 0 <= x holds
+    with slack +inf, x <= 0 is violated with slack -inf.  A check with only
+    rational bases is decided by compare_power_products; any other by
+    compare_radical_products, with its rational factors lifted as
+    single-term sums.  Any violated check makes the verdict violated; all
+    equal give equality.  The slack is the least log10(big / small) over
+    the checks whose floats are positive (0.0 for an equal one without),
+    0.0 when there is none, kept consistent with the verdict by clamp_slack.
+    """
+    return _decide_sides([(_side(small), _side(big)) for _, small, big in checks])
+
+
+def _report(ineq: str, instance: str, small, big) -> IneqReport:
+    """Report on the one check small <= big; its lhs and rhs are the sides'
+    PowerProducts, None for a zero side."""
+    lhs, rhs = _side(small), _side(big)
+    verdict, slack = _decide_sides([(lhs, rhs)])
+    return IneqReport(ineq, instance, lhs and lhs[0], rhs and rhs[0], verdict, True, slack)
 
 
 def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> tuple[Fraction, Fraction]:
@@ -144,7 +224,7 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
             )
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
-    return report_from_sides("reverse-sidorenko", instance, lhs_value, _product_or_zero(factors))
+    return _report("reverse-sidorenko", instance, [(lhs_value, 1)], factors)
 
 
 def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
@@ -170,7 +250,7 @@ def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
         base = biclique_kernel_sum(lambda x, y, mat=mat: mat[x][y], sizes[u], sizes[v], degs[v], degs[u])
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, sizes=%s" % (edges, tuple(sizes))
-    return report_from_sides("graphical-bl", instance, lhs_value, _product_or_zero(factors))
+    return _report("graphical-bl", instance, [(lhs_value, 1)], factors)
 
 
 def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
@@ -208,7 +288,7 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
             base = memo[key] = hom_clique(degs[v] + 1, m, lam)
         factors.append((base, Fraction(1, degs[v] + 1)))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
-    return report_from_sides("clique-max", instance, lhs_value, _product_or_zero(factors))
+    return _report("clique-max", instance, [(lhs_value, 1)], factors)
 
 
 def check_bst(g: Graph, m: Model) -> IneqReport:
@@ -221,8 +301,7 @@ def check_bst(g: Graph, m: Model) -> IneqReport:
     lhs_value = hom(g, m) ** 2
     rhs_value = hom(tensor_with_k2(g), m)
     instance = "G=%s" % (g.edge_list(),)
-    rhs = None if rhs_value == 0 else PowerProduct.from_value(rhs_value)
-    return report_from_sides("bst", instance, lhs_value, rhs)
+    return _report("bst", instance, [(lhs_value, 1)], [(rhs_value, 1)])
 
 
 def independent_set_masks(g: Graph) -> list[int]:

@@ -2,11 +2,14 @@
 each exercised on finite rational instances.
 
 Each lemma id has a validator (raising PreconditionViolated with the
-failing condition named), an evaluator producing one or more sub-checks of
-the form small <= big where each side is a product of rational powers of
-RadicalSums, and a seeded random instance generator.  Real exponents in
-the sources (q >= 1, t >= 1) are exercised at rational sample points;
-the inequalities are closed under limits, so this loses nothing checkable.
+failing condition named), an evaluator producing one or more checks
+(label, small, big) of the claim small <= big, and a seeded random instance
+generator.  Each side is a list of (base, exponent) factors: a rational
+base is passed as a Fraction or int, and only a true sum of radicals is
+built as a RadicalSum.  inequalities.decide gives the verdict and slack.
+Real exponents in the sources (q >= 1, t >= 1) are exercised at rational
+sample points; the inequalities are closed under limits, so this loses
+nothing checkable.
 """
 
 import math
@@ -18,15 +21,11 @@ from itertools import combinations_with_replacement
 from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
 from homlab.errors import LimitExceeded, PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
-from homlab.inequalities import (
-    IneqReport,
-    _verdict_from_comparison,
-    check_sym_monotone,
-    clamp_slack,
-    sym_corollary_sides,
-)
+from homlab.inequalities import IneqReport, check_sym_monotone, decide, sym_corollary_sides
 from homlab.models import Model, classify_model, random_model
-from homlab.power import RadicalSum, compare_radical_products
+# compare_radical_products is unused here (inequalities.decide calls it),
+# but perfbench's tracer test reads this binding, so it stays.
+from homlab.power import RadicalSum, compare_radical_products  # noqa: F401
 
 
 @dataclass
@@ -76,7 +75,7 @@ def _evaluate_mixed_norm(p):
         for j in range(na):
             s_a = s_a + RadicalSum.from_power(at_a[i][j], q)
     lhs = [(s_l, Fraction(2) / q)]
-    rhs = [(s_a, 1 / q), (RadicalSum.from_rational(bt_b_sum), Fraction(1))]
+    rhs = [(s_a, 1 / q), (bt_b_sum, Fraction(1))]
     return [("matrix-mixed-norm", lhs, rhs)]
 
 
@@ -198,8 +197,8 @@ def _evaluate_local_123(p):
     s23 = biclique_kernel_sum(lambda y, z: f23[y][z], n2, n3, beta, gamma, w2, w3)
     lhs = [(s_l, Fraction(1))]
     rhs = [
-        (RadicalSum.from_rational(s12), Fraction(1, gamma)),
-        (RadicalSum.from_rational(s23), Fraction(delta * (gamma - 1), beta * gamma)),
+        (s12, Fraction(1, gamma)),
+        (s23, Fraction(delta * (gamma - 1), beta * gamma)),
     ]
     return [("two-edge-path-local", lhs, rhs)]
 
@@ -237,14 +236,14 @@ def _evaluate_color_holder(p):
     a_set, b_set, looped = set(p["A"]), set(p["B"]), set(p["looped"])
     k, r, s, t = p["k"], p["r"], p["s"], p["t"]
     c_s = cc(a_set, b_set, k, s, looped)
-    lhs = [(RadicalSum.from_rational(c_s), Fraction(1))]
+    lhs = [(c_s, Fraction(1))]
     if r == t:
-        return [("biclique-index-interpolation", lhs, [(RadicalSum.from_rational(c_s), Fraction(1))])]
+        return [("biclique-index-interpolation", lhs, [(c_s, Fraction(1))])]
     c_r = cc(a_set, b_set, k, r, looped)
     c_t = cc(a_set, b_set, k, t, looped)
     rhs = [
-        (RadicalSum.from_rational(c_r), Fraction(t - s, t - r)),
-        (RadicalSum.from_rational(c_t), Fraction(s - r, t - r)),
+        (c_r, Fraction(t - s, t - r)),
+        (c_t, Fraction(s - r, t - r)),
     ]
     return [("biclique-index-interpolation", lhs, rhs)]
 
@@ -373,7 +372,7 @@ def _evaluate_color_ac(p):
         val = cc(ominus(b_set, {x}, looped), c_set, c_int, b_int - 1, looped)
         second = second + RadicalSum.from_power(val, Fraction(a_int, c_int))
     rhs = [
-        (RadicalSum.from_rational(cc_ac), Fraction(b_int - 1, c_int * (b_int + c_int - 2))),
+        (cc_ac, Fraction(b_int - 1, c_int * (b_int + c_int - 2))),
         (second, Fraction(c_int - 1, b_int + c_int - 2)),
     ]
     return [("ac-local", lhs, rhs)]
@@ -389,9 +388,9 @@ def _evaluate_color_abc(p):
     cc_bc = cc(b_set, c_set, c_int, b_int, looped)
     denom = b_int + c_int - 2
     rhs = [
-        (RadicalSum.from_rational(cc_ab), Fraction(c_int - 1, b_int * denom)),
-        (RadicalSum.from_rational(cc_ac), Fraction(b_int - 1, c_int * denom)),
-        (RadicalSum.from_rational(cc_bc), Fraction(a_int * (b_int - 1) * (c_int - 1), denom * b_int * c_int)),
+        (cc_ab, Fraction(c_int - 1, b_int * denom)),
+        (cc_ac, Fraction(b_int - 1, c_int * denom)),
+        (cc_bc, Fraction(a_int * (b_int - 1) * (c_int - 1), denom * b_int * c_int)),
     ]
     return [("semiproper-local", lhs, rhs)]
 
@@ -443,7 +442,7 @@ def _evaluate_clique_cs(p):
     g_ddot = add_apexes(g, 2)
     big = hom(g_ddot, m, lam + [nu_apex, nu_apex]) * hom(g, m, mu)
     small = hom(g_dot, m, nu + [nu_apex]) ** 2
-    return [("apex-cauchy-schwarz", [(RadicalSum.from_rational(small), Fraction(1))], [(RadicalSum.from_rational(big), Fraction(1))])]
+    return [("apex-cauchy-schwarz", [(small, Fraction(1))], [(big, Fraction(1))])]
 
 
 def _random_small_graph(rng, max_n=4) -> Graph:
@@ -496,8 +495,8 @@ def _evaluate_h_log_convex(p):
     h_up = hom_clique(t + 1, m, lam)
     h_down = hom_clique(t - 1, m, mu)
     h_mid = hom_clique(t, m, nu)
-    lhs = [(RadicalSum.from_rational(h_mid), Fraction(2, t))]
-    rhs = [(RadicalSum.from_rational(h_up), Fraction(1, t + 1)), (RadicalSum.from_rational(h_down), Fraction(1, t - 1))]
+    lhs = [(h_mid, Fraction(2, t))]
+    rhs = [(h_up, Fraction(1, t + 1)), (h_down, Fraction(1, t - 1))]
     return [("clique-h-log-convex", lhs, rhs)]
 
 
@@ -530,22 +529,11 @@ def _evaluate_f_log_conv(p):
     for i in range(a + 1):
         constraints = [mu] * i + [nu] * (a - i)
         f_vals.append(hom(k_a, m, constraints))
-    checks = []
-    for s in range(a - 1):
-        checks.append(
-            (
-                "interpolation-log-convex[s=%d]" % s,
-                [(RadicalSum.from_rational(f_vals[s + 1]), Fraction(2))],
-                [(RadicalSum.from_rational(f_vals[s]), Fraction(1)), (RadicalSum.from_rational(f_vals[s + 2]), Fraction(1))],
-            )
-        )
-    checks.append(
-        (
-            "interpolation-endpoint",
-            [(RadicalSum.from_rational(f_vals[1]), Fraction(a))],
-            [(RadicalSum.from_rational(f_vals[0]), Fraction(a - 1)), (RadicalSum.from_rational(f_vals[a]), Fraction(1))],
-        )
-    )
+    checks = [
+        ("interpolation-log-convex[s=%d]" % s, [(f_vals[s + 1], 2)], [(f_vals[s], 1), (f_vals[s + 2], 1)])
+        for s in range(a - 1)
+    ]
+    checks.append(("interpolation-endpoint", [(f_vals[1], a)], [(f_vals[0], a - 1), (f_vals[a], 1)]))
     return checks
 
 
@@ -634,7 +622,7 @@ def _evaluate_m_log_conv(p):
         factors = [(body, Fraction(mult))]
         e = Fraction(s * (s - 1), b + 1) * mult
         if e != 0:
-            factors.append((RadicalSum.from_rational(h_mu), e))
+            factors.append((h_mu, e))
         return factors
 
     return [
@@ -682,7 +670,7 @@ def _evaluate_sym_corollary(p):
     k = p["k"]
     tau = [Fraction(x) for x in p["tau"]]
     lhs, rhs = sym_corollary_sides(alphas, k, tau)
-    return [("chebyshev-style-correlation", [(RadicalSum.from_rational(lhs), Fraction(1))], [(RadicalSum.from_rational(rhs), Fraction(1))])]
+    return [("chebyshev-style-correlation", [(lhs, Fraction(1))], [(rhs, Fraction(1))])]
 
 
 def _random_alphas(rng, n):
@@ -742,82 +730,18 @@ def random_lemma_instance(lemma_id: str, seed: int) -> LemmaInstance:
     return LemmaInstance(lemma_id, generate(rng))
 
 
-def _log10_of_factors(factors):
-    """log10 of prod s^e from the float value of each sum; None when a
-    sum's float is not positive."""
-    total = 0.0
-    for s, e in factors:
-        try:
-            v, shift = s.float_value(), 0
-        except OverflowError:
-            # A coefficient past the float range: take the sum's float at
-            # 2^-shift times its value.
-            shift = max(c.numerator.bit_length() - c.denominator.bit_length() for c in s.terms.values())
-            v = s.scale(Fraction(1, 1 << shift)).float_value()
-        if v <= 0:
-            return None
-        total += float(e) * math.log10(v)
-        if shift:
-            total += float(e) * shift * math.log10(2)
-    return total
-
-
-def _float_slack(small, big):
-    """log10(big / small) in floats, or None when a side's float is not
-    positive: log10 of the ratio of the two sides' floats while both are
-    in range, else the difference of their log10 sums."""
-    small_log, big_log = _log10_of_factors(small), _log10_of_factors(big)
-    if small_log is None or big_log is None:
-        return None
-    try:
-        ratio = 10.0 ** big_log / 10.0 ** small_log
-    except (OverflowError, ZeroDivisionError):
-        ratio = 0.0
-    return math.log10(ratio) if 0 < ratio < math.inf else big_log - small_log
-
-
-def decide_checks(checks) -> tuple[str, float]:
-    """Exact verdict and float slack of checks (label, small, big), each
-    the claim small <= big over products of RadicalSum powers.
-
-    Any violated part makes the verdict violated; all-equal parts give
-    equality.  The slack is the least log10(big / small) over the parts
-    whose floats are positive (0 for an equal part without one, and 0 when
-    no part has one), before clamp_slack.
-    """
-    verdicts = []
-    slack = math.inf
-    for _, small, big in checks:
-        verdict = _verdict_from_comparison(compare_radical_products(small, big))
-        verdicts.append(verdict)
-        part = _float_slack(small, big)
-        if part is not None:
-            slack = min(slack, part)
-        elif verdict == "equality":
-            slack = min(slack, 0.0)
-    if "violated" in verdicts:
-        verdict = "violated"
-    elif all(v == "equality" for v in verdicts):
-        verdict = "equality"
-    else:
-        verdict = "holds"
-    if slack == math.inf:
-        slack = 0.0
-    return verdict, slack
-
-
 def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     """Evaluate the named lemma's inequality exactly on the instance.
 
     Multi-part lemmas (the log-convexity chains) aggregate as in
-    decide_checks.
+    inequalities.decide.
     """
     validate_instance(inst)
     if inst.lemma_id == "sym-monotone":
         return check_sym_monotone(inst.params["alphas"], inst.params["k"])
     _, evaluate, _ = _LEMMAS[inst.lemma_id]
-    verdict, slack = decide_checks(evaluate(inst.params))
-    return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, clamp_slack(verdict, slack))
+    verdict, slack = decide(evaluate(inst.params))
+    return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, slack)
 
 
 def _describe_instance(inst: LemmaInstance) -> str:

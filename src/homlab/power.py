@@ -10,12 +10,18 @@ Two layers:
   finished by clearing when the intervals reach their precision cap).
 
 * RadicalSum -- a QQ-linear combination of canonical radicals
-  prod_p p^{e_p} with fractional prime exponents.  Sums of rational powers
-  of rationals (the shape every local lemma produces) live here.  Equality
+  prod_p p^{e_p} with fractional prime exponents.  True sums of rational
+  powers of rationals (the lemma sides that are not power products) live
+  here.  Equality
   is decided by canonical cancellation: distinct canonical radicals are
   linearly independent over QQ, so a merged difference is zero iff it is
   empty.  Strict signs are decided by outward-rounded rational intervals
   from integer n-th roots, refined until separation.
+
+inequalities.decide is the one caller that picks between them: a check
+whose bases are all rational goes to compare_power_products, any other to
+compare_radical_products with its rational factors lifted as single-term
+sums.
 """
 
 from dataclasses import dataclass
@@ -50,7 +56,9 @@ _ROOT_MAX_BITS = 1 << 16
 
 class Comparison(NamedTuple):
     ordering: str  # "less" | "equal" | "greater"
-    exact: bool  # always True; kept for the report format
+    # Always True.  perfbench's tracer reads `.exact` off every
+    # compare_power_products result, so the field stays.
+    exact: bool
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,6 @@ class PowerProduct:
             sorted((b, e) for b, e in merged.items() if e != 0 and b != 1)
         )
         return PowerProduct(kept)
-
-    @staticmethod
-    def from_value(x) -> "PowerProduct":
-        return PowerProduct.of((Fraction(x), Fraction(1)))
 
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
         return PowerProduct.of(*self.factors, *other.factors)

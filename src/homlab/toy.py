@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from homlab.counting import cc, semiproper_count
 from homlab.graphs import Graph, build_named, GraphFamilySpec
-from homlab.inequalities import IneqReport, clamp_slack
-from homlab.lemmas import decide_checks
+from homlab.inequalities import IneqReport, clamp_slack, decide
 from homlab.power import RadicalSum
 
 R, G, B = 0, 1, 2
@@ -28,10 +27,10 @@ CYCLE_LISTS = (
 
 
 def _report(step: str, small, big, must_be_equality=False) -> IneqReport:
-    verdict, slack = decide_checks([(step, small, big)])
+    verdict, slack = decide([(step, small, big)])
     if must_be_equality and verdict != "equality":
-        verdict = "violated"
-    return IneqReport("toy-c6:" + step, "six-cycle toy lists", None, None, verdict, True, clamp_slack(verdict, slack))
+        verdict, slack = "violated", clamp_slack("violated", slack)
+    return IneqReport("toy-c6:" + step, "six-cycle toy lists", None, None, verdict, True, slack)
 
 
 def _path_count(lists) -> int:
@@ -45,71 +44,48 @@ def reproduce_toy_c6() -> list[IneqReport]:
     lists = CYCLE_LISTS
     reports = []
 
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+
     # Biclique factors of the main bound: edge (u, v) contributes
     # cc(L_u, L_v, 2, 2)^{1/4} since the cycle is 2-regular.
     edge_cc = [cc(lists[i], lists[(i + 1) % 6], 2, 2) for i in range(6)]
     total = semiproper_count(c6, lists)
-    main_rhs = [(RadicalSum.from_rational(base), Fraction(1, 4)) for base in edge_cc]
-    reports.append(_report("main-inequality", [(RadicalSum.from_rational(total), Fraction(1))], main_rhs))
+    main_rhs = [(base, quarter) for base in edge_cc]
+    reports.append(_report("main-inequality", [(total, 1)], main_rhs))
 
     # Conditioning on the first vertex (its list is {R, B}).
-    lists_blue = [
-        lists[1],
-        lists[2],
-        lists[3],
-        lists[4],
-        lists[5] - {B},
-    ]
-    lists_red = [
-        lists[1] - {R},
-        lists[2],
-        lists[3],
-        lists[4],
-        lists[5] - {R},
-    ]
+    lists_blue = [lists[1], lists[2], lists[3], lists[4], lists[5] - {B}]
+    lists_red = [lists[1] - {R}, lists[2], lists[3], lists[4], lists[5] - {R}]
     count_blue = _path_count(lists_blue)
     count_red = _path_count(lists_red)
-    reports.append(
-        _report(
-            "condition-on-first-vertex",
-            [(RadicalSum.from_rational(total), Fraction(1))],
-            [(RadicalSum.from_rational(count_red + count_blue), Fraction(1))],
-            must_be_equality=True,
-        )
-    )
+    reports.append(_report("condition-on-first-vertex", [(total, 1)], [(count_red + count_blue, 1)], must_be_equality=True))
 
     # Induction hypothesis applied to the two 5-vertex paths.  With path
     # degrees (1,2,2,2,1) the endpoint edges contribute K_{2,1} counts to
     # the 1/2 power and the interior edges K_{2,2} counts to the 1/4 power.
     def path_bound_factors(path_lists):
-        f = [
-            (RadicalSum.from_rational(cc(path_lists[0], path_lists[1], 2, 1)), Fraction(1, 2)),
-            (RadicalSum.from_rational(cc(path_lists[1], path_lists[2], 2, 2)), Fraction(1, 4)),
-            (RadicalSum.from_rational(cc(path_lists[2], path_lists[3], 2, 2)), Fraction(1, 4)),
-            (RadicalSum.from_rational(cc(path_lists[4], path_lists[3], 2, 1)), Fraction(1, 2)),
+        return [
+            (cc(path_lists[0], path_lists[1], 2, 1), half),
+            (cc(path_lists[1], path_lists[2], 2, 2), quarter),
+            (cc(path_lists[2], path_lists[3], 2, 2), quarter),
+            (cc(path_lists[4], path_lists[3], 2, 1), half),
         ]
-        return f
 
     blue_factors = path_bound_factors(lists_blue)
     red_factors = path_bound_factors(lists_red)
-    reports.append(
-        _report("induction-step-blue", [(RadicalSum.from_rational(count_blue), Fraction(1))], blue_factors)
-    )
-    reports.append(
-        _report("induction-step-red", [(RadicalSum.from_rational(count_red), Fraction(1))], red_factors)
-    )
+    reports.append(_report("induction-step-blue", [(count_blue, 1)], blue_factors))
+    reports.append(_report("induction-step-red", [(count_red, 1)], red_factors))
 
     # Cancellation step: sum of the two path bounds against the full
     # product.  Both sides still carry the two interior K_{2,2} factors.
     def factors_to_sum(factors) -> RadicalSum:
         out = RadicalSum.from_rational(1)
         for s, e in factors:
-            value = s.as_fraction()
-            out = out * RadicalSum.from_power(value, e)
+            out = out * RadicalSum.from_power(s, e)
         return out
 
     lhs_sum = factors_to_sum(blue_factors) + factors_to_sum(red_factors)
-    reports.append(_report("cancellation", [(lhs_sum, Fraction(1))], main_rhs))
+    reports.append(_report("cancellation", [(lhs_sum, 1)], main_rhs))
 
     # Localized form: discard the factors shared by both sides (the two
     # interior edges of the paths, i.e. the cycle edges at distance >= 2
@@ -118,54 +94,23 @@ def reproduce_toy_c6() -> list[IneqReport]:
     b1 = cc(lists_blue[4], lists_blue[3], 2, 1)
     a2 = cc(lists_red[0], lists_red[1], 2, 1)
     b2 = cc(lists_red[4], lists_red[3], 2, 1)
-    local_lhs = RadicalSum.from_power(a1, Fraction(1, 2)) * RadicalSum.from_power(b1, Fraction(1, 2)) + RadicalSum.from_power(
-        a2, Fraction(1, 2)
-    ) * RadicalSum.from_power(b2, Fraction(1, 2))
-    local_rhs = [
-        (RadicalSum.from_rational(edge_cc[0]), Fraction(1, 4)),
-        (RadicalSum.from_rational(edge_cc[1]), Fraction(1, 4)),
-        (RadicalSum.from_rational(edge_cc[4]), Fraction(1, 4)),
-        (RadicalSum.from_rational(edge_cc[5]), Fraction(1, 4)),
-    ]
-    reports.append(_report("localized", [(local_lhs, Fraction(1))], local_rhs))
+    local_lhs = factors_to_sum([(a1, half), (b1, half)]) + factors_to_sum([(a2, half), (b2, half)])
+    local_rhs = [(edge_cc[i], quarter) for i in (0, 1, 4, 5)]
+    reports.append(_report("localized", [(local_lhs, 1)], local_rhs))
 
     # Cauchy-Schwarz split: top half (the two-edge paths through the
     # second vertex) and bottom half (through the sixth vertex).
-    reports.append(
-        _report(
-            "post-cauchy-schwarz-top",
-            [(RadicalSum.from_rational(a1 + a2), Fraction(1))],
-            [(RadicalSum.from_rational(edge_cc[0]), Fraction(1, 2)), (RadicalSum.from_rational(edge_cc[1]), Fraction(1, 2))],
-        )
-    )
-    reports.append(
-        _report(
-            "post-cauchy-schwarz-bottom",
-            [(RadicalSum.from_rational(b1 + b2), Fraction(1))],
-            [(RadicalSum.from_rational(edge_cc[4]), Fraction(1, 2)), (RadicalSum.from_rational(edge_cc[5]), Fraction(1, 2))],
-            must_be_equality=True,
-        )
-    )
+    top_rhs = [(edge_cc[0], half), (edge_cc[1], half)]
+    reports.append(_report("post-cauchy-schwarz-top", [(a1 + a2, 1)], top_rhs))
+    bottom_rhs = [(edge_cc[4], half), (edge_cc[5], half)]
+    reports.append(_report("post-cauchy-schwarz-bottom", [(b1 + b2, 1)], bottom_rhs, must_be_equality=True))
 
     # The top-half sum is itself a 4-cycle list-coloring count with mixed
     # lists on one side: {R,G},{R,G} against {R,B},{G,B}.
     k22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     mixed = semiproper_count(k22, [lists[1], lists[1], lists[0], lists[2]])
-    reports.append(
-        _report(
-            "four-cycle-identity",
-            [(RadicalSum.from_rational(mixed), Fraction(1))],
-            [(RadicalSum.from_rational(a1 + a2), Fraction(1))],
-            must_be_equality=True,
-        )
-    )
+    reports.append(_report("four-cycle-identity", [(mixed, 1)], [(a1 + a2, 1)], must_be_equality=True))
 
     # Final 4-cycle base case.
-    reports.append(
-        _report(
-            "final-four-cycle",
-            [(RadicalSum.from_rational(mixed), Fraction(1))],
-            [(RadicalSum.from_rational(edge_cc[0]), Fraction(1, 2)), (RadicalSum.from_rational(edge_cc[1]), Fraction(1, 2))],
-        )
-    )
+    reports.append(_report("final-four-cycle", [(mixed, 1)], top_rhs))
     return reports

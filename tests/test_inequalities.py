@@ -8,8 +8,9 @@ from math import lcm
 import pytest
 
 from conftest import independent_set_count_oracle
+from homlab import inequalities, power, ratmath
 from homlab.counting import hom, hom_clique
-from homlab.errors import IsolatedVertex, NotTwoSpin
+from homlab.errors import InvalidArgument, IsolatedVertex, NotTwoSpin
 from homlab.graphs import (
     Graph,
     GraphFamilySpec,
@@ -19,11 +20,13 @@ from homlab.graphs import (
 )
 from homlab.inequalities import (
     _support_sums,
+    _verdict_from_comparison,
     check_bst,
     check_clique_max,
     check_graphical_bl,
     check_reverse_sidorenko,
     check_sym_monotone,
+    decide,
     independent_set_masks,
     swap_injection_check,
     sym_corollary_holds,
@@ -38,7 +41,16 @@ from homlab.models import (
     model_widom_rowlinson,
     random_model,
 )
-from homlab.power import CLEARING_MAX_BITS, _compare_by_basis, _compare_by_clearing, _exact_bit_estimate
+from homlab.lemmas import _LEMMAS as lemma_table, check_local_lemma, random_lemma_instance
+from homlab.power import (
+    CLEARING_MAX_BITS,
+    PowerProduct,
+    RadicalSum,
+    _compare_by_basis,
+    _compare_by_clearing,
+    _exact_bit_estimate,
+    compare_radical_products,
+)
 
 
 def named(kind, *params):
@@ -449,7 +461,7 @@ class TestGraphicalBL:
                 fac_swapped.append((b2, Fraction(1, degs[u] * degs[v])))
             if zero or lhs == 0:
                 continue
-            left = PowerProduct.from_value(lhs)
+            left = PowerProduct.of((lhs, 1))
             assert (
                 compare_power_products(left, PowerProduct.of(*fac_claimed)).ordering != "greater"
             )
@@ -585,3 +597,82 @@ class TestSymMonotone:
             k = rng.randrange(1, 6)
             rep = check_sym_monotone(alphas, k)
             assert rep.verdict in ("holds", "equality"), (alphas, k)
+
+
+# ---------------------------------------------------------------------------
+# decide: one zero rule and two comparator routes.
+
+# 1 + sqrt(2): a true sum, so a check holding it takes the radical route.
+TRUE_SUM = RadicalSum.from_rational(1) + RadicalSum.from_power(2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("x, zero", [(Fraction(3, 2), Fraction(0)), (TRUE_SUM, RadicalSum())], ids=["rational", "radical"])
+class TestDecideZeroRule:
+    def test_zero_against_zero(self, x, zero):
+        assert decide([("c", [(zero, Fraction(1, 2))], [(x, 1), (zero, 2)])]) == ("equality", 0.0)
+
+    def test_zero_against_positive(self, x, zero):
+        assert decide([("c", [(x, 1), (zero, 1)], [(x, 2)])]) == ("holds", math.inf)
+
+    def test_positive_against_zero(self, x, zero):
+        assert decide([("c", [(x, 1)], [(x, 2), (zero, Fraction(1, 3))])]) == ("violated", -math.inf)
+
+    def test_zero_to_the_zero_is_one(self, x, zero):
+        assert decide([("c", [(x, 1), (zero, 0)], [(x, 1)])]) == ("equality", 0.0)
+        verdict, slack = decide([("c", [(zero, 0)], [(x, 2), (zero, 0)])])
+        assert verdict == "holds" and slack == pytest.approx(2 * math.log10(float(x) if x != TRUE_SUM else 1 + 2 ** 0.5))
+
+    def test_negative_side_or_zero_to_a_negative_power_raises(self, x, zero):
+        negative = -x if isinstance(x, Fraction) else RadicalSum() - x
+        with pytest.raises(InvalidArgument):
+            decide([("c", [(negative, 1)], [(x, 1)])])
+        with pytest.raises(InvalidArgument):
+            decide([("c", [(x, 1)], [(zero, -1)])])
+
+
+class TestDecide:
+    def test_parts_aggregate(self):
+        two, three = Fraction(2), Fraction(3)
+        holds, equal = ("h", [(two, 1)], [(three, 1)]), ("e", [(two, 2)], [(two, 1), (two, 1)])
+        assert decide([equal, equal]) == ("equality", 0.0)
+        verdict, slack = decide([holds, equal])
+        assert verdict == "holds" and slack == 0.0
+        verdict, slack = decide([holds, ("v", [(three, 1)], [(two, 1)])])
+        assert verdict == "violated" and slack == pytest.approx(-math.log10(1.5))
+
+    def test_scan_slack_is_the_power_product_difference(self):
+        small, big = [(Fraction(66), 1)], [(Fraction(18), Fraction(3, 2)), (Fraction(5, 7), Fraction(1, 4))]
+        want = PowerProduct.of(*big).log10() - PowerProduct.of(*small).log10()
+        assert decide([("c", small, big)]) == ("holds", want)
+
+    def test_rational_checks_skip_the_radical_algebra(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an all-rational check reached the radical algebra")
+
+        monkeypatch.setattr(inequalities, "compare_radical_products", fail)
+        monkeypatch.setattr(power, "factorize", fail)
+        monkeypatch.setattr(ratmath, "factorize", fail)
+        assert decide([("c", [(Fraction(12), Fraction(1, 2))], [(Fraction(7, 2), 1), (Fraction(0), 0)])])[0] == "holds"
+        for lemma_id in ("color-holder", "clique-cs", "h-log-convex", "f-log-conv", "sym-corollary"):
+            for seed in range(20):
+                assert check_local_lemma(random_lemma_instance(lemma_id, seed)).verdict in ("holds", "equality")
+
+    def test_power_product_route_matches_the_radical_comparator(self):
+        # Every all-rational check of the battery's evaluators (a sum with a
+        # rational value counts as rational): decide's verdict, from the
+        # PowerProduct route, against compare_radical_products with every
+        # base lifted, which reads 0^0 as 1 on its own.
+        lift = lambda side: [(b if isinstance(b, RadicalSum) else RadicalSum.from_rational(b), e) for b, e in side]
+        compared = 0
+        for lemma_id, (_, evaluate, _) in lemma_table.items():
+            if evaluate is None:
+                continue
+            for seed in range(200):
+                for check in evaluate(random_lemma_instance(lemma_id, seed).params):
+                    _, small, big = check
+                    if any(isinstance(b, RadicalSum) and b.as_fraction() is None for b, _ in small + big):
+                        continue
+                    want = _verdict_from_comparison(compare_radical_products(lift(small), lift(big)))
+                    assert decide([check])[0] == want, (lemma_id, seed, check[0])
+                    compared += 1
+        assert compared > 2600

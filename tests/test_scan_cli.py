@@ -548,6 +548,14 @@ class TestCli:
         )
         assert res.returncode == 0 and "verdict=holds" in res.stdout
 
+    @pytest.mark.parametrize("ineq", ["clique-max", "reverse-sidorenko"])
+    def test_verify_rejects_negative_list_weights(self, tmp_path, ineq):
+        lists = tmp_path / "lists.txt"
+        lists.write_text("-1 0\n1 1\n")
+        res = run_cli("verify", "--ineq", ineq, "--graph", "P2", "--model", "Kq:2", "--lists", str(lists))
+        assert res.returncode == 1 and "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: constraint line '-1 0' has a negative weight")
+
     def test_graph_file_formats(self, tmp_path):
         edge_file = tmp_path / "g.txt"
         edge_file.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
