@@ -92,8 +92,9 @@ def parse_constraints(text: str, q: int):
 
     A line is either whitespace-separated nonnegative rational weights
     ("1/2 0 3"; a negative one raises NegativeWeight), or
-    the list shorthand "v: {0,2}" marking allowed colors of vertex v.
-    Lines may arrive in any order when using the shorthand.
+    the list shorthand "v: {0,2}" marking allowed colors 0..q-1 of vertex
+    v >= 0.  Lines may arrive in any order when using the shorthand.  A
+    line that is neither raises InvalidArgument.
     """
     weight_lines = []
     shorthand = {}
@@ -101,17 +102,22 @@ def parse_constraints(text: str, q: int):
         line = raw.split("#")[0].strip()
         if not line:
             continue
-        if ":" in line:
-            head, _, rest = line.partition(":")
-            allowed = rest.strip().strip("{}").replace(",", " ").split()
-            shorthand[int(head)] = {int(c) for c in allowed}
-        else:
+        try:
+            if ":" in line:
+                head, _, rest = line.partition(":")
+                vertex, colors = int(head), {int(c) for c in rest.strip().strip("{}").replace(",", " ").split()}
+                if vertex < 0 or not all(0 <= c < q for c in colors):
+                    raise InvalidArgument("constraint line %r needs a vertex >= 0 and colors in 0..%d" % (line, q - 1))
+                shorthand[vertex] = colors
+                continue
             weights = tuple(Fraction(t) for t in line.split())
-            if len(weights) != q:
-                raise InvalidArgument("constraint line has %d entries, expected %d" % (len(weights), q))
-            if any(w < 0 for w in weights):
-                raise NegativeWeight("constraint line %r has a negative weight" % line)
-            weight_lines.append(weights)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidArgument("constraint line %r is neither weights nor 'v: {colors}'" % line) from None
+        if len(weights) != q:
+            raise InvalidArgument("constraint line has %d entries, expected %d" % (len(weights), q))
+        if any(w < 0 for w in weights):
+            raise NegativeWeight("constraint line %r has a negative weight" % line)
+        weight_lines.append(weights)
     if shorthand and weight_lines:
         raise InvalidArgument("mix of shorthand and weight lines in constraint file")
     if shorthand:
@@ -185,4 +191,7 @@ def lemma_instance_to_dict(inst) -> dict:
 def lemma_instance_from_dict(d: dict):
     from homlab.lemmas import LemmaInstance
 
-    return LemmaInstance(d["lemma"], {k: _decode_param(v) for k, v in d["params"].items()})
+    try:
+        return LemmaInstance(d["lemma"], {k: _decode_param(v) for k, v in d["params"].items()})
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidSpec("not a lemma instance document: %r" % (exc,)) from None

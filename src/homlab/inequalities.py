@@ -122,13 +122,6 @@ def _log10(side) -> float | None:
     return total
 
 
-def _lifted(side) -> list:
-    """A nonzero side's factors for compare_radical_products, its rational
-    ones lifted as single-term sums."""
-    product, radical = side
-    return [(RadicalSum.from_rational(b), e) for b, e in product.factors] + radical
-
-
 def _decide_sides(sides) -> tuple[str, float]:
     """decide over (small, big) pairs already read by _side."""
     verdicts, slacks = [], []
@@ -139,7 +132,7 @@ def _decide_sides(sides) -> tuple[str, float]:
             slacks.append({"equality": 0.0, "holds": math.inf, "violated": -math.inf}[verdict])
             continue
         if small[1] or big[1]:
-            cmp_result = compare_radical_products(_lifted(small), _lifted(big))
+            cmp_result = compare_radical_products([*small[0].factors, *small[1]], [*big[0].factors, *big[1]])
         else:
             cmp_result = compare_power_products(small[0], big[0])
         verdicts.append(_verdict_from_comparison(cmp_result))
@@ -165,11 +158,12 @@ def decide(checks) -> tuple[str, float]:
     Zero rule (see _side): 0 <= 0 is equality with slack 0.0, 0 <= x holds
     with slack +inf, x <= 0 is violated with slack -inf.  A check with only
     rational bases is decided by compare_power_products; any other by
-    compare_radical_products, with its rational factors lifted as
-    single-term sums.  Any violated check makes the verdict violated; all
-    equal give equality.  The slack is the least log10(big / small) over
-    the checks whose floats are positive (0.0 for an equal one without),
-    0.0 when there is none, kept consistent with the verdict by clamp_slack.
+    compare_radical_products, which builds each side, rational factors
+    included, with power.radical_product.  Any violated check makes the
+    verdict violated; all equal give equality.  The slack is the least
+    log10(big / small) over the checks whose floats are positive (0.0 for
+    an equal one without), 0.0 when there is none, kept consistent with
+    the verdict by clamp_slack.
     """
     return _decide_sides([(_side(small), _side(big)) for _, small, big in checks])
 

@@ -616,9 +616,12 @@ def _evaluate_m_log_conv(p):
         r_x = hom_clique(b, m, pointwise)
         eta_atoms.append(RadicalSum.from_power(r_x, Fraction(1, b)))
     h_mu = hom_clique(b + 1, m, mu)
+    bodies = {}  # s -> body_s; the checks share most s
 
     def m_factors(s: int, mult: int):
-        body = _hom_clique_radical(s, m, lam, eta_atoms, a + 1 - s)
+        body = bodies.get(s)
+        if body is None:
+            body = bodies[s] = _hom_clique_radical(s, m, lam, eta_atoms, a + 1 - s)
         factors = [(body, Fraction(mult))]
         e = Fraction(s * (s - 1), b + 1) * mult
         if e != 0:

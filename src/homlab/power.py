@@ -18,10 +18,13 @@ Two layers:
   empty.  Strict signs are decided by outward-rounded rational intervals
   from integer n-th roots, refined until separation.
 
-inequalities.decide is the one caller that picks between them: a check
-whose bases are all rational goes to compare_power_products, any other to
-compare_radical_products with its rational factors lifted as single-term
-sums.
+radical_product is the one place products of powers are built, over
+rational and RadicalSum bases alike, and _refine_sign the one
+precision-doubling sign loop: the coprime basis refines log intervals
+with it, and RadicalSum.sign root intervals.  inequalities.decide is the
+one caller that picks between the comparators: a check whose bases are
+all rational goes to compare_power_products, any other to
+compare_radical_products.
 """
 
 from dataclasses import dataclass
@@ -59,6 +62,9 @@ class Comparison(NamedTuple):
     # Always True.  perfbench's tracer reads `.exact` off every
     # compare_power_products result, so the field stays.
     exact: bool
+
+
+_ORDERING = {-1: "less", 0: "equal", 1: "greater"}
 
 
 @dataclass(frozen=True)
@@ -148,11 +154,14 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     scale = lcm(*(e.denominator for _, e in diff))
     bits = _exact_bit_estimate(diff, scale)
     if bits > CLEARING_MAX_BITS:
-        try:
-            return Comparison(_compare_by_basis(diff), True)
-        except LimitExceeded as exc:
-            if bits > CLEARING_LIMIT_BITS:
-                raise LimitExceeded("%s, and clearing would take an estimated %d bits" % (exc, bits)) from None
+        ordering = _compare_by_basis(diff)
+        if ordering:
+            return Comparison(ordering, True)
+        if bits > CLEARING_LIMIT_BITS:
+            raise LimitExceeded(
+                "log-interval comparison undecided at %d digits, and clearing would take an estimated %d bits"
+                % (_INTERVAL_MAX_DIGITS, bits)
+            )
     return Comparison(_compare_by_clearing(diff, scale), True)
 
 
@@ -173,9 +182,10 @@ def _compare_by_clearing(diff_factors, scale: int) -> str:
     return "less" if num < den else "greater"
 
 
-def _compare_by_basis(diff_factors) -> str:
+def _compare_by_basis(diff_factors) -> str | None:
     """Ordering of prod b^e against 1, written as prod p^E_p over a coprime
-    basis of the numerators and denominators.
+    basis of the numerators and denominators; None when the log intervals
+    still overlap at _INTERVAL_MAX_DIGITS.
 
     Each valuation is exact by repeated division, because the other basis
     elements are coprime to p.  Pairwise-coprime integers > 1 are
@@ -193,7 +203,10 @@ def _compare_by_basis(diff_factors) -> str:
                     k += 1
                 vector[p] += k * e
     nonzero = [(p, e) for p, e in vector.items() if e]
-    return _sign_by_log_intervals(nonzero) if nonzero else "equal"
+    if not nonzero:
+        return "equal"
+    sign = _refine_sign(nonzero, _ln_interval, _INTERVAL_START_DIGITS, _INTERVAL_MAX_DIGITS)
+    return _ORDERING[sign] if sign else None
 
 
 def _ln_interval(n: int, digits: int) -> tuple[Fraction, Fraction]:
@@ -211,24 +224,28 @@ def _ln_interval(n: int, digits: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _sign_by_log_intervals(vector) -> str:
-    """Ordering of prod p^E against 1 for integer p > 1, from rigorous
-    enclosures of sum E ln p at doubling precision.  Never returns
-    "equal": overlapping intervals at the retry cap raise LimitExceeded.
+def _refine_sign(terms, enclose, precision: int, cap: int) -> int:
+    """Sign of sum c * v(x) over terms (x, c), from rigorous enclosures
+    enclose(x, precision) -> (lo, hi) of v(x) at doubling precision up to
+    cap.  Never says zero from the intervals: it returns 0 only when they
+    still straddle 0 past the cap, and the caller decides what that means.
     """
-    digits = _INTERVAL_START_DIGITS
-    while digits <= _INTERVAL_MAX_DIGITS:
+    while precision <= cap:
         lo_total = hi_total = Fraction(0)
-        for p, exponent in vector:
-            ends = [exponent * x for x in _ln_interval(p, digits)]
-            lo_total += min(ends)
-            hi_total += max(ends)
+        for x, c in terms:
+            lo, hi = enclose(x, precision)
+            if c >= 0:
+                lo_total += c * lo
+                hi_total += c * hi
+            else:
+                lo_total += c * hi
+                hi_total += c * lo
         if hi_total < 0:
-            return "less"
+            return -1
         if lo_total > 0:
-            return "greater"
-        digits *= 2
-    raise LimitExceeded("log-interval comparison undecided at %d digits" % _INTERVAL_MAX_DIGITS)
+            return 1
+        precision *= 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +253,6 @@ def _sign_by_log_intervals(vector) -> str:
 
 
 RadKey = tuple[tuple[int, Fraction], ...]  # ((prime, exponent in (0,1)), ...)
-
-
-def _atom(base, exponent) -> tuple[Fraction, RadKey]:
-    """Canonicalize base^exponent into (rational coefficient, radical key)."""
-    base = Fraction(base)
-    exponent = Fraction(exponent)
-    if base <= 0:
-        raise InvalidArgument("radical bases must be positive")
-    if base == 1 or exponent == 0:
-        return Fraction(1), ()
-    exps = {p: k * exponent for p, k in factorize(base.numerator).items()}
-    # numerator and denominator are coprime, so no prime is in both
-    exps.update((p, -k * exponent) for p, k in factorize(base.denominator).items())
-    return _spill(exps)
 
 
 def _key_mul(k1: RadKey, k2: RadKey) -> tuple[Fraction, RadKey]:
@@ -304,16 +307,23 @@ class RadicalSum:
 
     @staticmethod
     def from_power(base, exponent) -> "RadicalSum":
-        """base^exponent for positive rational base; 0^positive is 0."""
+        """base^exponent for nonnegative rational base; 0^positive is 0.
+
+        An integral exponent gives the rational base^exponent directly;
+        only a fractional one factorizes the base into canonical radicals.
+        """
         base = Fraction(base)
         exponent = Fraction(exponent)
-        if base == 0:
-            if exponent == 0:
-                return RadicalSum.from_rational(1)
-            if exponent > 0:
-                return RadicalSum()
+        if base < 0:
+            raise InvalidArgument("radical bases must be nonnegative")
+        if base == 0 and exponent < 0:
             raise ZeroDivisionError("0 to a negative power")
-        coef, key = _atom(base, exponent)
+        if exponent.denominator == 1 or base == 0:
+            return RadicalSum.from_rational(base ** exponent.numerator)
+        exps = {p: k * exponent for p, k in factorize(base.numerator).items()}
+        # numerator and denominator are coprime, so no prime is in both
+        exps.update((p, -k * exponent) for p, k in factorize(base.denominator).items())
+        coef, key = _spill(exps)
         return RadicalSum({key: coef})
 
     def __add__(self, other: "RadicalSum") -> "RadicalSum":
@@ -358,18 +368,15 @@ class RadicalSum:
         if exponent.denominator == 1 and exponent >= 0:
             return self.int_pow(int(exponent))
         if not self.terms:
-            if exponent > 0:
-                return RadicalSum()
-            raise ZeroDivisionError("0 to a nonpositive power")
+            return RadicalSum.from_power(0, exponent)
         if len(self.terms) != 1:
             raise InvalidArgument("cannot take fractional power of a true sum")
         ((key, coef),) = self.terms.items()
         if coef < 0:
             raise InvalidArgument("cannot take fractional power of a negative value")
-        out = RadicalSum.from_power(coef, exponent)
-        for p, e in key:
-            out = out * RadicalSum.from_power(p, e * exponent)
-        return out
+        # The key's primes are known, so only the coefficient is factorized.
+        spilled, root = _spill({p: e * exponent for p, e in key})
+        return RadicalSum.from_power(coef, exponent) * RadicalSum({root: spilled})
 
     def is_atomic(self) -> bool:
         return len(self.terms) <= 1
@@ -385,8 +392,9 @@ class RadicalSum:
         """Exact sign: canonical cancellation plus interval refinement.
 
         Distinct canonical radicals are linearly independent over QQ, so a
-        nonempty term dict has a nonzero value and refinement terminates;
-        it raises LimitExceeded if it has not by _ROOT_MAX_BITS.
+        nonempty term dict has a nonzero value and _refine_sign terminates
+        on root intervals; it raises LimitExceeded if it has not by
+        _ROOT_MAX_BITS.
         """
         if not self.terms:
             return 0
@@ -394,24 +402,10 @@ class RadicalSum:
             return 1
         if all(c < 0 for c in self.terms.values()):
             return -1
-        bits = _ROOT_START_BITS
-        while bits <= _ROOT_MAX_BITS:
-            lo_total = Fraction(0)
-            hi_total = Fraction(0)
-            for key, coef in self.terms.items():
-                lo_r, hi_r = _key_root_interval(key, bits)
-                if coef >= 0:
-                    lo_total += coef * lo_r
-                    hi_total += coef * hi_r
-                else:
-                    lo_total += coef * hi_r
-                    hi_total += coef * lo_r
-            if hi_total < 0:
-                return -1
-            if lo_total > 0:
-                return 1
-            bits *= 2
-        raise LimitExceeded("radical sum sign undecided at %d bits" % _ROOT_MAX_BITS)
+        sign = _refine_sign(self.terms.items(), _key_root_interval, _ROOT_START_BITS, _ROOT_MAX_BITS)
+        if not sign:
+            raise LimitExceeded("radical sum sign undecided at %d bits" % _ROOT_MAX_BITS)
+        return sign
 
     def float_value(self) -> float:
         total = 0.0
@@ -433,42 +427,38 @@ class RadicalSum:
         return "RadicalSum(%s)" % " + ".join(parts)
 
 
-def power_product_to_radical(p: PowerProduct) -> RadicalSum:
+def radical_product(factors) -> RadicalSum:
+    """prod base^exponent as one RadicalSum, over (base, exponent) pairs
+    whose base is a nonnegative rational or RadicalSum.
+
+    A rational base goes through from_power and a RadicalSum through
+    rational_pow, so a single-term sum takes any rational exponent and a
+    true sum only a nonnegative integral one (InvalidArgument otherwise).
+    """
     out = RadicalSum.from_rational(1)
-    for base, exponent in p.factors:
-        out = out * RadicalSum.from_power(base, exponent)
+    for base, exponent in factors:
+        if isinstance(base, RadicalSum):
+            out = out * base.rational_pow(exponent)
+        else:
+            out = out * RadicalSum.from_power(base, exponent)
     return out
 
 
 def compare_radical_products(lhs_factors, rhs_factors) -> Comparison:
     """Compare prod F_i^{e_i} vs prod G_j^{f_j} where each F/G is a
-    nonnegative RadicalSum and each exponent is rational.
+    nonnegative rational or RadicalSum and each exponent is rational.
 
     Both sides are raised to the lcm of the exponent denominators attached
-    to non-atomic factors (monotone on nonnegatives), expanded into single
-    RadicalSums, and compared by exact sign of the difference.
+    to true sums (monotone on nonnegatives), built by radical_product, and
+    compared by exact sign of the difference.
     """
-    denominators = [
-        Fraction(e).denominator
-        for factors in (lhs_factors, rhs_factors)
-        for s, e in factors
-        if not s.is_atomic()
-    ]
-    scale = lcm(*denominators)
-
-    def side(factors) -> RadicalSum:
-        out = RadicalSum.from_rational(1)
-        for s, e in factors:
-            e = Fraction(e) * scale
-            if s.is_atomic():
-                out = out * s.rational_pow(e)
-            else:
-                if e.denominator != 1:
-                    raise InvalidArgument("non-integral exponent on a sum after scaling")
-                out = out * s.int_pow(int(e))
-        return out
-
-    diff = side(lhs_factors) - side(rhs_factors)
-    s = diff.sign()
-    ordering = "equal" if s == 0 else ("less" if s < 0 else "greater")
-    return Comparison(ordering, True)
+    scale = lcm(
+        *(
+            Fraction(e).denominator
+            for factors in (lhs_factors, rhs_factors)
+            for s, e in factors
+            if isinstance(s, RadicalSum) and not s.is_atomic()
+        )
+    )
+    lhs, rhs = ([(s, Fraction(e) * scale) for s, e in factors] for factors in (lhs_factors, rhs_factors))
+    return Comparison(_ORDERING[(radical_product(lhs) - radical_product(rhs)).sign()], True)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from homlab.counting import cc, semiproper_count
 from homlab.graphs import Graph, build_named, GraphFamilySpec
-from homlab.inequalities import IneqReport, clamp_slack, decide
-from homlab.power import RadicalSum
+from homlab.inequalities import IneqReport, decide
+from homlab.power import radical_product
 
 R, G, B = 0, 1, 2
 
@@ -26,10 +26,11 @@ CYCLE_LISTS = (
 )
 
 
-def _report(step: str, small, big, must_be_equality=False) -> IneqReport:
-    verdict, slack = decide([(step, small, big)])
-    if must_be_equality and verdict != "equality":
-        verdict, slack = "violated", clamp_slack("violated", slack)
+def _report(step: str, small, big, identity=False) -> IneqReport:
+    """small <= big, or with identity=True small == big as the two checks
+    small <= big and big <= small: decide makes anything but equality
+    violated."""
+    verdict, slack = decide([(step, small, big)] + ([(step, big, small)] if identity else []))
     return IneqReport("toy-c6:" + step, "six-cycle toy lists", None, None, verdict, True, slack)
 
 
@@ -58,7 +59,7 @@ def reproduce_toy_c6() -> list[IneqReport]:
     lists_red = [lists[1] - {R}, lists[2], lists[3], lists[4], lists[5] - {R}]
     count_blue = _path_count(lists_blue)
     count_red = _path_count(lists_red)
-    reports.append(_report("condition-on-first-vertex", [(total, 1)], [(count_red + count_blue, 1)], must_be_equality=True))
+    reports.append(_report("condition-on-first-vertex", [(total, 1)], [(count_red + count_blue, 1)], identity=True))
 
     # Induction hypothesis applied to the two 5-vertex paths.  With path
     # degrees (1,2,2,2,1) the endpoint edges contribute K_{2,1} counts to
@@ -78,13 +79,7 @@ def reproduce_toy_c6() -> list[IneqReport]:
 
     # Cancellation step: sum of the two path bounds against the full
     # product.  Both sides still carry the two interior K_{2,2} factors.
-    def factors_to_sum(factors) -> RadicalSum:
-        out = RadicalSum.from_rational(1)
-        for s, e in factors:
-            out = out * RadicalSum.from_power(s, e)
-        return out
-
-    lhs_sum = factors_to_sum(blue_factors) + factors_to_sum(red_factors)
+    lhs_sum = radical_product(blue_factors) + radical_product(red_factors)
     reports.append(_report("cancellation", [(lhs_sum, 1)], main_rhs))
 
     # Localized form: discard the factors shared by both sides (the two
@@ -94,7 +89,7 @@ def reproduce_toy_c6() -> list[IneqReport]:
     b1 = cc(lists_blue[4], lists_blue[3], 2, 1)
     a2 = cc(lists_red[0], lists_red[1], 2, 1)
     b2 = cc(lists_red[4], lists_red[3], 2, 1)
-    local_lhs = factors_to_sum([(a1, half), (b1, half)]) + factors_to_sum([(a2, half), (b2, half)])
+    local_lhs = radical_product([(a1, half), (b1, half)]) + radical_product([(a2, half), (b2, half)])
     local_rhs = [(edge_cc[i], quarter) for i in (0, 1, 4, 5)]
     reports.append(_report("localized", [(local_lhs, 1)], local_rhs))
 
@@ -103,13 +98,13 @@ def reproduce_toy_c6() -> list[IneqReport]:
     top_rhs = [(edge_cc[0], half), (edge_cc[1], half)]
     reports.append(_report("post-cauchy-schwarz-top", [(a1 + a2, 1)], top_rhs))
     bottom_rhs = [(edge_cc[4], half), (edge_cc[5], half)]
-    reports.append(_report("post-cauchy-schwarz-bottom", [(b1 + b2, 1)], bottom_rhs, must_be_equality=True))
+    reports.append(_report("post-cauchy-schwarz-bottom", [(b1 + b2, 1)], bottom_rhs, identity=True))
 
     # The top-half sum is itself a 4-cycle list-coloring count with mixed
     # lists on one side: {R,G},{R,G} against {R,B},{G,B}.
     k22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     mixed = semiproper_count(k22, [lists[1], lists[1], lists[0], lists[2]])
-    reports.append(_report("four-cycle-identity", [(mixed, 1)], [(a1 + a2, 1)], must_be_equality=True))
+    reports.append(_report("four-cycle-identity", [(mixed, 1)], [(a1 + a2, 1)], identity=True))
 
     # Final 4-cycle base case.
     reports.append(_report("final-four-cycle", [(mixed, 1)], top_rhs))

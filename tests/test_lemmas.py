@@ -312,6 +312,18 @@ class TestCliqueRadicalDifferential:
         assert check_local_lemma(LemmaInstance("m-log-conv", params)).verdict == "holds"
         assert time.time() - t0 < 10
 
+    def test_each_body_is_built_once(self, monkeypatch):
+        from homlab import lemmas
+
+        built = []
+        build = lemmas._hom_clique_radical
+        monkeypatch.setattr(lemmas, "_hom_clique_radical", lambda s, *rest: built.append(s) or build(s, *rest))
+        m = Model.from_rows([[18, 7, 14], [7, Fraction(69, 4), 19], [14, 19, 24]])
+        params = {"model": m, "a": 6, "b": 1, "delta": 6, "lam": (1, 3, 1), "mu": (Fraction(1, 2), Fraction(1, 2), 1)}
+        assert check_local_lemma(LemmaInstance("m-log-conv", params)).verdict == "holds"
+        # Seven checks name s = 1..7 twenty times between them.
+        assert sorted(built) == list(range(1, 8))
+
     def test_over_work_limit_fails_fast(self):
         m = Model.from_rows([[18, 7, 14], [7, Fraction(69, 4), 19], [14, 19, 24]])
         params = {

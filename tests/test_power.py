@@ -17,12 +17,14 @@ from homlab.power import (
     _compare_by_basis,
     _compare_by_clearing,
     _exact_bit_estimate,
-    _sign_by_log_intervals,
+    _ln_interval,
+    _refine_sign,
+    _spill,
     compare_power_products,
     compare_radical_products,
-    power_product_to_radical,
+    radical_product,
 )
-from homlab.ratmath import coprime_basis
+from homlab.ratmath import coprime_basis, factorize
 
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=20)
 fractions_exp = st.fractions(min_value=-4, max_value=4)
@@ -130,14 +132,16 @@ class TestCompareProperties:
         assert counts["equal"] >= 200 and counts["less"] > 300 and counts["greater"] > 300
 
     def test_interval_path_never_says_equal(self):
-        # 4^(1/2) / 2 is exactly 1; the sign step alone cannot tell.
-        with pytest.raises(LimitExceeded):
-            _sign_by_log_intervals([(4, Fraction(1, 2)), (2, Fraction(-1))])
+        # 4^(1/2) / 2 is exactly 1; the sign step alone cannot tell, so it
+        # gives up (0) at its cap.  A cap of 480 digits keeps this fast;
+        # the claim is the same at any cap.
+        assert _refine_sign([(4, Fraction(1, 2)), (2, Fraction(-1))], _ln_interval, 60, 480) == 0
 
     def test_interval_sign_separates(self):
         # 2^(1/2) = 1.4142... < 3^(1/3) = 1.4422...
-        assert _sign_by_log_intervals([(2, Fraction(1, 2)), (3, Fraction(-1, 3))]) == "less"
-        assert _sign_by_log_intervals([(2, Fraction(-1, 2)), (3, Fraction(1, 3))]) == "greater"
+        cap = power._INTERVAL_MAX_DIGITS
+        assert _refine_sign([(2, Fraction(1, 2)), (3, Fraction(-1, 3))], _ln_interval, 60, cap) == -1
+        assert _refine_sign([(2, Fraction(-1, 2)), (3, Fraction(1, 3))], _ln_interval, 60, cap) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(base=fractions_pos, e1=fractions_exp, e2=fractions_exp)
@@ -305,10 +309,12 @@ class TestRadicalSum:
             a, b = rand_product(rng, 2), rand_product(rng, 2)
             pp = compare_power_products(a, b)
             rad = compare_radical_products(
-                [(power_product_to_radical(a), Fraction(1))],
-                [(power_product_to_radical(b), Fraction(1))],
+                [(_side_reference(a.factors), Fraction(1))],
+                [(_side_reference(b.factors), Fraction(1))],
             )
             assert rad.ordering == pp.ordering
+            # Rational bases are taken as they are.
+            assert compare_radical_products(a.factors, b.factors) == pp
 
     def test_outer_fractional_exponent_on_sum(self):
         # (1 + sqrt(2))^(1/3) vs 134/99: 2.41421^(1/3) = 1.34159..., 134/99 = 1.35354...
@@ -340,3 +346,90 @@ class TestRadicalSum:
                 )
             want = 0 if abs(val) < mpmath.mpf(10) ** -60 else (1 if val > 0 else -1)
             assert s.sign() == want, trial
+
+
+# The code radical_product replaced, kept as references: the former
+# RadicalSum.from_power (which factorized every base) and rational_pow
+# (which rebuilt each key prime with from_power), and
+# compare_radical_products' inner side with rational bases lifted as
+# single-term sums, as decide used to pass them.  power_product_to_radical
+# was _side_reference over a PowerProduct's factors.
+
+
+def _from_power_reference(base, exponent) -> RadicalSum:
+    base, exponent = Fraction(base), Fraction(exponent)
+    if base == 0:
+        return RadicalSum.from_rational(1 if exponent == 0 else 0)
+    exps = {p: k * exponent for p, k in factorize(base.numerator).items()}
+    exps.update((p, -k * exponent) for p, k in factorize(base.denominator).items())
+    coef, key = _spill(exps)
+    return RadicalSum({key: coef})
+
+
+def _rational_pow_reference(s: RadicalSum, exponent) -> RadicalSum:
+    exponent = Fraction(exponent)
+    if exponent.denominator == 1 and exponent >= 0:
+        return s.int_pow(int(exponent))
+    ((key, coef),) = s.terms.items()
+    out = _from_power_reference(coef, exponent)
+    for p, e in key:
+        out = out * _from_power_reference(p, e * exponent)
+    return out
+
+
+def _side_reference(factors) -> RadicalSum:
+    out = RadicalSum.from_rational(1)
+    for s, e in factors:
+        if not isinstance(s, RadicalSum):
+            s = RadicalSum.from_rational(s)
+        e = Fraction(e)
+        if s.is_atomic():
+            out = out * _rational_pow_reference(s, e)
+        else:
+            if e.denominator != 1:
+                raise InvalidArgument("non-integral exponent on a sum after scaling")
+            out = out * s.int_pow(int(e))
+    return out
+
+
+def _random_factor(rng):
+    """A (base, exponent) factor: a positive rational, a single-term sum or
+    a true sum (the last only to a nonnegative integral power)."""
+    kind = rng.randrange(3)
+    base = Fraction(rng.randrange(1, 60), rng.randrange(1, 9))
+    exponent = Fraction(rng.randrange(-6, 7), rng.choice([1, 1, 2, 3, 4]))
+    if kind == 0:
+        return base, exponent
+    atom = _from_power_reference(base, Fraction(rng.randrange(1, 5), rng.randrange(1, 5))).scale(rng.randrange(1, 6))
+    if kind == 1:
+        return atom, exponent
+    other = _from_power_reference(rng.randrange(2, 30), Fraction(1, rng.randrange(2, 4)))
+    return atom + other, rng.randrange(0, 4)
+
+
+class TestRadicalProduct:
+    def test_matches_the_reference_code(self):
+        rng = random.Random(35)
+        for trial in range(300):
+            factors = [_random_factor(rng) for _ in range(rng.randrange(0, 5))]
+            assert radical_product(factors).terms == _side_reference(factors).terms, (trial, factors)
+
+    def test_true_sum_needs_a_nonnegative_integral_exponent(self):
+        x = RadicalSum.from_rational(1) + RadicalSum.from_power(2, Fraction(1, 2))
+        for exponent in (Fraction(1, 2), -1):
+            with pytest.raises(InvalidArgument):
+                radical_product([(x, exponent)])
+
+    def test_integral_powers_and_key_primes_skip_factorize(self, monkeypatch):
+        # 3/5 * 2^(1/2) * 7^(2/3), built before factorize is watched.
+        s = RadicalSum.from_power(2, Fraction(1, 2)) * RadicalSum.from_power(49, Fraction(1, 3)).scale(Fraction(3, 5))
+        seen = []
+        monkeypatch.setattr(power, "factorize", lambda n: seen.append(n) or factorize(n))
+        for base in (0, 1, 12, Fraction(45, 8), 10007 * 10009):
+            for k in (0, 1, 3) + ((-2,) if base else ()):
+                assert RadicalSum.from_power(base, k).as_fraction() == Fraction(base) ** k
+        assert seen == []
+        root = s.rational_pow(Fraction(3, 4))
+        assert seen == [3, 5]  # the coefficient's numerator and denominator, no key prime
+        assert (root.int_pow(4) - s.int_pow(3)).sign() == 0
+        assert root.terms == _rational_pow_reference(s, Fraction(3, 4)).terms

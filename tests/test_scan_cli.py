@@ -556,6 +556,36 @@ class TestCli:
         assert res.returncode == 1 and "Traceback" not in res.stderr
         assert res.stderr.startswith("error: constraint line '-1 0' has a negative weight")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x: {0}\n", "error: constraint line 'x: {0}' is neither weights nor"),
+            ("1/2 abc\n", "error: constraint line '1/2 abc' is neither weights nor"),
+            ("0: {5}\n", "error: constraint line '0: {5}' needs a vertex >= 0 and colors in 0..1"),
+        ],
+    )
+    def test_malformed_list_lines_fail_fast(self, tmp_path, text, message):
+        lists = tmp_path / "lists.txt"
+        lists.write_text(text)
+        res = run_cli("verify", "--ineq", "clique-max", "--graph", "P2", "--model", "Kq:2", "--lists", str(lists))
+        assert res.returncode == 1 and "Traceback" not in res.stderr
+        assert res.stderr.startswith(message)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"lemma": "mixed-norm", "params": {"q": "x", "A": [["1"]], "B": [["1"]]}},
+            [1, 2],
+            {"params": {}},
+        ],
+    )
+    def test_malformed_lemma_files_fail_fast(self, tmp_path, document):
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(document))
+        res = run_cli("lemma", "--file", str(f))
+        assert res.returncode == 1 and "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: not a lemma instance document")
+
     def test_graph_file_formats(self, tmp_path):
         edge_file = tmp_path / "g.txt"
         edge_file.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")

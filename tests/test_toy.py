@@ -3,7 +3,7 @@ from fractions import Fraction
 from conftest import semiproper_oracle
 from homlab.counting import cc, semiproper_count
 from homlab.graphs import GraphFamilySpec, build_named
-from homlab.toy import CYCLE_LISTS, reproduce_toy_c6
+from homlab.toy import CYCLE_LISTS, _report, reproduce_toy_c6
 
 
 def step_verdicts():
@@ -66,3 +66,11 @@ class TestSteps:
         k22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         mixed = semiproper_count(k22, [{0, 1}, {0, 1}, {0, 2}, {1, 2}])
         assert mixed == 6 == cc({0, 1}, {1, 2}, 2, 1) + cc({1}, {1, 2}, 2, 1)
+
+    def test_an_identity_that_only_holds_is_violated(self):
+        # 6 <= 7 holds as an inequality; as an identity it fails both ways.
+        assert _report("step", [(6, 1)], [(7, 1)]).verdict == "holds"
+        for small, big in ((6, 7), (7, 6)):
+            report = _report("step", [(small, 1)], [(big, 1)], identity=True)
+            assert report.verdict == "violated" and report.slack_log10 < 0
+        assert _report("step", [(Fraction(2), Fraction(1, 2))], [(4, Fraction(1, 4))], identity=True).verdict == "equality"
