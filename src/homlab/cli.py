@@ -10,12 +10,13 @@ import json
 import sys
 
 from homlab.counting import hom
-from homlab.errors import HomlabError
+from homlab.errors import HomlabError, InvalidArgument
 from homlab.fileio import (
     frac_str,
     graph_from_any,
-    lemma_instance_from_dict,
     lemma_instance_to_dict,
+    load_lemma_instance,
+    load_replay,
     model_from_any,
     parse_constraints,
     report_to_dict,
@@ -25,7 +26,6 @@ from homlab.scan import (
     ScanJob,
     check_instance,
     emit_report,
-    replay_finding,
     run_scan,
 )
 from homlab.toy import reproduce_toy_c6
@@ -61,10 +61,19 @@ def _report_text(report, fmt: str) -> str:
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi)))
-    return [int(text)]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return list(range(int(lo), int(hi)))
+        return [int(text)]
+    except ValueError:
+        raise InvalidArgument("--seeds must be 'lo:hi' or one seed, not %r" % text) from None
+
+
+def _nonnegative(value: int | None, flag: str) -> int | None:
+    if value is not None and value < 0:
+        raise InvalidArgument("%s must be >= 0, not %d" % (flag, value))
+    return value
 
 
 def _graph_source_from_args(args) -> dict:
@@ -96,9 +105,10 @@ def _model_source_from_args(args) -> dict:
     if args.complete_looped:
         parts.append({"kind": "complete-looped", "max_q": args.complete_looped})
     if args.random_models:
-        pieces = args.random_models.split(",")
-        rand_kind = pieces[0]
-        qs = [int(x) for x in pieces[1:]]
+        rand_kind, *pieces = args.random_models.split(",")
+        if not pieces or not all(x.isdigit() for x in pieces):
+            raise InvalidArgument("--random-models must be KIND,Q[,Q...], not %r" % args.random_models)
+        qs = [int(x) for x in pieces]
         seeds = _parse_seed_range(args.seeds or "0:50")
         parts.append({"kind": "random", "rand_kind": rand_kind, "qs": qs, "seeds": seeds})
     if not parts:
@@ -187,8 +197,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            report = replay_finding(json.load(fh))
+        report = check_instance(*load_replay(args.replay))
     else:
         if not (args.ineq and args.graph and args.model):
             raise HomlabError("verify needs --replay or all of --ineq/--graph/--model")
@@ -201,11 +210,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    list_seeds = _nonnegative(args.list_seeds, "--list-seeds")
     job = ScanJob(
         ineq=args.ineq,
         graphs=_graph_source_from_args(args),
         models=_model_source_from_args(args),
-        lists={"kind": "random", "seeds": list(range(args.list_seeds))} if args.list_seeds else None,
+        lists={"kind": "random", "seeds": list(range(list_seeds))} if list_seeds else None,
         jobs=args.jobs,
     )
     print("scanning %s ..." % args.ineq, file=sys.stderr)
@@ -216,7 +226,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_search(args) -> int:
     job = ScanJob(args.ineq, _graph_source_from_args(args), _model_source_from_args(args))
-    summary = run_scan(job, args.budget)
+    summary = run_scan(job, _nonnegative(args.budget, "--budget"))
     _emit(json.dumps(summary.findings, indent=2, sort_keys=True) + "\n", args.out)
     # Search prints findings only, so its errored cells go to stderr.
     for e in summary.errors:
@@ -233,8 +243,7 @@ def _scan_exit(summary) -> int:
 
 def _cmd_lemma(args) -> int:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            inst = lemma_instance_from_dict(json.load(fh))
+        inst = load_lemma_instance(args.file)
     else:
         if not args.id:
             raise HomlabError("lemma needs --file or --id")

@@ -73,6 +73,31 @@ def load_model(path: str) -> Model:
         raise InvalidSpec("model file %s is not a model document: %s" % (path, exc)) from None
 
 
+def _read_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise InvalidSpec("not a %s document: %s is not JSON (%s)" % (what, path, exc)) from None
+
+
+def replay_from_dict(d: dict):
+    """A finding's replay data (see scan.make_replay) as (ineq, graph,
+    model, constraints)."""
+    try:
+        constraints = d.get("constraints")
+        if constraints is not None:
+            constraints = [tuple(Fraction(x) for x in vec) for vec in constraints]
+        return d["ineq"], graph_from_dict(d["graph"]), model_from_dict(d["model"]), constraints
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidSpec("not a replay document: %r" % (exc,)) from None
+
+
+def load_replay(path: str):
+    return replay_from_dict(_read_json(path, "replay"))
+
+
 def graph_from_any(spec: str) -> Graph:
     """Named graph ("C6", "K3,3", "petersen") or a path to a graph file."""
     if os.path.exists(spec):
@@ -195,3 +220,7 @@ def lemma_instance_from_dict(d: dict):
         return LemmaInstance(d["lemma"], {k: _decode_param(v) for k, v in d["params"].items()})
     except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise InvalidSpec("not a lemma instance document: %r" % (exc,)) from None
+
+
+def load_lemma_instance(path: str):
+    return lemma_instance_from_dict(_read_json(path, "lemma instance"))

@@ -1,12 +1,16 @@
 """The local-lemma battery: exact checkers for every helper inequality,
 each exercised on finite rational instances.
 
-Each lemma id has a validator (raising PreconditionViolated with the
-failing condition named), an evaluator producing one or more checks
-(label, small, big) of the claim small <= big, and a seeded random instance
-generator.  Each side is a list of (base, exponent) factors: a rational
-base is passed as a Fraction or int, and only a true sum of radicals is
-built as a RadicalSum.  inequalities.decide gives the verdict and slack.
+Each lemma id has a validator, an evaluator and a seeded random instance
+generator.  The validator opens with one _read call that declares the
+id's parameters: a missing one, or one of the wrong type or shape, raises
+PreconditionViolated naming it, and so does any failed precondition.  It
+returns the parameters as read (arrays as tuples of Fractions), and
+check_local_lemma hands them to the evaluator.  The evaluator produces one
+or more checks (label, small, big) of the claim small <= big.  Each side
+is a list of (base, exponent) factors: a rational base is passed as a
+Fraction or int, and only a true sum of radicals is built as a
+RadicalSum.  inequalities.decide gives the verdict and slack.
 Real exponents in the sources (q >= 1, t >= 1) are exercised at rational
 sample points; the inequalities are closed under limits, so this loses
 nothing checkable.
@@ -39,29 +43,66 @@ def _require(cond: bool, condition: str):
         raise PreconditionViolated(condition)
 
 
-def _require_nonneg_matrix(mat, name: str):
-    for row in mat:
-        for x in row:
-            _require(Fraction(x) >= 0, "%s must be nonnegative" % name)
+def _read(params: dict, **kinds) -> dict:
+    """The declared parameters of params, checked and converted; undeclared
+    keys are ignored.  A kind is int, Fraction, frozenset (a list of int
+    colors), Model, Graph, or a tuple of dimension names for an array of
+    nonnegative rationals, read as tuples of Fractions: ("q",) is a vector
+    and ("rows", "na") a matrix.  A dimension name binds to the first
+    length read for it, which must be at least 1; "q" and "n" bind to a
+    model's q and a graph's n, so those are declared first."""
+    p, dims = {}, {}
+    for name, kind in kinds.items():
+        _require(name in params, "missing parameter %s" % name)
+        value = params[name]
+        if type(kind) is tuple:
+            value = _read_array(name, value, kind, dims, 0)
+        elif kind is frozenset:
+            colors = isinstance(value, (list, tuple, set, frozenset)) and all(type(c) is int for c in value)
+            _require(colors, "%s must be a list of int colors" % name)
+            value = frozenset(value)
+        elif kind is int:
+            _require(type(value) is int, "%s must be an int" % name)
+        elif kind is Fraction:
+            _require(type(value) is Fraction or type(value) is int, "%s must be a rational" % name)
+            value = value if type(value) is Fraction else Fraction(value)
+        else:
+            _require(isinstance(value, kind), "%s must be a %s" % (name, kind.__name__))
+            if kind is Model:
+                dims["q"] = value.q
+            else:
+                dims["n"] = value.n
+        p[name] = value
+    return p
+
+
+def _read_array(name: str, value, shape: tuple, dims: dict, axis: int) -> tuple:
+    dim, leaf = shape[axis], axis + 1 == len(shape)
+    ok = isinstance(value, (list, tuple)) and (value or dim in dims)
+    if not ok or leaf and not all(type(x) is Fraction or type(x) is int for x in value):
+        raise PreconditionViolated("%s must be a nonempty %s array of rationals" % (name, " x ".join(shape)))
+    size = dims.setdefault(dim, len(value))
+    if len(value) != size:
+        raise PreconditionViolated("%s has %d entries along %s = %d" % (name, len(value), dim, size))
+    if not leaf:
+        return tuple(_read_array(name, row, shape, dims, axis + 1) for row in value)
+    out = tuple(x if type(x) is Fraction else Fraction(x) for x in value)
+    _require(all(x >= 0 for x in out), "%s must be nonnegative" % name)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # mixed-norm: ||A^T B||_{L_{1,q}}^2 <= ||A^T A||_{L_{q,q}} ||B^T B||_{L_{1,1}}
 
 
-def _validate_mixed_norm(p):
-    q = Fraction(p["q"])
-    _require(q >= 1, "q >= 1")
-    a, b = p["A"], p["B"]
-    _require(len(a) == len(b), "A and B must have the same row count")
-    _require_nonneg_matrix(a, "A")
-    _require_nonneg_matrix(b, "B")
+def _validate_mixed_norm(params):
+    p = _read(params, q=Fraction, A=("rows", "na"), B=("rows", "nb"))
+    _require(p["q"] >= 1, "q >= 1")
+    return p
 
 
 def _evaluate_mixed_norm(p):
-    q = Fraction(p["q"])
-    a = [[Fraction(x) for x in row] for row in p["A"]]
-    b = [[Fraction(x) for x in row] for row in p["B"]]
+    q, a, b = p["q"], p["A"], p["B"]
     rows = len(a)
     na, nb = len(a[0]), len(b[0])
     at_b = [[sum(a[s][i] * b[s][j] for s in range(rows)) for j in range(nb)] for i in range(na)]
@@ -92,24 +133,14 @@ def _random_mixed_norm(rng):
 # mixed-norm-2: the three-function form used to prove log-convexity.
 
 
-def _validate_mixed_norm_2(p):
-    _require(Fraction(p["q"]) >= 1, "q >= 1")
-    for name in ("f", "g", "h"):
-        flat = p[name]
-        for entry in _flatten(flat):
-            _require(Fraction(entry) >= 0, "%s must be nonnegative" % name)
-
-
-def _flatten(x):
-    if isinstance(x, (list, tuple)):
-        for y in x:
-            yield from _flatten(y)
-    else:
-        yield x
+def _validate_mixed_norm_2(params):
+    p = _read(params, q=Fraction, f=("ns", "nt"), g=("ns", "nt", "nu"), h=("ns", "nt", "nv"))
+    _require(p["q"] >= 1, "q >= 1")
+    return p
 
 
 def _evaluate_mixed_norm_2(p):
-    q = Fraction(p["q"])
+    q = p["q"]
     f = p["f"]  # f[s][t]
     g = p["g"]  # g[s][t][u]
     h = p["h"]  # h[s][t][v]
@@ -119,27 +150,17 @@ def _evaluate_mixed_norm_2(p):
     s_l = RadicalSum()
     for t in range(nt):
         for v in range(nv):
-            inner = sum(
-                Fraction(f[s][t]) * Fraction(g[s][t][u]) * Fraction(h[s][t][v])
-                for s in range(ns)
-                for u in range(nu)
-            )
+            inner = sum(f[s][t] * g[s][t][u] * h[s][t][v] for s in range(ns) for u in range(nu))
             s_l = s_l + RadicalSum.from_power(inner, q)
     s_r1 = RadicalSum()
     for t in range(nt):
-        inner = sum(
-            Fraction(f[s][t]) * (sum(Fraction(g[s][t][u]) for u in range(nu))) ** 2
-            for s in range(ns)
-        )
+        inner = sum(f[s][t] * sum(g[s][t][u] for u in range(nu)) ** 2 for s in range(ns))
         s_r1 = s_r1 + RadicalSum.from_power(inner, q)
     s_r2 = RadicalSum()
     for t in range(nt):
         for v in range(nv):
             for v2 in range(nv):
-                inner = sum(
-                    Fraction(f[s][t]) * Fraction(h[s][t][v]) * Fraction(h[s][t][v2])
-                    for s in range(ns)
-                )
+                inner = sum(f[s][t] * h[s][t][v] * h[s][t][v2] for s in range(ns))
                 s_r2 = s_r2 + RadicalSum.from_power(inner, q)
     lhs = [(s_l, Fraction(2))]
     rhs = [(s_r1, Fraction(1)), (s_r2, Fraction(1))]
@@ -162,24 +183,16 @@ def _random_mixed_norm_2(rng):
 # local-123: the two-edge path inequality behind the main induction.
 
 
-def _validate_local_123(p):
-    beta, gamma, delta = p["beta"], p["gamma"], p["delta"]
-    _require(1 <= beta <= delta, "1 <= beta <= delta")
-    _require(gamma >= 2, "gamma >= 2")
-    _require_nonneg_matrix(p["f12"], "f12")
-    _require_nonneg_matrix(p["f23"], "f23")
-    for name in ("w1", "w2", "w3"):
-        for x in p[name]:
-            _require(Fraction(x) >= 0, "%s must be nonnegative" % name)
+def _validate_local_123(params):
+    p = _read(params, beta=int, gamma=int, delta=int, f12=("n1", "n2"), f23=("n2", "n3"), w1=("n1",), w2=("n2",), w3=("n3",))
+    _require(1 <= p["beta"] <= p["delta"], "1 <= beta <= delta")
+    _require(p["gamma"] >= 2, "gamma >= 2")
+    return p
 
 
 def _evaluate_local_123(p):
     beta, gamma, delta = p["beta"], p["gamma"], p["delta"]
-    f12 = [[Fraction(x) for x in row] for row in p["f12"]]
-    f23 = [[Fraction(x) for x in row] for row in p["f23"]]
-    w1 = [Fraction(x) for x in p["w1"]]
-    w2 = [Fraction(x) for x in p["w2"]]
-    w3 = [Fraction(x) for x in p["w3"]]
+    f12, f23, w1, w2, w3 = p["f12"], p["f23"], p["w1"], p["w2"], p["w3"]
     n1, n2, n3 = len(w1), len(w2), len(w3)
     # The summand over ys in [n2]^beta depends only on the multiset of ys:
     # its z-sum part is the same for every x.
@@ -226,14 +239,15 @@ def _random_local_123(rng):
 # color-holder: interpolation in the second biclique index.
 
 
-def _validate_color_holder(p):
-    r, s, t = p["r"], p["s"], p["t"]
-    _require(0 <= r <= s <= t, "0 <= r <= s <= t")
+def _validate_color_holder(params):
+    p = _read(params, looped=frozenset, A=frozenset, B=frozenset, k=int, r=int, s=int, t=int)
+    _require(0 <= p["r"] <= p["s"] <= p["t"], "0 <= r <= s <= t")
     _require(p["k"] >= 0, "k >= 0")
+    return p
 
 
 def _evaluate_color_holder(p):
-    a_set, b_set, looped = set(p["A"]), set(p["B"]), set(p["looped"])
+    a_set, b_set, looped = p["A"], p["B"], p["looped"]
     k, r, s, t = p["k"], p["r"], p["s"], p["t"]
     c_s = cc(a_set, b_set, k, s, looped)
     lhs = [(c_s, Fraction(1))]
@@ -274,22 +288,21 @@ def _random_color_holder(rng):
 # color-bcd: the correlation step with the (1 - |x|/|C|) weights.
 
 
-def _validate_color_bcd(p):
-    b_int, c_int, k = p["b"], p["c"], p["k"]
-    _require(b_int >= 2, "b >= 2")
-    _require(c_int >= 1, "c >= 1")
-    _require(k >= 1, "k >= 1")
-    _require(Fraction(p["t"]) >= 1, "t >= 1")
-    d_set, c_set, looped = set(p["D"]), set(p["C"]), set(p["looped"])
-    _require(d_set <= c_set, "D subset of C")
-    _require(not (d_set & looped), "D must avoid looped colors")
+def _validate_color_bcd(params):
+    p = _read(params, looped=frozenset, B=frozenset, C=frozenset, D=frozenset, b=int, c=int, k=int, t=Fraction)
+    _require(p["b"] >= 2, "b >= 2")
+    _require(p["c"] >= 1, "c >= 1")
+    _require(p["k"] >= 1, "k >= 1")
+    _require(p["t"] >= 1, "t >= 1")
+    _require(p["D"] <= p["C"], "D subset of C")
+    _require(not (p["D"] & p["looped"]), "D must avoid looped colors")
+    return p
 
 
 def _evaluate_color_bcd(p):
     b_set, c_set, d_set = set(p["B"]), set(p["C"]), set(p["D"])
     looped = set(p["looped"])
-    b_int, c_int, k = p["b"], p["c"], p["k"]
-    t = Fraction(p["t"])
+    b_int, c_int, k, t = p["b"], p["c"], p["k"], p["t"]
     left = {
         xi: RadicalSum.from_power(cc(b_set - {xi}, c_set - {xi}, c_int - 1, b_int - 1, looped), t / (b_int - 1))
         for xi in d_set
@@ -336,17 +349,17 @@ def _random_color_bcd(rng):
 # color-ac and color-abc: the semiproper local inequalities.
 
 
-def _validate_color_ac(p):
+def _validate_color_ac(params):
+    p = _read(params, looped=frozenset, A=frozenset, B=frozenset, C=frozenset, a=int, b=int, c=int)
     a_int, b_int, c_int = p["a"], p["b"], p["c"]
     _require(a_int >= 1 and b_int >= 1 and c_int >= 1, "a, b, c positive")
     _require(max(b_int, c_int) <= a_int, "max{b, c} <= a")
     _require(b_int + c_int >= 3, "b + c >= 3 (exponent b+c-2 must be positive)")
-
+    return p
 
 
 def _color_lhs_sum(p):
-    a_set, b_set, c_set = set(p["A"]), set(p["B"]), set(p["C"])
-    looped = set(p["looped"])
+    a_set, b_set, c_set, looped = p["A"], p["B"], p["C"], p["looped"]
     a_int, b_int, c_int = p["a"], p["b"], p["c"]
     out = RadicalSum()
     for x in sorted(a_set):
@@ -362,8 +375,7 @@ def _color_lhs_sum(p):
 
 
 def _evaluate_color_ac(p):
-    a_set, b_set, c_set = set(p["A"]), set(p["B"]), set(p["C"])
-    looped = set(p["looped"])
+    a_set, b_set, c_set, looped = p["A"], p["B"], p["C"], p["looped"]
     a_int, b_int, c_int = p["a"], p["b"], p["c"]
     lhs = [(_color_lhs_sum(p), Fraction(1))]
     cc_ac = cc(a_set, c_set, c_int, a_int, looped)
@@ -379,8 +391,7 @@ def _evaluate_color_ac(p):
 
 
 def _evaluate_color_abc(p):
-    a_set, b_set, c_set = set(p["A"]), set(p["B"]), set(p["C"])
-    looped = set(p["looped"])
+    a_set, b_set, c_set, looped = p["A"], p["B"], p["C"], p["looped"]
     a_int, b_int, c_int = p["a"], p["b"], p["c"]
     lhs = [(_color_lhs_sum(p), Fraction(1))]
     cc_ab = cc(a_set, b_set, b_int, a_int, looped)
@@ -419,29 +430,21 @@ def _random_color_ac(rng):
 # clique-cs: the Cauchy-Schwarz step on G, G-dot, G-dot-dot.
 
 
-def _validate_clique_cs(p):
-    lam = p["lam"]
-    for vec in lam:
-        for x in vec:
-            _require(Fraction(x) > 0, "lambda must be pointwise positive")
-    for vec in p["nu"]:
-        for x in vec:
-            _require(Fraction(x) >= 0, "nu must be nonnegative")
-    for x in p["nu_apex"]:
-        _require(Fraction(x) >= 0, "apex weights must be nonnegative")
+def _validate_clique_cs(params):
+    p = _read(params, graph=Graph, model=Model, lam=("n", "q"), nu=("n", "q"), nu_apex=("q",))
+    _require(all(x > 0 for vec in p["lam"] for x in vec), "lambda must be pointwise positive")
+    return p
 
 
 def _evaluate_clique_cs(p):
     g: Graph = p["graph"]
     m: Model = p["model"]
-    lam = [tuple(Fraction(x) for x in vec) for vec in p["lam"]]
-    nu = [tuple(Fraction(x) for x in vec) for vec in p["nu"]]
-    nu_apex = tuple(Fraction(x) for x in p["nu_apex"])
+    lam, nu, nu_apex = p["lam"], p["nu"], p["nu_apex"]
     mu = [tuple(n * n / l for n, l in zip(nv, lv)) for nv, lv in zip(nu, lam)]
     g_dot = add_apexes(g, 1)
     g_ddot = add_apexes(g, 2)
-    big = hom(g_ddot, m, lam + [nu_apex, nu_apex]) * hom(g, m, mu)
-    small = hom(g_dot, m, nu + [nu_apex]) ** 2
+    big = hom(g_ddot, m, [*lam, nu_apex, nu_apex]) * hom(g, m, mu)
+    small = hom(g_dot, m, [*nu, nu_apex]) ** 2
     return [("apex-cauchy-schwarz", [(small, Fraction(1))], [(big, Fraction(1))])]
 
 
@@ -477,20 +480,17 @@ def _require_psd(m: Model):
     _require(classify_model(m).ferromagnetic, "model must be positive semidefinite")
 
 
-def _validate_h_log_convex(p):
+def _validate_h_log_convex(params):
+    p = _read(params, model=Model, t=int, lam=("q",), nu=("q",))
     _require(p["t"] >= 2, "t >= 2")
     _require_psd(p["model"])
-    for x in p["lam"]:
-        _require(Fraction(x) > 0, "lambda must be pointwise positive")
-    for x in p["nu"]:
-        _require(Fraction(x) >= 0, "nu must be nonnegative")
+    _require(all(x > 0 for x in p["lam"]), "lambda must be pointwise positive")
+    return p
 
 
 def _evaluate_h_log_convex(p):
     m: Model = p["model"]
-    t = p["t"]
-    lam = tuple(Fraction(x) for x in p["lam"])
-    nu = tuple(Fraction(x) for x in p["nu"])
+    t, lam, nu = p["t"], p["lam"], p["nu"]
     mu = tuple(n * n / l for n, l in zip(nu, lam))
     h_up = hom_clique(t + 1, m, lam)
     h_down = hom_clique(t - 1, m, mu)
@@ -514,16 +514,16 @@ def _random_h_log_convex(rng):
     }
 
 
-def _validate_f_log_conv(p):
+def _validate_f_log_conv(params):
+    p = _read(params, model=Model, a=int, mu=("q",), nu=("q",))
     _require(p["a"] >= 1, "a >= 1")
     _require_psd(p["model"])
+    return p
 
 
 def _evaluate_f_log_conv(p):
     m: Model = p["model"]
-    a = p["a"]
-    mu = tuple(Fraction(x) for x in p["mu"])
-    nu = tuple(Fraction(x) for x in p["nu"])
+    a, mu, nu = p["a"], p["mu"], p["nu"]
     k_a = build_named(GraphFamilySpec("complete", (a,)))
     f_vals = []
     for i in range(a + 1):
@@ -547,9 +547,11 @@ def _random_f_log_conv(rng):
     }
 
 
-def _validate_m_log_conv(p):
+def _validate_m_log_conv(params):
+    p = _read(params, model=Model, a=int, b=int, delta=int, lam=("q",), mu=("q",))
     _require(1 <= p["b"] <= p["a"] <= p["delta"], "1 <= b <= a <= delta")
     _require_psd(p["model"])
+    return p
 
 
 def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> RadicalSum:
@@ -608,8 +610,7 @@ def _evaluate_m_log_conv(p):
         raise LimitExceeded(
             "m-log-conv work bound %d exceeds %d (q = %d, a = %d, b = %d)" % (work, CONTRACTION_WORK_LIMIT, q, a, b)
         )
-    lam = tuple(Fraction(x) for x in p["lam"])
-    mu = tuple(Fraction(x) for x in p["mu"])
+    lam, mu = p["lam"], p["mu"]
     eta_atoms = []
     for x in range(q):
         pointwise = tuple(mu[c] * m.edge_weights[x][c] for c in range(q))
@@ -653,26 +654,23 @@ def _random_m_log_conv(rng):
 # sym-monotone and sym-corollary.
 
 
-def _validate_sym_monotone(p):
+def _validate_sym_monotone(params):
+    p = _read(params, k=int, alphas=("n",))
     _require(p["k"] >= 1, "k >= 1")
-    _require(len(p["alphas"]) >= 1, "n >= 1")
-    for x in p["alphas"]:
-        _require(Fraction(x) >= 0, "alphas must be nonnegative")
+    return p
 
 
-def _validate_sym_corollary(p):
-    _validate_sym_monotone(p)
-    tau = [Fraction(x) for x in p["tau"]]
+def _validate_sym_corollary(params):
+    p = _read(params, k=int, alphas=("n",), tau=("k + 1",))
+    _require(p["k"] >= 1, "k >= 1")
+    tau = p["tau"]
     _require(len(tau) == p["k"] + 1, "tau must have length k + 1")
-    _require(all(x >= 0 for x in tau), "tau must be nonnegative")
     _require(all(a >= b for a, b in zip(tau, tau[1:])), "tau must be non-increasing")
+    return p
 
 
 def _evaluate_sym_corollary(p):
-    alphas = [Fraction(x) for x in p["alphas"]]
-    k = p["k"]
-    tau = [Fraction(x) for x in p["tau"]]
-    lhs, rhs = sym_corollary_sides(alphas, k, tau)
+    lhs, rhs = sym_corollary_sides(p["alphas"], p["k"], p["tau"])
     return [("chebyshev-style-correlation", [(lhs, Fraction(1))], [(rhs, Fraction(1))])]
 
 
@@ -720,11 +718,12 @@ _LEMMAS = {
 LEMMA_IDS = tuple(_LEMMAS)
 
 
-def validate_instance(inst: LemmaInstance):
-    if inst.lemma_id not in _LEMMAS:
-        raise PreconditionViolated("unknown lemma id %r" % inst.lemma_id)
+def validate_instance(inst: LemmaInstance) -> dict:
+    """The instance's parameters as its lemma declares them (see _read)."""
+    if not isinstance(inst.lemma_id, str) or inst.lemma_id not in _LEMMAS:
+        raise PreconditionViolated("unknown lemma id %r" % (inst.lemma_id,))
     validate, _, _ = _LEMMAS[inst.lemma_id]
-    validate(inst.params)
+    return validate(inst.params)
 
 
 def random_lemma_instance(lemma_id: str, seed: int) -> LemmaInstance:
@@ -739,11 +738,11 @@ def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     Multi-part lemmas (the log-convexity chains) aggregate as in
     inequalities.decide.
     """
-    validate_instance(inst)
+    p = validate_instance(inst)
     if inst.lemma_id == "sym-monotone":
-        return check_sym_monotone(inst.params["alphas"], inst.params["k"])
+        return check_sym_monotone(p["alphas"], p["k"])
     _, evaluate, _ = _LEMMAS[inst.lemma_id]
-    verdict, slack = decide(evaluate(inst.params))
+    verdict, slack = decide(evaluate(p))
     return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, slack)
 
 

@@ -13,18 +13,16 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from homlab.counting import lists_to_constraints
 from homlab.errors import HomlabError, InvalidArgument
 from homlab.fileio import (
     frac_str,
-    graph_from_dict,
     graph_to_dict,
     load_graph,
     load_model,
-    model_from_dict,
     model_to_dict,
+    replay_from_dict,
     report_to_dict,
 )
 from homlab.graphs import (
@@ -261,12 +259,7 @@ def make_replay(ineq: str, g: Graph, m: Model, constraints=None) -> dict:
 
 def replay_finding(replay: dict):
     """Re-run a finding's replay data through the named checker."""
-    g = graph_from_dict(replay["graph"])
-    m = model_from_dict(replay["model"])
-    constraints = replay.get("constraints")
-    if constraints is not None:
-        constraints = [tuple(Fraction(x) for x in vec) for vec in constraints]
-    return check_instance(replay["ineq"], g, m, constraints)
+    return check_instance(*replay_from_dict(replay))
 
 
 CSV_COLUMNS = ("instance_id", "graph", "model", "verdict", "exact", "slack_log10")

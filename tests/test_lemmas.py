@@ -1,9 +1,19 @@
+import contextlib
+import io
 import itertools
+import json
+import os
 import random
+import re
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homlab import cli
 
 from homlab.errors import LimitExceeded, PreconditionViolated
 from homlab.fileio import lemma_instance_from_dict, lemma_instance_to_dict
@@ -105,7 +115,8 @@ class TestPreconditions:
         from homlab.models import Model
 
         inst = random_lemma_instance("h-log-convex", 1)
-        inst.params["model"] = Model.from_rows([[0, 1], [1, 0]])  # one negative eigenvalue
+        # Shape is read before the PSD check, so lam and nu match q = 2.
+        inst.params.update(model=Model.from_rows([[0, 1], [1, 0]]), lam=(1, 1), nu=(1, 0))  # one negative eigenvalue
         with pytest.raises(PreconditionViolated, match="semidefinite"):
             check_local_lemma(inst)
 
@@ -121,6 +132,98 @@ class TestPreconditions:
         inst.params["k"] = len(inst.params["tau"]) - 1
         with pytest.raises(PreconditionViolated, match="non-increasing"):
             check_local_lemma(inst)
+
+
+class TestParameterKinds:
+    """Each kind of declared parameter rejects a malformed value with a
+    PreconditionViolated naming it."""
+
+    @pytest.mark.parametrize(
+        "lemma_id, seed, update, message",
+        [
+            ("color-ac", 0, {"b": None}, "missing parameter b"),
+            ("mixed-norm", 0, {"A": [[Fraction(1), Fraction(2)], [Fraction(1)]]}, "A has 1 entries along na = 2"),
+            ("local-123", 0, {"w1": [Fraction(1)] * 9}, "w1 has 9 entries along n1"),
+            ("h-log-convex", 0, {"lam": (Fraction(1),) * 7}, "lam has 7 entries along q = "),
+            ("color-holder", 0, {"k": "2"}, "k must be an int"),
+            ("color-holder", 0, {"k": True}, "k must be an int"),
+            ("mixed-norm", 0, {"q": 2.0}, "q must be a rational"),
+            ("sym-monotone", 0, {"alphas": [Fraction(1), Fraction(-1, 2)]}, "alphas must be nonnegative"),
+            ("mixed-norm", 0, {"A": []}, "A must be a nonempty rows x na array of rationals"),
+            ("color-ac", 0, {"A": [[0], 1]}, "A must be a list of int colors"),
+            ("h-log-convex", 0, {"model": [[1]]}, "model must be a Model"),
+            ("clique-cs", 0, {"graph": "C4"}, "graph must be a Graph"),
+        ],
+    )
+    def test_malformed_parameter(self, lemma_id, seed, update, message):
+        inst = random_lemma_instance(lemma_id, seed)
+        for key, value in update.items():
+            if value is None:
+                del inst.params[key]
+            else:
+                inst.params[key] = value
+        with pytest.raises(PreconditionViolated, match=re.escape(message)):
+            check_local_lemma(inst)
+
+    def test_negative_f_log_conv_weight(self):
+        inst = random_lemma_instance("f-log-conv", 0)
+        inst.params["mu"] = (Fraction(-1),) + tuple(inst.params["mu"][1:])
+        with pytest.raises(PreconditionViolated, match="mu must be nonnegative"):
+            check_local_lemma(inst)
+
+    def test_read_values_are_tuples_of_fractions(self):
+        inst = random_lemma_instance("clique-cs", 4)
+        inst.params["nu_apex"] = [1] * len(inst.params["nu_apex"])
+        p = validate_instance(inst)
+        assert p["nu_apex"] == (Fraction(1),) * len(inst.params["nu_apex"])
+        assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in p["lam"])
+        # Fractions are passed through, not re-wrapped.
+        assert p["lam"][0][0] is inst.params["lam"][0][0]
+        colors = random_lemma_instance("color-bcd", 1)
+        assert validate_instance(colors)["C"] == frozenset(colors.params["C"])
+
+    def test_unknown_lemma_id(self):
+        with pytest.raises(PreconditionViolated, match="unknown lemma id"):
+            validate_instance(LemmaInstance(["mixed-norm"], {}))
+
+
+def _mutants(doc):
+    """(name, apply) for each mutation that applies to a lemma file: drop a
+    key, truncate a row, turn an int into a string, negate an entry, or
+    nest a color."""
+    params = doc["params"]
+    out = [("drop %s" % k, lambda p, k=k: p.pop(k)) for k in params]
+    for k, v in params.items():
+        if type(v) is int:
+            out.append(("stringify %s" % k, lambda p, k=k: p.update({k: str(p[k])})))
+        elif isinstance(v, list) and v and all(type(c) is int for c in v):
+            out.append(("nest %s" % k, lambda p, k=k: p[k].__setitem__(0, [p[k][0]])))
+        elif isinstance(v, list) and v and isinstance(v[0], list) and v[0]:
+            out.append(("truncate %s" % k, lambda p, k=k: p[k][0].pop()))
+        if isinstance(v, list) and v and isinstance(v[-1], str):
+            out.append(("negate %s" % k, lambda p, k=k: p[k].__setitem__(-1, "-1")))
+        elif isinstance(v, list) and v and isinstance(v[-1], list) and v[-1] and isinstance(v[-1][-1], str):
+            out.append(("negate %s" % k, lambda p, k=k: p[k][-1].__setitem__(-1, "-1")))
+    return out
+
+
+class TestLemmaFileFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(LEMMA_IDS), st.integers(0, 199), st.data())
+    def test_mutated_file_exits_cleanly(self, lemma_id, seed, data):
+        doc = lemma_instance_to_dict(random_lemma_instance(lemma_id, seed))
+        name, mutate = data.draw(st.sampled_from(_mutants(doc)))
+        mutate(doc["params"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["lemma", "--file", path])
+        assert code in (0, 1, 2), name
+        if code == 1:
+            assert err.getvalue().startswith("error: "), (name, err.getvalue())
 
 
 class TestBattery:

@@ -586,6 +586,57 @@ class TestCli:
         assert res.returncode == 1 and "Traceback" not in res.stderr
         assert res.stderr.startswith("error: not a lemma instance document")
 
+    # A ragged matrix and a missing parameter used to leak IndexError and
+    # KeyError from inside the lemma code.
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {"lemma": "mixed-norm", "params": {"q": "2", "A": [["1", "2"], ["1"]], "B": [["1"], ["1"]]}},
+                "error: A has 1 entries along na = 2",
+            ),
+            ({"lemma": "m-log-conv", "params": {"a": 2}}, "error: missing parameter model"),
+        ],
+    )
+    def test_lemma_file_parameters_fail_fast(self, tmp_path, document, message):
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(document))
+        res = run_cli("lemma", "--file", str(f))
+        assert res.returncode == 1 and "Traceback" not in res.stderr
+        assert res.stderr.startswith(message)
+
+    @pytest.mark.parametrize(
+        "args, text, message",
+        [
+            (["lemma", "--file"], "{not json", "error: not a lemma instance document: "),
+            (["verify", "--replay"], "{not json", "error: not a replay document: "),
+            (["verify", "--replay"], '{"ineq": "bst"}', "error: not a replay document: KeyError('graph')"),
+        ],
+    )
+    def test_malformed_documents_fail_fast(self, tmp_path, capsys, args, text, message):
+        f = tmp_path / "doc.json"
+        f.write_text(text)
+        assert cli.main([*args, str(f)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--random-models", "psd"], "error: --random-models must be KIND,Q[,Q...], not 'psd'"),
+            (["--random-models", "psd,x"], "error: --random-models must be KIND,Q[,Q...], not 'psd,x'"),
+            (["--random-models", "psd,2", "--seeds", "a:b"], "error: --seeds must be 'lo:hi' or one seed, not 'a:b'"),
+            (["--models", "Kq:2", "--list-seeds", "-1"], "error: --list-seeds must be >= 0, not -1"),
+        ],
+    )
+    def test_malformed_scan_flags_fail_fast(self, capsys, flags, message):
+        assert cli.main(["scan", "--ineq", "clique-max", "--graphs", "C4", *flags]) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_negative_search_budget_fails_fast(self, capsys):
+        # A budget of -1 used to slice off the grid's last cell.
+        assert cli.main(["search", "--ineq", "clique-max", "--graphs", "C4", "--models", "Kq:2", "--budget", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --budget must be >= 0, not -1")
+
     def test_graph_file_formats(self, tmp_path):
         edge_file = tmp_path / "g.txt"
         edge_file.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
