@@ -23,6 +23,7 @@ from homlab.fileio import (
 )
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
 from homlab.scan import (
+    SCAN_INEQUALITIES,
     ScanJob,
     check_instance,
     emit_report,
@@ -64,15 +65,19 @@ def _parse_seed_range(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi)))
-        return [int(text)]
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(text)]
     except ValueError:
         raise InvalidArgument("--seeds must be 'lo:hi' or one seed, not %r" % text) from None
+    if not seeds:
+        raise InvalidArgument("--seeds range %r is empty" % text)
+    return seeds
 
 
-def _nonnegative(value: int | None, flag: str) -> int | None:
-    if value is not None and value < 0:
-        raise InvalidArgument("%s must be >= 0, not %d" % (flag, value))
+def _at_least(value: int | None, least: int, flag: str) -> int | None:
+    if value is not None and value < least:
+        raise InvalidArgument("%s must be >= %d, not %d" % (flag, least, value))
     return value
 
 
@@ -102,8 +107,8 @@ def _model_source_from_args(args) -> dict:
         parts.append({"kind": "named", "names": args.models.split(",")})
     if args.model_files:
         parts.append({"kind": "files", "paths": args.model_files})
-    if args.complete_looped:
-        parts.append({"kind": "complete-looped", "max_q": args.complete_looped})
+    if args.complete_looped is not None:
+        parts.append({"kind": "complete-looped", "max_q": _at_least(args.complete_looped, 1, "--complete-looped")})
     if args.random_models:
         rand_kind, *pieces = args.random_models.split(",")
         if not pieces or not all(x.isdigit() for x in pieces):
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lists", help="vertex constraint file")
 
     p = sub.add_parser("verify", help="verify one inequality instance")
-    p.add_argument("--ineq", choices=("reverse-sidorenko", "clique-max", "bst"))
+    p.add_argument("--ineq", choices=SCAN_INEQUALITIES)
     p.add_argument("--graph")
     p.add_argument("--model")
     p.add_argument("--lists")
@@ -157,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("scan", help="batch verification over a graph x model grid")
-    p.add_argument("--ineq", required=True, choices=("reverse-sidorenko", "clique-max", "bst"))
+    p.add_argument("--ineq", required=True, choices=SCAN_INEQUALITIES)
     _add_graph_flags(p)
     _add_model_flags(p)
     p.add_argument("--list-seeds", type=int, help="number of seeded random list assignments per cell")
@@ -166,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("search", help="counterexample search within a budget")
-    p.add_argument("--ineq", required=True, choices=("reverse-sidorenko", "clique-max", "bst"))
+    p.add_argument("--ineq", required=True, choices=SCAN_INEQUALITIES)
     _add_graph_flags(p)
     _add_model_flags(p)
     p.add_argument("--budget", type=int, default=10000)
@@ -210,13 +215,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    list_seeds = _nonnegative(args.list_seeds, "--list-seeds")
+    list_seeds = _at_least(args.list_seeds, 0, "--list-seeds")
     job = ScanJob(
         ineq=args.ineq,
         graphs=_graph_source_from_args(args),
         models=_model_source_from_args(args),
         lists={"kind": "random", "seeds": list(range(list_seeds))} if list_seeds else None,
-        jobs=args.jobs,
+        jobs=_at_least(args.jobs, 1, "--jobs"),
     )
     print("scanning %s ..." % args.ineq, file=sys.stderr)
     summary = run_scan(job)
@@ -226,7 +231,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_search(args) -> int:
     job = ScanJob(args.ineq, _graph_source_from_args(args), _model_source_from_args(args))
-    summary = run_scan(job, _nonnegative(args.budget, "--budget"))
+    summary = run_scan(job, _at_least(args.budget, 0, "--budget"))
     _emit(json.dumps(summary.findings, indent=2, sort_keys=True) + "\n", args.out)
     # Search prints findings only, so its errored cells go to stderr.
     for e in summary.errors:

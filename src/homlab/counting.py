@@ -127,9 +127,12 @@ def compile_plan(adjacency: tuple) -> Plan:
     frontier (placed vertices with an unplaced neighbor); ties go to the
     lowest index.  Cached because a scan meets each graph with many
     models; keyed by the adjacency tuple, not the Graph, so an entry keeps
-    no graph alive.
+    no graph alive.  The greedy search takes about n^2 steps, so it raises
+    LimitExceeded up front when n^2 exceeds CONTRACTION_WORK_LIMIT.
     """
     n = len(adjacency)
+    if n * n > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (n * n, CONTRACTION_WORK_LIMIT, n))
     placed = 0
     frontier = []
     steps = []

@@ -21,6 +21,8 @@ class Graph:
     adjacency: tuple[int, ...] = field(init=False)  # neighbor bitsets
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise InvalidSpec("vertex count must be a nonnegative int, not %r" % (self.n,))
         adj = [0] * self.n
         for e in self.edges:
             if len(e) == 1:

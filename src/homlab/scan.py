@@ -1,15 +1,17 @@
 """Batch scan orchestration: (graph x model) grids, counterexample search,
 deterministic summaries, and report emission.
 
-A scan cell is independent and side-effect-free; with several workers the
-cells are distributed to a process pool and aggregated in the original
-deterministic order, so the summary is identical for any worker count.
+A scan cell is independent and side-effect-free.  One runner call decides
+its cells in order and owns their factor memos; with k workers, worker i
+takes the cells i, i + k, i + 2k, ..., and the results are merged back in
+cell order, so the summary is identical for any worker count.
 """
 
 import csv
 import io
 import json
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,12 +43,6 @@ from homlab.inequalities import (
 from homlab.models import Model, model_complete_looped, parse_model_name, random_model
 
 SCAN_INEQUALITIES = ("reverse-sidorenko", "clique-max", "bst")
-
-# Factor memos (reverse-Sidorenko or clique-max) of the scan in progress,
-# one dict per model index of the job.  run_scan empties it on entry and
-# on exit, so no factor outlives a scan; pool workers are started inside
-# run_scan and each fills its own copy.
-_FACTOR_MEMO: dict[int, dict] = {}
 
 
 @dataclass
@@ -115,7 +111,7 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
         return [(path, load_model(path)) for path in source["paths"]]
     if kind == "random":
         rand_kind = source["rand_kind"]
-        qs = source.get("qs") or [source["q"]]
+        qs = source["qs"]
         out = []
         for i, seed in enumerate(source["seeds"]):
             q = qs[i % len(qs)]
@@ -182,32 +178,35 @@ def _cells_for_job(job: ScanJob):
     return cells
 
 
-def _run_cell(args):
-    """One cell's outcome: ("ok", report dict) or ("error", message)."""
-    ineq, g, model_index, m, constraints = args
-    try:
-        report = check_instance(ineq, g, m, constraints, _FACTOR_MEMO.setdefault(model_index, {}))
-        return "ok", report_to_dict(report)
-    except HomlabError as exc:
-        return "error", "%s: %s" % (type(exc).__name__, exc)
+def _run_cells(ineq: str, cells) -> list:
+    """Each cell's outcome, in order: ("ok", report dict) or ("error",
+    message).  The factor memos, one per model index, live for this call."""
+    memos = {}
+    results = []
+    for _, g, model_index, m, constraints in cells:
+        try:
+            report = check_instance(ineq, g, m, constraints, memos.setdefault(model_index, {}))
+            results.append(("ok", report_to_dict(report)))
+        except HomlabError as exc:
+            results.append(("error", "%s: %s" % (type(exc).__name__, exc)))
+    return results
 
 
 def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
-    """Decide the grid's cells, or its first `budget` cells (on a pool when
-    job.jobs > 1), and summarize them in order; deterministic for a fixed
-    job regardless of the worker count.  Every cell ends in a verdict row
-    or an error entry."""
+    """Decide the grid's cells, or its first `budget` cells, on up to
+    job.jobs workers and summarize them in order, the same for any worker
+    count.  Every cell ends in a verdict row or an error entry."""
     cells = _cells_for_job(job)[:budget]
-    tasks = [(job.ineq, g, model_index, m, constraints) for _, g, model_index, m, constraints in cells]
-    _FACTOR_MEMO.clear()
-    try:
-        if job.jobs > 1:
-            with ProcessPoolExecutor(max_workers=job.jobs) as pool:
-                results = list(pool.map(_run_cell, tasks, chunksize=16))
-        else:
-            results = [_run_cell(t) for t in tasks]
-    finally:
-        _FACTOR_MEMO.clear()
+    k = min(job.jobs, len(cells), os.cpu_count() or 1)
+    if k > 1:
+        # Cells are graph-major, so when k divides the model count every
+        # model's cells go to one worker and each factor is computed once;
+        # each slice is also a fair sample of cheap and costly graphs.
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            parts = list(pool.map(_run_cells, [job.ineq] * k, [cells[i::k] for i in range(k)]))
+        results = [parts[i % k][i // k] for i in range(len(cells))]
+    else:
+        results = _run_cells(job.ineq, cells)
 
     summary = ScanSummary(job=job.to_dict())
     for (instance_id, g, _, m, constraints), (status, payload) in zip(cells, results):

@@ -233,6 +233,16 @@ class TestContractionEngine:
         with pytest.raises(LimitExceeded):
             hom(named("complete", 16), model_complete_looped(4, 4))
 
+    def test_plan_search_limit(self):
+        # The greedy search is quadratic in n, so an edgeless graph with
+        # n^2 over the limit fails before the search, not minutes later.
+        edgeless = Graph.from_edges(4000, [])
+        assert 4000 ** 2 > CONTRACTION_WORK_LIMIT
+        with pytest.raises(LimitExceeded, match="plan search bound 16000000"):
+            compile_plan(edgeless.adjacency)
+        with pytest.raises(LimitExceeded):
+            hom(edgeless, model_complete_looped(2, 0))
+
     def test_oracles_import_only_graph_from_homlab(self):
         # The brute-force oracles must not share code with the engine.
         tree = ast.parse((pathlib.Path(__file__).parent / "conftest.py").read_text())

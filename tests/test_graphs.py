@@ -279,6 +279,11 @@ class TestFormats:
         with pytest.raises(InvalidSpec):
             read_edge_list(text)
 
+    @pytest.mark.parametrize("n", [-1, -2, True, 2.0, "3"])
+    def test_vertex_count_must_be_a_nonnegative_int(self, n):
+        with pytest.raises(InvalidSpec, match="vertex count must be a nonnegative int"):
+            Graph(n, frozenset())
+
     @pytest.mark.parametrize("line", ["", "0 x", "~A", "D?"])
     def test_malformed_graph6(self, line):
         with pytest.raises(InvalidSpec):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -164,56 +165,91 @@ ACCEPTANCE_9_JOB = dict(
 )
 
 
+def memo_free(patch):
+    """Decide every cell on its own, with no memo shared between cells."""
+    patch.setattr(
+        scan,
+        "check_reverse_sidorenko",
+        lambda g, m, constraints=None, memo=None: check_reverse_sidorenko(g, m, constraints),
+    )
+    patch.setattr(
+        scan,
+        "check_clique_max",
+        lambda g, m, lambdas=None, memo=None: check_clique_max(g, m, lambdas),
+    )
+
+
+def report_at_jobs_1(summary):
+    summary.job["jobs"] = 1
+    return emit_report(summary, "json")
+
+
 class TestFactorMemo:
     @pytest.mark.parametrize(
         "job",
-        [ACCEPTANCE_7_JOB, ACCEPTANCE_8_JOB, ACCEPTANCE_9_JOB],
-        ids=["acceptance-7", "acceptance-8-lists", "acceptance-9-clique"],
+        [
+            ACCEPTANCE_7_JOB,
+            ACCEPTANCE_8_JOB,
+            ACCEPTANCE_9_JOB,
+            dict(ineq="clique-max", graphs={"kind": "named", "names": ["C4", "K3"]}, models={"kind": "named", "names": ["Kq:3"]}),
+        ],
+        ids=["acceptance-7", "acceptance-8-lists", "acceptance-9-clique", "fewer-cells-than-workers"],
     )
     def test_reports_match_memo_free_cells(self, job, monkeypatch):
+        # Three workers, even on a smaller machine; 3 divides neither the 64
+        # models of #7 nor the 50 of #9.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         with monkeypatch.context() as patch:
-            # Every cell decided on its own, with no memo shared between cells.
-            patch.setattr(
-                scan,
-                "check_reverse_sidorenko",
-                lambda g, m, constraints=None, memo=None: check_reverse_sidorenko(g, m, constraints),
-            )
-            patch.setattr(
-                scan,
-                "check_clique_max",
-                lambda g, m, lambdas=None, memo=None: check_clique_max(g, m, lambdas),
-            )
-            expected = {jobs: emit_report(run_scan(ScanJob(jobs=jobs, **job)), "json") for jobs in (1, 2)}
-        for jobs in (1, 2):
-            assert emit_report(run_scan(ScanJob(jobs=jobs, **job)), "json") == expected[jobs]
+            memo_free(patch)
+            expected = emit_report(run_scan(ScanJob(jobs=1, **job)), "json")
+        for jobs in (1, 2, 3):
+            assert report_at_jobs_1(run_scan(ScanJob(jobs=jobs, **job))) == expected
 
-    def test_memo_empty_after_scan(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scan_after_scan_matches_memo_free(self, jobs, monkeypatch):
+        # Model 0 differs between the two scans, so a factor memo that
+        # outlived the first would hand its C4 factors to the second.
+        first = small_finding_job(graphs={"kind": "named", "names": ["C4", "K3,3"]}, models={"kind": "named", "names": ["Kq:3"]}, jobs=jobs)
+        second = dataclasses.replace(first, models={"kind": "named", "names": ["wr", "Kq:3"]})
+        with monkeypatch.context() as patch:
+            memo_free(patch)
+            expected = emit_report(run_scan(second), "json")
+        run_scan(first)
+        assert emit_report(run_scan(second), "json") == expected
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, cells, workers",
+        [(64, 4, 6, 4), (64, 16, 3, 3), (3, 16, 6, 3), (2, None, 6, None), (4, 1, 6, None), (2, 4, 1, None)],
+    )
+    def test_worker_count_clamp(self, monkeypatch, jobs, cpus, cells, workers):
+        # k = min(jobs, cells, cpu count) workers, and no pool for k = 1.
+        started = []
+
+        class FakePool:
+            """Records the worker count and maps inline: no process starts."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", FakePool)
         job = ScanJob(
-            ineq="reverse-sidorenko",
-            graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 3, "dedup": True},
-            models={"kind": "named", "names": ["Kq:3", "hardcore"]},
+            "clique-max",
+            {"kind": "named", "names": ["P2", "P3", "C4", "K3", "C5", "K4"][:cells]},
+            {"kind": "named", "names": ["Kq:2"]},
         )
-        s = run_scan(job)
-        # Graphs with an isolated vertex raise IsolatedVertex in their cells.
-        assert s.errors and s.rows
-        assert scan._FACTOR_MEMO == {}
-
-    def test_memo_cleared_before_scan(self):
-        job = small_finding_job(graphs={"kind": "named", "names": ["C4"]}, models={"kind": "named", "names": ["Kq:3"]})
-        clean = emit_report(run_scan(job), "json")
-        # A factor left over from elsewhere must not reach this scan's cells.
-        scan._FACTOR_MEMO[0] = {(2, 2, None, None): Fraction(10 ** 9)}
-        assert emit_report(run_scan(job), "json") == clean
-
-    def test_memo_empty_after_scan_raises(self, monkeypatch):
-        def fail(report):
-            assert scan._FACTOR_MEMO
-            raise RuntimeError("stop")
-
-        monkeypatch.setattr(scan, "report_to_dict", fail)
-        with pytest.raises(RuntimeError):
-            run_scan(small_finding_job(graphs={"kind": "named", "names": ["C4"]}, models={"kind": "named", "names": ["Kq:3"]}))
-        assert scan._FACTOR_MEMO == {}
+        serial = emit_report(run_scan(job), "json")
+        assert report_at_jobs_1(run_scan(dataclasses.replace(job, jobs=jobs))) == serial
+        assert started == ([workers] if workers else [])
 
 
 class TestSearch:
@@ -290,8 +326,6 @@ def _no_labeled_walk(*args, **kwargs):
 
 
 def run_cli(*args, env=None, timeout=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -362,15 +396,23 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "graph_text, model",
-        [("0 x\n", "Kq:3"), (None, "Kq:abc"), ("", "Kq:3")],
-        ids=["edge-list-token", "model-spec", "empty-graph-file"],
+        [
+            ("0 x\n", "Kq:3"),
+            (None, "Kq:abc"),
+            ("", "Kq:3"),
+            ("-1 0\n", "Kq:2"),
+            ('{"n": -2, "edges": []}', "Kq:2"),
+            # The plan search is quadratic in n; this one is refused before it.
+            ('{"n": 4000, "edges": []}', "Kq:2"),
+        ],
+        ids=["edge-list-token", "model-spec", "empty-graph-file", "negative-n-edge-list", "negative-n-json", "large-edgeless"],
     )
     def test_malformed_input_is_an_error_line(self, tmp_path, graph_text, model):
         graph = "C4"
         if graph_text is not None:
             graph = str(tmp_path / "g.txt")
             (tmp_path / "g.txt").write_text(graph_text)
-        res = run_cli("count", "--graph", graph, "--model", model)
+        res = run_cli("count", "--graph", graph, "--model", model, timeout=30)
         assert res.returncode == 1
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
@@ -626,6 +668,10 @@ class TestCli:
             (["--random-models", "psd,x"], "error: --random-models must be KIND,Q[,Q...], not 'psd,x'"),
             (["--random-models", "psd,2", "--seeds", "a:b"], "error: --seeds must be 'lo:hi' or one seed, not 'a:b'"),
             (["--models", "Kq:2", "--list-seeds", "-1"], "error: --list-seeds must be >= 0, not -1"),
+            (["--models", "Kq:2", "--jobs", "0"], "error: --jobs must be >= 1, not 0"),
+            (["--models", "Kq:2", "--jobs", "-3"], "error: --jobs must be >= 1, not -3"),
+            (["--complete-looped", "-2"], "error: --complete-looped must be >= 1, not -2"),
+            (["--random-models", "psd,2", "--seeds", "5:2"], "error: --seeds range '5:2' is empty"),
         ],
     )
     def test_malformed_scan_flags_fail_fast(self, capsys, flags, message):
