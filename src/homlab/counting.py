@@ -133,16 +133,20 @@ def compile_plan(adjacency: tuple) -> Plan:
     n = len(adjacency)
     if n * n > CONTRACTION_WORK_LIMIT:
         raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (n * n, CONTRACTION_WORK_LIMIT, n))
-    placed = 0
+    # The greedy search would take the vertices with no neighbours first
+    # anyway, lowest index first (width 0 while the frontier is empty), so
+    # they are placed in one pass.
+    isolated = [v for v in range(n) if not adjacency[v]]
+    placed = sum(1 << v for v in isolated)
     frontier = []
-    steps = []
-    widths = []
+    steps = [Step(v, (), None, False) for v in isolated]
+    widths = [0] * len(isolated)
 
     def width_after(v):
         still_open = ~(placed | 1 << v)
         return sum(1 for u in frontier + [v] if adjacency[u] & still_open)
 
-    for _ in range(n):
+    for _ in range(n - len(isolated)):
         # min keeps the first of equal widths: the lowest index.
         v = min((u for u in range(n) if not placed >> u & 1), key=width_after)
         placed |= 1 << v

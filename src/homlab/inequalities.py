@@ -79,8 +79,9 @@ def _side(factors) -> tuple[PowerProduct, list] | None:
     InvalidArgument.
     """
     rational, radical, zero = [], [], False
+    # Signs are read off numerators, which Fractions and ints both have.
     for base, exponent in factors:
-        if not exponent:
+        if not exponent.numerator:
             continue
         if isinstance(base, RadicalSum):
             value = base.as_fraction()
@@ -91,9 +92,9 @@ def _side(factors) -> tuple[PowerProduct, list] | None:
                 radical.append((base, exponent))
                 continue
             base = value
-        if base > 0:
+        if base.numerator > 0:
             rational.append((base, exponent))
-        elif base < 0 or exponent < 0:
+        elif base.numerator < 0 or exponent.numerator < 0:
             raise InvalidArgument("inequality sides must be nonnegative and finite, got %s^%s" % (base, exponent))
         else:
             zero = True
@@ -195,8 +196,8 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
 
     `memo` is an optional dict owned by the caller, one per model: factors
     are looked up in it by (d_v, d_u, lambda_u, lambda_v) before they are
-    computed, and stored in it after.  Without one, a local dict still
-    shares the factors of repeated degree pairs within this call.
+    computed, and stored in it after.  Edges with equal keys give one
+    factor, its exponent multiplied by their count.
     """
     degs = g.degrees()
     if any(d == 0 for d in degs):
@@ -204,19 +205,23 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
     lhs_value = hom(g, m, constraints)
     if memo is None:
         memo = {}
-    factors = []
-    kernel = lambda x, y: m.edge_weights[x][y]
+    counts = {}
     for u, v in g.edge_list():
         lam_u = None if constraints is None else tuple(constraints[u])
         lam_v = None if constraints is None else tuple(constraints[v])
         key = (degs[v], degs[u], lam_u, lam_v)
+        counts[key] = counts.get(key, 0) + 1
+    factors = []
+    kernel = lambda x, y: m.edge_weights[x][y]
+    for key, count in counts.items():
+        d_v, d_u, lam_u, lam_v = key
         base = memo.get(key)
         if base is None:
             # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
             base = memo[key] = biclique_kernel_sum(
-                kernel, m.q, m.q, degs[v], degs[u], _side_weights(m, lam_u), _side_weights(m, lam_v)
+                kernel, m.q, m.q, d_v, d_u, _side_weights(m, lam_u), _side_weights(m, lam_v)
             )
-        factors.append((base, Fraction(1, degs[u] * degs[v])))
+        factors.append((base, Fraction(count, d_u * d_v)))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
     return _report("reverse-sidorenko", instance, [(lhs_value, 1)], factors)
 
@@ -267,20 +272,25 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
     is a finding (e.g. K_{1,4} against Widom-Rowlinson).
 
     `memo` is an optional dict owned by the caller, one per model, as in
-    check_reverse_sidorenko: factors are keyed by (d_v + 1, lambda_v).
+    check_reverse_sidorenko: factors are keyed by (d_v + 1, lambda_v), and
+    vertices with equal keys give one factor.
     """
     degs = g.degrees()
     lhs_value = hom(g, m, lambdas)
     if memo is None:
         memo = {}
-    factors = []
+    counts = {}
     for v in range(g.n):
         lam = None if lambdas is None else tuple(Fraction(x) for x in lambdas[v])
         key = (degs[v] + 1, lam)
+        counts[key] = counts.get(key, 0) + 1
+    factors = []
+    for key, count in counts.items():
+        a, lam = key
         base = memo.get(key)
         if base is None:
-            base = memo[key] = hom_clique(degs[v] + 1, m, lam)
-        factors.append((base, Fraction(1, degs[v] + 1)))
+            base = memo[key] = hom_clique(a, m, lam)
+        factors.append((base, Fraction(count, a)))
     instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
     return _report("clique-max", instance, [(lhs_value, 1)], factors)
 

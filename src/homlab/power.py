@@ -3,11 +3,13 @@
 Two layers:
 
 * PowerProduct -- a formal product of positive rational bases raised to
-  rational exponents, compared exactly: small cases by clearing exponent
-  denominators into big integers, large ones over a coprime basis of the
-  bases (equality from the exponent vector, strict signs from rigorous
-  log intervals built on the decimal module's correctly rounded ln,
-  finished by clearing when the intervals reach their precision cap).
+  rational exponents, compared exactly.  The two sides' exponents are put
+  over one common denominator as ints; small cases are then cleared, the
+  int exponents raising big integers, and large ones go over a coprime
+  basis of the bases (equality from the exponent vector, strict signs
+  from rigorous log intervals built on the decimal module's correctly
+  rounded ln, finished by clearing when the intervals reach their
+  precision cap).
 
 * RadicalSum -- a QQ-linear combination of canonical radicals
   prod_p p^{e_p} with fractional prime exponents.  True sums of rational
@@ -30,7 +32,8 @@ compare_radical_products.
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from homlab.errors import InvalidArgument, LimitExceeded
@@ -79,20 +82,23 @@ class PowerProduct:
 
     @staticmethod
     def of(*factors) -> "PowerProduct":
-        merged: dict[Fraction, Fraction] = {}
+        # Merged by the int pair (numerator, denominator): hashing a
+        # Fraction costs a modular inverse.
+        merged: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
         for base, exponent in factors:
             # Callers mostly pass Fractions, and Fraction(x) would copy them.
             if not isinstance(base, Fraction):
                 base = Fraction(base)
             if not isinstance(exponent, Fraction):
                 exponent = Fraction(exponent)
-            if base <= 0:
+            if base.numerator <= 0:
                 raise InvalidArgument("power product bases must be positive, got %s" % base)
-            merged[base] = merged[base] + exponent if base in merged else exponent
-        kept = tuple(
-            sorted((b, e) for b, e in merged.items() if e != 0 and b != 1)
-        )
-        return PowerProduct(kept)
+            key = base.numerator, base.denominator
+            if key in merged:
+                exponent += merged[key][1]
+            merged[key] = base, exponent
+        merged.pop((1, 1), None)
+        return PowerProduct(tuple(sorted((f for f in merged.values() if f[1].numerator), key=itemgetter(0))))
 
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
         return PowerProduct.of(*self.factors, *other.factors)
@@ -128,9 +134,11 @@ class PowerProduct:
 
 
 def _exact_bit_estimate(factors, scale: int) -> int:
+    """Bits of prod b^(e * scale) over (b, e) factors, with scale a common
+    multiple of the exponent denominators; int exponents take scale 1."""
     bits = 0
     for base, exponent in factors:
-        k = abs(int(exponent * scale))
+        k = abs(exponent.numerator * (scale // exponent.denominator))
         bits += k * max(base.numerator.bit_length(), base.denominator.bit_length())
     return bits
 
@@ -138,23 +146,39 @@ def _exact_bit_estimate(factors, scale: int) -> int:
 def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     """Exact ordering of two power products.
 
-    The two sides are merged into one difference.  Up to CLEARING_MAX_BITS
-    (estimated) the exponent denominators are cleared with their lcm and
-    big-integer powers are compared.  Above it, the difference is written
-    over a coprime basis of its numerators and denominators: a zero
-    exponent vector means equal, and otherwise the sign of the log sum
-    comes from rigorous log intervals.  Intervals that still overlap at
-    their precision cap are finished by clearing, up to
-    CLEARING_LIMIT_BITS; beyond that the comparison raises LimitExceeded.
-    Every verdict is exact.
+    Both sides' exponents are put over one common denominator as ints and
+    merged into one difference, which is reduced to the lcm of its
+    surviving exponent denominators.  Up to CLEARING_MAX_BITS (estimated)
+    the difference is cleared: its int exponents raise big integers that
+    are compared.  Above it, the difference is written over a coprime
+    basis of its numerators and denominators: a zero exponent vector means
+    equal, and otherwise the sign of the log sum comes from rigorous log
+    intervals.  Intervals that still overlap at their precision cap are
+    finished by clearing, up to CLEARING_LIMIT_BITS; beyond that the
+    comparison raises LimitExceeded.  Every verdict is exact.
     """
-    diff = PowerProduct.of(*lhs.factors, *((b, -e) for b, e in rhs.factors)).factors
+    common = lcm(*(e.denominator for _, e in lhs.factors), *(e.denominator for _, e in rhs.factors))
+    merged: dict[tuple[int, int], tuple[Fraction, int]] = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for base, e in side.factors:
+            k = sign * e.numerator * (common // e.denominator)
+            key = base.numerator, base.denominator
+            if key in merged:
+                k += merged[key][1]
+            merged[key] = base, k
+    diff = [f for f in merged.values() if f[1]]
     if not diff:
         return Comparison("equal", True)
-    scale = lcm(*(e.denominator for _, e in diff))
-    bits = _exact_bit_estimate(diff, scale)
+    # Over divisors of common, the lcm of the reduced denominators
+    # common / gcd(common, k) is common / gcd(common, every k).
+    g = gcd(common, *(k for _, k in diff))
+    scale = common // g
+    diff = [(base, k // g) for base, k in diff]
+    bits = _exact_bit_estimate(diff, 1)
     if bits > CLEARING_MAX_BITS:
-        ordering = _compare_by_basis(diff)
+        # In base order, as a normalized PowerProduct lists its factors:
+        # the basis, and so the interval refinement, depend on the order.
+        ordering = _compare_by_basis(sorted((base, Fraction(k, scale)) for base, k in diff))
         if ordering:
             return Comparison(ordering, True)
         if bits > CLEARING_LIMIT_BITS:
@@ -162,15 +186,16 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
                 "log-interval comparison undecided at %d digits, and clearing would take an estimated %d bits"
                 % (_INTERVAL_MAX_DIGITS, bits)
             )
-    return Comparison(_compare_by_clearing(diff, scale), True)
+    return Comparison(_compare_by_clearing(diff, 1), True)
 
 
 def _compare_by_clearing(diff_factors, scale: int) -> str:
     """Ordering of prod b^e against 1: raise to the power `scale` (a common
-    multiple of the exponent denominators) and compare big integers."""
+    multiple of the exponent denominators; 1 for int exponents) and compare
+    big integers."""
     num = den = 1
     for base, exponent in diff_factors:
-        k = int(exponent * scale)
+        k = exponent.numerator * (scale // exponent.denominator)
         if k > 0:
             num *= base.numerator ** k
             den *= base.denominator ** k

@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,28 @@ class TestContractionEngine:
             compile_plan(edgeless.adjacency)
         with pytest.raises(LimitExceeded):
             hom(edgeless, model_complete_looped(2, 0))
+
+    def test_isolated_vertices_placed_in_one_pass(self):
+        # Vertices with no neighbours skip the greedy search, so an
+        # edgeless graph just under the search bound plans in linear time.
+        t0 = time.perf_counter()
+        plan = compile_plan((0,) * 3000)
+        assert time.perf_counter() - t0 < 0.5
+        assert [s.vertex for s in plan.steps] == list(range(3000)) and set(plan.widths) == {0}
+        rng = random.Random(15)
+        models = _engine_models()
+        for _ in range(40):
+            n = rng.randrange(2, 8)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            # Isolate a random set of vertices, interleaved with the rest.
+            lonely = set(rng.sample(range(n), rng.randrange(1, n)))
+            g = Graph.from_edges(n, [e for e in edges if not lonely & set(e)])
+            steps = compile_plan(g.adjacency).steps
+            isolated = [v for v in range(n) if not g.adjacency[v]]
+            assert [s.vertex for s in steps[: len(isolated)]] == isolated
+            m = rng.choice(models)
+            constraints = _random_constraints(rng, n, m.q) if rng.random() < 0.5 else None
+            assert hom(g, m, constraints) == hom_oracle(g, m, constraints), (g, m, constraints)
 
     def test_oracles_import_only_graph_from_homlab(self):
         # The brute-force oracles must not share code with the engine.

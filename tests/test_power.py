@@ -433,3 +433,121 @@ class TestRadicalProduct:
         assert seen == [3, 5]  # the coefficient's numerator and denominator, no key prime
         assert (root.int_pow(4) - s.int_pow(3)).sign() == 0
         assert root.terms == _rational_pow_reference(s, Fraction(3, 4)).terms
+
+
+# ---------------------------------------------------------------------------
+# The comparator before it worked on int exponents, kept as the reference:
+# PowerProduct.of merged factors by Fraction base, and compare_power_products
+# normalized the difference into a PowerProduct and cleared it with
+# int(e * scale).
+
+
+def _of_reference(*factors):
+    merged = {}
+    for base, exponent in factors:
+        base = base if isinstance(base, Fraction) else Fraction(base)
+        exponent = exponent if isinstance(exponent, Fraction) else Fraction(exponent)
+        if base <= 0:
+            raise InvalidArgument("power product bases must be positive, got %s" % base)
+        merged[base] = merged[base] + exponent if base in merged else exponent
+    return tuple(sorted((b, e) for b, e in merged.items() if e != 0 and b != 1))
+
+
+def _compare_reference(lhs, rhs):
+    """(ordering, whether the coprime basis was asked) of the reference."""
+    diff = _of_reference(*lhs.factors, *((b, -e) for b, e in rhs.factors))
+    if not diff:
+        return "equal", False
+    scale = lcm(*(e.denominator for _, e in diff))
+    bits = sum(abs(int(e * scale)) * max(b.numerator.bit_length(), b.denominator.bit_length()) for b, e in diff)
+    if bits > CLEARING_MAX_BITS:
+        ordering = _compare_by_basis(diff)
+        assert ordering, "the generated pairs stay off the interval cap"
+        return ordering, True
+    num = den = 1
+    for b, e in diff:
+        k = int(e * scale)
+        if k > 0:
+            num *= b.numerator ** k
+            den *= b.denominator ** k
+        else:
+            num *= b.denominator ** (-k)
+            den *= b.numerator ** (-k)
+    return ("equal" if num == den else "less" if num < den else "greater"), False
+
+
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 12)
+
+
+def _raw_exponent(rng):
+    k = rng.randrange(-6, 7)
+    # Ints half the time, so both kinds of exponent reach PowerProduct.of.
+    return k if rng.random() < 0.5 else Fraction(k, rng.choice(_DENOMINATORS))
+
+
+def _raw_factors(rng, pool, count):
+    return [(rng.choice(pool), _raw_exponent(rng)) for _ in range(count)]
+
+
+def _comparator_pair(rng, i):
+    """Raw (lhs, rhs) factor lists, one of four shapes by i % 4."""
+    pool = [1, 2, 3, 6, Fraction(1, 2), Fraction(2, 3), Fraction(9, 4), rng.randrange(2, 10 ** 6)]
+    if i % 4 == 0:
+        return _raw_factors(rng, pool, rng.randrange(0, 5)), _raw_factors(rng, pool, rng.randrange(0, 5))
+    if i % 4 == 1:
+        # Shared factors that cancel, and same-base exponents whose
+        # difference has a smaller denominator than either side's; half the
+        # time the rest is equal in value, written over other bases.
+        shared = _raw_factors(rng, pool, rng.randrange(1, 4))
+        base = rng.choice(pool[1:])
+        e = Fraction(rng.randrange(-5, 6), 6)
+        if rng.random() < 0.5:
+            return shared + [(base ** 2, e / 2)], shared + [(base, e)]
+        lhs, rhs = _raw_factors(rng, pool, rng.randrange(0, 3)), _raw_factors(rng, pool, rng.randrange(0, 3))
+        return lhs + shared + [(base, e)], rhs + shared + [(base, e - Fraction(rng.randrange(-3, 4), 2))]
+    # One big base whose cleared size is at most CLEARING_MAX_BITS (i % 4
+    # == 2) or one base size above it (3); a fractional exponent on both
+    # sides cancels.
+    width = rng.randrange(40, 1500)
+    big = Fraction(rng.getrandbits(width) | 1 << (width - 1), rng.choice((1, 3, 7)))
+    k = CLEARING_MAX_BITS // max(big.numerator.bit_length(), big.denominator.bit_length()) + i % 4 - 2
+    k = rng.choice((k, -k))
+    f = Fraction(rng.randrange(-5, 6), rng.choice(_DENOMINATORS))
+    return [(big, k + f)], [(big, f)]
+
+
+class TestComparatorDifferential:
+    def test_matches_the_reference_code(self, monkeypatch):
+        calls = []
+        basis = power._compare_by_basis
+        monkeypatch.setattr(power, "_compare_by_basis", lambda diff: calls.append(1) or basis(diff))
+        rng = random.Random(15)
+        seen = {"smaller lcm": 0, "below": 0, "above": 0, "equal": 0}
+        for i in range(500):
+            raw_lhs, raw_rhs = _comparator_pair(rng, i)
+            lhs, rhs = PowerProduct.of(*raw_lhs), PowerProduct.of(*raw_rhs)
+            assert lhs.factors == _of_reference(*raw_lhs) and rhs.factors == _of_reference(*raw_rhs)
+            assert all(type(b) is Fraction and type(e) is Fraction for b, e in lhs.factors + rhs.factors)
+            want, took_basis = _compare_reference(lhs, rhs)
+            before = len(calls)
+            assert compare_power_products(lhs, rhs) == (want, True), (lhs, rhs)
+            assert len(calls) - before == took_basis, (lhs, rhs)
+            diff = _of_reference(*lhs.factors, *((b, -e) for b, e in rhs.factors))
+            sides = [lcm(*(e.denominator for _, e in p.factors)) for p in (lhs, rhs)]
+            seen["smaller lcm"] += lcm(*(e.denominator for _, e in diff)) < min(sides)
+            if i % 4 >= 2:
+                seen["above" if took_basis else "below"] += 1
+            seen["equal"] += want == "equal"
+        assert min(seen.values()) >= 20, seen
+
+    def test_bases_must_be_positive(self):
+        for base in (0, -2, Fraction(-1, 2), Fraction(0)):
+            for exponent in (1, 0, Fraction(-1, 3)):
+                with pytest.raises(InvalidArgument):
+                    PowerProduct.of((2, 1), (base, exponent))
+
+    def test_unit_bases_are_ignored(self):
+        p = PowerProduct.of((1, 5), (Fraction(3, 3), Fraction(1, 2)), (2, 1), (1, -7))
+        assert p.factors == ((Fraction(2), Fraction(1)),)
+        assert compare_power_products(PowerProduct.of((1, 3)), PowerProduct.of()) == ("equal", True)
+        assert compare_power_products(p, PowerProduct.of((2, 1), (1, 4))) == ("equal", True)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import pytest
 
 from homlab import cli, scan
 from homlab.errors import LimitExceeded
+from homlab.fileio import report_to_dict
 from homlab.inequalities import check_clique_max, check_reverse_sidorenko
+from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
 from homlab.scan import (
     ScanJob,
     emit_report,
@@ -319,6 +322,49 @@ class TestEmit:
         for fmt in ("json", "text"):
             assert "undecided" not in emit_report(s, fmt)
 
+
+
+class TestReportDigests:
+    """Report bytes pinned by sha256: three small grids with findings and a
+    short lemma stream.  A change that keeps verdicts but moves a byte
+    (a factor's exponent, a slack's last bit) shows here."""
+
+    @pytest.mark.parametrize(
+        "ineq, graphs, names, digest",
+        [
+            (
+                "clique-max",
+                {"kind": "enumerate", "min_vertices": 1, "max_vertices": 5, "dedup": True},
+                ["wr", "hardcore", "Kq:3", "heps:1/10"],
+                "b6a58f9f97c09fd934a58ec9e1c7223d8996ba7493c3d719d87748e67a378f7e",
+            ),
+            (
+                "reverse-sidorenko",
+                {"kind": "enumerate", "min_vertices": 2, "max_vertices": 5, "no_isolated": True, "dedup": True},
+                ["wr", "hardcore", "Kq:3", "Kq-looped:3,1"],
+                "7f5f2d08d98104578f2b8f8e79fe27fafcb62269369c8bc64962928927a3ef4c",
+            ),
+            (
+                "bst",
+                {"kind": "enumerate", "min_vertices": 1, "max_vertices": 5, "dedup": True},
+                ["hardcore", "ising:1,2,1", "ising:2,1,2"],
+                "f83058e1be90b6688715602dac51fc9f2eb8e765d2afeaaf881f9058c146a25c",
+            ),
+        ],
+        ids=["clique-max", "reverse-sidorenko", "bst"],
+    )
+    def test_scan_report(self, ineq, graphs, names, digest):
+        summary = run_scan(ScanJob(ineq, graphs, {"kind": "named", "names": names}))
+        assert summary.findings and not summary.errors
+        assert hashlib.sha256(emit_report(summary, "json").encode()).hexdigest() == digest
+
+    def test_lemma_stream(self):
+        digest = hashlib.sha256()
+        for lemma_id in LEMMA_IDS:
+            for seed in range(3):
+                report = report_to_dict(check_local_lemma(random_lemma_instance(lemma_id, seed)))
+                digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
+        assert digest.hexdigest() == "352ffcc3efcdb0a3d973f4e2dcfd87f217254379134d89cbd879ad07cca0d8ff"
 
 def _no_labeled_walk(*args, **kwargs):
     # An uncapped 8-vertex labeled source would walk 2^28 masks; fail at once.
