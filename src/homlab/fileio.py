@@ -17,11 +17,13 @@ from homlab.power import PowerProduct
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """A Fraction or int as "p/q", or "p" when q is 1."""
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
 
 
 def model_to_dict(m: Model) -> dict:
+    """The model as a document; its looped_set is written for reference and
+    ignored by model_from_dict."""
     return {
         "q": m.q,
         "edge_weights": [[frac_str(x) for x in row] for row in m.edge_weights],
@@ -34,7 +36,6 @@ def model_from_dict(d: dict) -> Model:
     return Model.from_rows(
         [[Fraction(x) for x in row] for row in d["edge_weights"]],
         vertex_weights=[Fraction(x) for x in d["vertex_weights"]],
-        looped_set=d.get("looped_set", ()),
     )
 
 

@@ -14,7 +14,7 @@ models), and a scan reports it as such.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from homlab.counting import (
     _multiset_permutations,
@@ -144,7 +144,7 @@ def _decide_sides(sides) -> tuple[str, float]:
             slacks.append(0.0)
     if "violated" in verdicts:
         verdict = "violated"
-    elif all(v == "equality" for v in verdicts):
+    elif verdicts and all(v == "equality" for v in verdicts):
         verdict = "equality"
     else:
         verdict = "holds"
@@ -164,7 +164,8 @@ def decide(checks) -> tuple[str, float]:
     verdict violated; all equal give equality.  The slack is the least
     log10(big / small) over the checks whose floats are positive (0.0 for
     an equal one without), 0.0 when there is none, kept consistent with
-    the verdict by clamp_slack.
+    the verdict by clamp_slack.  An empty list is a vacuous claim: it holds
+    with slack 0.0.
     """
     return _decide_sides([(_side(small), _side(big)) for _, small, big in checks])
 
@@ -205,8 +206,9 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
     lhs_value = hom(g, m, constraints)
     if memo is None:
         memo = {}
+    edges = g.edge_list()
     counts = {}
-    for u, v in g.edge_list():
+    for u, v in edges:
         lam_u = None if constraints is None else tuple(constraints[u])
         lam_v = None if constraints is None else tuple(constraints[v])
         key = (degs[v], degs[u], lam_u, lam_v)
@@ -222,7 +224,7 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
                 kernel, m.q, m.q, d_v, d_u, _side_weights(m, lam_u), _side_weights(m, lam_v)
             )
         factors.append((base, Fraction(count, d_u * d_v)))
-    instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
+    instance = "G=%s, model q=%d" % (edges, m.q)
     return _report("reverse-sidorenko", instance, [(lhs_value, 1)], factors)
 
 
@@ -391,24 +393,6 @@ def sym_average_products(alphas, k: int) -> list[Fraction]:
     return [sums[ell][1] / sums[ell][0] for ell in range(1, min(len(alphas), k) + 1)]
 
 
-def validate_f_recursion(alphas, k: int) -> bool:
-    """f_{k,S} = sum_{x in S} alpha_x (f_{k-1,S} + f_{k-1,S \\ x}), where
-    f_{k,S} sums prod alpha_{x_i} over x in S^k using every element of S:
-    the total of S in _support_sums(alphas, k)."""
-    if k < 1:
-        return True
-    alphas = [Fraction(a) for a in alphas]
-    n = len(alphas)
-    f_k, f_prev = _support_sums(alphas, k), _support_sums(alphas, k - 1)
-    for size in range(1, min(n, k) + 1):
-        for s in map(frozenset, combinations(range(n), size)):
-            prev = f_prev.get(s, (0, 0))[1]
-            recurred = sum((alphas[x] * (prev + f_prev.get(s - {x}, (0, 0))[1]) for x in s), Fraction(0))
-            if f_k.get(s, (0, 0))[1] != recurred:
-                return False
-    return True
-
-
 def sym_corollary_sides(alphas, k: int, tau) -> tuple[Fraction, Fraction]:
     """(E[tau(|x|)] E[prod alpha] n^k, E[tau(|x|) prod alpha] n^k) over
     x in D^k: the two sides of the corollary, cleared of one 1/n^k."""
@@ -421,42 +405,15 @@ def sym_corollary_sides(alphas, k: int, tau) -> tuple[Fraction, Fraction]:
     return e_tau * e_prod, e_both * count
 
 
-def sym_corollary_holds(alphas, k: int, tau) -> tuple[bool, bool]:
-    """E[tau(|x|)] E[prod alpha] <= E[tau(|x|) prod alpha] over x in D^k.
-
-    Returns (holds, is_equality).  tau is a sequence tau[0..k], checked
-    non-increasing by the caller.
-    """
-    lhs, rhs = sym_corollary_sides(alphas, k, tau)
-    return lhs <= rhs, lhs == rhs
+def sym_monotone_checks(alphas, k: int) -> list:
+    """The chain m_{ell+1} <= m_ell for ell = 1..min(n, k) - 1, as checks
+    for decide, from one _support_sums pass."""
+    ms = sym_average_products(alphas, k)
+    return [("chain-monotone[ell=%d]" % ell, [(lo, 1)], [(hi, 1)]) for ell, (hi, lo) in enumerate(zip(ms, ms[1:]), 1)]
 
 
 def check_sym_monotone(alphas, k: int) -> IneqReport:
-    """Verdict on m_1 >= ... >= m_{min(n,k)}, with the recursion identity
-    and the corollary at tau(j) = 1/(j+1) validated on the same instance."""
-    ms = sym_average_products(alphas, k)
-    monotone = all(a >= b for a, b in zip(ms, ms[1:]))
-    all_equal = len(ms) > 1 and all(a == b for a, b in zip(ms, ms[1:]))
-    recursion_ok = validate_f_recursion(alphas, k)
-    tau = [Fraction(1, j + 1) for j in range(k + 1)]
-    cor_holds, _ = sym_corollary_holds(alphas, k, tau)
-    ok = monotone and recursion_ok and cor_holds
-    verdict = "violated" if not ok else ("equality" if all_equal else "holds")
-    steps = []
-    for hi, lo in zip(ms, ms[1:]):
-        if lo == 0:
-            steps.append(0.0 if hi == 0 else math.inf)
-        elif hi == 0:
-            steps.append(-math.inf)
-        else:
-            steps.append(math.log10(hi / lo))
-    slack = min(steps, default=0.0)
-    return IneqReport(
-        "sym-monotone",
-        "alphas=%s, k=%d" % ([str(a) for a in map(Fraction, alphas)], k),
-        None,
-        None,
-        verdict,
-        True,
-        slack,
-    )
+    """Verdict on m_1 >= ... >= m_{min(n,k)}: decide over sym_monotone_checks."""
+    verdict, slack = decide(sym_monotone_checks(alphas, k))
+    instance = "alphas=%s, k=%d" % ([str(a) for a in map(Fraction, alphas)], k)
+    return IneqReport("sym-monotone", instance, None, None, verdict, True, slack)

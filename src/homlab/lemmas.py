@@ -25,7 +25,8 @@ from itertools import combinations_with_replacement
 from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
 from homlab.errors import LimitExceeded, PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
-from homlab.inequalities import IneqReport, check_sym_monotone, decide, sym_corollary_sides
+from homlab.fileio import frac_str
+from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks
 from homlab.models import Model, classify_model, random_model
 # compare_radical_products is unused here (inequalities.decide calls it),
 # but perfbench's tracer test reads this binding, so it stays.
@@ -660,6 +661,10 @@ def _validate_sym_monotone(params):
     return p
 
 
+def _evaluate_sym_monotone(p):
+    return sym_monotone_checks(p["alphas"], p["k"])
+
+
 def _validate_sym_corollary(params):
     p = _read(params, k=int, alphas=("n",), tau=("k + 1",))
     _require(p["k"] >= 1, "k >= 1")
@@ -698,7 +703,6 @@ def _random_sym_corollary(rng):
 
 # Each lemma id's (validate, evaluate, generate).  The table's order is
 # LEMMA_IDS, the order of the `lemma --id` choices and of a battery round.
-# sym-monotone is decided whole by check_sym_monotone and has no evaluator.
 _LEMMAS = {
     "mixed-norm": (_validate_mixed_norm, _evaluate_mixed_norm, _random_mixed_norm),
     "mixed-norm-2": (_validate_mixed_norm_2, _evaluate_mixed_norm_2, _random_mixed_norm_2),
@@ -711,7 +715,7 @@ _LEMMAS = {
     "h-log-convex": (_validate_h_log_convex, _evaluate_h_log_convex, _random_h_log_convex),
     "f-log-conv": (_validate_f_log_conv, _evaluate_f_log_conv, _random_f_log_conv),
     "m-log-conv": (_validate_m_log_conv, _evaluate_m_log_conv, _random_m_log_conv),
-    "sym-monotone": (_validate_sym_monotone, None, _random_sym_monotone),
+    "sym-monotone": (_validate_sym_monotone, _evaluate_sym_monotone, _random_sym_monotone),
     "sym-corollary": (_validate_sym_corollary, _evaluate_sym_corollary, _random_sym_corollary),
 }
 
@@ -736,24 +740,24 @@ def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     """Evaluate the named lemma's inequality exactly on the instance.
 
     Multi-part lemmas (the log-convexity chains) aggregate as in
-    inequalities.decide.
+    inequalities.decide.  The report's instance text describes the
+    parameters as read: see _describe.
     """
     p = validate_instance(inst)
-    if inst.lemma_id == "sym-monotone":
-        return check_sym_monotone(p["alphas"], p["k"])
     _, evaluate, _ = _LEMMAS[inst.lemma_id]
     verdict, slack = decide(evaluate(p))
-    return IneqReport(inst.lemma_id, _describe_instance(inst), None, None, verdict, True, slack)
+    instance = ", ".join("%s=%s" % (key, _describe(p[key])) for key in sorted(p))
+    return IneqReport(inst.lemma_id, instance, None, None, verdict, True, slack)
 
 
-def _describe_instance(inst: LemmaInstance) -> str:
-    parts = []
-    for key in sorted(inst.params):
-        value = inst.params[key]
-        if isinstance(value, Graph):
-            parts.append("%s=%s" % (key, value.edge_list()))
-        elif isinstance(value, Model):
-            parts.append("%s=q%d" % (key, value.q))
-        else:
-            parts.append("%s=%s" % (key, value))
-    return ", ".join(parts)
+def _describe(value) -> str:
+    """A parameter as read by _read: a graph as its edge list, a model as
+    q<colors>, arrays and color sets as bracketed lists, rationals by
+    frac_str."""
+    if isinstance(value, Graph):
+        return str(value.edge_list())
+    if isinstance(value, Model):
+        return "q%d" % value.q
+    if isinstance(value, (tuple, frozenset)):
+        return "[%s]" % ", ".join(map(_describe, sorted(value) if isinstance(value, frozenset) else value))
+    return frac_str(value)

@@ -1,10 +1,10 @@
 """Weighted target models H: exact rational edge-weight matrix, vertex
-weights, looped-color set, named families, and ferro/antiferro
+weights, named families, and ferro/antiferro
 classification via exact eigenvalue sign counts.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from homlab.errors import InvalidArgument, NegativeWeight, NonSymmetric
@@ -18,7 +18,6 @@ class Model:
     q: int
     edge_weights: tuple[tuple[Fraction, ...], ...]
     vertex_weights: tuple[Fraction, ...]
-    looped_set: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         q = self.q
@@ -34,27 +33,25 @@ class Model:
                     raise NegativeWeight("edge weight (%d, %d) negative" % (i, j))
         if any(w < 0 for w in self.vertex_weights):
             raise NegativeWeight("negative vertex weight")
-        if any(not 0 <= c < q for c in self.looped_set):
-            raise InvalidArgument("looped color out of range")
+
+    @property
+    def looped_set(self) -> frozenset[int]:
+        """The looped colors: those with a nonzero self-weight."""
+        return frozenset(c for c in range(self.q) if self.edge_weights[c][c])
 
     @staticmethod
-    def from_rows(rows, vertex_weights=None, looped_set=()) -> "Model":
+    def from_rows(rows, vertex_weights=None) -> "Model":
         q = len(rows)
         ew = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if vertex_weights is None:
             vw = tuple(Fraction(1) for _ in range(q))
         else:
             vw = tuple(Fraction(x) for x in vertex_weights)
-        return Model(q, ew, vw, frozenset(looped_set))
+        return Model(q, ew, vw)
 
     def scaled_edges(self, c) -> "Model":
         c = Fraction(c)
-        return Model(
-            self.q,
-            tuple(tuple(w * c for w in row) for row in self.edge_weights),
-            self.vertex_weights,
-            self.looped_set,
-        )
+        return Model(self.q, tuple(tuple(w * c for w in row) for row in self.edge_weights), self.vertex_weights)
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def model_complete_looped(q: int, ell: int) -> Model:
     if not 0 <= ell <= q:
         raise InvalidArgument("need 0 <= ell <= q")
     rows = [[1 if i != j or i < ell else 0 for j in range(q)] for i in range(q)]
-    return Model.from_rows(rows, looped_set=range(ell))
+    return Model.from_rows(rows)
 
 
 def model_hardcore() -> Model:
@@ -107,19 +104,12 @@ def model_h_eps(eps) -> Model:
     if eps < 0:
         raise InvalidArgument("eps must be >= 0")
     loop = 1 + 2 * eps
-    return Model.from_rows(
-        [[loop, 1], [1, loop]],
-        vertex_weights=[Fraction(1, 2), Fraction(1, 2)],
-        looped_set=(0, 1),
-    )
+    return Model.from_rows([[loop, 1], [1, loop]], vertex_weights=[Fraction(1, 2), Fraction(1, 2)])
 
 
 def model_widom_rowlinson() -> Model:
     """Three fully looped colors A, 0, B with A-B the only non-edge."""
-    return Model.from_rows(
-        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
-        looped_set=(0, 1, 2),
-    )
+    return Model.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
 
 
 def model_two_spin(w00, w01, w11, v0=1, v1=1) -> Model:
@@ -127,10 +117,7 @@ def model_two_spin(w00, w01, w11, v0=1, v1=1) -> Model:
     if any(v < 0 for v in vals):
         raise NegativeWeight("two-spin weights must be nonnegative")
     w00, w01, w11, v0, v1 = vals
-    looped = [c for c, w in ((0, w00), (1, w11)) if w != 0]
-    return Model.from_rows(
-        [[w00, w01], [w01, w11]], vertex_weights=[v0, v1], looped_set=looped
-    )
+    return Model.from_rows([[w00, w01], [w01, w11]], vertex_weights=[v0, v1])
 
 
 def two_spin_is_ferromagnetic(m: Model) -> bool:
@@ -165,15 +152,13 @@ def random_model(q: int, seed: int, kind: str = "general") -> Model:
             for j in range(i, q):
                 rows[i][j] = rows[j][i] = _rand_fraction(rng, max_num=8, max_den=4)
         vw = [_rand_fraction(rng, max_num=4, max_den=2, positive=True) for _ in range(q)]
-        looped = frozenset(i for i in range(q) if rows[i][i] != 0)
-        return Model.from_rows(rows, vertex_weights=vw, looped_set=looped)
+        return Model.from_rows(rows, vertex_weights=vw)
     if kind == "psd":
         b = [[_rand_fraction(rng, max_num=4, max_den=2) for _ in range(q)] for _ in range(q)]
         rows = [
             [sum(b[k][i] * b[k][j] for k in range(q)) for j in range(q)] for i in range(q)
         ]
-        looped = frozenset(i for i in range(q) if rows[i][i] != 0)
-        return Model.from_rows(rows, looped_set=looped)
+        return Model.from_rows(rows)
     if kind == "antiferro-2spin":
         if q != 2:
             raise InvalidArgument("antiferro-2spin models have q = 2")

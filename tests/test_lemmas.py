@@ -245,13 +245,12 @@ class TestBattery:
 class TestSerialization:
     @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
     def test_round_trip_preserves_verdict(self, lemma_id):
-        inst = random_lemma_instance(lemma_id, 11)
-        encoded = lemma_instance_to_dict(inst)
-        import json
-
-        decoded = lemma_instance_from_dict(json.loads(json.dumps(encoded)))
-        validate_instance(decoded)
-        assert check_local_lemma(decoded).verdict == check_local_lemma(inst).verdict
+        # The whole report, not only the verdict: the instance text describes
+        # the parameters as read, so it does not depend on their source.
+        for seed in range(20):
+            inst = random_lemma_instance(lemma_id, seed)
+            decoded = lemma_instance_from_dict(json.loads(json.dumps(lemma_instance_to_dict(inst))))
+            assert check_local_lemma(decoded) == check_local_lemma(inst), (lemma_id, seed)
 
 
 class TestFloatTranscriptionOracle:

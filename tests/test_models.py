@@ -109,6 +109,10 @@ class TestConstruction:
         assert m.q == 3 and m.looped_set == frozenset({0, 1, 2})
         assert m.edge_weights[0][2] == 0 and m.edge_weights[0][1] == 1
 
+    def test_looped_set_is_read_off_the_diagonal(self):
+        assert Model.from_rows([[2, 1], [1, 0]]).looped_set == {0}
+        assert Model.from_rows([[2, 1], [1, 2]]).looped_set == {0, 1}
+
 
 class TestClassification:
     def test_ferromagnetic_example(self):

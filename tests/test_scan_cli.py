@@ -364,7 +364,7 @@ class TestReportDigests:
             for seed in range(3):
                 report = report_to_dict(check_local_lemma(random_lemma_instance(lemma_id, seed)))
                 digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
-        assert digest.hexdigest() == "352ffcc3efcdb0a3d973f4e2dcfd87f217254379134d89cbd879ad07cca0d8ff"
+        assert digest.hexdigest() == "d9607362dd0f00665958c833382dcda6647185084b1e44f1272a5e320e7062a2"
 
 def _no_labeled_walk(*args, **kwargs):
     # An uncapped 8-vertex labeled source would walk 2^28 masks; fail at once.
@@ -777,3 +777,6 @@ class TestConstraintFiles:
         path = tmp_path / "wr.json"
         path.write_text(json.dumps(model_to_dict(m)))
         assert load_model(str(path)) == m
+        # looped_set is written for reference; the diagonal decides it on read.
+        path.write_text(json.dumps({**model_to_dict(m), "looped_set": [1]}))
+        assert load_model(str(path)).looped_set == {0, 1, 2}
