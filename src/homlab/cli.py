@@ -14,14 +14,12 @@ from homlab.errors import HomlabError, InvalidArgument
 from homlab.fileio import (
     frac_str,
     graph_from_any,
-    lemma_instance_to_dict,
-    load_lemma_instance,
     load_replay,
     model_from_any,
     parse_constraints,
     report_to_dict,
 )
-from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
+from homlab.lemmas import LEMMA_IDS, check_local_lemma, lemma_instance_to_dict, load_lemma_instance, random_lemma_instance
 from homlab.scan import (
     SCAN_INEQUALITIES,
     ScanJob,

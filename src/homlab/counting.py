@@ -284,7 +284,9 @@ def ominus(a_set, b, looped) -> frozenset:
 
 def cc(a_set, b_set, a: int, b: int, looped=()) -> int:
     """Semiproper colorings of K_{a,b} with side lists A and B: computed by
-    the expansion sum over x in A^a of |B (-) x|^b.
+    the expansion sum over x in A^a of |B (-) x|^b, grouped by the multiset
+    of x.  Raises LimitExceeded when the work, C(|A| + a - 1, a) * (a + |B|),
+    exceeds CONTRACTION_WORK_LIMIT.
 
     Symmetric: cc(A, B, a, b) == cc(B, A, b, a).
     """
@@ -293,6 +295,12 @@ def cc(a_set, b_set, a: int, b: int, looped=()) -> int:
     looped = frozenset(looped)
     if a == 0:
         return len(b_frozen) ** b
+    work = comb(len(a_list) + a - 1, a) * (a + len(b_frozen))
+    if work > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded(
+            "cc work bound %d exceeds %d (a = %d, |A| = %d, |B| = %d)"
+            % (work, CONTRACTION_WORK_LIMIT, a, len(a_list), len(b_frozen))
+        )
     total = 0
     for x in combinations_with_replacement(a_list, a):
         mult = _multiset_permutations(x)

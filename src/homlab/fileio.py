@@ -74,7 +74,7 @@ def load_model(path: str) -> Model:
         raise InvalidSpec("model file %s is not a model document: %s" % (path, exc)) from None
 
 
-def _read_json(path: str, what: str):
+def read_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -96,7 +96,7 @@ def replay_from_dict(d: dict):
 
 
 def load_replay(path: str):
-    return replay_from_dict(_read_json(path, "replay"))
+    return replay_from_dict(read_json(path, "replay"))
 
 
 def graph_from_any(spec: str) -> Graph:
@@ -167,61 +167,3 @@ def report_to_dict(r: IneqReport) -> dict:
         "exact": r.exact,
         "slack_log10": r.slack_log10,
     }
-
-
-# ---------------------------------------------------------------------------
-# Lemma instance files: rationals become "p/q" strings, graphs and models
-# become tagged sub-documents; ints stay ints.
-
-
-def _encode_param(value):
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    if isinstance(value, Graph):
-        return {"__graph__": graph_to_dict(value)}
-    if isinstance(value, Model):
-        return {"__model__": model_to_dict(value)}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        seq = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_encode_param(x) for x in seq]
-    if isinstance(value, str):
-        return value
-    raise InvalidArgument("cannot encode lemma parameter %r" % (value,))
-
-
-def _decode_param(value):
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, dict):
-        if "__graph__" in value:
-            return graph_from_dict(value["__graph__"])
-        if "__model__" in value:
-            return model_from_dict(value["__model__"])
-        raise InvalidArgument("unknown tagged parameter %r" % (value,))
-    if isinstance(value, list):
-        return [_decode_param(x) for x in value]
-    raise InvalidArgument("cannot decode lemma parameter %r" % (value,))
-
-
-def lemma_instance_to_dict(inst) -> dict:
-    return {
-        "lemma": inst.lemma_id,
-        "params": {k: _encode_param(v) for k, v in inst.params.items()},
-    }
-
-
-def lemma_instance_from_dict(d: dict):
-    from homlab.lemmas import LemmaInstance
-
-    try:
-        return LemmaInstance(d["lemma"], {k: _decode_param(v) for k, v in d["params"].items()})
-    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        raise InvalidSpec("not a lemma instance document: %r" % (exc,)) from None
-
-
-def load_lemma_instance(path: str):
-    return lemma_instance_from_dict(_read_json(path, "lemma instance"))

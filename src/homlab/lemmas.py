@@ -1,16 +1,18 @@
 """The local-lemma battery: exact checkers for every helper inequality,
 each exercised on finite rational instances.
 
-Each lemma id has a validator, an evaluator and a seeded random instance
-generator.  The validator opens with one _read call that declares the
-id's parameters: a missing one, or one of the wrong type or shape, raises
-PreconditionViolated naming it, and so does any failed precondition.  It
-returns the parameters as read (arrays as tuples of Fractions), and
-check_local_lemma hands them to the evaluator.  The evaluator produces one
-or more checks (label, small, big) of the claim small <= big.  Each side
-is a list of (base, exponent) factors: a rational base is passed as a
-Fraction or int, and only a true sum of radicals is built as a
-RadicalSum.  inequalities.decide gives the verdict and slack.
+Each lemma id is one row of _LEMMAS: its parameters, a check, an
+evaluator and a seeded random instance generator.  validate_instance
+reads the declared parameters with _read, from Python values or from the
+JSON forms of a lemma file: a missing one, or one of the wrong type or
+shape, raises PreconditionViolated naming it.  The check then raises it
+for any failed precondition.  The parameters as read (arrays as tuples
+of Fractions) go to the evaluator, which produces one or more checks
+(label, small, big) of the claim small <= big.  Each side is a list of
+(base, exponent) factors: a rational base is passed as a Fraction or
+int, and only a true sum of radicals is built as a RadicalSum.
+inequalities.decide gives the verdict and slack.  This module also owns
+the lemma file format (lemma_instance_to_dict, lemma_instance_from_dict).
 Real exponents in the sources (q >= 1, t >= 1) are exercised at rational
 sample points; the inequalities are closed under limits, so this loses
 nothing checkable.
@@ -23,9 +25,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
-from homlab.errors import LimitExceeded, PreconditionViolated
+from homlab.errors import HomlabError, InvalidSpec, LimitExceeded, PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
-from homlab.fileio import frac_str
+from homlab.fileio import frac_str, graph_from_dict, graph_to_dict, model_from_dict, model_to_dict, read_json
 from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks
 from homlab.models import Model, classify_model, random_model
 # compare_radical_products is unused here (inequalities.decide calls it),
@@ -44,14 +46,20 @@ def _require(cond: bool, condition: str):
         raise PreconditionViolated(condition)
 
 
-def _read(params: dict, **kinds) -> dict:
+# A model or graph parameter in a lemma file: its tag, reader and writer.
+_DOCUMENTS = {Model: ("__model__", model_from_dict, model_to_dict), Graph: ("__graph__", graph_from_dict, graph_to_dict)}
+
+
+def _read(params: dict, kinds: dict) -> dict:
     """The declared parameters of params, checked and converted; undeclared
     keys are ignored.  A kind is int, Fraction, frozenset (a list of int
     colors), Model, Graph, or a tuple of dimension names for an array of
     nonnegative rationals, read as tuples of Fractions: ("q",) is a vector
     and ("rows", "na") a matrix.  A dimension name binds to the first
     length read for it, which must be at least 1; "q" and "n" bind to a
-    model's q and a graph's n, so those are declared first."""
+    model's q and a graph's n, so those are declared first.  A rational
+    may also be a rational string such as "p/q", and a model or graph a
+    tagged {"__model__": ...} or {"__graph__": ...} document."""
     p, dims = {}, {}
     for name, kind in kinds.items():
         _require(name in params, "missing parameter %s" % name)
@@ -65,9 +73,15 @@ def _read(params: dict, **kinds) -> dict:
         elif kind is int:
             _require(type(value) is int, "%s must be an int" % name)
         elif kind is Fraction:
-            _require(type(value) is Fraction or type(value) is int, "%s must be a rational" % name)
-            value = value if type(value) is Fraction else Fraction(value)
+            value = value if type(value) is Fraction else _rational(value)
+            _require(value is not None, "%s must be a rational" % name)
         else:
+            tag, from_dict, _ = _DOCUMENTS[kind]
+            if type(value) is dict and tag in value:
+                try:
+                    value = from_dict(value[tag])
+                except (HomlabError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+                    raise PreconditionViolated("%s is not a %s document: %r" % (name, kind.__name__.lower(), exc)) from None
             _require(isinstance(value, kind), "%s must be a %s" % (name, kind.__name__))
             if kind is Model:
                 dims["q"] = value.q
@@ -77,29 +91,37 @@ def _read(params: dict, **kinds) -> dict:
     return p
 
 
+def _rational(x) -> Fraction | None:
+    """An int or a rational string ("p/q", "p") as a Fraction, else None."""
+    try:
+        return Fraction(x) if type(x) is int or type(x) is str else None
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _read_array(name: str, value, shape: tuple, dims: dict, axis: int) -> tuple:
     dim, leaf = shape[axis], axis + 1 == len(shape)
     ok = isinstance(value, (list, tuple)) and (value or dim in dims)
-    if not ok or leaf and not all(type(x) is Fraction or type(x) is int for x in value):
+    if ok and leaf:
+        value = tuple(x if type(x) is Fraction else _rational(x) for x in value)
+        ok = all(x is not None for x in value)
+    if not ok:
         raise PreconditionViolated("%s must be a nonempty %s array of rationals" % (name, " x ".join(shape)))
     size = dims.setdefault(dim, len(value))
     if len(value) != size:
         raise PreconditionViolated("%s has %d entries along %s = %d" % (name, len(value), dim, size))
     if not leaf:
         return tuple(_read_array(name, row, shape, dims, axis + 1) for row in value)
-    out = tuple(x if type(x) is Fraction else Fraction(x) for x in value)
-    _require(all(x >= 0 for x in out), "%s must be nonnegative" % name)
-    return out
+    _require(all(x >= 0 for x in value), "%s must be nonnegative" % name)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # mixed-norm: ||A^T B||_{L_{1,q}}^2 <= ||A^T A||_{L_{q,q}} ||B^T B||_{L_{1,1}}
 
 
-def _validate_mixed_norm(params):
-    p = _read(params, q=Fraction, A=("rows", "na"), B=("rows", "nb"))
+def _check_mixed_norm(p):
     _require(p["q"] >= 1, "q >= 1")
-    return p
 
 
 def _evaluate_mixed_norm(p):
@@ -132,12 +154,6 @@ def _random_mixed_norm(rng):
 
 # ---------------------------------------------------------------------------
 # mixed-norm-2: the three-function form used to prove log-convexity.
-
-
-def _validate_mixed_norm_2(params):
-    p = _read(params, q=Fraction, f=("ns", "nt"), g=("ns", "nt", "nu"), h=("ns", "nt", "nv"))
-    _require(p["q"] >= 1, "q >= 1")
-    return p
 
 
 def _evaluate_mixed_norm_2(p):
@@ -184,11 +200,9 @@ def _random_mixed_norm_2(rng):
 # local-123: the two-edge path inequality behind the main induction.
 
 
-def _validate_local_123(params):
-    p = _read(params, beta=int, gamma=int, delta=int, f12=("n1", "n2"), f23=("n2", "n3"), w1=("n1",), w2=("n2",), w3=("n3",))
+def _check_local_123(p):
     _require(1 <= p["beta"] <= p["delta"], "1 <= beta <= delta")
     _require(p["gamma"] >= 2, "gamma >= 2")
-    return p
 
 
 def _evaluate_local_123(p):
@@ -240,11 +254,9 @@ def _random_local_123(rng):
 # color-holder: interpolation in the second biclique index.
 
 
-def _validate_color_holder(params):
-    p = _read(params, looped=frozenset, A=frozenset, B=frozenset, k=int, r=int, s=int, t=int)
+def _check_color_holder(p):
     _require(0 <= p["r"] <= p["s"] <= p["t"], "0 <= r <= s <= t")
     _require(p["k"] >= 0, "k >= 0")
-    return p
 
 
 def _evaluate_color_holder(p):
@@ -289,15 +301,13 @@ def _random_color_holder(rng):
 # color-bcd: the correlation step with the (1 - |x|/|C|) weights.
 
 
-def _validate_color_bcd(params):
-    p = _read(params, looped=frozenset, B=frozenset, C=frozenset, D=frozenset, b=int, c=int, k=int, t=Fraction)
+def _check_color_bcd(p):
     _require(p["b"] >= 2, "b >= 2")
     _require(p["c"] >= 1, "c >= 1")
     _require(p["k"] >= 1, "k >= 1")
     _require(p["t"] >= 1, "t >= 1")
     _require(p["D"] <= p["C"], "D subset of C")
     _require(not (p["D"] & p["looped"]), "D must avoid looped colors")
-    return p
 
 
 def _evaluate_color_bcd(p):
@@ -350,13 +360,11 @@ def _random_color_bcd(rng):
 # color-ac and color-abc: the semiproper local inequalities.
 
 
-def _validate_color_ac(params):
-    p = _read(params, looped=frozenset, A=frozenset, B=frozenset, C=frozenset, a=int, b=int, c=int)
+def _check_color_ac(p):
     a_int, b_int, c_int = p["a"], p["b"], p["c"]
     _require(a_int >= 1 and b_int >= 1 and c_int >= 1, "a, b, c positive")
     _require(max(b_int, c_int) <= a_int, "max{b, c} <= a")
     _require(b_int + c_int >= 3, "b + c >= 3 (exponent b+c-2 must be positive)")
-    return p
 
 
 def _color_lhs_sum(p):
@@ -431,10 +439,8 @@ def _random_color_ac(rng):
 # clique-cs: the Cauchy-Schwarz step on G, G-dot, G-dot-dot.
 
 
-def _validate_clique_cs(params):
-    p = _read(params, graph=Graph, model=Model, lam=("n", "q"), nu=("n", "q"), nu_apex=("q",))
+def _check_clique_cs(p):
     _require(all(x > 0 for vec in p["lam"] for x in vec), "lambda must be pointwise positive")
-    return p
 
 
 def _evaluate_clique_cs(p):
@@ -481,12 +487,10 @@ def _require_psd(m: Model):
     _require(classify_model(m).ferromagnetic, "model must be positive semidefinite")
 
 
-def _validate_h_log_convex(params):
-    p = _read(params, model=Model, t=int, lam=("q",), nu=("q",))
+def _check_h_log_convex(p):
     _require(p["t"] >= 2, "t >= 2")
     _require_psd(p["model"])
     _require(all(x > 0 for x in p["lam"]), "lambda must be pointwise positive")
-    return p
 
 
 def _evaluate_h_log_convex(p):
@@ -501,25 +505,19 @@ def _evaluate_h_log_convex(p):
     return [("clique-h-log-convex", lhs, rhs)]
 
 
-def _random_psd_model(rng, q):
-    return random_model(q, rng.randrange(10 ** 6), "psd")
-
-
 def _random_h_log_convex(rng):
     q = rng.randrange(1, 4)
     return {
-        "model": _random_psd_model(rng, q),
+        "model": random_model(q, rng.randrange(10 ** 6), "psd"),
         "t": rng.randrange(2, 4),
         "lam": _random_weight_vector(rng, q, positive=True),
         "nu": _random_weight_vector(rng, q),
     }
 
 
-def _validate_f_log_conv(params):
-    p = _read(params, model=Model, a=int, mu=("q",), nu=("q",))
+def _check_f_log_conv(p):
     _require(p["a"] >= 1, "a >= 1")
     _require_psd(p["model"])
-    return p
 
 
 def _evaluate_f_log_conv(p):
@@ -541,18 +539,16 @@ def _evaluate_f_log_conv(p):
 def _random_f_log_conv(rng):
     q = rng.randrange(1, 4)
     return {
-        "model": _random_psd_model(rng, q),
+        "model": random_model(q, rng.randrange(10 ** 6), "psd"),
         "a": rng.randrange(1, 5),
         "mu": _random_weight_vector(rng, q),
         "nu": _random_weight_vector(rng, q),
     }
 
 
-def _validate_m_log_conv(params):
-    p = _read(params, model=Model, a=int, b=int, delta=int, lam=("q",), mu=("q",))
+def _check_m_log_conv(p):
     _require(1 <= p["b"] <= p["a"] <= p["delta"], "1 <= b <= a <= delta")
     _require_psd(p["model"])
-    return p
 
 
 def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> RadicalSum:
@@ -642,7 +638,7 @@ def _random_m_log_conv(rng):
     a = b + rng.randrange(0, 3)
     delta = a + rng.randrange(0, 2)
     return {
-        "model": _random_psd_model(rng, q),
+        "model": random_model(q, rng.randrange(10 ** 6), "psd"),
         "a": a,
         "b": b,
         "delta": delta,
@@ -655,23 +651,19 @@ def _random_m_log_conv(rng):
 # sym-monotone and sym-corollary.
 
 
-def _validate_sym_monotone(params):
-    p = _read(params, k=int, alphas=("n",))
+def _check_sym_monotone(p):
     _require(p["k"] >= 1, "k >= 1")
-    return p
 
 
 def _evaluate_sym_monotone(p):
     return sym_monotone_checks(p["alphas"], p["k"])
 
 
-def _validate_sym_corollary(params):
-    p = _read(params, k=int, alphas=("n",), tau=("k + 1",))
+def _check_sym_corollary(p):
     _require(p["k"] >= 1, "k >= 1")
     tau = p["tau"]
     _require(len(tau) == p["k"] + 1, "tau must have length k + 1")
     _require(all(a >= b for a, b in zip(tau, tau[1:])), "tau must be non-increasing")
-    return p
 
 
 def _evaluate_sym_corollary(p):
@@ -701,38 +693,42 @@ def _random_sym_corollary(rng):
 # ---------------------------------------------------------------------------
 # Dispatch.
 
-# Each lemma id's (validate, evaluate, generate).  The table's order is
-# LEMMA_IDS, the order of the `lemma --id` choices and of a battery round.
+# Each lemma id's (params, check, evaluate, generate).  params declares
+# the parameters as _read takes them; check raises PreconditionViolated
+# for a failed precondition.  The table's order is LEMMA_IDS, the order of
+# the `lemma --id` choices and of a battery round.
 _LEMMAS = {
-    "mixed-norm": (_validate_mixed_norm, _evaluate_mixed_norm, _random_mixed_norm),
-    "mixed-norm-2": (_validate_mixed_norm_2, _evaluate_mixed_norm_2, _random_mixed_norm_2),
-    "local-123": (_validate_local_123, _evaluate_local_123, _random_local_123),
-    "color-holder": (_validate_color_holder, _evaluate_color_holder, _random_color_holder),
-    "color-bcd": (_validate_color_bcd, _evaluate_color_bcd, _random_color_bcd),
-    "color-ac": (_validate_color_ac, _evaluate_color_ac, _random_color_ac),
-    "color-abc": (_validate_color_ac, _evaluate_color_abc, _random_color_ac),
-    "clique-cs": (_validate_clique_cs, _evaluate_clique_cs, _random_clique_cs),
-    "h-log-convex": (_validate_h_log_convex, _evaluate_h_log_convex, _random_h_log_convex),
-    "f-log-conv": (_validate_f_log_conv, _evaluate_f_log_conv, _random_f_log_conv),
-    "m-log-conv": (_validate_m_log_conv, _evaluate_m_log_conv, _random_m_log_conv),
-    "sym-monotone": (_validate_sym_monotone, _evaluate_sym_monotone, _random_sym_monotone),
-    "sym-corollary": (_validate_sym_corollary, _evaluate_sym_corollary, _random_sym_corollary),
+    "mixed-norm": ({"q": Fraction, "A": ("rows", "na"), "B": ("rows", "nb")}, _check_mixed_norm, _evaluate_mixed_norm, _random_mixed_norm),
+    "mixed-norm-2": ({"q": Fraction, "f": ("ns", "nt"), "g": ("ns", "nt", "nu"), "h": ("ns", "nt", "nv")}, _check_mixed_norm, _evaluate_mixed_norm_2, _random_mixed_norm_2),
+    "local-123": ({"beta": int, "gamma": int, "delta": int, "f12": ("n1", "n2"), "f23": ("n2", "n3"), "w1": ("n1",), "w2": ("n2",), "w3": ("n3",)}, _check_local_123, _evaluate_local_123, _random_local_123),
+    "color-holder": ({"looped": frozenset, "A": frozenset, "B": frozenset, "k": int, "r": int, "s": int, "t": int}, _check_color_holder, _evaluate_color_holder, _random_color_holder),
+    "color-bcd": ({"looped": frozenset, "B": frozenset, "C": frozenset, "D": frozenset, "b": int, "c": int, "k": int, "t": Fraction}, _check_color_bcd, _evaluate_color_bcd, _random_color_bcd),
+    "color-ac": ({"looped": frozenset, "A": frozenset, "B": frozenset, "C": frozenset, "a": int, "b": int, "c": int}, _check_color_ac, _evaluate_color_ac, _random_color_ac),
+    "color-abc": ({"looped": frozenset, "A": frozenset, "B": frozenset, "C": frozenset, "a": int, "b": int, "c": int}, _check_color_ac, _evaluate_color_abc, _random_color_ac),
+    "clique-cs": ({"graph": Graph, "model": Model, "lam": ("n", "q"), "nu": ("n", "q"), "nu_apex": ("q",)}, _check_clique_cs, _evaluate_clique_cs, _random_clique_cs),
+    "h-log-convex": ({"model": Model, "t": int, "lam": ("q",), "nu": ("q",)}, _check_h_log_convex, _evaluate_h_log_convex, _random_h_log_convex),
+    "f-log-conv": ({"model": Model, "a": int, "mu": ("q",), "nu": ("q",)}, _check_f_log_conv, _evaluate_f_log_conv, _random_f_log_conv),
+    "m-log-conv": ({"model": Model, "a": int, "b": int, "delta": int, "lam": ("q",), "mu": ("q",)}, _check_m_log_conv, _evaluate_m_log_conv, _random_m_log_conv),
+    "sym-monotone": ({"k": int, "alphas": ("n",)}, _check_sym_monotone, _evaluate_sym_monotone, _random_sym_monotone),
+    "sym-corollary": ({"k": int, "alphas": ("n",), "tau": ("k + 1",)}, _check_sym_corollary, _evaluate_sym_corollary, _random_sym_corollary),
 }
 
 LEMMA_IDS = tuple(_LEMMAS)
 
 
 def validate_instance(inst: LemmaInstance) -> dict:
-    """The instance's parameters as its lemma declares them (see _read)."""
+    """The instance's parameters as read by _read and passed by its lemma's check."""
     if not isinstance(inst.lemma_id, str) or inst.lemma_id not in _LEMMAS:
         raise PreconditionViolated("unknown lemma id %r" % (inst.lemma_id,))
-    validate, _, _ = _LEMMAS[inst.lemma_id]
-    return validate(inst.params)
+    kinds, check, _, _ = _LEMMAS[inst.lemma_id]
+    p = _read(inst.params, kinds)
+    check(p)
+    return p
 
 
 def random_lemma_instance(lemma_id: str, seed: int) -> LemmaInstance:
     rng = random.Random("%s:%d" % (lemma_id, seed))
-    _, _, generate = _LEMMAS[lemma_id]
+    _, _, _, generate = _LEMMAS[lemma_id]
     return LemmaInstance(lemma_id, generate(rng))
 
 
@@ -744,7 +740,7 @@ def check_local_lemma(inst: LemmaInstance) -> IneqReport:
     parameters as read: see _describe.
     """
     p = validate_instance(inst)
-    _, evaluate, _ = _LEMMAS[inst.lemma_id]
+    _, _, evaluate, _ = _LEMMAS[inst.lemma_id]
     verdict, slack = decide(evaluate(p))
     instance = ", ".join("%s=%s" % (key, _describe(p[key])) for key in sorted(p))
     return IneqReport(inst.lemma_id, instance, None, None, verdict, True, slack)
@@ -761,3 +757,35 @@ def _describe(value) -> str:
     if isinstance(value, (tuple, frozenset)):
         return "[%s]" % ", ".join(map(_describe, sorted(value) if isinstance(value, frozenset) else value))
     return frac_str(value)
+
+
+# ---------------------------------------------------------------------------
+# Lemma files: {"lemma": ID, "params": {...}} in the JSON forms _read takes.
+
+
+def _to_json(value):
+    """A parameter as read by _read, in the form _read takes from a file."""
+    if type(value) in _DOCUMENTS:
+        tag, _, to_dict = _DOCUMENTS[type(value)]
+        return {tag: to_dict(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_to_json(x) for x in value]
+    return frac_str(value) if type(value) is Fraction else value
+
+
+def lemma_instance_to_dict(inst: LemmaInstance) -> dict:
+    """The instance as a lemma file: its declared parameters as read."""
+    return {"lemma": inst.lemma_id, "params": {k: _to_json(v) for k, v in validate_instance(inst).items()}}
+
+
+def lemma_instance_from_dict(d) -> LemmaInstance:
+    """A lemma file's instance; its parameters are read when it is checked."""
+    if not (isinstance(d, dict) and isinstance(d.get("lemma"), str) and isinstance(d.get("params"), dict)):
+        raise InvalidSpec('not a lemma instance document: need an object with a string "lemma" and an object "params"')
+    return LemmaInstance(d["lemma"], d["params"])
+
+
+def load_lemma_instance(path: str) -> LemmaInstance:
+    return lemma_instance_from_dict(read_json(path, "lemma instance"))

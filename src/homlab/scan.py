@@ -150,12 +150,15 @@ def random_lists(seed: int, gid: str, n: int, q: int) -> list[frozenset[int]]:
 
 def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo=None):
     """Decide one cell.  `memo` is a factor memo for this model (see
-    check_reverse_sidorenko and check_clique_max); check_bst ignores it."""
+    check_reverse_sidorenko and check_clique_max); check_bst ignores it,
+    and bst takes no vertex constraints."""
     if ineq == "reverse-sidorenko":
         return check_reverse_sidorenko(graph, model, constraints, memo)
     if ineq == "clique-max":
         return check_clique_max(graph, model, constraints, memo)
     if ineq == "bst":
+        if constraints is not None:
+            raise InvalidArgument("bst takes no vertex constraints")
         return check_bst(graph, model)
     raise InvalidArgument("unknown inequality %r (scan supports %s)" % (ineq, SCAN_INEQUALITIES))
 

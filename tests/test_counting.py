@@ -420,6 +420,16 @@ class TestOminusAndCc:
         assert cc({0, 1}, {0, 1}, 2, 2) == 2
         assert cc({0, 1, 2}, {0, 1, 2}, 0, 2) == 9
 
+    def test_cc_work_limit(self):
+        # C(4 + a - 1, a) * (a + 4) is 7.7e6 at a = 80 and 1.8e7 at a = 100;
+        # a = 200 ran past 60 s before cc had a work bound.
+        four = {0, 1, 2, 3}
+        for a, b_set in ((100, four), (200, four), (200, set())):
+            t0 = time.perf_counter()
+            with pytest.raises(LimitExceeded, match="cc work bound"):
+                cc(four, b_set, a, 2, {0})
+            assert time.perf_counter() - t0 < 1
+
     def test_cc_exhaustive_against_oracle(self):
         universe = (0, 1, 2)
         subsets = [

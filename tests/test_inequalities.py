@@ -754,7 +754,7 @@ class TestDecide:
         # base lifted, which reads 0^0 as 1 on its own.
         lift = lambda side: [(b if isinstance(b, RadicalSum) else RadicalSum.from_rational(b), e) for b, e in side]
         compared = 0
-        for lemma_id, (_, evaluate, _) in lemma_table.items():
+        for lemma_id, (_, _, evaluate, _) in lemma_table.items():
             for seed in range(200):
                 for check in evaluate(random_lemma_instance(lemma_id, seed).params):
                     _, small, big = check

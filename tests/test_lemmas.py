@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from homlab import cli
 
 from homlab.errors import LimitExceeded, PreconditionViolated
-from homlab.fileio import lemma_instance_from_dict, lemma_instance_to_dict
 from homlab.lemmas import (
     LEMMA_IDS,
     LemmaInstance,
     _hom_clique_radical,
     check_local_lemma,
+    lemma_instance_from_dict,
+    lemma_instance_to_dict,
     random_lemma_instance,
     validate_instance,
 )
@@ -249,8 +250,20 @@ class TestSerialization:
         # the parameters as read, so it does not depend on their source.
         for seed in range(20):
             inst = random_lemma_instance(lemma_id, seed)
-            decoded = lemma_instance_from_dict(json.loads(json.dumps(lemma_instance_to_dict(inst))))
+            doc = lemma_instance_to_dict(inst)
+            decoded = lemma_instance_from_dict(json.loads(json.dumps(doc)))
+            assert lemma_instance_to_dict(decoded) == doc, (lemma_id, seed)
             assert check_local_lemma(decoded) == check_local_lemma(inst), (lemma_id, seed)
+
+    def test_document_holds_the_declared_parameters_as_read(self):
+        inst = random_lemma_instance("color-ac", 9)
+        inst.params["C"] = [3, 1, 2]
+        doc = lemma_instance_to_dict(inst)
+        assert "q" in inst.params and set(doc["params"]) == {"looped", "A", "B", "C", "a", "b", "c"}
+        assert doc["params"]["C"] == [1, 2, 3]
+        inst = random_lemma_instance("h-log-convex", 0)
+        inst.params["nu"] = [1] * len(inst.params["nu"])
+        assert lemma_instance_to_dict(inst)["params"]["nu"] == ["1"] * len(inst.params["nu"])
 
 
 class TestFloatTranscriptionOracle:

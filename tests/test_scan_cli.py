@@ -571,8 +571,7 @@ class TestCli:
         assert res.returncode == 0 and "verdict" in res.stdout
 
     def test_lemma_file(self, tmp_path):
-        from homlab.fileio import lemma_instance_to_dict
-        from homlab.lemmas import random_lemma_instance
+        from homlab.lemmas import lemma_instance_to_dict, random_lemma_instance
 
         inst = random_lemma_instance("mixed-norm", 7)
         f = tmp_path / "inst.json"
@@ -585,8 +584,7 @@ class TestCli:
     # floats; at a = 30 so do single coefficients of its sums.
     @pytest.mark.parametrize("a", [14, 30])
     def test_lemma_slack_past_float_range(self, tmp_path, a):
-        from homlab.fileio import lemma_instance_to_dict
-        from homlab.lemmas import random_lemma_instance
+        from homlab.lemmas import lemma_instance_to_dict, random_lemma_instance
 
         inst = random_lemma_instance("m-log-conv", 3)
         inst.params.update(a=a, delta=a)
@@ -597,8 +595,7 @@ class TestCli:
         assert json.loads(res.stdout)["verdict"] == "equality"
 
     def test_lemma_over_work_limit_fails_fast(self, tmp_path):
-        from homlab.fileio import lemma_instance_to_dict
-        from homlab.lemmas import LemmaInstance
+        from homlab.lemmas import LemmaInstance, lemma_instance_to_dict
         from homlab.models import Model
 
         m = Model.from_rows([[18, 7, 14], [7, Fraction(69, 4), 19], [14, 19, 24]])
@@ -644,6 +641,27 @@ class TestCli:
         assert res.returncode == 1 and "Traceback" not in res.stderr
         assert res.stderr.startswith("error: constraint line '-1 0' has a negative weight")
 
+    def test_bst_rejects_vertex_lists(self, tmp_path, capsys):
+        # bst used to drop the lists and print the list-free verdict.
+        lists = tmp_path / "lists.txt"
+        lists.write_text("0: {0}\n")
+        res = run_cli("verify", "--ineq", "bst", "--graph", "C4", "--model", "hardcore", "--lists", str(lists))
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == "error: bst takes no vertex constraints\n"
+        replay = tmp_path / "replay.json"
+        from homlab.graphs import parse_graph_name
+        from homlab.models import parse_model_name
+
+        constraints = [(Fraction(1), Fraction(0))] * 4
+        replay.write_text(json.dumps(scan.make_replay("bst", parse_graph_name("C4"), parse_model_name("hardcore"), constraints)))
+        assert cli.main(["verify", "--replay", str(replay)]) == 1
+        assert capsys.readouterr().err == "error: bst takes no vertex constraints\n"
+        out = tmp_path / "scan.json"
+        code = cli.main(["scan", "--ineq", "bst", "--graphs", "C4", "--models", "hardcore", "--list-seeds", "2", "--format", "json", "--out", str(out)])
+        summary = json.loads(out.read_text())
+        assert code == 1 and summary["rows"] == [] and summary["instances_checked"] == 0
+        assert [e["instance_id"] for e in summary["errors"]] == ["C4|hardcore|lists:0", "C4|hardcore|lists:1"]
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -660,19 +678,22 @@ class TestCli:
         assert res.stderr.startswith(message)
 
     @pytest.mark.parametrize(
-        "document",
+        "document, message",
         [
-            {"lemma": "mixed-norm", "params": {"q": "x", "A": [["1"]], "B": [["1"]]}},
-            [1, 2],
-            {"params": {}},
+            ({"lemma": "mixed-norm", "params": {"q": "x", "A": [["1"]], "B": [["1"]]}}, "error: q must be a rational"),
+            ([1, 2], "error: not a lemma instance document"),
+            ({"params": {}}, "error: not a lemma instance document"),
+            ({"lemma": 3, "params": {}}, "error: not a lemma instance document"),
+            ({"lemma": "sym-monotone", "params": [1]}, "error: not a lemma instance document"),
         ],
+        ids=["document%d" % i for i in range(5)],
     )
-    def test_malformed_lemma_files_fail_fast(self, tmp_path, document):
+    def test_malformed_lemma_files_fail_fast(self, tmp_path, document, message):
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(document))
         res = run_cli("lemma", "--file", str(f))
         assert res.returncode == 1 and "Traceback" not in res.stderr
-        assert res.stderr.startswith("error: not a lemma instance document")
+        assert res.stderr.startswith(message)
 
     # A ragged matrix and a missing parameter used to leak IndexError and
     # KeyError from inside the lemma code.
@@ -684,6 +705,34 @@ class TestCli:
                 "error: A has 1 entries along na = 2",
             ),
             ({"lemma": "m-log-conv", "params": {"a": 2}}, "error: missing parameter model"),
+            # A value that does not parse is named like any other bad parameter.
+            ({"lemma": "mixed-norm", "params": {"q": "x", "A": [["1"]], "B": [["1"]]}}, "error: q must be a rational"),
+            ({"lemma": "mixed-norm", "params": {"q": "1/0", "A": [["1"]], "B": [["1"]]}}, "error: q must be a rational"),
+            (
+                {"lemma": "mixed-norm", "params": {"q": "2", "A": [["1", "abc"]], "B": [["1"]]}},
+                "error: A must be a nonempty rows x na array of rationals",
+            ),
+            (
+                {"lemma": "h-log-convex", "params": {"model": {"__model__": {}}, "t": 2, "lam": ["1"], "nu": ["1"]}},
+                "error: model is not a model document: ",
+            ),
+            (
+                {
+                    "lemma": "clique-cs",
+                    "params": {
+                        "graph": {"__graph__": {"n": -1, "edges": []}},
+                        "model": {"__model__": {"q": 1, "edge_weights": [["1"]], "vertex_weights": ["1"]}},
+                        "lam": [["1"]],
+                        "nu": [["1"]],
+                        "nu_apex": ["1"],
+                    },
+                },
+                "error: graph is not a graph document: ",
+            ),
+            (
+                {"lemma": "h-log-convex", "params": {"model": "Kq:3", "t": 2, "lam": ["1"], "nu": ["1"]}},
+                "error: model must be a Model",
+            ),
         ],
     )
     def test_lemma_file_parameters_fail_fast(self, tmp_path, document, message):
