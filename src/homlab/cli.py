@@ -11,14 +11,7 @@ import sys
 
 from homlab.counting import hom
 from homlab.errors import HomlabError, InvalidArgument
-from homlab.fileio import (
-    frac_str,
-    graph_from_any,
-    load_replay,
-    model_from_any,
-    parse_constraints,
-    report_to_dict,
-)
+from homlab.fileio import frac_str, graph_from_any, load_replay, model_from_any, parse_constraints, read_text, report_to_dict
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, lemma_instance_to_dict, load_lemma_instance, random_lemma_instance
 from homlab.scan import (
     SCAN_INEQUALITIES,
@@ -32,11 +25,6 @@ from homlab.toy import reproduce_toy_c6
 EXIT_OK = 0
 EXIT_OPERATIONAL_ERROR = 1
 EXIT_FINDINGS = 2
-
-
-def _load_lists(path: str, q: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_constraints(fh.read(), q)
 
 
 def _emit(text: str, out: str | None):
@@ -192,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> int:
     g = graph_from_any(args.graph)
     m = model_from_any(args.model)
-    constraints = _load_lists(args.lists, m.q) if args.lists else None
+    constraints = parse_constraints(read_text(args.lists), m.q, g.n) if args.lists else None
     value = hom(g, m, constraints)
     print(frac_str(value))
     return EXIT_OK
@@ -206,7 +194,7 @@ def _cmd_verify(args) -> int:
             raise HomlabError("verify needs --replay or all of --ineq/--graph/--model")
         g = graph_from_any(args.graph)
         m = model_from_any(args.model)
-        constraints = _load_lists(args.lists, m.q) if args.lists else None
+        constraints = parse_constraints(read_text(args.lists), m.q, g.n) if args.lists else None
         report = check_instance(args.ineq, g, m, constraints)
     _emit(_report_text(report, args.format), args.out)
     return EXIT_FINDINGS if report.verdict == "violated" else EXIT_OK

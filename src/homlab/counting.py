@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from homlab.errors import DimensionMismatch, LimitExceeded
-from homlab.graphs import Graph, triangle_count
+from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, triangle_count
 from homlab.models import Model
 
 
@@ -85,13 +85,6 @@ def _scaled_matrix(rows):
 # The contraction engine shared by hom, semiproper_count, the graphical
 # Brascamp-Lieb assignment sum and the eps-polynomial.
 
-# Bound on a plan's work, the sum over its steps of q^(frontier width + 1)
-# with q the most colors allowed at any vertex: the table entries the DP
-# may touch, and so its time and memory.  K10 at q = 4 (work 1.4e6) takes
-# 1.4 s and 67 MB on a 2-vCPU VM with CPython 3.11; the test suite and the
-# benchmark stay below 6e3.
-CONTRACTION_WORK_LIMIT = 10 ** 7
-
 
 class Step(NamedTuple):
     vertex: int
@@ -127,12 +120,10 @@ def compile_plan(adjacency: tuple) -> Plan:
     frontier (placed vertices with an unplaced neighbor); ties go to the
     lowest index.  Cached because a scan meets each graph with many
     models; keyed by the adjacency tuple, not the Graph, so an entry keeps
-    no graph alive.  The greedy search takes about n^2 steps, so it raises
-    LimitExceeded up front when n^2 exceeds CONTRACTION_WORK_LIMIT.
+    no graph alive.  The greedy search takes about n^2 steps, which every
+    Graph bounds by CONTRACTION_WORK_LIMIT.
     """
     n = len(adjacency)
-    if n * n > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (n * n, CONTRACTION_WORK_LIMIT, n))
     # The greedy search would take the vertices with no neighbours first
     # anyway, lowest index first (width 0 while the frontier is empty), so
     # they are placed in one pass.

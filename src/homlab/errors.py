@@ -6,7 +6,7 @@ class HomlabError(Exception):
 
 
 class InvalidSpec(HomlabError):
-    """Malformed graph family spec (zero-size part, bad parameter)."""
+    """Malformed graph spec, graph file or document."""
 
 
 class InvalidArgument(HomlabError):
@@ -38,4 +38,5 @@ class NotTwoSpin(HomlabError):
 
 
 class PreconditionViolated(HomlabError):
-    """A lemma instance violates the lemma's stated preconditions."""
+    """A lemma instance violates its lemma's preconditions, or a document
+    field is missing, mistyped or misshapen (see fileio.read_fields)."""

@@ -13,9 +13,20 @@ from homlab.errors import InvalidSpec, LimitExceeded
 
 ENUMERATION_VERTEX_LIMIT = 8
 
+# Bound on a contraction plan's work, the sum over its steps of
+# q^(frontier width + 1) with q the most colors allowed at any vertex: the
+# table entries the DP may touch, and so its time and memory.  K10 at q = 4
+# (work 1.4e6) takes 1.4 s and 67 MB on a 2-vCPU VM with CPython 3.11; the
+# test suite and the benchmark stay below 6e3.  The greedy plan search
+# takes about n^2 steps, so a Graph bounds n^2 by it too.
+CONTRACTION_WORK_LIMIT = 10 ** 7
+
 
 @dataclass(frozen=True)
 class Graph:
+    """Built from any iterable of vertex pairs; n is checked before any
+    edge is read or bitset built, so a graph too large to plan fails."""
+
     n: int
     edges: frozenset[frozenset[int]]
     adjacency: tuple[int, ...] = field(init=False)  # neighbor bitsets
@@ -23,8 +34,12 @@ class Graph:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 0:
             raise InvalidSpec("vertex count must be a nonnegative int, not %r" % (self.n,))
+        if self.n * self.n > CONTRACTION_WORK_LIMIT:
+            raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (self.n * self.n, CONTRACTION_WORK_LIMIT, self.n))
+        edges = frozenset(frozenset(e) for e in self.edges)
+        object.__setattr__(self, "edges", edges)
         adj = [0] * self.n
-        for e in self.edges:
+        for e in edges:
             if len(e) == 1:
                 raise InvalidSpec("self-loop at %d" % min(e))
             u, v = sorted(e)
@@ -36,7 +51,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        return Graph(n, frozenset(frozenset(e) for e in edges))
+        return Graph(n, edges)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
@@ -56,10 +71,8 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphFamilySpec:
-    kind: str  # complete | biclique | cycle | path | star | petersen | edges
+    kind: str  # complete | biclique | cycle | path | star | petersen
     params: tuple[int, ...] = ()
-    edge_literal: tuple[tuple[int, int], ...] = ()
-    n_literal: int = 0
 
 
 def build_named(spec: GraphFamilySpec) -> Graph:
@@ -93,8 +106,6 @@ def build_named(spec: GraphFamilySpec) -> Graph:
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, 5 + i) for i in range(5)]
         return Graph.from_edges(10, outer + inner + spokes)
-    if kind == "edges":
-        return Graph.from_edges(spec.n_literal, spec.edge_literal)
     raise InvalidSpec("unknown graph kind %r" % kind)
 
 

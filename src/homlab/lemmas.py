@@ -3,10 +3,10 @@ each exercised on finite rational instances.
 
 Each lemma id is one row of _LEMMAS: its parameters, a check, an
 evaluator and a seeded random instance generator.  validate_instance
-reads the declared parameters with _read, from Python values or from the
-JSON forms of a lemma file: a missing one, or one of the wrong type or
-shape, raises PreconditionViolated naming it.  The check then raises it
-for any failed precondition.  The parameters as read (arrays as tuples
+reads the declared parameters with fileio.read_fields, from Python values
+or from the JSON forms of a lemma file: a missing one, or one of the wrong
+type or shape, raises PreconditionViolated naming it, and the check raises
+it for any failed precondition.  The parameters as read (arrays as tuples
 of Fractions) go to the evaluator, which produces one or more checks
 (label, small, big) of the claim small <= big.  Each side is a list of
 (base, exponent) factors: a rational base is passed as a Fraction or
@@ -18,6 +18,7 @@ sample points; the inequalities are closed under limits, so this loses
 nothing checkable.
 """
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -25,9 +26,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
-from homlab.errors import HomlabError, InvalidSpec, LimitExceeded, PreconditionViolated
+from homlab.errors import LimitExceeded, PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
-from homlab.fileio import frac_str, graph_from_dict, graph_to_dict, model_from_dict, model_to_dict, read_json
+from homlab.fileio import _require, decode, frac_str, read_fields, read_text, to_json
 from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks
 from homlab.models import Model, classify_model, random_model
 # compare_radical_products is unused here (inequalities.decide calls it),
@@ -39,81 +40,6 @@ from homlab.power import RadicalSum, compare_radical_products  # noqa: F401
 class LemmaInstance:
     lemma_id: str
     params: dict
-
-
-def _require(cond: bool, condition: str):
-    if not cond:
-        raise PreconditionViolated(condition)
-
-
-# A model or graph parameter in a lemma file: its tag, reader and writer.
-_DOCUMENTS = {Model: ("__model__", model_from_dict, model_to_dict), Graph: ("__graph__", graph_from_dict, graph_to_dict)}
-
-
-def _read(params: dict, kinds: dict) -> dict:
-    """The declared parameters of params, checked and converted; undeclared
-    keys are ignored.  A kind is int, Fraction, frozenset (a list of int
-    colors), Model, Graph, or a tuple of dimension names for an array of
-    nonnegative rationals, read as tuples of Fractions: ("q",) is a vector
-    and ("rows", "na") a matrix.  A dimension name binds to the first
-    length read for it, which must be at least 1; "q" and "n" bind to a
-    model's q and a graph's n, so those are declared first.  A rational
-    may also be a rational string such as "p/q", and a model or graph a
-    tagged {"__model__": ...} or {"__graph__": ...} document."""
-    p, dims = {}, {}
-    for name, kind in kinds.items():
-        _require(name in params, "missing parameter %s" % name)
-        value = params[name]
-        if type(kind) is tuple:
-            value = _read_array(name, value, kind, dims, 0)
-        elif kind is frozenset:
-            colors = isinstance(value, (list, tuple, set, frozenset)) and all(type(c) is int for c in value)
-            _require(colors, "%s must be a list of int colors" % name)
-            value = frozenset(value)
-        elif kind is int:
-            _require(type(value) is int, "%s must be an int" % name)
-        elif kind is Fraction:
-            value = value if type(value) is Fraction else _rational(value)
-            _require(value is not None, "%s must be a rational" % name)
-        else:
-            tag, from_dict, _ = _DOCUMENTS[kind]
-            if type(value) is dict and tag in value:
-                try:
-                    value = from_dict(value[tag])
-                except (HomlabError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-                    raise PreconditionViolated("%s is not a %s document: %r" % (name, kind.__name__.lower(), exc)) from None
-            _require(isinstance(value, kind), "%s must be a %s" % (name, kind.__name__))
-            if kind is Model:
-                dims["q"] = value.q
-            else:
-                dims["n"] = value.n
-        p[name] = value
-    return p
-
-
-def _rational(x) -> Fraction | None:
-    """An int or a rational string ("p/q", "p") as a Fraction, else None."""
-    try:
-        return Fraction(x) if type(x) is int or type(x) is str else None
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
-def _read_array(name: str, value, shape: tuple, dims: dict, axis: int) -> tuple:
-    dim, leaf = shape[axis], axis + 1 == len(shape)
-    ok = isinstance(value, (list, tuple)) and (value or dim in dims)
-    if ok and leaf:
-        value = tuple(x if type(x) is Fraction else _rational(x) for x in value)
-        ok = all(x is not None for x in value)
-    if not ok:
-        raise PreconditionViolated("%s must be a nonempty %s array of rationals" % (name, " x ".join(shape)))
-    size = dims.setdefault(dim, len(value))
-    if len(value) != size:
-        raise PreconditionViolated("%s has %d entries along %s = %d" % (name, len(value), dim, size))
-    if not leaf:
-        return tuple(_read_array(name, row, shape, dims, axis + 1) for row in value)
-    _require(all(x >= 0 for x in value), "%s must be nonnegative" % name)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +620,7 @@ def _random_sym_corollary(rng):
 # Dispatch.
 
 # Each lemma id's (params, check, evaluate, generate).  params declares
-# the parameters as _read takes them; check raises PreconditionViolated
+# the parameters as read_fields takes them; check raises PreconditionViolated
 # for a failed precondition.  The table's order is LEMMA_IDS, the order of
 # the `lemma --id` choices and of a battery round.
 _LEMMAS = {
@@ -717,11 +643,11 @@ LEMMA_IDS = tuple(_LEMMAS)
 
 
 def validate_instance(inst: LemmaInstance) -> dict:
-    """The instance's parameters as read by _read and passed by its lemma's check."""
+    """The instance's parameters as read by read_fields and passed by its lemma's check."""
     if not isinstance(inst.lemma_id, str) or inst.lemma_id not in _LEMMAS:
         raise PreconditionViolated("unknown lemma id %r" % (inst.lemma_id,))
     kinds, check, _, _ = _LEMMAS[inst.lemma_id]
-    p = _read(inst.params, kinds)
+    p = read_fields(inst.params, kinds)
     check(p)
     return p
 
@@ -747,7 +673,7 @@ def check_local_lemma(inst: LemmaInstance) -> IneqReport:
 
 
 def _describe(value) -> str:
-    """A parameter as read by _read: a graph as its edge list, a model as
+    """A parameter as read by read_fields: a graph as its edge list, a model as
     q<colors>, arrays and color sets as bracketed lists, rationals by
     frac_str."""
     if isinstance(value, Graph):
@@ -760,32 +686,19 @@ def _describe(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Lemma files: {"lemma": ID, "params": {...}} in the JSON forms _read takes.
-
-
-def _to_json(value):
-    """A parameter as read by _read, in the form _read takes from a file."""
-    if type(value) in _DOCUMENTS:
-        tag, _, to_dict = _DOCUMENTS[type(value)]
-        return {tag: to_dict(value)}
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return [_to_json(x) for x in value]
-    return frac_str(value) if type(value) is Fraction else value
+# Lemma files: {"lemma": ID, "params": {...}} in the JSON forms read_fields takes.
 
 
 def lemma_instance_to_dict(inst: LemmaInstance) -> dict:
     """The instance as a lemma file: its declared parameters as read."""
-    return {"lemma": inst.lemma_id, "params": {k: _to_json(v) for k, v in validate_instance(inst).items()}}
+    return {"lemma": inst.lemma_id, "params": {k: to_json(v) for k, v in validate_instance(inst).items()}}
 
 
 def lemma_instance_from_dict(d) -> LemmaInstance:
     """A lemma file's instance; its parameters are read when it is checked."""
-    if not (isinstance(d, dict) and isinstance(d.get("lemma"), str) and isinstance(d.get("params"), dict)):
-        raise InvalidSpec('not a lemma instance document: need an object with a string "lemma" and an object "params"')
-    return LemmaInstance(d["lemma"], d["params"])
+    p = read_fields(d, {"lemma": str, "params": dict})
+    return LemmaInstance(p["lemma"], p["params"])
 
 
 def load_lemma_instance(path: str) -> LemmaInstance:
-    return lemma_instance_from_dict(read_json(path, "lemma instance"))
+    return decode("lemma instance", lambda: lemma_instance_from_dict(json.loads(read_text(path))))

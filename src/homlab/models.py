@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from homlab.errors import InvalidArgument, NegativeWeight, NonSymmetric
-from homlab.ratmath import eigenvalue_sign_counts
+from homlab.ratmath import eigenvalue_sign_counts, read_rational
 
 RANDOM_MODEL_MAX_COLORS = 8
 
@@ -113,10 +113,6 @@ def model_widom_rowlinson() -> Model:
 
 
 def model_two_spin(w00, w01, w11, v0=1, v1=1) -> Model:
-    vals = [Fraction(x) for x in (w00, w01, w11, v0, v1)]
-    if any(v < 0 for v in vals):
-        raise NegativeWeight("two-spin weights must be nonnegative")
-    w00, w01, w11, v0, v1 = vals
     return Model.from_rows([[w00, w01], [w01, w11]], vertex_weights=[v0, v1])
 
 
@@ -175,30 +171,26 @@ def parse_model_name(name: str) -> Model:
     """Parse CLI syntax: "Kq:3", "Kq-looped:5,2", "hardcore", "wr",
     "heps:1/10", "ising:w00,w01,w11", "random:kind,q,seed"."""
     name = name.strip()
-    try:
-        return _parse_model_name(name)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidArgument("cannot parse model name %r" % name) from None
-
-
-def _parse_model_name(name: str) -> Model:
     head, _, rest = name.partition(":")
     head = head.lower()
-    if head == "kq":
-        return model_complete_looped(int(rest), 0)
-    if head == "kq-looped":
-        q, ell = (int(t) for t in rest.split(","))
-        return model_complete_looped(q, ell)
-    if head == "hardcore":
-        return model_hardcore()
-    if head == "wr":
-        return model_widom_rowlinson()
-    if head == "heps":
-        return model_h_eps(Fraction(rest))
-    if head == "ising":
-        w00, w01, w11 = (Fraction(t) for t in rest.split(","))
-        return model_two_spin(w00, w01, w11)
-    if head == "random":
-        kind, q, seed = rest.split(",")
-        return random_model(int(q), int(seed), kind)
+    try:
+        if head == "kq":
+            return model_complete_looped(int(rest), 0)
+        if head == "kq-looped":
+            q, ell = (int(t) for t in rest.split(","))
+            return model_complete_looped(q, ell)
+        if head == "hardcore":
+            return model_hardcore()
+        if head == "wr":
+            return model_widom_rowlinson()
+        if head == "heps":
+            return model_h_eps(read_rational(rest))
+        if head == "ising":
+            w00, w01, w11 = (read_rational(t) for t in rest.split(","))
+            return model_two_spin(w00, w01, w11)
+        if head == "random":
+            kind, q, seed = rest.split(",")
+            return random_model(int(q), int(seed), kind)
+    except ValueError:
+        pass
     raise InvalidArgument("cannot parse model name %r" % name)

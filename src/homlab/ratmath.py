@@ -1,9 +1,26 @@
-"""Exact integer/rational helpers: integer roots, factoring, coprime
-bases, and eigenvalue sign counts (inertia) of symmetric rational matrices.
+"""Exact integer/rational helpers: the one reader of rationals from
+outside the program, integer roots, factoring, coprime bases, and
+eigenvalue sign counts (inertia) of symmetric rational matrices.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+
+def read_rational(x) -> Fraction:
+    """x as an exact rational: a Fraction, an int, or a string Fraction
+    reads without an exponent ("3", "-1", "1/2", "0.5").  A float (JSON's
+    0.1, 1e400, NaN, Infinity), a bool, a zero denominator or an exponent
+    form ("1e100000000", a power of ten Fraction would compute in full)
+    raises ValueError."""
+    if type(x) is Fraction:
+        return x
+    try:
+        if type(x) is int or type(x) is str and "e" not in x.lower():
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError("not an int or an exponent-free rational string: %.40r" % (x,))
 
 
 def integer_nth_root(x: int, n: int) -> int:

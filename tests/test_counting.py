@@ -30,6 +30,7 @@ from homlab.graphs import (
     build_named,
     enumerate_graphs,
     is_bipartite,
+    parse_graph_name,
     tensor_with_k2,
 )
 from homlab.inequalities import _kernel_assignment_sum
@@ -235,14 +236,17 @@ class TestContractionEngine:
             hom(named("complete", 16), model_complete_looped(4, 4))
 
     def test_plan_search_limit(self):
-        # The greedy search is quadratic in n, so an edgeless graph with
-        # n^2 over the limit fails before the search, not minutes later.
-        edgeless = Graph.from_edges(4000, [])
+        # The greedy search is quadratic in n, so a graph with n^2 over the
+        # limit is refused where it is built, before any edge is read.
+        def edges():
+            raise AssertionError("edges read before the size check")
+            yield
+
         assert 4000 ** 2 > CONTRACTION_WORK_LIMIT
         with pytest.raises(LimitExceeded, match="plan search bound 16000000"):
-            compile_plan(edgeless.adjacency)
-        with pytest.raises(LimitExceeded):
-            hom(edgeless, model_complete_looped(2, 0))
+            Graph.from_edges(4000, edges())
+        with pytest.raises(LimitExceeded, match="plan search bound 100000000000000"):
+            parse_graph_name("C10000000")
 
     def test_isolated_vertices_placed_in_one_pass(self):
         # Vertices with no neighbours skip the greedy search, so an

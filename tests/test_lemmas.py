@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import operator
 import os
 import random
 import re
@@ -188,10 +189,29 @@ class TestParameterKinds:
             validate_instance(LemmaInstance(["mixed-norm"], {}))
 
 
+# A placeholder for the bare JSON number 1e400, which json.loads reads as
+# an infinite float; json.dump would write Infinity instead.
+OVERFLOW = "<1e400>"
+
+
+def _rational_slot(holder, key):
+    """(holder, key) of the last rational string at or under holder[key],
+    looking into a tagged model's vertex weights; None if there is none."""
+    value = holder[key]
+    if isinstance(value, str):
+        return holder, key
+    if isinstance(value, dict) and "__model__" in value:
+        return _rational_slot(value["__model__"], "vertex_weights")
+    if isinstance(value, list) and value:
+        return _rational_slot(value, -1)
+    return None
+
+
 def _mutants(doc):
     """(name, apply) for each mutation that applies to a lemma file: drop a
-    key, truncate a row, turn an int into a string, negate an entry, or
-    nest a color."""
+    key, truncate a row, turn an int into a string, nest a color, or put a
+    negative entry, a JSON float (0.1 or 1e400) or an exponent string where
+    a rational is due."""
     params = doc["params"]
     out = [("drop %s" % k, lambda p, k=k: p.pop(k)) for k in params]
     for k, v in params.items():
@@ -201,10 +221,9 @@ def _mutants(doc):
             out.append(("nest %s" % k, lambda p, k=k: p[k].__setitem__(0, [p[k][0]])))
         elif isinstance(v, list) and v and isinstance(v[0], list) and v[0]:
             out.append(("truncate %s" % k, lambda p, k=k: p[k][0].pop()))
-        if isinstance(v, list) and v and isinstance(v[-1], str):
-            out.append(("negate %s" % k, lambda p, k=k: p[k].__setitem__(-1, "-1")))
-        elif isinstance(v, list) and v and isinstance(v[-1], list) and v[-1] and isinstance(v[-1][-1], str):
-            out.append(("negate %s" % k, lambda p, k=k: p[k][-1].__setitem__(-1, "-1")))
+        if _rational_slot(params, k):
+            for label, bad in (("negate", "-1"), ("float", 0.1), ("overflow", OVERFLOW), ("exponent", "1e100000000")):
+                out.append(("%s %s" % (label, k), lambda p, k=k, bad=bad: operator.setitem(*_rational_slot(p, k), bad)))
     return out
 
 
@@ -218,7 +237,7 @@ class TestLemmaFileFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "inst.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+                fh.write(json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400"))
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["lemma", "--file", path])

@@ -1,12 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlab import cli, scan
 from homlab.errors import LimitExceeded
@@ -747,7 +754,7 @@ class TestCli:
         [
             (["lemma", "--file"], "{not json", "error: not a lemma instance document: "),
             (["verify", "--replay"], "{not json", "error: not a replay document: "),
-            (["verify", "--replay"], '{"ineq": "bst"}', "error: not a replay document: KeyError('graph')"),
+            (["verify", "--replay"], '{"ineq": "bst"}', "error: not a replay document: missing parameter graph"),
         ],
     )
     def test_malformed_documents_fail_fast(self, tmp_path, capsys, args, text, message):
@@ -807,7 +814,7 @@ class TestConstraintFiles:
     def test_weight_lines(self):
         from homlab.fileio import parse_constraints
 
-        cons = parse_constraints("1/2 0 3\n1 1 1\n", 3)
+        cons = parse_constraints("1/2 0 3\n1 1 1\n", 3, 2)
         from fractions import Fraction
 
         assert cons[0] == (Fraction(1, 2), Fraction(0), Fraction(3))
@@ -815,7 +822,7 @@ class TestConstraintFiles:
     def test_shorthand(self):
         from homlab.fileio import parse_constraints
 
-        cons = parse_constraints("0: {0,2}\n1: {1}\n", 3)
+        cons = parse_constraints("0: {0,2}\n1: {1}\n", 3, 2)
         assert cons[0] == (1, 0, 1) and cons[1] == (0, 1, 0)
 
     def test_model_file_round_trip(self, tmp_path):
@@ -829,3 +836,88 @@ class TestConstraintFiles:
         # looped_set is written for reference; the diagonal decides it on read.
         path.write_text(json.dumps({**model_to_dict(m), "looped_set": [1]}))
         assert load_model(str(path)).looped_set == {0, 1, 2}
+
+
+# A placeholder for the bare JSON number 1e400, which json.loads reads as
+# an infinite float; json.dump would write Infinity instead.
+OVERFLOW = "<1e400>"
+BAD_VALUES = (0.1, OVERFLOW, "1e100000000", 10**9, -1, "x", {}, [], None)
+BAD_TOKENS = ("0.1", "1e400", "1e100000000", "1000000000", "-1", "x", "")
+
+
+class OverBudget(Exception):
+    pass
+
+
+def _slots(value):
+    """(holder, key) of every value under a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+def _input_files():
+    """(kind, text, argv before the file's path) of a valid file of each kind."""
+    from homlab.fileio import graph_to_dict, model_to_dict
+    from homlab.graphs import parse_graph_name
+    from homlab.models import random_model
+
+    m, g = random_model(2, 3, "general"), parse_graph_name("C5")
+    replay = scan.make_replay("clique-max", g, m, [(Fraction(1), Fraction(1, 2))] * 5)
+    return [
+        ("model", model_to_dict(m), ["count", "--graph", "C4", "--model"]),
+        ("graph", graph_to_dict(g), ["count", "--model", "Kq:2", "--graph"]),
+        ("replay", replay, ["verify", "--replay"]),
+        ("lists", "0: {0,1}\n1: {1}\n2: {0}\n", ["count", "--graph", "C4", "--model", "Kq:2", "--lists"]),
+        ("lists", "1 1/2\n0 1\n1 1\n1 0\n", ["count", "--graph", "C4", "--model", "Kq:2", "--lists"]),
+    ]
+
+
+class TestInputFileFuzz:
+    """Model, graph, replay and list files, each with one field dropped or
+    replaced (by a wrong type, a JSON float, 1e400, an exponent string, or
+    a huge count or index), or one token of a list file replaced, through
+    cli.main in-process: each run ends within its budget in exit 0, 1 or 2,
+    with an error: line on exit 1, and no exception escapes."""
+
+    BUDGET_S = 5
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(_input_files()), st.data())
+    def test_mutated_file_exits_cleanly(self, file, data):
+        kind, doc, argv = file
+        if kind == "lists":
+            tokens = re.split(r"([\s:{},/]+)", doc)
+            i = data.draw(st.sampled_from(range(0, len(tokens), 2)))
+            tokens[i] = data.draw(st.sampled_from(BAD_TOKENS))
+            text = "".join(tokens)
+        else:
+            doc = json.loads(json.dumps(doc))
+            holder, key = data.draw(st.sampled_from(list(_slots(doc))))
+            bad = data.draw(st.sampled_from(("drop",) + BAD_VALUES))
+            if bad == "drop":
+                del holder[key]
+            else:
+                holder[key] = bad
+            text = json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400")
+
+        def over_budget(signum, frame):
+            raise OverBudget("%s file over %d s: %r" % (kind, self.BUDGET_S, text[:200]))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, kind)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            previous = signal.signal(signal.SIGALRM, over_budget)
+            signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([*argv, path])
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2), text
+        if code == 1:
+            assert err.getvalue().startswith("error: "), (text, err.getvalue())
