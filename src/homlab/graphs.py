@@ -17,8 +17,12 @@ ENUMERATION_VERTEX_LIMIT = 8
 # q^(frontier width + 1) with q the most colors allowed at any vertex: the
 # table entries the DP may touch, and so its time and memory.  K10 at q = 4
 # (work 1.4e6) takes 1.4 s and 67 MB on a 2-vCPU VM with CPython 3.11; the
-# test suite and the benchmark stay below 6e3.  The greedy plan search
-# takes about n^2 steps, so a Graph bounds n^2 by it too.
+# test suite and the benchmark stay below 6e3.  A plan orders each
+# connected component by an exact subset DP over its placed sets when it
+# has at most counting.EXACT_ORDER_MAX_VERTICES = 10 vertices (0.8 ms at
+# n = 10) and by the greedy min-frontier search, about m + n log n steps,
+# above that; building the plan's steps scans the frontier once per step,
+# about n^2 steps, so a Graph bounds n^2 by this limit too.
 CONTRACTION_WORK_LIMIT = 10 ** 7
 
 
@@ -36,15 +40,15 @@ class Graph:
             raise InvalidSpec("vertex count must be a nonnegative int, not %r" % (self.n,))
         if self.n * self.n > CONTRACTION_WORK_LIMIT:
             raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (self.n * self.n, CONTRACTION_WORK_LIMIT, self.n))
-        edges = frozenset(frozenset(e) for e in self.edges)
+        edges = frozenset(map(frozenset, self.edges))
         object.__setattr__(self, "edges", edges)
         adj = [0] * self.n
         for e in edges:
             if len(e) == 1:
                 raise InvalidSpec("self-loop at %d" % min(e))
-            u, v = sorted(e)
+            u, v = e
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidSpec("edge endpoint out of range: (%d, %d)" % (u, v))
+                raise InvalidSpec("edge endpoint out of range: (%d, %d)" % tuple(sorted(e)))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "adjacency", tuple(adj))

@@ -11,6 +11,7 @@ import pytest
 from conftest import cc_oracle, hom_oracle, semiproper_oracle
 from homlab.counting import (
     CONTRACTION_WORK_LIMIT,
+    EXACT_ORDER_MAX_VERTICES,
     biclique_kernel_sum,
     cc,
     compile_plan,
@@ -30,6 +31,7 @@ from homlab.graphs import (
     build_named,
     enumerate_graphs,
     is_bipartite,
+    is_connected,
     parse_graph_name,
     tensor_with_k2,
 )
@@ -280,6 +282,153 @@ class TestContractionEngine:
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "homlab":
                 imported += ["%s.%s" % (node.module, alias.name) for alias in node.names]
         assert imported == ["homlab.graphs.Graph"]
+
+
+
+def _reference_greedy_order(adjacency):
+    """The min-frontier order as first written: every step rescans the
+    frontier for every candidate, n^3 in all.  Vertices without neighbours
+    come first; then each step places the vertex that leaves the fewest
+    placed vertices with an unplaced neighbour, ties to the lowest index."""
+    n = len(adjacency)
+    order = [v for v in range(n) if not adjacency[v]]
+    placed = sum(1 << v for v in order)
+    frontier = []
+
+    def width_after(v):
+        still_open = ~(placed | 1 << v)
+        return sum(1 for u in frontier + [v] if adjacency[u] & still_open)
+
+    for _ in range(n - len(order)):
+        v = min((u for u in range(n) if not placed >> u & 1), key=width_after)
+        placed |= 1 << v
+        order.append(v)
+        frontier = [u for u in frontier + [v] if adjacency[u] & ~placed]
+    return order
+
+
+def _order_widths(adjacency, order):
+    """Frontier width before each step of `order`, counted from scratch."""
+    placed, widths = 0, []
+    for v in order:
+        widths.append(sum(1 for u in range(len(adjacency)) if placed >> u & 1 and adjacency[u] & ~placed))
+        placed |= 1 << v
+    return widths
+
+
+def _work(widths, q):
+    return sum(q ** (w + 1) for w in widths)
+
+
+def _random_graph(rng, n, p):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _scattered_union(rng, parts, isolated):
+    """Disjoint union of the graphs `parts` and `isolated` lone vertices,
+    relabelled by a random permutation so the components interleave."""
+    n = sum(g.n for g in parts) + isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(label[u + offset], label[v + offset]) for u, v in g.edge_list()]
+        offset += g.n
+    return Graph.from_edges(n, edges)
+
+
+class TestPlanOrder:
+    def test_hom_matches_oracle_on_double_covers(self):
+        # Covers of bipartite graphs split into two components, the others
+        # are connected; the 12-vertex ones are over the exact-order cap.
+        # The oracle takes about 0.5 s per 12-vertex cover, so n = 6 is sampled.
+        m = random_model(2, 3, "antiferro-2spin")
+        graphs = [g for n in range(1, 6) for g in enumerate_graphs(n, dedup_isomorphism=True)]
+        six = list(enumerate_graphs(6, dedup_isomorphism=True))
+        graphs += [g for g in six if is_bipartite(g)][-2:] + [g for g in six if not is_bipartite(g)][-2:]
+        for g in graphs:
+            cover = tensor_with_k2(g)
+            assert hom(cover, m) == hom_oracle(cover, m), g
+
+    def test_hom_matches_oracle_on_scattered_components(self):
+        rng = random.Random(23)
+        models = _engine_models()
+        for _ in range(40):
+            parts = [_random_graph(rng, rng.randrange(2, 5), 0.6) for _ in range(rng.randrange(1, 4))]
+            g = _scattered_union(rng, parts, rng.randrange(0, 3))
+            m = rng.choice([m for m in models if m.q ** g.n <= 2000] or [random_model(2, 0, "general")])
+            constraints = _random_constraints(rng, g.n, m.q) if rng.random() < 0.5 else None
+            assert hom(g, m, constraints) == hom_oracle(g, m, constraints), (g, m, constraints)
+
+    def test_exact_order_is_least_work(self):
+        # Against every order of every graph with at most 6 vertices.
+        for n in range(1, 7):
+            for g in enumerate_graphs(n, dedup_isomorphism=True):
+                least = min(_work(_order_widths(g.adjacency, p), 4) for p in itertools.permutations(range(n)))
+                assert compile_plan(g.adjacency).work(4) == least, g
+
+    def test_no_more_work_than_greedy(self):
+        rng = random.Random(24)
+        graphs = [g for n in range(1, 8) for g in enumerate_graphs(n, dedup_isomorphism=True)]
+        graphs += [_random_graph(rng, rng.randrange(8, EXACT_ORDER_MAX_VERTICES + 1), rng.choice((0.3, 0.5, 0.7))) for _ in range(150)]
+        for g in graphs:
+            plan = compile_plan(g.adjacency)
+            greedy = _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
+            assert list(plan.widths) == _order_widths(g.adjacency, [s.vertex for s in plan.steps])
+            for q in (2, 3, 4):
+                assert plan.work(q) <= _work(greedy, q), (g, q)
+
+    def test_disconnected_plan_joins_component_plans(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            sizes = [rng.randrange(2, 13) for _ in range(rng.randrange(2, 4))]
+            parts = []
+            for size in sizes:
+                g = _random_graph(rng, size, 0.5)
+                while not is_connected(g):
+                    g = _random_graph(rng, size, 0.5)
+                parts.append(g)
+            g = _scattered_union(rng, parts, rng.randrange(0, 3))
+            isolated = [v for v in range(g.n) if not g.adjacency[v]]
+            want_order, want_widths, seen = list(isolated), [0] * len(isolated), set(isolated)
+            for start in range(g.n):
+                if start in seen:
+                    continue
+                # The component of `start`, renumbered in increasing order.
+                members, grow = {start}, [start]
+                while grow:
+                    grow = [u for v in grow for u in g.neighbors(v) if u not in members]
+                    members.update(grow)
+                members = sorted(members)
+                local = Graph.from_edges(len(members), [(members.index(u), members.index(v)) for u, v in g.edge_list() if u in members])
+                plan = compile_plan(local.adjacency)
+                want_order += [members[s.vertex] for s in plan.steps]
+                want_widths += plan.widths
+                seen.update(members)
+            plan = compile_plan(g.adjacency)
+            assert [s.vertex for s in plan.steps] == want_order
+            assert list(plan.widths) == want_widths
+
+    def test_greedy_order_above_the_cap(self):
+        rng = random.Random(26)
+        graphs = [named("cycle", 40), tensor_with_k2(named("petersen")), named("complete", 30), named("biclique", 7, 9)]
+        while len(graphs) < 30:
+            g = _random_graph(rng, rng.randrange(EXACT_ORDER_MAX_VERTICES + 1, 30), rng.choice((0.1, 0.2, 0.5)))
+            if is_connected(g):
+                graphs.append(g)
+        for g in graphs:
+            assert g.n > EXACT_ORDER_MAX_VERTICES and is_connected(g)
+            plan = compile_plan(g.adjacency)
+            assert [s.vertex for s in plan.steps] == _reference_greedy_order(g.adjacency), g
+            assert list(plan.widths) == _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
+
+    def test_dense_graph_plans_fast(self):
+        # The greedy search was n^3 (K400 took 2.5 s); it is now about m + n log n.
+        adjacency = named("complete", 400).adjacency
+        t0 = time.perf_counter()
+        plan = compile_plan(adjacency)
+        assert time.perf_counter() - t0 < 2.0
+        assert list(plan.widths) == list(range(400))
 
 
 class TestHomBiclique:
