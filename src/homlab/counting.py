@@ -122,7 +122,7 @@ def _projector(keep):
 # n = 12, the greedy order about 0.05 ms.  One contraction at q = 4 then
 # saves 0.9, 2.0 and 6.1 ms at n = 8, 9 and 10, so the DP pays for itself
 # with one model; at q = 2 it saves 0.02-0.09 ms, so a cold scan of the
-# 8-vertex graphs with one q = 2 model runs about 4% slower.  At n = 12 the
+# 8-vertex graphs with one q = 2 model runs about 5% slower.  At n = 12 the
 # DP makes a cold bst scan of the n <= 6 double covers 0.35 s slower.
 EXACT_ORDER_MAX_VERTICES = 10
 
@@ -271,28 +271,18 @@ def _greedy_order(adjacency: tuple, vertices: list) -> list:
 def _plan(adjacency: tuple, order: list) -> Plan:
     placed = 0
     frontier = []
-    position = {}  # frontier vertex -> its index in frontier
-    open_ = {}  # frontier vertex -> its count of unplaced neighbours
     steps = []
     widths = []
     for v in order:
-        widths.append(len(frontier))
-        # The placed neighbours of v all wait for v, so they are in the frontier.
-        back = tuple(sorted((position[u], u) for u in _bits(adjacency[v] & placed)))
         placed |= 1 << v
-        for _, u in back:
-            open_[u] -= 1
-        project = None
-        if any(not open_[u] for _, u in back):
-            keep = tuple(i for i, u in enumerate(frontier) if open_[u])
-            project = _projector(keep)
-            frontier = [frontier[i] for i in keep]
-            position = {u: i for i, u in enumerate(frontier)}
-        open_[v] = (adjacency[v] & ~placed).bit_count()
-        if open_[v]:
-            position[v] = len(frontier)
-            frontier.append(v)
-        steps.append(Step(v, back, project, open_[v] > 0))
+        unplaced = ~placed
+        back = tuple((i, u) for i, u in enumerate(frontier) if adjacency[v] >> u & 1)
+        keep = tuple(i for i, u in enumerate(frontier) if adjacency[u] & unplaced)
+        kept = bool(adjacency[v] & unplaced)
+        project = None if len(keep) == len(frontier) else _projector(keep)
+        widths.append(len(frontier))
+        steps.append(Step(v, back, project, kept))
+        frontier = [frontier[i] for i in keep] + ([v] if kept else [])
     return Plan(tuple(steps), tuple(widths))
 
 
