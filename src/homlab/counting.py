@@ -122,7 +122,7 @@ def _projector(keep):
 # n = 12, the greedy order about 0.05 ms.  One contraction at q = 4 then
 # saves 0.9, 2.0 and 6.1 ms at n = 8, 9 and 10, so the DP pays for itself
 # with one model; at q = 2 it saves 0.02-0.09 ms, so a cold scan of the
-# 8-vertex graphs with one q = 2 model runs about 5% slower.  At n = 12 the
+# 8-vertex graphs with one q = 2 model runs 2-6% slower.  At n = 12 the
 # DP makes a cold bst scan of the n <= 6 double covers 0.35 s slower.
 EXACT_ORDER_MAX_VERTICES = 10
 

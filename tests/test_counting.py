@@ -284,7 +284,6 @@ class TestContractionEngine:
         assert imported == ["homlab.graphs.Graph"]
 
 
-
 def _reference_greedy_order(adjacency):
     """The min-frontier order as first written: every step rescans the
     frontier for every candidate, n^3 in all.  Vertices without neighbours
