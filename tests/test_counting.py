@@ -126,6 +126,23 @@ def _random_constraints(rng, n, q):
     return [tuple(Fraction(rng.randrange(0, 3), rng.randrange(1, 3)) for _ in range(q)) for _ in range(n)]
 
 
+def _random_graph(rng, n, p):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _scattered_union(rng, parts, isolated):
+    """Disjoint union of the graphs `parts` and `isolated` lone vertices,
+    relabelled by a random permutation so the components interleave."""
+    n = sum(g.n for g in parts) + isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(label[u + offset], label[v + offset]) for u, v in g.edge_list()]
+        offset += g.n
+    return Graph.from_edges(n, edges)
+
+
 def _disconnected_graphs():
     out = [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(4, [])]
     out.append(Graph.from_edges(5, [(0, 1), (1, 2)]))  # isolated vertices 3, 4
@@ -133,6 +150,12 @@ def _disconnected_graphs():
     for g in (named("path", 3), named("cycle", 4), named("star", 3)):
         assert is_bipartite(g)
         out.append(tensor_with_k2(g))  # two copies of g
+    rng = random.Random(23)
+    while len(out) < 30:  # random components and lone vertices, interleaved
+        parts = [_random_graph(rng, rng.randrange(2, 5), 0.6) for _ in range(rng.randrange(1, 4))]
+        g = _scattered_union(rng, parts, rng.randrange(0, 3))
+        if g.n <= 9:
+            out.append(g)
     return out
 
 
@@ -145,6 +168,17 @@ class TestContractionEngine:
                 assert hom(g, m) == hom_oracle(g, m), (g, m)
                 cons = _random_constraints(rng, g.n, m.q)
                 assert hom(g, m, cons) == hom_oracle(g, m, cons), (g, m, cons)
+        # Their double covers at q = 2: covers of bipartite graphs split into
+        # two components, the others are connected, and the 12-vertex ones
+        # are over the exact-order cap. The oracle takes about 0.5 s per
+        # 12-vertex cover, so n = 6 is sampled.
+        m = random_model(2, 3, "antiferro-2spin")
+        six = list(enumerate_graphs(6, dedup_isomorphism=True))
+        bases = [g for g in _small_graphs() if g.n]
+        bases += [g for g in six if is_bipartite(g)][-2:] + [g for g in six if not is_bipartite(g)][-2:]
+        for g in bases:
+            cover = tensor_with_k2(g)
+            assert hom(cover, m) == hom_oracle(cover, m), g
 
     def test_hom_matches_oracle_on_disconnected_graphs(self):
         rng = random.Random(22)
@@ -319,46 +353,7 @@ def _work(widths, q):
     return sum(q ** (w + 1) for w in widths)
 
 
-def _random_graph(rng, n, p):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
-def _scattered_union(rng, parts, isolated):
-    """Disjoint union of the graphs `parts` and `isolated` lone vertices,
-    relabelled by a random permutation so the components interleave."""
-    n = sum(g.n for g in parts) + isolated
-    label = list(range(n))
-    rng.shuffle(label)
-    edges, offset = [], 0
-    for g in parts:
-        edges += [(label[u + offset], label[v + offset]) for u, v in g.edge_list()]
-        offset += g.n
-    return Graph.from_edges(n, edges)
-
-
 class TestPlanOrder:
-    def test_hom_matches_oracle_on_double_covers(self):
-        # Covers of bipartite graphs split into two components, the others
-        # are connected; the 12-vertex ones are over the exact-order cap.
-        # The oracle takes about 0.5 s per 12-vertex cover, so n = 6 is sampled.
-        m = random_model(2, 3, "antiferro-2spin")
-        graphs = [g for n in range(1, 6) for g in enumerate_graphs(n, dedup_isomorphism=True)]
-        six = list(enumerate_graphs(6, dedup_isomorphism=True))
-        graphs += [g for g in six if is_bipartite(g)][-2:] + [g for g in six if not is_bipartite(g)][-2:]
-        for g in graphs:
-            cover = tensor_with_k2(g)
-            assert hom(cover, m) == hom_oracle(cover, m), g
-
-    def test_hom_matches_oracle_on_scattered_components(self):
-        rng = random.Random(23)
-        models = _engine_models()
-        for _ in range(40):
-            parts = [_random_graph(rng, rng.randrange(2, 5), 0.6) for _ in range(rng.randrange(1, 4))]
-            g = _scattered_union(rng, parts, rng.randrange(0, 3))
-            m = rng.choice([m for m in models if m.q ** g.n <= 2000] or [random_model(2, 0, "general")])
-            constraints = _random_constraints(rng, g.n, m.q) if rng.random() < 0.5 else None
-            assert hom(g, m, constraints) == hom_oracle(g, m, constraints), (g, m, constraints)
-
     def test_exact_order_is_least_work(self):
         # Against every order of every graph with at most 6 vertices.
         for n in range(1, 7):
@@ -420,14 +415,6 @@ class TestPlanOrder:
             plan = compile_plan(g.adjacency)
             assert [s.vertex for s in plan.steps] == _reference_greedy_order(g.adjacency), g
             assert list(plan.widths) == _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
-
-    def test_dense_graph_plans_fast(self):
-        # The greedy search was n^3 (K400 took 2.5 s); it is now about m + n log n.
-        adjacency = named("complete", 400).adjacency
-        t0 = time.perf_counter()
-        plan = compile_plan(adjacency)
-        assert time.perf_counter() - t0 < 2.0
-        assert list(plan.widths) == list(range(400))
 
 
 class TestHomBiclique:
