@@ -37,29 +37,36 @@ def lists_to_constraints(lists, q: int):
     return [tuple(Fraction(1 if c in allowed else 0) for c in range(q)) for allowed in lists]
 
 
-def hom(g: Graph, m: Model, constraints=None) -> Fraction:
+def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     """Weighted homomorphism count: sum over all maps V -> colors of the
     product of edge weights times per-vertex weight * constraint.
 
-    A frontier DP (bucket elimination) over the graph's cached `Plan`:
-    vertices are placed in the plan's order, and a table maps the colors
-    of the placed vertices that still have unplaced neighbors to the
-    summed weight of all partial maps that agree with them.  The order is
-    planned per connected component: the least-work order from an exact
-    subset DP for a component of at most EXACT_ORDER_MAX_VERTICES
-    vertices, the greedy min-frontier order for a larger one (see
-    `compile_plan`).
+    hom is multiplicative over connected components, so each component
+    (an isolated vertex is one) is contracted on its own and the results
+    are multiplied.  A contraction is a frontier DP (bucket elimination)
+    over the component's cached `Plan`: vertices are placed in the plan's
+    order, and a table maps the colors of the placed vertices that still
+    have unplaced neighbors to the summed weight of all partial maps that
+    agree with them (see `compile_plan` for the order).
     Zero-weight colors are pruned first.  All weights are scaled to
     integers by their common denominators (pure big-int arithmetic in the
-    hot loop), and the exact scaling is divided back out at the end.
-    Raises LimitExceeded when the plan's work bound exceeds
-    CONTRACTION_WORK_LIMIT.
+    hot loop), and the exact scaling is divided back out once, at the end.
+
+    `memo` is an optional dict owned by the caller, one per model: the
+    scaled count of each component is looked up in it by the component's
+    adjacency (`_components`) before it is contracted, and stored in it
+    after.  It is read only without constraints, as a component's count
+    then depends on its adjacency alone; with no memo a local one still
+    merges the repeated components of g.
+    Raises LimitExceeded, before any contraction, when the components'
+    summed plan work bound exceeds CONTRACTION_WORK_LIMIT.
     """
     constraints = _check_constraints(constraints, g.n, m.q)
     if constraints is None:
         scale, colors = _scaled_colors(m.vertex_weights)
         choices = [colors] * g.n
         denom = scale ** g.n
+        memo = {} if memo is None else memo
     else:
         choices = []
         denom = 1
@@ -67,11 +74,91 @@ def hom(g: Graph, m: Model, constraints=None) -> Fraction:
             scale, colors = _scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)])
             choices.append(colors)
             denom *= scale
+        memo = None
     if not all(choices):
         return Fraction(0)
     edge_scale, ew = _scaled_matrix(m.edge_weights) if g.edges else (1, None)
     denom *= edge_scale ** len(g.edges)
-    return Fraction(contract(compile_plan(g.adjacency), choices, lambda u, v: ew), denom)
+    parts = _components(g.adjacency)
+    q = max(map(len, choices), default=0)
+    _check_work(sum(compile_plan(key).work(q) for _, key in parts), g.n, q)
+    total = 1
+    for vertices, key in parts:
+        total *= _component_count(key, [choices[v] for v in vertices], ew, memo)
+        if not total:
+            break
+    return Fraction(total, denom)
+
+
+def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
+    """hom(G x K_2, m), built from G's components without the cover graph.
+
+    The cover of a connected bipartite C is two copies of C, so C gives
+    hom(C)^2 (the identity behind the swapping bound); the cover of any
+    other connected C is connected and is contracted as one component.
+    `memo` is hom's component memo for this model, shared with hom(g, m):
+    it holds hom(C) after that call, and the covers are stored in it by
+    their own adjacency.  The work bound is the one of the cover graph,
+    summed over the cover's components, and is checked first.
+    """
+    scale, colors = _scaled_colors(m.vertex_weights)
+    if g.n and not colors:
+        return Fraction(0)
+    edge_scale, ew = _scaled_matrix(m.edge_weights) if g.edges else (1, None)
+    parts = [(key, _cover_parts(key)) for _, key in _components(g.adjacency)]
+    q = len(colors)
+    _check_work(sum(compile_plan(half).work(q) for _, halves in parts for half in halves), 2 * g.n, q)
+    memo = {} if memo is None else memo
+    total = 1
+    for key, halves in parts:
+        if len(halves) == 2:  # C is bipartite: its cover is two copies of C
+            total *= _component_count(key, [colors] * len(key), ew, memo) ** 2
+        else:
+            (cover,) = halves
+            total *= _component_count(cover, [colors] * len(cover), ew, memo)
+    return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * len(g.edges)))
+
+
+def _component_count(key: tuple, choices, ew, memo) -> int:
+    """The scaled count of the connected graph with adjacency `key`, read
+    from `memo` if there, else contracted (and stored unless memo is None)."""
+    value = None if memo is None else memo.get(key)
+    if value is None:
+        value = contract(compile_plan(key), choices, lambda u, v: ew)
+        if memo is not None:
+            memo[key] = value
+    return value
+
+
+@lru_cache(maxsize=1024)
+def _components(adjacency: tuple) -> tuple:
+    """(vertices, key) of each connected component, an isolated vertex
+    included, in order of its lowest vertex: vertices lists it in
+    increasing order, and key is its adjacency relabelled in that order.
+    Cached like `compile_plan`, by adjacency."""
+    out = []
+    left = (1 << len(adjacency)) - 1
+    while left:
+        component = _component(adjacency, (left & -left).bit_length() - 1)
+        left &= ~component
+        vertices = _bits(component)
+        low = vertices[0]
+        if vertices[-1] - low < len(vertices):  # consecutive: a shift relabels
+            key = tuple(adjacency[v] >> low for v in vertices)
+        else:
+            index = {v: i for i, v in enumerate(vertices)}
+            key = tuple(sum(1 << index[u] for u in _bits(adjacency[v])) for v in vertices)
+        out.append((tuple(vertices), key))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _cover_parts(key: tuple) -> tuple:
+    """The component keys of C x K_2 for the connected graph C with
+    adjacency key: two if C is bipartite, else the cover itself.  Vertex
+    (v, i) of the cover is v + i*k, as in graphs.tensor_with_k2."""
+    k = len(key)
+    return tuple(part for _, part in _components(tuple(r << k for r in key) + key))
 
 
 def _scaled_colors(weights):
@@ -134,9 +221,11 @@ def compile_plan(adjacency: tuple) -> Plan:
 
     The vertices with no neighbours come first, in one pass.  Then each
     connected component is ordered on its own, in order of its lowest
-    vertex: a step's frontier width is the sum of the components' widths,
-    so joining each component's least-work order gives the least work for
-    the whole graph.  A component of at most EXACT_ORDER_MAX_VERTICES
+    vertex, on its adjacency relabelled in increasing vertex order (its
+    `_components` key): a step's frontier width is the sum of the
+    components' widths, so joining each component's least-work order
+    gives the least work for the whole graph, and the graph's work bound
+    is the sum of its component plans' bounds.  A component of at most EXACT_ORDER_MAX_VERTICES
     vertices gets the order of least work sum 4^(w+1) from a DP over its
     placed sets (`_least_work_order`); a larger one gets the greedy
     min-frontier order (`_greedy_order`).  Cached because a scan meets
@@ -145,18 +234,11 @@ def compile_plan(adjacency: tuple) -> Plan:
     the frontier once per step, about n^2 steps, which every Graph bounds
     by CONTRACTION_WORK_LIMIT.
     """
-    n = len(adjacency)
-    order = [v for v in range(n) if not adjacency[v]]
-    left = sum(1 << v for v in range(n) if adjacency[v])
-    while left:
-        component = _component(adjacency, (left & -left).bit_length() - 1)
-        left &= ~component
-        vertices = _bits(component)
+    order = [v for v in range(len(adjacency)) if not adjacency[v]]
+    for vertices, rows in _components(adjacency):
         if len(vertices) > EXACT_ORDER_MAX_VERTICES:
-            order += _greedy_order(adjacency, vertices)
-        else:
-            index = {v: i for i, v in enumerate(vertices)}
-            rows = [sum(1 << index[u] for u in _bits(adjacency[v])) for v in vertices]
+            order += [vertices[i] for i in _greedy_order(rows)]
+        elif len(vertices) > 1:
             order += [vertices[i] for i in _least_work_order(rows)]
     return _plan(adjacency, order)
 
@@ -222,8 +304,8 @@ def _least_work_order(rows) -> list:
     return order
 
 
-def _greedy_order(adjacency: tuple, vertices: list) -> list:
-    """Min-frontier order of one connected component: each step places
+def _greedy_order(adjacency: tuple) -> list:
+    """Min-frontier order of a connected graph: each step places
     the unplaced vertex that leaves the smallest frontier, ties to the
     lowest index.  Placing v leaves |frontier| + (open[v] > 0) - closes[v]
     vertices, with open[v] the count of v's unplaced neighbours and
@@ -231,10 +313,11 @@ def _greedy_order(adjacency: tuple, vertices: list) -> list:
     is v.  Both change only near the placed vertex, so the scores live in
     a heap that gets a fresh entry per change (stale ones are skipped),
     and the search takes about m + n log n steps."""
-    open_ = {v: adjacency[v].bit_count() for v in vertices}
-    closes = dict.fromkeys(vertices, 0)
+    n = len(adjacency)
+    open_ = [row.bit_count() for row in adjacency]
+    closes = [0] * n
     score = lambda v: (open_[v] > 0) - closes[v]
-    heap = [(score(v), v) for v in vertices]
+    heap = [(score(v), v) for v in range(n)]
     heapify(heap)
     order = []
     placed = set()
@@ -279,18 +362,18 @@ def _plan(adjacency: tuple, order: list) -> Plan:
     return Plan(tuple(steps), tuple(widths))
 
 
+def _check_work(work: int, n: int, q: int):
+    if work > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("contraction work bound %d exceeds %d (n = %d, q = %d)" % (work, CONTRACTION_WORK_LIMIT, n, q))
+
+
 def contract(plan: Plan, choices, edge_matrix) -> int:
     """Sum over all maps v -> colors in choices[v] of the product of the
     color weights and, for every edge, edge_matrix(u, v)[color u][color v]
     (u placed before v).  Weights and matrix entries are integers.
     """
     q = max(map(len, choices), default=0)
-    work = plan.work(q)
-    if work > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded(
-            "contraction work bound %d exceeds %d (n = %d, q = %d)"
-            % (work, CONTRACTION_WORK_LIMIT, len(plan.steps), q)
-        )
+    _check_work(plan.work(q), len(plan.steps), q)
     table = {(): 1}
     for v, back, project, kept in plan.steps:
         links = [(i, edge_matrix(u, v)) for i, u in back]

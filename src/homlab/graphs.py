@@ -6,7 +6,7 @@ immutable after construction, so instances are safely shareable.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from homlab.errors import InvalidSpec, LimitExceeded
@@ -57,8 +57,14 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, edges)
 
+    @cached_property
+    def _sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        # Sorted once, on first use; cached_property writes the instance's
+        # __dict__ directly, which a frozen dataclass allows.
+        return tuple(sorted(tuple(sorted(e)) for e in self.edges))
+
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        return list(self._sorted_edges)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)

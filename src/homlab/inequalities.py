@@ -25,6 +25,7 @@ from homlab.counting import (
     contract,
     hom,
     hom_clique,
+    hom_double_cover,
 )
 from homlab.errors import (
     DimensionMismatch,
@@ -33,7 +34,7 @@ from homlab.errors import (
     LimitExceeded,
     NotTwoSpin,
 )
-from homlab.graphs import Graph, _component, tensor_with_k2
+from homlab.graphs import Graph, _component
 from homlab.models import Model
 from homlab.power import Comparison, PowerProduct, RadicalSum, compare_power_products, compare_radical_products
 
@@ -187,7 +188,7 @@ def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None,
     return base, Fraction(1, a * b)
 
 
-def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> IneqReport:
+def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom_memo=None) -> IneqReport:
     """hom(G, H) vs prod_{uv} hom(K_{d_u, d_v}, H)^{1/(d_u d_v)}.
 
     With constraints, each biclique factor propagates the endpoint
@@ -198,12 +199,13 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None) -> 
     `memo` is an optional dict owned by the caller, one per model: factors
     are looked up in it by (d_v, d_u, lambda_u, lambda_v) before they are
     computed, and stored in it after.  Edges with equal keys give one
-    factor, its exponent multiplied by their count.
+    factor, its exponent multiplied by their count.  `hom_memo` is hom's
+    component memo for the same model, a separate dict.
     """
     degs = g.degrees()
     if any(d == 0 for d in degs):
         raise IsolatedVertex("reverse-sidorenko needs no isolated vertices")
-    lhs_value = hom(g, m, constraints)
+    lhs_value = hom(g, m, constraints, hom_memo)
     if memo is None:
         memo = {}
     edges = g.edge_list()
@@ -267,7 +269,7 @@ def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
     return Fraction(contract(compile_plan(g.adjacency), choices, lambda u, v: mats[(u, v)]), denom)
 
 
-def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
+def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None, hom_memo=None) -> IneqReport:
     """hom_lambda(G, H) vs prod_v h_{d_v + 1}(lambda_v)^{1/(d_v+1)}.
 
     Must hold when the model is ferromagnetic (PSD); otherwise a violation
@@ -275,10 +277,11 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
 
     `memo` is an optional dict owned by the caller, one per model, as in
     check_reverse_sidorenko: factors are keyed by (d_v + 1, lambda_v), and
-    vertices with equal keys give one factor.
+    vertices with equal keys give one factor.  `hom_memo` is hom's
+    component memo for the same model, a separate dict.
     """
     degs = g.degrees()
-    lhs_value = hom(g, m, lambdas)
+    lhs_value = hom(g, m, lambdas, hom_memo)
     if memo is None:
         memo = {}
     counts = {}
@@ -297,15 +300,20 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None) -> IneqReport:
     return _report("clique-max", instance, [(lhs_value, 1)], factors)
 
 
-def check_bst(g: Graph, m: Model) -> IneqReport:
+def check_bst(g: Graph, m: Model, hom_memo=None) -> IneqReport:
     """Bipartite swapping trick bound: hom(G,H)^2 vs hom(G x K_2, H).
 
     Guaranteed for antiferromagnetic 2-spin H; elsewhere it is a probe.
+    Both sides are built from G's components (`hom_double_cover`): a
+    bipartite component C has C x K_2 = C + C, so its cover gives hom(C)^2.
+    `hom_memo` is hom's component memo for this model, owned by the
+    caller; with none, a local one links the two sides.
     """
     if m.q != 2:
         raise NotTwoSpin("the swapping bound is stated for 2-spin models")
-    lhs_value = hom(g, m) ** 2
-    rhs_value = hom(tensor_with_k2(g), m)
+    hom_memo = {} if hom_memo is None else hom_memo
+    lhs_value = hom(g, m, memo=hom_memo) ** 2
+    rhs_value = hom_double_cover(g, m, hom_memo)
     instance = "G=%s" % (g.edge_list(),)
     return _report("bst", instance, [(lhs_value, 1)], [(rhs_value, 1)])
 

@@ -2,7 +2,9 @@
 deterministic summaries, and report emission.
 
 A scan cell is independent and side-effect-free.  One runner call decides
-its cells in order and owns their factor memos; with k workers, worker i
+its cells in order and owns their memos, two per model: the factor memo
+of the inequality's right-hand side, and hom's component memo, so each
+connected component is contracted once per model.  With k workers, worker i
 takes the cells i, i + k, i + 2k, ..., and the results are merged back in
 cell order, so the summary is identical for any worker count.
 """
@@ -148,18 +150,19 @@ def random_lists(seed: int, gid: str, n: int, q: int) -> list[frozenset[int]]:
     return lists
 
 
-def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo=None):
+def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo=None, hom_memo=None):
     """Decide one cell.  `memo` is a factor memo for this model (see
-    check_reverse_sidorenko and check_clique_max); check_bst ignores it,
-    and bst takes no vertex constraints."""
+    check_reverse_sidorenko and check_clique_max), which bst has no use
+    for; `hom_memo` is hom's component memo for this model, a separate
+    dict that every inequality uses.  bst takes no vertex constraints."""
     if ineq == "reverse-sidorenko":
-        return check_reverse_sidorenko(graph, model, constraints, memo)
+        return check_reverse_sidorenko(graph, model, constraints, memo, hom_memo)
     if ineq == "clique-max":
-        return check_clique_max(graph, model, constraints, memo)
+        return check_clique_max(graph, model, constraints, memo, hom_memo)
     if ineq == "bst":
         if constraints is not None:
             raise InvalidArgument("bst takes no vertex constraints")
-        return check_bst(graph, model)
+        return check_bst(graph, model, hom_memo)
     raise InvalidArgument("unknown inequality %r (scan supports %s)" % (ineq, SCAN_INEQUALITIES))
 
 
@@ -183,12 +186,13 @@ def _cells_for_job(job: ScanJob):
 
 def _run_cells(ineq: str, cells) -> list:
     """Each cell's outcome, in order: ("ok", report dict) or ("error",
-    message).  The factor memos, one per model index, live for this call."""
+    message).  The memos, a factor memo and a component memo per model
+    index, live for this call."""
     memos = {}
     results = []
     for _, g, model_index, m, constraints in cells:
         try:
-            report = check_instance(ineq, g, m, constraints, memos.setdefault(model_index, {}))
+            report = check_instance(ineq, g, m, constraints, *memos.setdefault(model_index, ({}, {})))
             results.append(("ok", report_to_dict(report)))
         except HomlabError as exc:
             results.append(("error", "%s: %s" % (type(exc).__name__, exc)))

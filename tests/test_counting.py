@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -12,12 +13,14 @@ from conftest import cc_oracle, hom_oracle, semiproper_oracle
 from homlab.counting import (
     CONTRACTION_WORK_LIMIT,
     EXACT_ORDER_MAX_VERTICES,
+    _components,
     biclique_kernel_sum,
     cc,
     compile_plan,
     hom,
     hom_biclique,
     hom_clique,
+    hom_double_cover,
     hom_eps_polynomial,
     eps_poly_low_coefficients,
     lists_to_constraints,
@@ -161,13 +164,20 @@ def _disconnected_graphs():
 
 class TestContractionEngine:
     def test_hom_matches_oracle_on_all_small_graphs(self):
+        # One component memo per model, shared by all the graphs: hom with
+        # it equals the oracle and hom without it.  With constraints the
+        # memo is neither read nor written.
         rng = random.Random(21)
         models = _engine_models()
+        memos = [{} for _ in models]
         for g in _small_graphs():
-            for m in rng.sample(models, 3):
-                assert hom(g, m) == hom_oracle(g, m), (g, m)
+            for i in rng.sample(range(len(models)), 3):
+                m, memo = models[i], memos[i]
+                assert hom(g, m, memo=memo) == hom(g, m) == hom_oracle(g, m), (g, m)
                 cons = _random_constraints(rng, g.n, m.q)
-                assert hom(g, m, cons) == hom_oracle(g, m, cons), (g, m, cons)
+                before = dict(memo)
+                assert hom(g, m, cons, memo) == hom_oracle(g, m, cons), (g, m, cons)
+                assert memo == before
         # Their double covers at q = 2: covers of bipartite graphs split into
         # two components, the others are connected, and the 12-vertex ones
         # are over the exact-order cap. The oracle takes about 0.5 s per
@@ -182,19 +192,40 @@ class TestContractionEngine:
 
     def test_hom_matches_oracle_on_disconnected_graphs(self):
         rng = random.Random(22)
+        models = _engine_models()
+        memos = [{} for _ in models]
         for g in _disconnected_graphs():
-            for m in _engine_models():
+            for m, memo in zip(models, memos):
                 if m.q ** g.n > 1000:
                     continue  # keeps the oracle cheap: the 8-vertex covers run at q = 2
-                assert hom(g, m) == hom_oracle(g, m), (g, m)
+                assert hom(g, m, memo=memo) == hom(g, m) == hom_oracle(g, m), (g, m)
                 cons = _random_constraints(rng, g.n, m.q)
-                assert hom(g, m, cons) == hom_oracle(g, m, cons), (g, m, cons)
+                assert hom(g, m, cons, memo) == hom_oracle(g, m, cons), (g, m, cons)
+        # A memo entry is read before contracting, and only without constraints.
+        g = Graph.from_edges(5, [(0, 1), (2, 3)])  # two edges and a lone vertex
+        m = model_complete_looped(3, 0)
+        planted = {(2, 1): 5, (0,): 7}
+        assert hom(g, m, memo=planted) == 5 * 5 * 7
+        assert hom(g, m, [(1, 1, 1)] * 5, planted) == 6 * 6 * 3
 
     def test_double_cover_of_bipartite_graph_squares(self):
         for g in (named("path", 4), named("cycle", 6), named("biclique", 2, 3)):
             for seed in range(3):
                 m = random_model(2, seed, "antiferro-2spin")
                 assert hom(tensor_with_k2(g), m) == hom(g, m) ** 2
+        # The cover built from G's components, with a memo per model shared
+        # by all graphs, equals the cover graph's hom: at q = 2 (hard-core
+        # has a zero diagonal entry; the last model a zero-weight color) and
+        # q = 3, on every graph with n <= 6 and on graphs whose bipartite
+        # and non-bipartite components are over the exact-order cap.
+        models = [model_hardcore(), random_model(2, 0, "antiferro-2spin"), random_model(3, 1, "general")]
+        models.append(Model.from_rows([[1, 2], [2, 1]], [1, 0]))
+        c12_k3 = Graph.from_edges(15, named("cycle", 12).edge_list() + [(12, 13), (13, 14), (12, 14)])
+        graphs = list(_small_graphs()) + list(enumerate_graphs(6, dedup_isomorphism=True)) + [c12_k3, named("cycle", 11)]
+        for m in models:
+            memo = {}
+            for g in graphs:
+                assert hom_double_cover(g, m, memo) == hom_double_cover(g, m) == hom(tensor_with_k2(g), m), (g, m)
 
     def test_empty_and_single_vertex(self):
         m = random_model(3, 5, "general")
@@ -270,6 +301,16 @@ class TestContractionEngine:
         assert plan.work(4) > CONTRACTION_WORK_LIMIT
         with pytest.raises(LimitExceeded):
             hom(named("complete", 16), model_complete_looped(4, 4))
+        # Two copies of K11 are each under the bound and over it together:
+        # the whole graph's bound is checked before any contraction or memo
+        # lookup, with its text, also when the memo holds the component.
+        k11 = named("complete", 11)
+        assert compile_plan(k11.adjacency).work(4) <= CONTRACTION_WORK_LIMIT
+        two = Graph.from_edges(22, k11.edge_list() + [(u + 11, v + 11) for u, v in k11.edge_list()])
+        text = "contraction work bound %d exceeds %d (n = 22, q = 4)" % (compile_plan(two.adjacency).work(4), CONTRACTION_WORK_LIMIT)
+        for memo in (None, {}, {k11.adjacency: 1}):
+            with pytest.raises(LimitExceeded, match=re.escape(text)):
+                hom(two, model_complete_looped(4, 4), memo=memo)
 
     def test_plan_search_limit(self):
         # The greedy search is quadratic in n, so a graph with n^2 over the
@@ -402,6 +443,14 @@ class TestPlanOrder:
             plan = compile_plan(g.adjacency)
             assert [s.vertex for s in plan.steps] == want_order
             assert list(plan.widths) == want_widths
+
+    def test_component_works_sum_to_plan_work(self):
+        # hom checks the bound as the sum over its component plans.
+        for n in range(8):
+            for g in enumerate_graphs(n, dedup_isomorphism=True):
+                for q in (2, 3, 4):
+                    parts = sum(compile_plan(key).work(q) for _, key in _components(g.adjacency))
+                    assert parts == compile_plan(g.adjacency).work(q), (g, q)
 
     def test_greedy_order_above_the_cap(self):
         rng = random.Random(26)

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import independent_set_count_oracle
 from homlab import inequalities, power, ratmath
-from homlab.counting import hom, hom_clique
-from homlab.errors import InvalidArgument, IsolatedVertex, NotTwoSpin
+from homlab.counting import CONTRACTION_WORK_LIMIT, compile_plan, hom, hom_clique
+from homlab.errors import InvalidArgument, IsolatedVertex, LimitExceeded, NotTwoSpin
 from homlab.graphs import (
     Graph,
     GraphFamilySpec,
@@ -301,6 +301,18 @@ class TestBst:
     def test_not_two_spin(self):
         with pytest.raises(NotTwoSpin):
             check_bst(named("complete", 2), model_widom_rowlinson())
+
+    def test_cover_over_work_bound(self):
+        # K19 is under the bound at q = 2 and its cover is over it: the
+        # right-hand side raises with the cover graph's bound and size.
+        g = named("complete", 19)
+        cover = tensor_with_k2(g)
+        assert compile_plan(g.adjacency).work(2) <= CONTRACTION_WORK_LIMIT < compile_plan(cover.adjacency).work(2)
+        text = "contraction work bound %d exceeds %d (n = 38, q = 2)" % (compile_plan(cover.adjacency).work(2), CONTRACTION_WORK_LIMIT)
+        for memo in (None, {}):
+            with pytest.raises(LimitExceeded) as exc:
+                check_bst(g, model_hardcore(), memo)
+            assert str(exc.value) == text
 
     def test_two_spin_corollary_composite(self):
         # antiferromagnetic 2-spin: the swapping bound plus the biclique

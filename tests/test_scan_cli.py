@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from homlab import cli, scan
 from homlab.errors import LimitExceeded
 from homlab.fileio import report_to_dict
-from homlab.inequalities import check_clique_max, check_reverse_sidorenko
+from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
 from homlab.scan import (
     ScanJob,
@@ -76,10 +76,10 @@ class TestRunScan:
     def test_limit_exceeded_cell_is_an_error(self, monkeypatch, capsys):
         check_instance = scan.check_instance
 
-        def capped_c4(ineq, graph, model, constraints=None, memo=None):
+        def capped_c4(ineq, graph, model, constraints=None, *memos):
             if graph.n == 4:
                 raise LimitExceeded("comparison undecided")
-            return check_instance(ineq, graph, model, constraints, memo)
+            return check_instance(ineq, graph, model, constraints, *memos)
 
         monkeypatch.setattr(scan, "check_instance", capped_c4)
         s = run_scan(small_finding_job(graphs={"kind": "named", "names": ["C4", "K3,3"]}, models={"kind": "named", "names": ["Kq:2"]}))
@@ -174,19 +174,28 @@ ACCEPTANCE_9_JOB = dict(
     models={"kind": "random", "rand_kind": "psd", "qs": [2, 3, 4], "seeds": list(range(50))},
 )
 
+# The benchmark's bst grid with three antiferromagnetic 2-spin models.
+BST_SCAN_JOB = dict(
+    ineq="bst",
+    graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 6, "dedup": True},
+    models={"kind": "random", "rand_kind": "antiferro-2spin", "qs": [2], "seeds": [0, 1, 2]},
+)
+
 
 def memo_free(patch):
-    """Decide every cell on its own, with no memo shared between cells."""
+    """Decide every cell on its own, with no memo shared between cells:
+    neither the factor memo nor hom's component memo."""
     patch.setattr(
         scan,
         "check_reverse_sidorenko",
-        lambda g, m, constraints=None, memo=None: check_reverse_sidorenko(g, m, constraints),
+        lambda g, m, constraints=None, memo=None, hom_memo=None: check_reverse_sidorenko(g, m, constraints),
     )
     patch.setattr(
         scan,
         "check_clique_max",
-        lambda g, m, lambdas=None, memo=None: check_clique_max(g, m, lambdas),
+        lambda g, m, lambdas=None, memo=None, hom_memo=None: check_clique_max(g, m, lambdas),
     )
+    patch.setattr(scan, "check_bst", lambda g, m, hom_memo=None: check_bst(g, m))
 
 
 def report_at_jobs_1(summary):
@@ -202,8 +211,9 @@ class TestFactorMemo:
             ACCEPTANCE_8_JOB,
             ACCEPTANCE_9_JOB,
             dict(ineq="clique-max", graphs={"kind": "named", "names": ["C4", "K3"]}, models={"kind": "named", "names": ["Kq:3"]}),
+            BST_SCAN_JOB,
         ],
-        ids=["acceptance-7", "acceptance-8-lists", "acceptance-9-clique", "fewer-cells-than-workers"],
+        ids=["acceptance-7", "acceptance-8-lists", "acceptance-9-clique", "fewer-cells-than-workers", "bst-scan"],
     )
     def test_reports_match_memo_free_cells(self, job, monkeypatch):
         # Three workers, even on a smaller machine; 3 divides neither the 64
