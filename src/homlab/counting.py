@@ -99,7 +99,9 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     `memo` is hom's component memo for this model, shared with hom(g, m):
     it holds hom(C) after that call, and the covers are stored in it by
     their own adjacency.  The work bound is the one of the cover graph,
-    summed over the cover's components, and is checked first.
+    summed over the cover's components, and is checked first; only the
+    cover's component plans are contracted, since C's own plan may cost
+    more than either copy's above EXACT_ORDER_MAX_VERTICES.
     """
     scale, colors = _scaled_colors(m.vertex_weights)
     if g.n and not colors:
@@ -111,11 +113,10 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     memo = {} if memo is None else memo
     total = 1
     for key, halves in parts:
-        if len(halves) == 2:  # C is bipartite: its cover is two copies of C
-            total *= _component_count(key, [colors] * len(key), ew, memo) ** 2
-        else:
-            (cover,) = halves
-            total *= _component_count(cover, [colors] * len(cover), ew, memo)
+        if len(halves) == 2 and key in memo:  # a bipartite C: hom(C)^2
+            total *= memo[key] ** 2
+        else:  # the halves of a bipartite C's cover are both copies of C
+            total *= _component_count(halves[0], [colors] * len(halves[0]), ew, memo) ** len(halves)
     return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * len(g.edges)))
 
 

@@ -304,8 +304,9 @@ def check_bst(g: Graph, m: Model, hom_memo=None) -> IneqReport:
     """Bipartite swapping trick bound: hom(G,H)^2 vs hom(G x K_2, H).
 
     Guaranteed for antiferromagnetic 2-spin H; elsewhere it is a probe.
-    Both sides are built from G's components (`hom_double_cover`): a
-    bipartite component C has C x K_2 = C + C, so its cover gives hom(C)^2.
+    Both sides are built from G's components (`hom_double_cover`): the
+    cover of a bipartite component C is two copies of C, so it gives
+    hom(C)^2.
     `hom_memo` is hom's component memo for this model, owned by the
     caller; with none, a local one links the two sides.
     """

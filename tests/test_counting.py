@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cc_oracle, hom_oracle, semiproper_oracle
+from homlab import counting
 from homlab.counting import (
     CONTRACTION_WORK_LIMIT,
     EXACT_ORDER_MAX_VERTICES,
@@ -311,6 +312,33 @@ class TestContractionEngine:
         for memo in (None, {}, {k11.adjacency: 1}):
             with pytest.raises(LimitExceeded, match=re.escape(text)):
                 hom(two, model_complete_looped(4, 4), memo=memo)
+
+    def test_double_cover_work_bound_is_the_cover_graphs(self, monkeypatch):
+        # With the limit one below the cover graph's plan work the cover
+        # raises its text, and at that work it is computed.  Above the
+        # exact-order cap the greedy plans of a bipartite cover's two halves
+        # can differ from twice G's plan, so random bipartite graphs with
+        # interleaved sides are included.
+        rng = random.Random(27)
+        graphs = [Graph.from_edges(15, named("cycle", 12).edge_list() + [(12, 13), (13, 14), (12, 14)]), named("cycle", 11)]
+        while len(graphs) < 12:
+            n = rng.randrange(EXACT_ORDER_MAX_VERTICES + 1, 17)
+            side = [rng.randrange(2) for _ in range(n)]
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v] and rng.random() < 0.3])
+            if is_connected(g):
+                graphs.append(g)
+        m = random_model(2, 4, "antiferro-2spin")
+        works = []
+        for g in graphs:
+            work = compile_plan(tensor_with_k2(g).adjacency).work(2)
+            works.append((work, 2 * compile_plan(g.adjacency).work(2)))
+            monkeypatch.setattr(counting, "CONTRACTION_WORK_LIMIT", work - 1)
+            text = "contraction work bound %d exceeds %d (n = %d, q = 2)" % (work, work - 1, 2 * g.n)
+            with pytest.raises(LimitExceeded, match=re.escape(text)):
+                hom_double_cover(g, m)
+            monkeypatch.setattr(counting, "CONTRACTION_WORK_LIMIT", work)
+            assert hom_double_cover(g, m) == hom(tensor_with_k2(g), m), g
+        assert any(cover != twice for cover, twice in works[2:])
 
     def test_plan_search_limit(self):
         # The greedy search is quadratic in n, so a graph with n^2 over the
