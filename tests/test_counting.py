@@ -163,6 +163,12 @@ def _disconnected_graphs():
     return out
 
 
+def _over_the_cap_graphs():
+    """C12 + K3 and C11: bipartite and non-bipartite components whose
+    double covers are over the exact-order cap."""
+    return [Graph.from_edges(15, named("cycle", 12).edge_list() + [(12, 13), (13, 14), (12, 14)]), named("cycle", 11)]
+
+
 class TestContractionEngine:
     def test_hom_matches_oracle_on_all_small_graphs(self):
         # One component memo per model, shared by all the graphs: hom with
@@ -214,18 +220,19 @@ class TestContractionEngine:
             for seed in range(3):
                 m = random_model(2, seed, "antiferro-2spin")
                 assert hom(tensor_with_k2(g), m) == hom(g, m) ** 2
-        # The cover built from G's components, with a memo per model shared
-        # by all graphs, equals the cover graph's hom: at q = 2 (hard-core
-        # has a zero diagonal entry; the last model a zero-weight color) and
-        # q = 3, on every graph with n <= 6 and on graphs whose bipartite
-        # and non-bipartite components are over the exact-order cap.
+        # The cover built from G's components equals the cover graph's hom,
+        # with a fresh memo and with hom's memo for the model, shared by all
+        # graphs (as check_bst uses it): at q = 2 (hard-core has a zero
+        # diagonal entry; the last model a zero-weight color) and q = 3, on
+        # every graph with n <= 6 and on graphs whose bipartite and
+        # non-bipartite components are over the exact-order cap.
         models = [model_hardcore(), random_model(2, 0, "antiferro-2spin"), random_model(3, 1, "general")]
         models.append(Model.from_rows([[1, 2], [2, 1]], [1, 0]))
-        c12_k3 = Graph.from_edges(15, named("cycle", 12).edge_list() + [(12, 13), (13, 14), (12, 14)])
-        graphs = list(_small_graphs()) + list(enumerate_graphs(6, dedup_isomorphism=True)) + [c12_k3, named("cycle", 11)]
+        graphs = list(_small_graphs()) + list(enumerate_graphs(6, dedup_isomorphism=True)) + _over_the_cap_graphs()
         for m in models:
             memo = {}
             for g in graphs:
+                hom(g, m, memo=memo)
                 assert hom_double_cover(g, m, memo) == hom_double_cover(g, m) == hom(tensor_with_k2(g), m), (g, m)
 
     def test_empty_and_single_vertex(self):
@@ -320,7 +327,7 @@ class TestContractionEngine:
         # can differ from twice G's plan, so random bipartite graphs with
         # interleaved sides are included.
         rng = random.Random(27)
-        graphs = [Graph.from_edges(15, named("cycle", 12).edge_list() + [(12, 13), (13, 14), (12, 14)]), named("cycle", 11)]
+        graphs = _over_the_cap_graphs()
         while len(graphs) < 12:
             n = rng.randrange(EXACT_ORDER_MAX_VERTICES + 1, 17)
             side = [rng.randrange(2) for _ in range(n)]
