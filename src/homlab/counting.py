@@ -10,13 +10,14 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, compress, count
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import add, and_, itemgetter
 from typing import NamedTuple
 
 from homlab.errors import DimensionMismatch, LimitExceeded
 from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component, triangle_count
 from homlab.models import Model
+from homlab.ratmath import scaled_colors, scaled_matrix
 
 
 def _check_constraints(constraints, n: int, q: int):
@@ -51,6 +52,8 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     Zero-weight colors are pruned first.  All weights are scaled to
     integers by their common denominators (pure big-int arithmetic in the
     hot loop), and the exact scaling is divided back out once, at the end.
+    The model's own weights are scaled once per model (`Model.integer_edges`
+    and `integer_colors`); only constrained weights are scaled per call.
 
     `memo` is an optional dict owned by the caller, one per model: the
     scaled count of each component is looked up in it by the component's
@@ -63,21 +66,18 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     """
     constraints = _check_constraints(constraints, g.n, m.q)
     if constraints is None:
-        scale, colors = _scaled_colors(m.vertex_weights)
+        scale, colors = m.integer_colors
         choices = [colors] * g.n
         denom = scale ** g.n
         memo = {} if memo is None else memo
     else:
-        choices = []
-        denom = 1
-        for lam in constraints:
-            scale, colors = _scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)])
-            choices.append(colors)
-            denom *= scale
+        scaled = [scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)]) for lam in constraints]
+        denom = prod(scale for scale, _ in scaled)
+        choices = [colors for _, colors in scaled]
         memo = None
     if not all(choices):
         return Fraction(0)
-    edge_scale, ew = _scaled_matrix(m.edge_weights) if g.edges else (1, None)
+    edge_scale, ew = m.integer_edges
     denom *= edge_scale ** len(g.edges)
     parts = _components(g.adjacency)
     q = max(map(len, choices), default=0)
@@ -103,10 +103,10 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     cover's component plans are contracted, since C's own plan may cost
     more than either copy's above EXACT_ORDER_MAX_VERTICES.
     """
-    scale, colors = _scaled_colors(m.vertex_weights)
+    scale, colors = m.integer_colors
     if g.n and not colors:
         return Fraction(0)
-    edge_scale, ew = _scaled_matrix(m.edge_weights) if g.edges else (1, None)
+    edge_scale, ew = m.integer_edges
     parts = [(key, _cover_parts(key)) for _, key in _components(g.adjacency)]
     q = len(colors)
     _check_work(sum(compile_plan(half).work(q) for _, halves in parts for half in halves), 2 * g.n, q)
@@ -122,10 +122,11 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
 
 def _component_count(key: tuple, choices, ew, memo) -> int:
     """The scaled count of the connected graph with adjacency `key`, read
-    from `memo` if there, else contracted (and stored unless memo is None)."""
+    from `memo` if there, else contracted (and stored unless memo is None).
+    The caller has checked a work bound that covers this plan."""
     value = None if memo is None else memo.get(key)
     if value is None:
-        value = contract(compile_plan(key), choices, lambda u, v: ew)
+        value = _contract(compile_plan(key), choices, lambda u, v: ew)
         if memo is not None:
             memo[key] = value
     return value
@@ -160,18 +161,6 @@ def _cover_parts(key: tuple) -> tuple:
     (v, i) of the cover is v + i*k, as in graphs.tensor_with_k2."""
     k = len(key)
     return tuple(part for _, part in _components(tuple(r << k for r in key) + key))
-
-
-def _scaled_colors(weights):
-    """(scale, [(color, scale * weight)]) over the nonzero weights, with
-    scale the lcm of their denominators, so every product is an int."""
-    scale = lcm(*(w.denominator for w in weights if w))
-    return scale, [(c, w.numerator * (scale // w.denominator)) for c, w in enumerate(weights) if w]
-
-
-def _scaled_matrix(rows):
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +361,17 @@ def contract(plan: Plan, choices, edge_matrix) -> int:
     """Sum over all maps v -> colors in choices[v] of the product of the
     color weights and, for every edge, edge_matrix(u, v)[color u][color v]
     (u placed before v).  Weights and matrix entries are integers.
+    Raises LimitExceeded first when the plan's work bound exceeds
+    CONTRACTION_WORK_LIMIT.
     """
     q = max(map(len, choices), default=0)
     _check_work(plan.work(q), len(plan.steps), q)
+    return _contract(plan, choices, edge_matrix)
+
+
+def _contract(plan: Plan, choices, edge_matrix) -> int:
+    """`contract` without its work check, for a caller that has checked a
+    bound covering the plan (hom sums its components' bounds)."""
     table = {(): 1}
     for v, back, project, kept in plan.steps:
         links = [(i, edge_matrix(u, v)) for i, u in back]
@@ -464,9 +461,9 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
             "biclique work bound %d exceeds %d (K_{%d,%d}, sizes %d and %d)"
             % (work, CONTRACTION_WORK_LIMIT, a, b, size1, size2)
         )
-    kernel_scale, kernel = _scaled_matrix(table)
-    scale1, points1 = _scaled_colors(w1)
-    scale2, points2 = _scaled_colors(w2)
+    kernel_scale, kernel = scaled_matrix(table)
+    scale1, points1 = scaled_colors(w1)
+    scale2, points2 = scaled_colors(w2)
     rows = [(w, kernel[x]) for x, w in points1]
     total = 0
     for combo in combinations_with_replacement(points2, b):
@@ -547,14 +544,14 @@ def clique_terms(a: int, m: Model, lam=None):
     LimitExceeded when C(q + a - 1, a) * a^2 exceeds
     CONTRACTION_WORK_LIMIT, with q the number of nonzero-weight colors.
     """
-    weight_scale, colors = _scaled_colors(_side_weights(m, lam))
+    weight_scale, colors = m.integer_colors if lam is None else scaled_colors(_side_weights(m, lam))
     q = len(colors)
     work = comb(q + a - 1, a) * a * a if a else 0
     if work > CONTRACTION_WORK_LIMIT:
         raise LimitExceeded(
             "clique work bound %d exceeds %d (K_%d, q = %d)" % (work, CONTRACTION_WORK_LIMIT, a, q)
         )
-    edge_scale, ew = _scaled_matrix(m.edge_weights)
+    edge_scale, ew = m.integer_edges
     terms = []
     for combo in combinations_with_replacement(range(q), a):
         counts = [(c, w, combo.count(i)) for i, (c, w) in enumerate(colors) if i in combo]

@@ -18,7 +18,6 @@ from itertools import combinations_with_replacement
 
 from homlab.counting import (
     _multiset_permutations,
-    _scaled_matrix,
     _side_weights,
     biclique_kernel_sum,
     compile_plan,
@@ -37,6 +36,7 @@ from homlab.errors import (
 from homlab.graphs import Graph, _component
 from homlab.models import Model
 from homlab.power import Comparison, PowerProduct, RadicalSum, compare_power_products, compare_radical_products
+from homlab.ratmath import scaled_matrix
 
 SWAP_CHECK_VERTEX_LIMIT = 7
 
@@ -262,7 +262,7 @@ def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
     denom = 1
     mats = {}
     for u, v in g.edge_list():
-        scale, mats[(u, v)] = _scaled_matrix([[Fraction(x) for x in row] for row in kernels[(u, v)]])
+        scale, mats[(u, v)] = scaled_matrix([[Fraction(x) for x in row] for row in kernels[(u, v)]])
         mats[(v, u)] = [list(col) for col in zip(*mats[(u, v)])]
         denom *= scale
     choices = [[(c, 1) for c in range(size)] for size in sizes]

@@ -1,14 +1,17 @@
 """Weighted target models H: exact rational edge-weight matrix, vertex
-weights, named families, and ferro/antiferro
-classification via exact eigenvalue sign counts.
+weights, their integer scalings (each computed once per model), named
+families, and ferro/antiferro classification via exact eigenvalue sign
+counts.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from homlab.errors import InvalidArgument, NegativeWeight, NonSymmetric
-from homlab.ratmath import eigenvalue_sign_counts, read_rational
+from homlab.errors import InvalidArgument, LimitExceeded, NegativeWeight, NonSymmetric
+from homlab.graphs import CONTRACTION_WORK_LIMIT
+from homlab.ratmath import eigenvalue_sign_counts, read_rational, scaled_colors, scaled_matrix
 
 RANDOM_MODEL_MAX_COLORS = 8
 
@@ -33,6 +36,17 @@ class Model:
                     raise NegativeWeight("edge weight (%d, %d) negative" % (i, j))
         if any(w < 0 for w in self.vertex_weights):
             raise NegativeWeight("negative vertex weight")
+
+    # The weights scaled to ints (ratmath), once per model, on first use;
+    # cached_property writes the instance's __dict__, which a frozen
+    # dataclass allows, and equality and hashing read the fields only.
+    @cached_property
+    def integer_edges(self) -> tuple:
+        return scaled_matrix(self.edge_weights)
+
+    @cached_property
+    def integer_colors(self) -> tuple:
+        return scaled_colors(self.vertex_weights)
 
     @property
     def looped_set(self) -> frozenset[int]:
@@ -81,7 +95,10 @@ def classify_model(m: Model) -> Classification:
 
 
 def model_complete_looped(q: int, ell: int) -> Model:
-    """K_q with the first `ell` colors looped: semiproper-coloring target."""
+    """K_q with the first `ell` colors looped: semiproper-coloring target.
+    Its q^2 weights are counted before any is built."""
+    if q * q > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("model size q^2 = %d exceeds %d" % (q * q, CONTRACTION_WORK_LIMIT))
     if not 0 <= ell <= q:
         raise InvalidArgument("need 0 <= ell <= q")
     rows = [[1 if i != j or i < ell else 0 for j in range(q)] for i in range(q)]

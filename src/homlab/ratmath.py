@@ -1,10 +1,11 @@
 """Exact integer/rational helpers: the one reader of rationals from
-outside the program, integer roots, factoring, coprime bases, and
-eigenvalue sign counts (inertia) of symmetric rational matrices.
+outside the program, integer scaling of weights, integer roots, factoring,
+coprime bases, and eigenvalue sign counts (inertia) of symmetric rational
+matrices.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def read_rational(x) -> Fraction:
@@ -21,6 +22,19 @@ def read_rational(x) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError("not an int or an exponent-free rational string: %.40r" % (x,))
+
+
+def scaled_colors(weights) -> tuple:
+    """(scale, ((color, scale * weight), ...)) over the nonzero weights,
+    with scale the lcm of their denominators, so every product is an int."""
+    scale = lcm(*(w.denominator for w in weights if w))
+    return scale, tuple((c, w.numerator * (scale // w.denominator)) for c, w in enumerate(weights) if w)
+
+
+def scaled_matrix(rows) -> tuple:
+    """(scale, int rows): the entries times the lcm of their denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
 
 
 def integer_nth_root(x: int, n: int) -> int:

@@ -6,7 +6,9 @@ its cells in order and owns their memos, two per model: the factor memo
 of the inequality's right-hand side, and hom's component memo, so each
 connected component is contracted once per model.  With k workers, worker i
 takes the cells i, i + k, i + 2k, ..., and the results are merged back in
-cell order, so the summary is identical for any worker count.
+cell order, so the summary is identical for any worker count.  A cell comes
+back as its verdict, exactness and slack; only a finding (a violated cell)
+carries its full report dict.
 """
 
 import csv
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from homlab.counting import lists_to_constraints
-from homlab.errors import HomlabError, InvalidArgument
+from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import (
     frac_str,
     graph_to_dict,
@@ -30,6 +32,7 @@ from homlab.fileio import (
     report_to_dict,
 )
 from homlab.graphs import (
+    CONTRACTION_WORK_LIMIT,
     ENUMERATION_VERTEX_LIMIT,
     Graph,
     enumerate_graphs,
@@ -112,29 +115,18 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
     if kind == "files":
         return [(path, load_model(path)) for path in source["paths"]]
     if kind == "random":
-        rand_kind = source["rand_kind"]
-        qs = source["qs"]
-        out = []
-        for i, seed in enumerate(source["seeds"]):
-            q = qs[i % len(qs)]
-            out.append(
-                (
-                    "random:%s,%d,%d" % (rand_kind, q, seed),
-                    random_model(q, seed, rand_kind),
-                )
-            )
-        return out
+        rand_kind, qs = source["rand_kind"], source["qs"]
+        pairs = [(qs[i % len(qs)], seed) for i, seed in enumerate(source["seeds"])]
+        return [("random:%s,%d,%d" % (rand_kind, q, seed), random_model(q, seed, rand_kind)) for q, seed in pairs]
     if kind == "complete-looped":
-        out = []
-        for q in range(1, source["max_q"] + 1):
-            for ell in range(0, q + 1):
-                out.append(("Kq-looped:%d,%d" % (q, ell), model_complete_looped(q, ell)))
-        return out
+        # The sum of (q + 1) * q^2 weights over q <= t, before any is built.
+        t = max(source["max_q"], 0)
+        if t * (t + 1) * (t + 2) * (3 * t + 1) // 12 > CONTRACTION_WORK_LIMIT:
+            raise LimitExceeded("complete-looped models up to q = %d exceed %d weights" % (t, CONTRACTION_WORK_LIMIT))
+        qls = [(q, ell) for q in range(1, t + 1) for ell in range(q + 1)]
+        return [("Kq-looped:%d,%d" % ql, model_complete_looped(*ql)) for ql in qls]
     if kind == "union":
-        out = []
-        for part in source["parts"]:
-            out.extend(materialize_models(part))
-        return out
+        return [pair for part in source["parts"] for pair in materialize_models(part)]
     raise InvalidArgument("unknown model source kind %r" % kind)
 
 
@@ -169,31 +161,28 @@ def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo
 def _cells_for_job(job: ScanJob):
     graphs = materialize_graphs(job.graphs)
     models = materialize_models(job.models)
-    list_seeds = [None]
-    if job.lists is not None:
-        list_seeds = list(job.lists["seeds"])
+    list_seeds = [None] if job.lists is None else list(job.lists["seeds"])
     cells = []
     for gid, g in graphs:
         for model_index, (mid, m) in enumerate(models):
             for ls in list_seeds:
-                constraints = None
-                if ls is not None:
-                    constraints = lists_to_constraints(random_lists(ls, gid, g.n, m.q), m.q)
+                constraints = None if ls is None else lists_to_constraints(random_lists(ls, gid, g.n, m.q), m.q)
                 instance_id = "%s|%s" % (gid, mid) + ("|lists:%d" % ls if ls is not None else "")
                 cells.append((instance_id, g, model_index, m, constraints))
     return cells
 
 
 def _run_cells(ineq: str, cells) -> list:
-    """Each cell's outcome, in order: ("ok", report dict) or ("error",
-    message).  The memos, a factor memo and a component memo per model
-    index, live for this call."""
+    """Each cell's outcome, in order: (verdict, exact, slack_log10, report),
+    report being the report dict of a violated cell and None otherwise, or
+    ("error", message).  The memos, a factor memo and a component memo per
+    model index, live for this call."""
     memos = {}
     results = []
     for _, g, model_index, m, constraints in cells:
         try:
-            report = check_instance(ineq, g, m, constraints, *memos.setdefault(model_index, ({}, {})))
-            results.append(("ok", report_to_dict(report)))
+            r = check_instance(ineq, g, m, constraints, *memos.setdefault(model_index, ({}, {})))
+            results.append((r.verdict, r.exact, r.slack_log10, report_to_dict(r) if r.verdict == "violated" else None))
         except HomlabError as exc:
             results.append(("error", "%s: %s" % (type(exc).__name__, exc)))
     return results
@@ -216,39 +205,23 @@ def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
         results = _run_cells(job.ineq, cells)
 
     summary = ScanSummary(job=job.to_dict())
-    for (instance_id, g, _, m, constraints), (status, payload) in zip(cells, results):
-        if status == "error":
+    for (instance_id, g, _, m, constraints), result in zip(cells, results):
+        if result[0] == "error":
             # Per-instance failures are collected, not fatal, and stay
             # outside the verdict histogram (which always totals
             # instances_checked).
-            summary.errors.append({"instance_id": instance_id, "error": payload})
+            summary.errors.append({"instance_id": instance_id, "error": result[1]})
             continue
         summary.instances_checked += 1
-        report = payload
-        verdict = report["verdict"]
+        verdict, exact, slack, report = result
         summary.histogram[verdict] += 1
         gid, _, rest = instance_id.partition("|")
-        row = {
-            "instance_id": instance_id,
-            "graph": gid,
-            "model": rest,
-            "verdict": verdict,
-            "exact": report["exact"],
-            "slack_log10": report["slack_log10"],
-        }
-        summary.rows.append(row)
-        slack = report["slack_log10"]
+        summary.rows.append(dict(zip(CSV_COLUMNS, (instance_id, gid, rest, verdict, exact, slack))))
         if isinstance(slack, (int, float)) and not math.isnan(slack):
             if summary.worst is None or slack < summary.worst["slack_log10"]:
                 summary.worst = {"instance_id": instance_id, "slack_log10": slack}
         if verdict == "violated":
-            summary.findings.append(
-                {
-                    "instance_id": instance_id,
-                    "report": report,
-                    "replay": make_replay(job.ineq, g, m, constraints),
-                }
-            )
+            summary.findings.append({"instance_id": instance_id, "report": report, "replay": make_replay(job.ineq, g, m, constraints)})
     return summary
 
 
@@ -257,9 +230,7 @@ def make_replay(ineq: str, g: Graph, m: Model, constraints=None) -> dict:
         "ineq": ineq,
         "graph": graph_to_dict(g),
         "model": model_to_dict(m),
-        "constraints": None
-        if constraints is None
-        else [[frac_str(x) for x in vec] for vec in constraints],
+        "constraints": None if constraints is None else [[frac_str(x) for x in vec] for vec in constraints],
     }
 
 

@@ -1,10 +1,14 @@
+import json
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from homlab.errors import InvalidArgument, NegativeWeight, NonSymmetric
+from homlab.errors import InvalidArgument, LimitExceeded, NegativeWeight, NonSymmetric
+from homlab.fileio import model_to_dict
+from homlab.graphs import CONTRACTION_WORK_LIMIT
 from homlab.models import (
     Model,
     classify_model,
@@ -18,7 +22,7 @@ from homlab.models import (
     two_spin_is_antiferromagnetic,
     two_spin_is_ferromagnetic,
 )
-from homlab.ratmath import eigenvalue_sign_counts
+from homlab.ratmath import eigenvalue_sign_counts, scaled_colors, scaled_matrix
 
 
 def _charpoly_oracle(matrix):
@@ -231,6 +235,64 @@ class TestRandomModels:
     def test_limit(self):
         with pytest.raises(InvalidArgument):
             random_model(9, 0, "general")
+
+
+def _weight_models():
+    """Random general, psd and antiferro-2spin models with q <= 8, and
+    models with zero edge or vertex weights (all-zero ones included)."""
+    models = [random_model(q, seed, kind) for q in range(1, 9) for seed in range(3) for kind in ("general", "psd")]
+    models += [random_model(2, seed, "antiferro-2spin") for seed in range(10)]
+    models += [
+        model_hardcore(),
+        model_two_spin(0, Fraction(3, 4), 0, v0=0, v1=Fraction(2, 3)),
+        Model.from_rows([[0, 0], [0, 0]], vertex_weights=[0, 0]),
+        Model.from_rows([[Fraction(1, 6), 0, 2], [0, 0, 0], [2, 0, Fraction(5, 4)]], vertex_weights=[Fraction(1, 2), 0, 3]),
+    ]
+    return models
+
+
+class TestIntegerWeights:
+    def test_cached_weights_equal_a_fresh_scaling(self):
+        for m in _weight_models():
+            assert m.integer_edges == scaled_matrix(m.edge_weights)
+            assert m.integer_colors == scaled_colors(m.vertex_weights)
+            # Read against the Fractions themselves, not the helpers: the
+            # least common scale, int entries, and zero colors dropped.
+            scale, rows = m.integer_edges
+            assert scale == lcm(*(x.denominator for row in m.edge_weights for x in row))
+            assert [[Fraction(x, scale) for x in row] for row in rows] == [list(row) for row in m.edge_weights]
+            assert all(type(x) is int for row in rows for x in row)
+            scale, colors = m.integer_colors
+            assert scale == lcm(*(w.denominator for w in m.vertex_weights if w))
+            assert [(c, Fraction(w, scale)) for c, w in colors] == [(c, w) for c, w in enumerate(m.vertex_weights) if w]
+            assert m.integer_edges is m.integer_edges and m.integer_colors is m.integer_colors
+
+    def test_filled_cache_keeps_equality_hash_pickle_and_bytes(self):
+        for m in _weight_models():
+            fresh = Model(m.q, m.edge_weights, m.vertex_weights)
+            text = json.dumps(model_to_dict(fresh), sort_keys=True)
+            m.integer_edges, m.integer_colors
+            assert m == fresh and hash(m) == hash(fresh)
+            assert json.dumps(model_to_dict(m), sort_keys=True) == text
+            back = pickle.loads(pickle.dumps(m))
+            assert back == fresh and hash(back) == hash(fresh)
+            assert back.integer_edges == fresh.integer_edges and back.integer_colors == fresh.integer_colors
+
+
+class TestModelSize:
+    def test_complete_looped_is_sized_before_it_is_built(self):
+        # q^2 is checked before the q x q matrix exists: these would need
+        # 10^10 and 10^18 entries.
+        for q in (10 ** 5, 10 ** 9):
+            with pytest.raises(LimitExceeded, match="model size q\\^2 = %d exceeds %d" % (q * q, CONTRACTION_WORK_LIMIT)):
+                model_complete_looped(q, 0)
+            for name in ("Kq:%d" % q, "Kq-looped:%d,1" % q):
+                with pytest.raises(LimitExceeded):
+                    parse_model_name(name)
+
+    def test_complete_looped_below_the_bound_is_built(self):
+        assert model_complete_looped(8, 3).looped_set == frozenset({0, 1, 2})
+        assert parse_model_name("Kq-looped:4,4").q == 4
 
 
 class TestParseNames:

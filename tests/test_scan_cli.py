@@ -383,6 +383,43 @@ class TestReportDigests:
                 digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
         assert digest.hexdigest() == "d9607362dd0f00665958c833382dcda6647185084b1e44f1272a5e320e7062a2"
 
+REPORT_DIGEST_GRIDS = {
+    "clique-max": ({"kind": "enumerate", "min_vertices": 1, "max_vertices": 5, "dedup": True}, ["wr", "hardcore", "Kq:3", "heps:1/10"]),
+    "reverse-sidorenko": (
+        {"kind": "enumerate", "min_vertices": 2, "max_vertices": 5, "no_isolated": True, "dedup": True},
+        ["wr", "hardcore", "Kq:3", "Kq-looped:3,1"],
+    ),
+    "bst": ({"kind": "enumerate", "min_vertices": 1, "max_vertices": 5, "dedup": True}, ["hardcore", "ising:1,2,1", "ising:2,1,2"]),
+}
+
+
+class TestFindingsAcrossJobs:
+    """Workers build a report dict only for a finding; the report, with its
+    `job` entry dropped, is the same bytes at any worker count."""
+
+    @pytest.mark.parametrize("ineq", sorted(REPORT_DIGEST_GRIDS) + ["reverse-sidorenko-lists"])
+    def test_report_bytes_do_not_depend_on_jobs(self, ineq, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if ineq == "reverse-sidorenko-lists":
+            graphs, _ = REPORT_DIGEST_GRIDS["reverse-sidorenko"]
+            models = {"kind": "named", "names": ["heps:1/10", "wr", "Kq:3"]}
+            job = ScanJob("reverse-sidorenko", graphs, models, {"kind": "random", "seeds": list(range(6))})
+        else:
+            graphs, names = REPORT_DIGEST_GRIDS[ineq]
+            job = ScanJob(ineq, graphs, {"kind": "named", "names": names})
+
+        def without_job(jobs):
+            summary = run_scan(dataclasses.replace(job, jobs=jobs))
+            assert summary.findings and not summary.errors
+            doc = json.loads(emit_report(summary, "json"))
+            del doc["job"]
+            return json.dumps(doc, indent=2, sort_keys=True)
+
+        expected = without_job(1)
+        for jobs in (2, 3):
+            assert without_job(jobs) == expected
+
+
 def _no_labeled_walk(*args, **kwargs):
     # An uncapped 8-vertex labeled source would walk 2^28 masks; fail at once.
     raise AssertionError("enumeration ran past the scan cap")
@@ -789,6 +826,21 @@ class TestCli:
     def test_malformed_scan_flags_fail_fast(self, capsys, flags, message):
         assert cli.main(["scan", "--ineq", "clique-max", "--graphs", "C4", *flags]) == 1
         assert capsys.readouterr().err.startswith(message)
+
+    def test_complete_looped_family_is_sized_before_it_is_built(self, monkeypatch, capsys):
+        # Sum of (q + 1) * q^2 over q <= 78 is 9,653,800 weights, and 10,153,080
+        # up to 79; counted with a stand-in model, so nothing large is built.
+        built = []
+        monkeypatch.setattr(scan, "model_complete_looped", lambda q, ell: built.append(q * q) or None)
+        assert len(scan.materialize_models({"kind": "complete-looped", "max_q": 78})) == sum(q + 1 for q in range(1, 79))
+        assert sum(built) == 9_653_800
+        built.clear()
+        for max_q in (79, 3000, 10 ** 9):
+            with pytest.raises(LimitExceeded, match="complete-looped models up to q = %d exceed 10000000 weights" % max_q):
+                scan.materialize_models({"kind": "complete-looped", "max_q": max_q})
+        assert not built
+        assert cli.main(["scan", "--ineq", "bst", "--max-vertices", "3", "--complete-looped", "3000"]) == 1
+        assert capsys.readouterr().err == "scanning bst ...\nerror: complete-looped models up to q = 3000 exceed 10000000 weights\n"
 
     def test_negative_search_budget_fails_fast(self, capsys):
         # A budget of -1 used to slice off the grid's last cell.
