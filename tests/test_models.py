@@ -290,10 +290,6 @@ class TestModelSize:
                 with pytest.raises(LimitExceeded):
                     parse_model_name(name)
 
-    def test_complete_looped_below_the_bound_is_built(self):
-        assert model_complete_looped(8, 3).looped_set == frozenset({0, 1, 2})
-        assert parse_model_name("Kq-looped:4,4").q == 4
-
 
 class TestParseNames:
     def test_names(self):
