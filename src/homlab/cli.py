@@ -9,8 +9,8 @@ import argparse
 import json
 import sys
 
-from homlab.counting import hom
-from homlab.errors import HomlabError, InvalidArgument
+from homlab.counting import CONTRACTION_WORK_LIMIT, hom
+from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import frac_str, graph_from_any, load_replay, model_from_any, parse_constraints, read_text, report_to_dict
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, lemma_instance_to_dict, load_lemma_instance, random_lemma_instance
 from homlab.scan import (
@@ -48,17 +48,17 @@ def _report_text(report, fmt: str) -> str:
 
 
 def _parse_seed_range(text: str) -> list[int]:
+    """The seeds of 'lo:hi' or of one seed, sized from the two ends before
+    the list is built."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            seeds = list(range(int(lo), int(hi)))
-        else:
-            seeds = [int(text)]
+        lo, hi = map(int, text.split(":")) if ":" in text else (int(text), int(text) + 1)
     except ValueError:
         raise InvalidArgument("--seeds must be 'lo:hi' or one seed, not %r" % text) from None
-    if not seeds:
+    if hi - lo > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("--seeds range %r has %d seeds, over %d" % (text, hi - lo, CONTRACTION_WORK_LIMIT))
+    if hi <= lo:
         raise InvalidArgument("--seeds range %r is empty" % text)
-    return seeds
+    return list(range(lo, hi))
 
 
 def _at_least(value: int | None, least: int, flag: str) -> int | None:

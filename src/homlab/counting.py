@@ -7,7 +7,7 @@ Everything returns Fraction (or int for pure counts); no floats.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, compress, count
 from math import comb, factorial, prod
@@ -171,26 +171,60 @@ def _cover_parts(key: tuple) -> tuple:
 class Step(NamedTuple):
     vertex: int
     back: tuple  # (frontier position, vertex) of each placed neighbor
-    project: object  # drops the finished vertices from a key; None if none
+    keep: tuple | None  # the frontier positions that stay; None if all do
     kept: bool  # whether the new vertex joins the frontier
+    run: object  # the generated loop of the step's shape (`_step_kernel`)
 
 
-class Plan(NamedTuple):
-    steps: tuple
-    widths: tuple  # frontier width before each step
+class Plan:
+    """A graph's contraction steps and the frontier width before each.
+    The steps' kernels are generated on first use of `steps`, after the
+    caller has checked `work`: a kernel's source grows with its frontier,
+    which the work bound does not limit at q = 1, so a plan too costly to
+    contract makes none."""
+
+    def __init__(self, shapes: tuple, widths: tuple):
+        self._shapes, self.widths = shapes, widths  # shapes: (vertex, back, keep, kept) of each step
 
     def work(self, q: int) -> int:
         return sum(q ** (w + 1) for w in self.widths)
 
+    @cached_property
+    def steps(self) -> tuple:
+        steps = tuple(Step(*s, _step_kernel(tuple(i for i, _ in s[1]), *s[2:])) for s in self._shapes)
+        del self._shapes  # the steps hold the shapes from here on
+        return steps
 
-def _projector(keep):
-    # itemgetter returns a bare item for a single index, hence the cases.
-    if not keep:
-        return lambda key: ()
-    if len(keep) == 1:
-        (i,) = keep
-        return lambda key: (key[i],)
-    return itemgetter(*keep)
+
+def _projector(picks):
+    # The items at picks, as a tuple: itemgetter returns a bare item for one.
+    return itemgetter(*picks) if len(picks) > 1 else lambda items: (items[picks[0]],)
+
+
+@lru_cache(maxsize=1024)
+def _step_kernel(positions: tuple, keep, kept: bool):
+    """`step(table, colors, m0, m1, ...) -> table`, one contraction step
+    for every plan step of this shape: positions are the frontier positions
+    of the placed neighbours (m_j is the link matrix of the j-th), keep and
+    kept as in `Step`.  Its source is built from these ints and exec'd
+    once, as namedtuple builds its methods, so the loop reads each link row
+    and writes the projected key inline, with no per-key list or call."""
+    items = "".join("key[%d], " % i for i in keep or ())
+    factors = ["r%d[c]" % j for j in range(len(positions))]
+    lines = ["def step(table, colors%s):" % "".join(", m%d" % j for j in range(len(positions))), "    new = {}", "    get = new.get"]
+    lines += ["    for key, val in table.items():"] + ["        r%d = m%d[key[%d]]" % (j, j, i) for j, i in enumerate(positions)]
+    # At most 16 factors a line: a wide frontier (q = 1) would nest the
+    # product past the compiler's recursion limit.
+    weight = ["            w = w * %s" % " * ".join(factors[i : i + 16]) for i in range(0, len(factors), 16)]
+    if kept:  # each color makes its own key
+        lines += ["        for c, w in colors:", *weight, "            if w:"]
+        lines += ["                k = %s" % ("key + (c,)" if keep is None else "(%sc,)" % items), "                new[k] = get(k, 0) + val * w"]
+    else:  # every color lands on one key
+        lines += ["        s = 0", "        for c, w in colors:", *weight, "            s += w", "        if s:"]
+        lines += ["            k = %s" % ("key" if keep is None else "(%s)" % items), "            new[k] = get(k, 0) + val * s"]
+    namespace = {}
+    exec("\n".join(lines + ["    return new"]), namespace)
+    return namespace["step"]
 
 
 # Components of at most this many vertices get the exact least-work order.
@@ -337,7 +371,7 @@ def _greedy_order(adjacency: tuple) -> list:
 def _plan(adjacency: tuple, order: list) -> Plan:
     placed = 0
     frontier = []
-    steps = []
+    shapes = []
     widths = []
     for v in order:
         placed |= 1 << v
@@ -345,11 +379,10 @@ def _plan(adjacency: tuple, order: list) -> Plan:
         back = tuple((i, u) for i, u in enumerate(frontier) if adjacency[v] >> u & 1)
         keep = tuple(i for i, u in enumerate(frontier) if adjacency[u] & unplaced)
         kept = bool(adjacency[v] & unplaced)
-        project = None if len(keep) == len(frontier) else _projector(keep)
         widths.append(len(frontier))
-        steps.append(Step(v, back, project, kept))
+        shapes.append((v, back, None if len(keep) == len(frontier) else keep, kept))
         frontier = [frontier[i] for i in keep] + ([v] if kept else [])
-    return Plan(tuple(steps), tuple(widths))
+    return Plan(tuple(shapes), tuple(widths))
 
 
 def _check_work(work: int, n: int, q: int):
@@ -371,28 +404,12 @@ def contract(plan: Plan, choices, edge_matrix) -> int:
 
 def _contract(plan: Plan, choices, edge_matrix) -> int:
     """`contract` without its work check, for a caller that has checked a
-    bound covering the plan (hom sums its components' bounds)."""
+    bound covering the plan (hom sums its components' bounds).  Each step
+    maps the table to the next with its generated kernel."""
     table = {(): 1}
-    for v, back, project, kept in plan.steps:
-        links = [(i, edge_matrix(u, v)) for i, u in back]
-        colors = choices[v]
-        new = {}
-        get = new.get
-        for key, val in table.items():
-            rows = [mat[key[i]] for i, mat in links]
-            base = key if project is None else project(key)
-            for c, w in colors:
-                for row in rows:
-                    w *= row[c]
-                    if not w:
-                        break
-                if w:
-                    k = base + (c,) if kept else base
-                    new[k] = get(k, 0) + val * w
-        if not new:
-            return 0
-        table = new
-    return table[()]
+    for v, back, _, _, run in plan.steps:
+        table = run(table, choices[v], *[edge_matrix(u, v) for _, u in back])
+    return table.get((), 0)
 
 
 def hom_biclique(a: int, b: int, m: Model, side_constraints=None) -> Fraction:

@@ -235,6 +235,39 @@ class TestContractionEngine:
                 hom(g, m, memo=memo)
                 assert hom_double_cover(g, m, memo) == hom_double_cover(g, m) == hom(tensor_with_k2(g), m), (g, m)
 
+    def test_hom_matches_oracle_on_models_with_zeros(self):
+        # Zero edge weights empty a step's table and zero vertex weights
+        # prune colors, up to q = 4: hard-core, Widom-Rowlinson, an
+        # antiferromagnetic 2-spin model with a zero diagonal, a partially
+        # looped K4, and a random q = 4 model with zero entries and a
+        # zero-weight color.  Every graph with n <= 5, every eighth with
+        # n = 6, and the disconnected graphs; half of them with constraints.
+        rng = random.Random(28)
+        rows = [[0] * 4 for _ in range(4)]
+        for x in range(4):
+            for y in range(x, 4):
+                rows[x][y] = rows[y][x] = Fraction(rng.choice([0, 0, 1, 2, 3]), rng.randrange(1, 4))
+        models = [model_hardcore(), model_widom_rowlinson(), Model.from_rows([[0, 3], [3, 1]], [1, Fraction(1, 2)])]
+        models += [model_complete_looped(4, 1), Model.from_rows(rows, [1, 0, Fraction(2, 3), 3])]
+        graphs = list(_small_graphs()) + list(enumerate_graphs(6, dedup_isomorphism=True))[::8] + _disconnected_graphs()
+        for m in models:
+            memo = {}
+            for g in graphs:
+                if m.q ** g.n > 1024:
+                    continue  # keeps the oracle cheap: n = 6 runs at q <= 3
+                assert hom(g, m, memo=memo) == hom(g, m) == hom_oracle(g, m), (g, m)
+                if rng.random() < 0.5:
+                    cons = _random_constraints(rng, g.n, m.q)
+                    assert hom(g, m, cons) == hom_oracle(g, m, cons), (g, m, cons)
+
+    def test_step_kernels_are_bounded_and_shared_by_shape(self):
+        assert counting._step_kernel.cache_parameters()["maxsize"] is not None
+        # A kernel is keyed by its step's shape, not its plan: the 2,000
+        # steps of a long cycle use 4 kernels.
+        plan = compile_plan(named("cycle", 2000).adjacency)
+        assert len({s.run for s in plan.steps}) == 4
+        assert hom(named("cycle", 2000), model_complete_looped(3, 0)) == 2 ** 2000 + 2
+
     def test_empty_and_single_vertex(self):
         m = random_model(3, 5, "general")
         assert hom(Graph.from_edges(0, []), m) == 1
@@ -268,6 +301,21 @@ class TestContractionEngine:
                 want += t
             assert _kernel_assignment_sum(g, kernels, sizes) == want, (g, sizes)
 
+    def test_kernel_assignment_sum_binds_each_link_to_its_edge(self):
+        # Every edge gets its own non-symmetric kernel with distinct
+        # entries, so a link matrix bound to the wrong neighbour, or read
+        # transposed, changes the sum.  The graphs have steps with two and
+        # three placed neighbours.
+        for g in (named("complete", 4), named("cycle", 5), named("biclique", 2, 3), named("petersen")):
+            sizes = [2 + v % 2 for v in range(g.n)]
+            kernels = {}
+            for e, (u, v) in enumerate(g.edge_list()):
+                kernels[(u, v)] = [[Fraction(1 + 7 * e + 3 * x + y, 1 + x) for y in range(sizes[v])] for x in range(sizes[u])]
+            want = Fraction(0)
+            for x in itertools.product(*(range(s) for s in sizes)):
+                want += math.prod(mat[x[u]][x[v]] for (u, v), mat in kernels.items())
+            assert _kernel_assignment_sum(g, kernels, sizes) == want, g
+
     def test_plan_places_each_vertex_once_and_empties_frontier(self):
         for g in list(_small_graphs()) + _disconnected_graphs() + [named("petersen"), named("cycle", 12)]:
             plan = compile_plan(g.adjacency)
@@ -280,8 +328,9 @@ class TestContractionEngine:
                 placed.add(step.vertex)
                 assert {u for _, u in step.back} == {u for u in g.neighbors(step.vertex) if u in placed}
                 assert all(frontier[i] == u for i, u in step.back)
-                if step.project is not None:
-                    frontier = list(step.project(tuple(frontier)))
+                if step.keep is not None:  # None only when every position stays
+                    assert step.keep != tuple(range(width))
+                    frontier = [frontier[i] for i in step.keep]
                 frontier += [step.vertex] if step.kept else []
                 assert all(set(g.neighbors(u)) - placed for u in frontier)
             assert frontier == []
@@ -291,10 +340,7 @@ class TestContractionEngine:
         g2 = Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
         assert g1 is not g2
         assert compile_plan(g1.adjacency) is compile_plan(g2.adjacency)
-        shape = lambda plan: [
-            (s.vertex, s.back, s.kept, s.project and s.project(tuple(range(w))))
-            for s, w in zip(plan.steps, plan.widths)
-        ]
+        shape = lambda plan: [(s.vertex, s.back, s.keep, s.kept, s.run, w) for s, w in zip(plan.steps, plan.widths)]
         cached = shape(compile_plan(g1.adjacency))
         compile_plan.cache_clear()
         assert shape(compile_plan(g2.adjacency)) == cached

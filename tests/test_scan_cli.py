@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import cli, scan
+from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan
 from homlab.errors import LimitExceeded
 from homlab.fileio import report_to_dict
 from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
@@ -418,6 +419,33 @@ class TestFindingsAcrossJobs:
         expected = without_job(1)
         for jobs in (2, 3):
             assert without_job(jobs) == expected
+
+
+class TestPlansCompiledBeforeTheFork:
+    """With k > 1 workers, run_scan compiles every plan of the grid and its
+    step kernels in the parent before the pool starts, so forked workers
+    inherit them; the report does not depend on it."""
+
+    @pytest.mark.parametrize("ineq", ["clique-max", "bst"])
+    def test_parent_holds_every_plan_and_kernel(self, ineq, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        graphs, names = REPORT_DIGEST_GRIDS[ineq]
+        job = ScanJob(ineq, graphs, {"kind": "named", "names": names})
+        keys = {key for _, g in scan.materialize_graphs(graphs) for _, key in _components(g.adjacency)}
+        if ineq == "bst":
+            keys |= {half for key in keys for half in _cover_parts(key)}
+        docs = []
+        for jobs in (1, 2, 3):
+            compile_plan.cache_clear()
+            _step_kernel.cache_clear()
+            doc = json.loads(emit_report(run_scan(dataclasses.replace(job, jobs=jobs)), "json"))
+            del doc["job"]
+            docs.append(doc)
+            if jobs > 1:
+                plans, kernels = compile_plan.cache_info().misses, _step_kernel.cache_info().misses
+                assert all(compile_plan(key).steps for key in keys)
+                assert (compile_plan.cache_info().misses, _step_kernel.cache_info().misses) == (plans, kernels)
+        assert docs[0]["findings"] and docs[1] == docs[0] == docs[2]
 
 
 def _no_labeled_walk(*args, **kwargs):
@@ -826,6 +854,18 @@ class TestCli:
     def test_malformed_scan_flags_fail_fast(self, capsys, flags, message):
         assert cli.main(["scan", "--ineq", "clique-max", "--graphs", "C4", *flags]) == 1
         assert capsys.readouterr().err.startswith(message)
+
+    def test_seed_range_is_sized_before_it_is_built(self, monkeypatch, capsys):
+        # A range is measured from its two ends: 10^8 seeds used to build a
+        # list of 10^8 ints and leak a MemoryError traceback.
+        args = ["scan", "--ineq", "bst", "--max-vertices", "3", "--random-models", "antiferro-2spin,2", "--seeds", "0:100000000"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: --seeds range '0:100000000' has 100000000 seeds, over 10000000\n"
+        monkeypatch.setattr(cli, "CONTRACTION_WORK_LIMIT", 5)
+        assert cli._parse_seed_range("3:8") == [3, 4, 5, 6, 7]
+        assert cli._parse_seed_range("9") == [9]
+        with pytest.raises(LimitExceeded, match="--seeds range '3:9' has 6 seeds, over 5"):
+            cli._parse_seed_range("3:9")
 
     def test_complete_looped_family_is_sized_before_it_is_built(self, monkeypatch, capsys):
         # Sum of (q + 1) * q^2 over q <= 78 is 9,653,800 weights, and 10,153,080
