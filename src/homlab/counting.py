@@ -7,7 +7,7 @@ Everything returns Fraction (or int for pure counts); no floats.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement, compress, count
 from math import comb, factorial, prod
@@ -120,6 +120,16 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * len(g.edges)))
 
 
+def compile_plans(adjacencies, cover: bool = False):
+    """Compile the plan of each component that `hom` contracts for these
+    graphs, and with cover the parts that `hom_double_cover` contracts;
+    none if they outnumber the plan cache, which would evict the first."""
+    keys = {key for adjacency in adjacencies for _, key in _components(adjacency)}
+    keys |= {part for key in keys for part in _cover_parts(key)} if cover else set()
+    for key in keys if len(keys) <= compile_plan.cache_parameters()["maxsize"] else ():
+        compile_plan(key)
+
+
 def _component_count(key: tuple, choices, ew, memo) -> int:
     """The scaled count of the connected graph with adjacency `key`, read
     from `memo` if there, else contracted (and stored unless memo is None).
@@ -176,24 +186,12 @@ class Step(NamedTuple):
     run: object  # the generated loop of the step's shape (`_step_kernel`)
 
 
-class Plan:
-    """A graph's contraction steps and the frontier width before each.
-    The steps' kernels are generated on first use of `steps`, after the
-    caller has checked `work`: a kernel's source grows with its frontier,
-    which the work bound does not limit at q = 1, so a plan too costly to
-    contract makes none."""
-
-    def __init__(self, shapes: tuple, widths: tuple):
-        self._shapes, self.widths = shapes, widths  # shapes: (vertex, back, keep, kept) of each step
+class Plan(NamedTuple):
+    steps: tuple
+    widths: tuple  # frontier width before each step
 
     def work(self, q: int) -> int:
         return sum(q ** (w + 1) for w in self.widths)
-
-    @cached_property
-    def steps(self) -> tuple:
-        steps = tuple(Step(*s, _step_kernel(tuple(i for i, _ in s[1]), *s[2:])) for s in self._shapes)
-        del self._shapes  # the steps hold the shapes from here on
-        return steps
 
 
 def _projector(picks):
@@ -201,29 +199,35 @@ def _projector(picks):
     return itemgetter(*picks) if len(picks) > 1 else lambda items: (items[picks[0]],)
 
 
+# A step with more placed neighbours or kept positions than this reads them
+# through an itemgetter, so every kernel's source stays bounded: at q = 1 a
+# frontier may hold thousands of vertices.
+WIDE_STEP = 16
+
+
 @lru_cache(maxsize=1024)
 def _step_kernel(positions: tuple, keep, kept: bool):
-    """`step(table, colors, m0, m1, ...) -> table`, one contraction step
-    for every plan step of this shape: positions are the frontier positions
-    of the placed neighbours (m_j is the link matrix of the j-th), keep and
-    kept as in `Step`.  Its source is built from these ints and exec'd
-    once, as namedtuple builds its methods, so the loop reads each link row
-    and writes the projected key inline, with no per-key list or call."""
+    """`step(table, colors, m0, m1, ...) -> table`, the contraction step of
+    this shape (positions: the frontier positions of the placed neighbours,
+    m_j the j-th one's link matrix; keep and kept as in `Step`), built from
+    ints and exec'd once, as namedtuple builds its methods."""
+    if len(positions) > WIDE_STEP:  # links: the link matrices, in order
+        args, rows, weight = ", *links", ["rows = [m[i] for m, i in zip(links, at(key))]"], ["    for r in rows:", "        w = w * r[c]"]
+    else:
+        args = "".join(", m%d" % j for j in range(len(positions)))
+        rows = ["r%d = m%d[key[%d]]" % (j, j, i) for j, i in enumerate(positions)]
+        weight = ["    w = w * " + " * ".join("r%d[c]" % j for j in range(len(positions)))] if positions else []
+    inline = keep is not None and len(keep) <= WIDE_STEP
     items = "".join("key[%d], " % i for i in keep or ())
-    factors = ["r%d[c]" % j for j in range(len(positions))]
-    lines = ["def step(table, colors%s):" % "".join(", m%d" % j for j in range(len(positions))), "    new = {}", "    get = new.get"]
-    lines += ["    for key, val in table.items():"] + ["        r%d = m%d[key[%d]]" % (j, j, i) for j, i in enumerate(positions)]
-    # At most 16 factors a line: a wide frontier (q = 1) would nest the
-    # product past the compiler's recursion limit.
-    weight = ["            w = w * %s" % " * ".join(factors[i : i + 16]) for i in range(0, len(factors), 16)]
+    base = "(%s)" % items if inline else "key" if keep is None else "project(key)"
     if kept:  # each color makes its own key
-        lines += ["        for c, w in colors:", *weight, "            if w:"]
-        lines += ["                k = %s" % ("key + (c,)" if keep is None else "(%sc,)" % items), "                new[k] = get(k, 0) + val * w"]
+        body = ["for c, w in colors:", *weight, "    if w:", "        k = " + ("(%sc,)" % items if inline else base + " + (c,)"), "        new[k] = get(k, 0) + val * w"]
     else:  # every color lands on one key
-        lines += ["        s = 0", "        for c, w in colors:", *weight, "            s += w", "        if s:"]
-        lines += ["            k = %s" % ("key" if keep is None else "(%s)" % items), "            new[k] = get(k, 0) + val * s"]
-    namespace = {}
-    exec("\n".join(lines + ["    return new"]), namespace)
+        body = ["s = 0", "for c, w in colors:", *weight, "    s += w", "if s:", "    k = " + base, "    new[k] = get(k, 0) + val * s"]
+    lines = ["def step(table, colors%s):" % args, "    new = {}", "    get = new.get", "    for key, val in table.items():"]
+    lines += ["        " + line for line in rows + body] + ["    return new"]
+    namespace = {"at": positions and itemgetter(*positions), "project": keep and itemgetter(*keep)}
+    exec("\n".join(lines), namespace)
     return namespace["step"]
 
 
@@ -256,7 +260,8 @@ def compile_plan(adjacency: tuple) -> Plan:
     each graph with many models; keyed by the adjacency tuple, not the
     Graph, so an entry keeps no graph alive.  Building the steps scans
     the frontier once per step, about n^2 steps, which every Graph bounds
-    by CONTRACTION_WORK_LIMIT.
+    by CONTRACTION_WORK_LIMIT, and gives each step the kernel of its
+    shape, whose source is bounded by WIDE_STEP.
     """
     order = [v for v in range(len(adjacency)) if not adjacency[v]]
     for vertices, rows in _components(adjacency):
@@ -371,7 +376,7 @@ def _greedy_order(adjacency: tuple) -> list:
 def _plan(adjacency: tuple, order: list) -> Plan:
     placed = 0
     frontier = []
-    shapes = []
+    steps = []
     widths = []
     for v in order:
         placed |= 1 << v
@@ -380,9 +385,10 @@ def _plan(adjacency: tuple, order: list) -> Plan:
         keep = tuple(i for i, u in enumerate(frontier) if adjacency[u] & unplaced)
         kept = bool(adjacency[v] & unplaced)
         widths.append(len(frontier))
-        shapes.append((v, back, None if len(keep) == len(frontier) else keep, kept))
         frontier = [frontier[i] for i in keep] + ([v] if kept else [])
-    return Plan(tuple(shapes), tuple(widths))
+        keep = None if len(keep) == widths[-1] else keep
+        steps.append(Step(v, back, keep, kept, _step_kernel(tuple(map(itemgetter(0), back)), keep, kept)))
+    return Plan(tuple(steps), tuple(widths))
 
 
 def _check_work(work: int, n: int, q: int):
@@ -404,8 +410,7 @@ def contract(plan: Plan, choices, edge_matrix) -> int:
 
 def _contract(plan: Plan, choices, edge_matrix) -> int:
     """`contract` without its work check, for a caller that has checked a
-    bound covering the plan (hom sums its components' bounds).  Each step
-    maps the table to the next with its generated kernel."""
+    bound covering the plan (hom sums its components' bounds)."""
     table = {(): 1}
     for v, back, _, _, run in plan.steps:
         table = run(table, choices[v], *[edge_matrix(u, v) for _, u in back])

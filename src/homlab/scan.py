@@ -20,7 +20,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from homlab.counting import _components, _cover_parts, compile_plan, lists_to_constraints
+from homlab.counting import compile_plans, lists_to_constraints
 from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import (
     frac_str,
@@ -195,13 +195,9 @@ def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
     cells = _cells_for_job(job)[:budget]
     k = min(job.jobs, len(cells), os.cpu_count() or 1)
     if k > 1:
-        # Every plan the cells contract (bst's covers too) and its kernels are
-        # made here, so forked workers inherit them; one over the limit at q = 2
-        # gets its kernels only if a q = 1 model contracts it.
-        for key in {key for g in {c[1].adjacency for c in cells} for _, key in _components(g)}:
-            for plan in map(compile_plan, (key, *_cover_parts(key)) if job.ineq == "bst" else (key,)):
-                if plan.work(2) <= CONTRACTION_WORK_LIMIT:
-                    plan.steps
+        # Made here, forked workers inherit the plans instead of each
+        # compiling them; a process that runs many scans keeps them warm.
+        compile_plans({c[1].adjacency for c in cells}, cover=job.ineq == "bst")
         # Cells are graph-major, so when k divides the model count every
         # model's cells go to one worker and each factor is computed once;
         # each slice is also a fair sample of cheap and costly graphs.

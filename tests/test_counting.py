@@ -14,6 +14,7 @@ from homlab import counting
 from homlab.counting import (
     CONTRACTION_WORK_LIMIT,
     EXACT_ORDER_MAX_VERTICES,
+    WIDE_STEP,
     _components,
     biclique_kernel_sum,
     cc,
@@ -267,6 +268,37 @@ class TestContractionEngine:
         plan = compile_plan(named("cycle", 2000).adjacency)
         assert len({s.run for s in plan.steps}) == 4
         assert hom(named("cycle", 2000), model_complete_looped(3, 0)) == 2 ** 2000 + 2
+
+    def test_wide_steps_match_brute_force(self):
+        # Around WIDE_STEP placed neighbours and kept positions, where a
+        # kernel switches from naming each position to an itemgetter.  Each
+        # edge has its own non-symmetric matrix, so a row bound to the wrong
+        # neighbour or read transposed changes the sum; most vertices have
+        # one color, so the brute-force sum stays small.
+        def link(u, v, x, y):  # the weight of colors x at u and y at v
+            if u > v:
+                u, v, x, y = v, u, y, x
+            return 1 + (u + 2 * v + 3 * x + 5 * x * v + 7 * y) % 6
+
+        for n in range(WIDE_STEP, WIDE_STEP + 4):
+            g = named("complete", n)
+            plan = compile_plan(g.adjacency)
+            assert max(len(s.back) for s in plan.steps) == n - 1
+            choices = [[(c, v + c + 1) for c in ((0, 1) if v % 5 == 0 else (v % 2,))] for v in range(n)]
+            want = 0
+            for x in itertools.product(*choices):
+                colors = [c for c, _ in x]
+                want += math.prod(w for _, w in x) * math.prod(link(u, v, colors[u], colors[v]) for u, v in g.edge_list())
+            got = counting.contract(plan, choices, lambda u, v: [[link(u, v, x, y) for y in range(2)] for x in range(2)])
+            assert got == want, n
+
+    def test_kernel_code_is_bounded_on_wide_frontiers(self):
+        # A q = 1 frontier can hold thousands of vertices; past WIDE_STEP a
+        # kernel's code no longer grows with its step, so making K_n's
+        # kernels takes time linear in n.
+        size = lambda n: max(len(s.run.__code__.co_code) for s in compile_plan(named("complete", n).adjacency).steps)
+        assert size(3 * WIDE_STEP) == size(WIDE_STEP + 2) > size(WIDE_STEP - 1)
+        assert hom(named("complete", 300), model_complete_looped(1, 1)) == 1
 
     def test_empty_and_single_vertex(self):
         m = random_model(3, 5, "general")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import cli, scan
-from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan
+from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans
 from homlab.errors import LimitExceeded
 from homlab.fileio import report_to_dict
 from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
@@ -422,9 +422,10 @@ class TestFindingsAcrossJobs:
 
 
 class TestPlansCompiledBeforeTheFork:
-    """With k > 1 workers, run_scan compiles every plan of the grid and its
-    step kernels in the parent before the pool starts, so forked workers
-    inherit them; the report does not depend on it."""
+    """With k > 1 workers, run_scan compiles every plan of the grid, each
+    with its step kernels, in the parent before the pool starts
+    (`compile_plans`), so forked workers inherit them; the report does not
+    depend on it."""
 
     @pytest.mark.parametrize("ineq", ["clique-max", "bst"])
     def test_parent_holds_every_plan_and_kernel(self, ineq, monkeypatch):
@@ -443,9 +444,22 @@ class TestPlansCompiledBeforeTheFork:
             docs.append(doc)
             if jobs > 1:
                 plans, kernels = compile_plan.cache_info().misses, _step_kernel.cache_info().misses
-                assert all(compile_plan(key).steps for key in keys)
+                for key in keys:
+                    compile_plan(key)
                 assert (compile_plan.cache_info().misses, _step_kernel.cache_info().misses) == (plans, kernels)
         assert docs[0]["findings"] and docs[1] == docs[0] == docs[2]
+
+    def test_plans_that_outnumber_the_cache_are_left_to_the_workers(self):
+        # Stars with the center at each position: more distinct plans than
+        # the plan cache holds, so compiling them all would evict the first
+        # before a worker reads them.
+        stars = [tuple(((1 << n) - 1) ^ (1 << c) if v == c else 1 << c for v in range(n)) for n in range(2, 47) for c in range(n)]
+        assert len(set(stars)) > compile_plan.cache_parameters()["maxsize"]
+        compile_plan.cache_clear()
+        compile_plans(stars)
+        assert compile_plan.cache_info().currsize == 0
+        compile_plans(stars[:10])
+        assert compile_plan.cache_info().currsize == len(set(stars[:10])) == 9
 
 
 def _no_labeled_walk(*args, **kwargs):
