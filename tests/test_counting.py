@@ -280,17 +280,21 @@ class TestContractionEngine:
                 u, v, x, y = v, u, y, x
             return 1 + (u + 2 * v + 3 * x + 5 * x * v + 7 * y) % 6
 
-        for n in range(WIDE_STEP, WIDE_STEP + 4):
-            g = named("complete", n)
-            plan = compile_plan(g.adjacency)
-            assert max(len(s.back) for s in plan.steps) == n - 1
-            choices = [[(c, v + c + 1) for c in ((0, 1) if v % 5 == 0 else (v % 2,))] for v in range(n)]
+        graphs = [named("complete", n) for n in range(WIDE_STEP, WIDE_STEP + 4)]
+        # Without one edge, a vertex leaves the frontier while more than
+        # WIDE_STEP positions stay.
+        graphs += [Graph.from_edges(n, [e for e in named("complete", n).edge_list() if e != (0, n - 1)]) for n in (20, 21)]
+        plans = [compile_plan(g.adjacency) for g in graphs]
+        assert [max(len(s.back) for s in plan.steps) for plan in plans[:4]] == list(range(WIDE_STEP - 1, WIDE_STEP + 3))
+        assert any(s.keep is not None and len(s.keep) > WIDE_STEP for plan in plans for s in plan.steps)
+        for g, plan in zip(graphs, plans):
+            choices = [[(c, v + c + 1) for c in ((0, 1) if v % 5 == 0 else (v % 2,))] for v in range(g.n)]
             want = 0
             for x in itertools.product(*choices):
                 colors = [c for c, _ in x]
                 want += math.prod(w for _, w in x) * math.prod(link(u, v, colors[u], colors[v]) for u, v in g.edge_list())
             got = counting.contract(plan, choices, lambda u, v: [[link(u, v, x, y) for y in range(2)] for x in range(2)])
-            assert got == want, n
+            assert got == want, g
 
     def test_kernel_code_is_bounded_on_wide_frontiers(self):
         # A q = 1 frontier can hold thousands of vertices; past WIDE_STEP a
