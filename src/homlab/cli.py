@@ -202,6 +202,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     list_seeds = _at_least(args.list_seeds, 0, "--list-seeds")
+    if list_seeds and list_seeds > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("--list-seeds %d is over %d" % (list_seeds, CONTRACTION_WORK_LIMIT))
     job = ScanJob(
         ineq=args.ineq,
         graphs=_graph_source_from_args(args),

@@ -66,6 +66,11 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self._sorted_edges)
 
+    @cached_property
+    def edge_text(self) -> str:
+        """str(self.edge_list()), formatted once: the G=... of reports."""
+        return str(self.edge_list())
+
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 

@@ -35,7 +35,7 @@ from homlab.errors import (
 )
 from homlab.graphs import Graph, _component
 from homlab.models import Model
-from homlab.power import Comparison, PowerProduct, RadicalSum, compare_power_products, compare_radical_products
+from homlab.power import PowerProduct, RadicalSum, compare_power_products, compare_radical_products
 from homlab.ratmath import scaled_matrix
 
 SWAP_CHECK_VERTEX_LIMIT = 7
@@ -54,8 +54,7 @@ class IneqReport:
     slack_log10: float
 
 
-def _verdict_from_comparison(cmp_result: Comparison) -> str:
-    return {"less": "holds", "equal": "equality", "greater": "violated"}[cmp_result.ordering]
+_VERDICTS = {"less": "holds", "equal": "equality", "greater": "violated"}
 
 
 def clamp_slack(verdict: str, slack: float) -> float:
@@ -70,19 +69,20 @@ def clamp_slack(verdict: str, slack: float) -> float:
 
 
 def _side(factors) -> tuple[PowerProduct, list] | None:
-    """One side of a check under the zero rule: the PowerProduct of its
-    rational factors and the list of its other (RadicalSum, exponent)
-    factors, or None when the side is 0.  A RadicalSum with a rational
-    value counts as that rational.
+    """One side of a check under the zero rule, read in one pass: the
+    PowerProduct of its rational factors and the list of its other
+    (RadicalSum, exponent) factors, or None when the side is 0.  A
+    RadicalSum with a rational value counts as that rational.
 
     A factor with exponent 0 is 1, base 0 included; any other zero base
     makes the side 0.  A negative base, or 0 to a negative power, raises
     InvalidArgument.
     """
-    rational, radical, zero = [], [], False
-    # Signs are read off numerators, which Fractions and ints both have.
+    ints, radical, zero = [], [], False
+    # Fractions and ints both give their ratio as an int pair.
     for base, exponent in factors:
-        if not exponent.numerator:
+        en, ed = exponent.as_integer_ratio()
+        if not en:
             continue
         if isinstance(base, RadicalSum):
             value = base.as_fraction()
@@ -93,21 +93,22 @@ def _side(factors) -> tuple[PowerProduct, list] | None:
                 radical.append((base, exponent))
                 continue
             base = value
-        if base.numerator > 0:
-            rational.append((base, exponent))
-        elif base.numerator < 0 or exponent.numerator < 0:
+        n, d = base.as_integer_ratio()
+        if n > 0:
+            ints.append((n, d, en, ed))
+        elif n < 0 or en < 0:
             raise InvalidArgument("inequality sides must be nonnegative and finite, got %s^%s" % (base, exponent))
         else:
             zero = True
-    return None if zero else (PowerProduct.of(*rational), radical)
+    return None if zero else (PowerProduct.of_ints(ints), radical)
 
 
 def _log10(side) -> float | None:
     """Float log10 of a nonzero side, for the slack only: the rational
-    part's PowerProduct.log10 plus e * log10 of each sum's float.  None
+    part's PowerProduct.log plus e * log10 of each sum's float.  None
     when a sum's float is not positive."""
     product, radical = side
-    total = product.log10()
+    total = product.log
     for s, e in radical:
         try:
             v, shift = s.float_value(), 0
@@ -124,32 +125,39 @@ def _log10(side) -> float | None:
     return total
 
 
+def _check(small, big) -> tuple[str, float | None]:
+    """Verdict and float slack of one check over sides read by _side; the
+    slack is None when a side's float is not positive and the check is
+    not an equality."""
+    if small is None or big is None:
+        if small is big:
+            return "equality", 0.0
+        return ("holds", math.inf) if small is None else ("violated", -math.inf)
+    if small[1] or big[1]:
+        cmp_result = compare_radical_products([*small[0].factors, *small[1]], [*big[0].factors, *big[1]])
+    else:
+        cmp_result = compare_power_products(small[0], big[0])
+    verdict = _VERDICTS[cmp_result.ordering]
+    small_log, big_log = _log10(small), _log10(big)
+    if small_log is not None and big_log is not None:
+        return verdict, big_log - small_log
+    return verdict, 0.0 if verdict == "equality" else None
+
+
 def _decide_sides(sides) -> tuple[str, float]:
     """decide over (small, big) pairs already read by _side."""
-    verdicts, slacks = [], []
-    for small, big in sides:
-        if small is None or big is None:
-            verdict = "equality" if small is big else "holds" if small is None else "violated"
-            verdicts.append(verdict)
-            slacks.append({"equality": 0.0, "holds": math.inf, "violated": -math.inf}[verdict])
-            continue
-        if small[1] or big[1]:
-            cmp_result = compare_radical_products([*small[0].factors, *small[1]], [*big[0].factors, *big[1]])
-        else:
-            cmp_result = compare_power_products(small[0], big[0])
-        verdicts.append(_verdict_from_comparison(cmp_result))
-        small_log, big_log = _log10(small), _log10(big)
-        if small_log is not None and big_log is not None:
-            slacks.append(big_log - small_log)
-        elif verdicts[-1] == "equality":
-            slacks.append(0.0)
+    if len(sides) == 1:
+        verdict, slack = _check(*sides[0])
+        return verdict, clamp_slack(verdict, 0.0 if slack is None else slack)
+    checked = [_check(small, big) for small, big in sides]
+    verdicts = [verdict for verdict, _ in checked]
     if "violated" in verdicts:
         verdict = "violated"
     elif verdicts and all(v == "equality" for v in verdicts):
         verdict = "equality"
     else:
         verdict = "holds"
-    return verdict, clamp_slack(verdict, min(slacks, default=0.0))
+    return verdict, clamp_slack(verdict, min((s for _, s in checked if s is not None), default=0.0))
 
 
 def decide(checks) -> tuple[str, float]:
@@ -226,7 +234,7 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom
                 kernel, m.q, m.q, d_v, d_u, _side_weights(m, lam_u), _side_weights(m, lam_v)
             )
         factors.append((base, Fraction(count, d_u * d_v)))
-    instance = "G=%s, model q=%d" % (edges, m.q)
+    instance = "G=%s, model q=%d" % (g.edge_text, m.q)
     return _report("reverse-sidorenko", instance, [(lhs_value, 1)], factors)
 
 
@@ -296,7 +304,7 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None, hom_memo=None)
         if base is None:
             base = memo[key] = hom_clique(a, m, lam)
         factors.append((base, Fraction(count, a)))
-    instance = "G=%s, model q=%d" % (g.edge_list(), m.q)
+    instance = "G=%s, model q=%d" % (g.edge_text, m.q)
     return _report("clique-max", instance, [(lhs_value, 1)], factors)
 
 
@@ -315,7 +323,7 @@ def check_bst(g: Graph, m: Model, hom_memo=None) -> IneqReport:
     hom_memo = {} if hom_memo is None else hom_memo
     lhs_value = hom(g, m, memo=hom_memo) ** 2
     rhs_value = hom_double_cover(g, m, hom_memo)
-    instance = "G=%s" % (g.edge_list(),)
+    instance = "G=" + g.edge_text
     return _report("bst", instance, [(lhs_value, 1)], [(rhs_value, 1)])
 
 

@@ -3,8 +3,12 @@
 Two layers:
 
 * PowerProduct -- a formal product of positive rational bases raised to
-  rational exponents, compared exactly.  The two sides' exponents are put
-  over one common denominator as ints; small cases are then cleared, the
+  rational exponents, compared exactly.  Each factor is read once into
+  ints, (base numerator, base denominator, exponent numerator, exponent
+  denominator), and the product carries its float log10 alongside; the
+  comparator reads only these ints.  `factors` stays the public view, the
+  same factors as (Fraction, Fraction) pairs.  The two sides' exponents
+  are put over one common denominator; small cases are then cleared, the
   int exponents raising big integers, and large ones go over a coprime
   basis of the bases (equality from the exponent vector, strict signs
   from rigorous log intervals built on the decimal module's correctly
@@ -29,11 +33,12 @@ all rational goes to compare_power_products, any other to
 compare_radical_products.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from homlab.errors import InvalidArgument, LimitExceeded
@@ -68,40 +73,70 @@ class Comparison(NamedTuple):
 
 
 _ORDERING = {-1: "less", 0: "equal", 1: "greater"}
+_COMPARISONS = {sign: Comparison(ordering, True) for sign, ordering in _ORDERING.items()}
+# Increasing base value of int factors (n, d, ...), d > 0, by cross-multiplying.
+_BY_BASE = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
 
 @dataclass(frozen=True)
 class PowerProduct:
-    """Product of (base, exponent) factors with positive rational bases.
+    """Product of factors base^exponent with positive rational bases.
 
     Normalized: equal bases merged, unit bases and zero exponents dropped,
-    factors sorted by base.
+    factors in increasing base order.  `ints` holds each factor as (base
+    numerator, base denominator, exponent numerator, exponent denominator),
+    each pair in lowest terms with a positive denominator; the comparator
+    reads only these.  `log` is the float log10 of the value, summed in
+    factor order; reporting only, it never decides.  `factors` stays the
+    public view, the same factors as (Fraction, Fraction) pairs, built on
+    first read (report writing and perfbench's power_product_bits read it).
     """
 
-    factors: tuple[tuple[Fraction, Fraction], ...]
+    ints: tuple[tuple[int, int, int, int], ...]
+    log: float = field(compare=False, repr=False)
 
     @staticmethod
     def of(*factors) -> "PowerProduct":
-        # Merged by the int pair (numerator, denominator): hashing a
-        # Fraction costs a modular inverse.
-        merged: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        items = []
         for base, exponent in factors:
-            # Callers mostly pass Fractions, and Fraction(x) would copy them.
-            if not isinstance(base, Fraction):
+            # Ints and Fractions are read as they are; anything else through Fraction.
+            if not isinstance(base, (int, Fraction)):
                 base = Fraction(base)
-            if not isinstance(exponent, Fraction):
+            if not isinstance(exponent, (int, Fraction)):
                 exponent = Fraction(exponent)
-            if base.numerator <= 0:
+            n, d = base.as_integer_ratio()
+            if n <= 0:
                 raise InvalidArgument("power product bases must be positive, got %s" % base)
-            key = base.numerator, base.denominator
-            if key in merged:
-                exponent += merged[key][1]
-            merged[key] = base, exponent
+            items.append((n, d, *exponent.as_integer_ratio()))
+        return PowerProduct.of_ints(items)
+
+    @staticmethod
+    def of_ints(items) -> "PowerProduct":
+        """The product of factors (n, d, en, ed), each (n/d)^(en/ed) with
+        n, d > 0 and both pairs in lowest terms with positive denominators."""
+        merged = {}
+        for n, d, en, ed in items:
+            if (n, d) in merged:
+                pn, pd = merged[n, d]
+                en, ed = en * pd + pn * ed, ed * pd
+                g = gcd(en, ed)
+                en, ed = en // g, ed // g
+            merged[n, d] = en, ed
         merged.pop((1, 1), None)
-        return PowerProduct(tuple(sorted((f for f in merged.values() if f[1].numerator), key=itemgetter(0))))
+        ints = [(n, d, en, ed) for (n, d), (en, ed) in merged.items() if en]
+        ints.sort(key=_BY_BASE)
+        log = 0.0
+        for n, d, en, ed in ints:
+            # float(Fraction(en, ed)) is en / ed: the same float, in the same order.
+            log += en / ed * (math.log10(n) - math.log10(d))
+        return PowerProduct(tuple(ints), log)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(n, d), Fraction(en, ed)) for n, d, en, ed in self.ints)
 
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
-        return PowerProduct.of(*self.factors, *other.factors)
+        return PowerProduct.of_ints(self.ints + other.ints)
 
     def __pow__(self, exponent) -> "PowerProduct":
         e = Fraction(exponent)
@@ -109,7 +144,7 @@ class PowerProduct:
 
     def as_fraction(self):
         """Exact rational value when all exponents are integral, else None."""
-        if any(e.denominator != 1 for _, e in self.factors):
+        if any(f[3] != 1 for f in self.ints):
             return None
         out = Fraction(1)
         for b, e in self.factors:
@@ -118,12 +153,7 @@ class PowerProduct:
 
     def log10(self) -> float:
         """Float log10 of the value; reporting only, never decides."""
-        import math
-
-        total = 0.0
-        for b, e in self.factors:
-            total += float(e) * (math.log10(b.numerator) - math.log10(b.denominator))
-        return total
+        return self.log
 
     def __repr__(self):
         if not self.factors:
@@ -133,18 +163,8 @@ class PowerProduct:
         )
 
 
-def _exact_bit_estimate(factors, scale: int) -> int:
-    """Bits of prod b^(e * scale) over (b, e) factors, with scale a common
-    multiple of the exponent denominators; int exponents take scale 1."""
-    bits = 0
-    for base, exponent in factors:
-        k = abs(exponent.numerator * (scale // exponent.denominator))
-        bits += k * max(base.numerator.bit_length(), base.denominator.bit_length())
-    return bits
-
-
 def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
-    """Exact ordering of two power products.
+    """Exact ordering of two power products, read off their ints.
 
     Both sides' exponents are put over one common denominator as ints and
     merged into one difference, which is reduced to the lcm of its
@@ -157,28 +177,25 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     finished by clearing, up to CLEARING_LIMIT_BITS; beyond that the
     comparison raises LimitExceeded.  Every verdict is exact.
     """
-    common = lcm(*(e.denominator for _, e in lhs.factors), *(e.denominator for _, e in rhs.factors))
-    merged: dict[tuple[int, int], tuple[Fraction, int]] = {}
-    for sign, side in ((1, lhs), (-1, rhs)):
-        for base, e in side.factors:
-            k = sign * e.numerator * (common // e.denominator)
-            key = base.numerator, base.denominator
-            if key in merged:
-                k += merged[key][1]
-            merged[key] = base, k
-    diff = [f for f in merged.values() if f[1]]
+    common = lcm(*(f[3] for f in lhs.ints), *(f[3] for f in rhs.ints))
+    # Each side's bases are distinct, so only the right side can meet a base.
+    merged = {(n, d): en * (common // ed) for n, d, en, ed in lhs.ints}
+    for n, d, en, ed in rhs.ints:
+        merged[n, d] = merged.get((n, d), 0) - en * (common // ed)
+    diff = [(n, d, k) for (n, d), k in merged.items() if k]
     if not diff:
-        return Comparison("equal", True)
+        return _COMPARISONS[0]
     # Over divisors of common, the lcm of the reduced denominators
     # common / gcd(common, k) is common / gcd(common, every k).
-    g = gcd(common, *(k for _, k in diff))
-    scale = common // g
-    diff = [(base, k // g) for base, k in diff]
-    bits = _exact_bit_estimate(diff, 1)
+    g = gcd(common, *(k for _, _, k in diff))
+    if g > 1:
+        diff = [(n, d, k // g) for n, d, k in diff]
+    bits = sum(abs(k) * max(n.bit_length(), d.bit_length()) for n, d, k in diff)
     if bits > CLEARING_MAX_BITS:
         # In base order, as a normalized PowerProduct lists its factors:
         # the basis, and so the interval refinement, depend on the order.
-        ordering = _compare_by_basis(sorted((base, Fraction(k, scale)) for base, k in diff))
+        scale = common // g
+        ordering = _compare_by_basis(sorted((Fraction(n, d), Fraction(k, scale)) for n, d, k in diff))
         if ordering:
             return Comparison(ordering, True)
         if bits > CLEARING_LIMIT_BITS:
@@ -186,25 +203,15 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
                 "log-interval comparison undecided at %d digits, and clearing would take an estimated %d bits"
                 % (_INTERVAL_MAX_DIGITS, bits)
             )
-    return Comparison(_compare_by_clearing(diff, 1), True)
-
-
-def _compare_by_clearing(diff_factors, scale: int) -> str:
-    """Ordering of prod b^e against 1: raise to the power `scale` (a common
-    multiple of the exponent denominators; 1 for int exponents) and compare
-    big integers."""
     num = den = 1
-    for base, exponent in diff_factors:
-        k = exponent.numerator * (scale // exponent.denominator)
+    for n, d, k in diff:
         if k > 0:
-            num *= base.numerator ** k
-            den *= base.denominator ** k
+            num *= n ** k
+            den *= d ** k
         else:
-            num *= base.denominator ** (-k)
-            den *= base.numerator ** (-k)
-    if num == den:
-        return "equal"
-    return "less" if num < den else "greater"
+            num *= d ** -k
+            den *= n ** -k
+    return _COMPARISONS[(num > den) - (num < den)]
 
 
 def _compare_by_basis(diff_factors) -> str | None:

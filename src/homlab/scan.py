@@ -19,6 +19,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from homlab.counting import compile_plans, lists_to_constraints
 from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
@@ -115,8 +116,13 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
     if kind == "files":
         return [(path, load_model(path)) for path in source["paths"]]
     if kind == "random":
-        rand_kind, qs = source["rand_kind"], source["qs"]
-        pairs = [(qs[i % len(qs)], seed) for i, seed in enumerate(source["seeds"])]
+        rand_kind, qs, seeds = source["rand_kind"], source["qs"], source["seeds"]
+        # Seed i takes q = qs[i % len(qs)]: the sum of q^2 weights, before any is built.
+        rounds, rest = divmod(len(seeds), len(qs) or 1)
+        weights = rounds * sum(q * q for q in qs) + sum(q * q for q in qs[:rest])
+        if weights > CONTRACTION_WORK_LIMIT:
+            raise LimitExceeded("%d random models take %d weights, over %d" % (len(seeds), weights, CONTRACTION_WORK_LIMIT))
+        pairs = [(qs[i % len(qs)], seed) for i, seed in enumerate(seeds)]
         return [("random:%s,%d,%d" % (rand_kind, q, seed), random_model(q, seed, rand_kind)) for q, seed in pairs]
     if kind == "complete-looped":
         # The sum of (q + 1) * q^2 weights over q <= t, before any is built.
@@ -245,10 +251,52 @@ def replay_finding(replay: dict):
 CSV_COLUMNS = ("instance_id", "graph", "model", "verdict", "exact", "slack_log10")
 
 
+# One verdict row as json.dumps(..., indent=2, sort_keys=True) writes it
+# inside the top-level "rows" list.
+_JSON_ROW = (
+    '    {\n      "exact": %s,\n      "graph": %s,\n      "instance_id": %s,\n'
+    '      "model": %s,\n      "slack_log10": %s,\n      "verdict": %s\n    }'
+)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    """A float as the json module writes it with allow_nan=True."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
 def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
-    """Bit-reproducible report text for a summary."""
+    """Bit-reproducible report text for a summary.
+
+    The json text is byte for byte json.dumps(summary.to_dict(), indent=2,
+    sort_keys=True, allow_nan=True) + "\n".  The rows, flat dicts of the
+    CSV_COLUMNS scalars (str, bool and float) and nearly all of a report's
+    bytes, are written from one template with the json module's own scalar
+    encoders; every other top-level value goes through json.dumps,
+    indented one level.
+    """
     if fmt == "json":
-        return json.dumps(summary.to_dict(), indent=2, sort_keys=True, allow_nan=True) + "\n"
+        enc = encode_basestring_ascii
+        parts = []
+        for key, value in sorted(summary.to_dict().items()):
+            if key == "rows":
+                rows = [
+                    _JSON_ROW % (
+                        _JSON_BOOL[r["exact"]], enc(r["graph"]), enc(r["instance_id"]),
+                        enc(r["model"]), _json_float(r["slack_log10"]), enc(r["verdict"]),
+                    )
+                    for r in value
+                ]
+                text = "[\n%s\n  ]" % ",\n".join(rows) if rows else "[]"
+            else:
+                # A json string holds no raw newline, so every newline is indentation.
+                text = json.dumps(value, indent=2, sort_keys=True, allow_nan=True).replace("\n", "\n  ")
+            parts.append("  %s: %s" % (enc(key), text))
+        return "{\n%s\n}\n" % ",\n".join(parts)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

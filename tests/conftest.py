@@ -27,6 +27,34 @@ def hom_oracle(g: Graph, m, constraints=None) -> Fraction:
     return total
 
 
+def cleared_bits_oracle(factors, scale: int) -> int:
+    """Bits of prod b^(e * scale) over Fraction factors (b, e), with scale a
+    common multiple of the exponent denominators."""
+    bits = 0
+    for base, exponent in factors:
+        k = abs(exponent.numerator * (scale // exponent.denominator))
+        bits += k * max(base.numerator.bit_length(), base.denominator.bit_length())
+    return bits
+
+
+def clearing_oracle(factors, scale: int) -> str:
+    """Ordering of prod b^e against 1 over Fraction factors (b, e): raised
+    to the power `scale`, a common multiple of the exponent denominators,
+    as a comparison of big integers."""
+    num = den = 1
+    for base, exponent in factors:
+        k = exponent.numerator * (scale // exponent.denominator)
+        if k > 0:
+            num *= base.numerator ** k
+            den *= base.denominator ** k
+        else:
+            num *= base.denominator ** (-k)
+            den *= base.numerator ** (-k)
+    if num == den:
+        return "equal"
+    return "less" if num < den else "greater"
+
+
 def cc_oracle(a_set, b_set, a: int, b: int, looped=frozenset()) -> int:
     """Count semiproper colorings of K_{a,b} by direct double enumeration."""
     looped = frozenset(looped)

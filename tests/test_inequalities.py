@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from conftest import independent_set_count_oracle
+from conftest import cleared_bits_oracle, clearing_oracle, independent_set_count_oracle
 from homlab import inequalities, power, ratmath
 from homlab.counting import CONTRACTION_WORK_LIMIT, compile_plan, hom, hom_clique
 from homlab.errors import InvalidArgument, IsolatedVertex, LimitExceeded, NotTwoSpin
@@ -19,8 +19,8 @@ from homlab.graphs import (
     tensor_with_k2,
 )
 from homlab.inequalities import (
+    _VERDICTS,
     _support_sums,
-    _verdict_from_comparison,
     check_bst,
     check_clique_max,
     check_graphical_bl,
@@ -47,8 +47,6 @@ from homlab.power import (
     PowerProduct,
     RadicalSum,
     _compare_by_basis,
-    _compare_by_clearing,
-    _exact_bit_estimate,
     compare_radical_products,
 )
 
@@ -189,7 +187,7 @@ class TestLargeReverseSidorenko:
     @staticmethod
     def cleared_bits(rep):
         diff = (rep.lhs * rep.rhs ** -1).factors
-        return diff, _exact_bit_estimate(diff, lcm(*(e.denominator for _, e in diff)))
+        return diff, cleared_bits_oracle(diff, lcm(*(e.denominator for _, e in diff)))
 
     def test_above_ten_million_bits_is_exact_and_fast(self):
         missing = {(0, 3), (0, 10), (1, 3), (2, 3), (2, 6), (2, 10), (4, 8), (4, 9), (4, 10), (7, 9), (9, 10)}
@@ -207,7 +205,7 @@ class TestLargeReverseSidorenko:
         rep = check_reverse_sidorenko(Graph.from_edges(8, edges), model)
         diff, bits = self.cleared_bits(rep)
         assert CLEARING_MAX_BITS < bits < 10 ** 7
-        ordering = _compare_by_clearing(diff, lcm(*(e.denominator for _, e in diff)))
+        ordering = clearing_oracle(diff, lcm(*(e.denominator for _, e in diff)))
         assert _compare_by_basis(diff) == ordering
         assert rep.verdict == {"less": "holds", "greater": "violated"}[ordering] and rep.exact
 
@@ -772,7 +770,7 @@ class TestDecide:
                     _, small, big = check
                     if any(isinstance(b, RadicalSum) and b.as_fraction() is None for b, _ in small + big):
                         continue
-                    want = _verdict_from_comparison(compare_radical_products(lift(small), lift(big)))
+                    want = _VERDICTS[compare_radical_products(lift(small), lift(big)).ordering]
                     assert decide([check])[0] == want, (lemma_id, seed, check[0])
                     compared += 1
         assert compared > 2600

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cleared_bits_oracle, clearing_oracle
 from homlab.errors import InvalidArgument, LimitExceeded
 from homlab import power
 from homlab.power import (
@@ -15,8 +16,6 @@ from homlab.power import (
     PowerProduct,
     RadicalSum,
     _compare_by_basis,
-    _compare_by_clearing,
-    _exact_bit_estimate,
     _ln_interval,
     _refine_sign,
     _spill,
@@ -24,6 +23,7 @@ from homlab.power import (
     compare_radical_products,
     radical_product,
 )
+from homlab.inequalities import clamp_slack, decide
 from homlab.ratmath import coprime_basis, factorize
 
 fractions_pos = st.fractions(min_value=Fraction(1, 20), max_value=20)
@@ -125,7 +125,7 @@ class TestCompareProperties:
             if not diff:
                 continue
             scale = lcm(*(e.denominator for _, e in diff))
-            ordering = _compare_by_clearing(diff, scale)
+            ordering = clearing_oracle(diff, scale)
             assert _compare_by_basis(diff) == ordering, (a, b)
             assert compare_power_products(a, b) == (ordering, True)
             counts[ordering] += 1
@@ -211,7 +211,7 @@ class TestBasisOnlyEqualities:
     def assert_basis_equal(self, lhs, rhs):
         diff = (lhs * rhs ** -1).factors
         assert diff
-        assert _exact_bit_estimate(diff, lcm(*(e.denominator for _, e in diff))) > CLEARING_MAX_BITS
+        assert cleared_bits_oracle(diff, lcm(*(e.denominator for _, e in diff))) > CLEARING_MAX_BITS
         assert compare_power_products(lhs, rhs) == ("equal", True)
         assert compare_power_products(rhs, lhs) == ("equal", True)
 
@@ -244,7 +244,7 @@ class TestBasisOnlyEqualities:
         lhs = PowerProduct.of((self.A ** 2 + 1, Fraction(1, 2)))
         rhs = PowerProduct.of((self.A, 1))
         diff = (lhs * rhs ** -1).factors
-        bits = _exact_bit_estimate(diff, lcm(*(e.denominator for _, e in diff)))
+        bits = cleared_bits_oracle(diff, lcm(*(e.denominator for _, e in diff)))
         return lhs, rhs, bits
 
     def test_interval_cap_finishes_by_clearing(self):
@@ -551,3 +551,108 @@ class TestComparatorDifferential:
         assert p.factors == ((Fraction(2), Fraction(1)),)
         assert compare_power_products(PowerProduct.of((1, 3)), PowerProduct.of()) == ("equal", True)
         assert compare_power_products(p, PowerProduct.of((2, 1), (1, 4))) == ("equal", True)
+
+
+# ---------------------------------------------------------------------------
+# compare_power_products and PowerProduct.log10 as they were on Fraction
+# factors, before a PowerProduct carried its int view: the reference for
+# the comparator and the float log10 that read the ints.
+
+
+def _compare_on_fractions(lhs, rhs):
+    common = lcm(*(e.denominator for _, e in lhs.factors), *(e.denominator for _, e in rhs.factors))
+    merged = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for base, e in side.factors:
+            k = sign * e.numerator * (common // e.denominator)
+            key = base.numerator, base.denominator
+            if key in merged:
+                k += merged[key][1]
+            merged[key] = base, k
+    diff = [f for f in merged.values() if f[1]]
+    if not diff:
+        return power.Comparison("equal", True)
+    g = gcd(common, *(k for _, k in diff))
+    scale = common // g
+    diff = [(base, k // g) for base, k in diff]
+    bits = cleared_bits_oracle(diff, 1)
+    if bits > power.CLEARING_MAX_BITS:
+        ordering = _compare_by_basis(sorted((base, Fraction(k, scale)) for base, k in diff))
+        if ordering:
+            return power.Comparison(ordering, True)
+        if bits > power.CLEARING_LIMIT_BITS:
+            raise LimitExceeded(
+                "log-interval comparison undecided at %d digits, and clearing would take an estimated %d bits"
+                % (power._INTERVAL_MAX_DIGITS, bits)
+            )
+    return power.Comparison(clearing_oracle(diff, 1), True)
+
+
+def _log10_on_fractions(p):
+    total = 0.0
+    for b, e in p.factors:
+        total += float(e) * (math.log10(b.numerator) - math.log10(b.denominator))
+    return total
+
+
+def _bits_of(x: float) -> str:
+    # float.hex tells 0.0 from -0.0 and shows every bit.
+    return x.hex() if x == x else "nan"
+
+
+_SHARED_BASES = (1, 2, 3, 6, 10 ** 30 + 7, Fraction(1, 2), Fraction(2, 3), Fraction(9, 4), Fraction(4, 9), Fraction(7, 10 ** 20))
+_factor = st.tuples(
+    st.sampled_from(_SHARED_BASES) | st.fractions(min_value=Fraction(1, 50), max_value=50),
+    st.integers(-6, 6) | st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+_sides = st.tuples(st.lists(_factor, max_size=5), st.lists(_factor, max_size=5))
+
+
+class TestIntViewDifferential:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(sides=_sides)
+    def test_comparator_matches_the_fraction_reference(self, sides):
+        raw_lhs, raw_rhs = sides
+        lhs, rhs = PowerProduct.of(*raw_lhs), PowerProduct.of(*raw_rhs)
+        assert lhs.factors == _of_reference(*raw_lhs) and rhs.factors == _of_reference(*raw_rhs)
+        assert all(type(x) is Fraction for f in lhs.factors + rhs.factors for x in f)
+        assert compare_power_products(lhs, rhs) == _compare_on_fractions(lhs, rhs)
+        assert compare_power_products(rhs, lhs) == _compare_on_fractions(rhs, lhs)
+        # The same bases on both sides, some exponents cancelling exactly.
+        both = PowerProduct.of(*raw_lhs, *raw_rhs)
+        assert compare_power_products(both, lhs) == _compare_on_fractions(both, lhs)
+        assert compare_power_products(lhs * rhs, both) == ("equal", True)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(sides=_sides)
+    def test_log10_and_slack_match_the_float_formula(self, sides):
+        raw_lhs, raw_rhs = sides
+        lhs, rhs = PowerProduct.of(*raw_lhs), PowerProduct.of(*raw_rhs)
+        assert _bits_of(lhs.log10()) == _bits_of(_log10_on_fractions(lhs))
+        verdict, slack = decide([("c", raw_lhs, raw_rhs)])
+        want = clamp_slack(verdict, _log10_on_fractions(rhs) - _log10_on_fractions(lhs))
+        assert _bits_of(slack) == _bits_of(want)
+
+    def test_basis_path_matches(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            width = rng.randrange(200, 1500)
+            big = Fraction(rng.getrandbits(width) | 1 << (width - 1), rng.choice((1, 3, 7)))
+            k = CLEARING_MAX_BITS // max(big.numerator.bit_length(), big.denominator.bit_length()) + rng.randrange(1, 4)
+            f = Fraction(rng.randrange(-5, 6), rng.choice(_DENOMINATORS))
+            lhs = PowerProduct.of((big, k + f), (Fraction(2, 3), f))
+            rhs = PowerProduct.of((big, f), (Fraction(3, 2), rng.randrange(-3, 4)))
+            diff = (lhs * rhs ** -1).factors
+            assert cleared_bits_oracle(diff, lcm(*(e.denominator for _, e in diff))) > CLEARING_MAX_BITS
+            assert compare_power_products(lhs, rhs) == _compare_on_fractions(lhs, rhs)
+
+    def test_limit_exceeded_text_matches(self, monkeypatch):
+        lhs, rhs, bits = TestBasisOnlyEqualities().found_case()
+        monkeypatch.setattr(power, "_INTERVAL_MAX_DIGITS", 240)
+        monkeypatch.setattr(power, "CLEARING_LIMIT_BITS", bits - 1)
+        with pytest.raises(LimitExceeded) as want:
+            _compare_on_fractions(rhs, lhs)
+        with pytest.raises(LimitExceeded) as got:
+            compare_power_products(rhs, lhs)
+        assert str(got.value) == str(want.value)
+        assert "undecided at 240 digits" in str(got.value)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -23,6 +24,7 @@ from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidor
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
 from homlab.scan import (
     ScanJob,
+    ScanSummary,
     emit_report,
     parse_summary,
     replay_finding,
@@ -339,6 +341,76 @@ class TestEmit:
         assert set(s.histogram) == {"holds", "equality", "violated"}
         for fmt in ("json", "text"):
             assert "undecided" not in emit_report(s, fmt)
+
+
+_TEXTS = st.text(max_size=8) | st.sampled_from(["", 'q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\t", "\u00e9\u2028\U0001f600", "C4|Kq:3"])
+_SLACKS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _SLACKS | _TEXTS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_TEXTS, children, max_size=3),
+    max_leaves=8,
+)
+_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "instance_id": _TEXTS,
+            "graph": _TEXTS,
+            "model": _TEXTS,
+            "verdict": st.sampled_from(["holds", "equality", "violated"]) | _TEXTS,
+            "exact": st.booleans(),
+            "slack_log10": _SLACKS,
+        }
+    ),
+    max_size=4,
+)
+_SUMMARIES = st.builds(
+    ScanSummary,
+    # A job that holds its own "rows" key: only the top-level rows are templated.
+    job=st.fixed_dictionaries({"rows": _JSON_VALUES}, optional={"ineq": _TEXTS, "jobs": st.integers(1, 4)}),
+    instances_checked=st.integers(0, 10 ** 6),
+    histogram=st.dictionaries(_TEXTS, st.integers(0, 9), max_size=3),
+    rows=_ROWS,
+    findings=st.lists(_JSON_VALUES, max_size=2),
+    errors=st.lists(st.fixed_dictionaries({"instance_id": _TEXTS, "error": _TEXTS}), max_size=2),
+    worst=st.none() | st.fixed_dictionaries({"instance_id": _TEXTS, "slack_log10": _SLACKS}),
+)
+
+
+def _dumps(summary) -> str:
+    return json.dumps(summary.to_dict(), indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+class TestReportJson:
+    """emit_report's json is json.dumps(to_dict(), indent=2, sort_keys=True,
+    allow_nan=True) + newline, byte for byte."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_SUMMARIES)
+    def test_matches_json_dumps(self, summary):
+        assert emit_report(summary, "json") == _dumps(summary)
+
+    def test_edge_values(self):
+        ids = ["n\u00e9-\u2028", 'a"b', "c\\d", "e\x00\x01\x1f\x7f", "\U0001f600"]
+        slacks = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308]
+        rows = [
+            dict(zip(scan.CSV_COLUMNS, (ids[i % len(ids)] + "|m", ids[i % len(ids)], "m", "holds", i % 2 == 0, slack)))
+            for i, slack in enumerate(slacks)
+        ]
+        job = {"ineq": "bst", "rows": [{"exact": True, "slack_log10": -0.0}], "graphs": {"rows": []}}
+        for summary in (
+            ScanSummary(job=job, rows=rows, worst={"instance_id": ids[0], "slack_log10": -math.inf}),
+            ScanSummary(job=job),
+            ScanSummary(job={}),
+        ):
+            assert emit_report(summary, "json") == _dumps(summary)
+        assert not ScanSummary(job={}).rows and ScanSummary(job={}).worst is None
+
+    def test_scan_with_findings_and_errors(self):
+        s = run_scan(small_finding_job(graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 4, "dedup": True}))
+        assert s.rows and s.findings and s.errors
+        assert emit_report(s, "json") == _dumps(s)
 
 
 
@@ -893,6 +965,31 @@ class TestCli:
             with pytest.raises(LimitExceeded, match="complete-looped models up to q = %d exceed 10000000 weights" % max_q):
                 scan.materialize_models({"kind": "complete-looped", "max_q": max_q})
         assert not built
+
+    def test_random_model_source_is_sized_before_it_is_built(self, monkeypatch, capsys):
+        # Seed i takes q = qs[i % len(qs)]: five seeds over q = 2, 3 take
+        # 4 + 9 + 4 + 9 + 4 = 30 weights.  Counted with a stand-in model
+        # and a small limit, so nothing large is built.
+        built = []
+        monkeypatch.setattr(scan, "random_model", lambda q, seed, kind: built.append(q * q) or None)
+        monkeypatch.setattr(scan, "CONTRACTION_WORK_LIMIT", 30)
+        source = {"kind": "random", "rand_kind": "psd", "qs": [2, 3], "seeds": list(range(5))}
+        assert len(scan.materialize_models(source)) == 5 and sum(built) == 30
+        built.clear()
+        source["seeds"] = list(range(6))
+        with pytest.raises(LimitExceeded, match="6 random models take 39 weights, over 30"):
+            scan.materialize_models(source)
+        args = ["scan", "--ineq", "bst", "--graphs", "C4", "--random-models", "antiferro-2spin,2", "--seeds", "0:10", "--jobs", "1"]
+        assert cli.main(args) == 1
+        assert not built
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: 10 random models take 40 weights, over 30" and "Traceback" not in err
+
+    def test_list_seeds_are_sized_before_they_are_built(self, capsys):
+        # 10^9 list seeds used to build a list of 10^9 ints and leak a MemoryError traceback.
+        args = ["scan", "--ineq", "bst", "--graphs", "C4", "--models", "hardcore", "--list-seeds", "1000000000", "--jobs", "1"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: --list-seeds 1000000000 is over 10000000\n"
         assert cli.main(["scan", "--ineq", "bst", "--max-vertices", "3", "--complete-looped", "3000"]) == 1
         assert capsys.readouterr().err == "scanning bst ...\nerror: complete-looped models up to q = 3000 exceed 10000000 weights\n"
 
