@@ -105,10 +105,10 @@ def _side(factors) -> tuple[PowerProduct, list] | None:
 
 def _log10(side) -> float | None:
     """Float log10 of a nonzero side, for the slack only: the rational
-    part's PowerProduct.log plus e * log10 of each sum's float.  None
+    part's PowerProduct.log10 plus e * log10 of each sum's float.  None
     when a sum's float is not positive."""
     product, radical = side
-    total = product.log
+    total = product.log10
     for s, e in radical:
         try:
             v, shift = s.float_value(), 0
@@ -216,9 +216,8 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom
     lhs_value = hom(g, m, constraints, hom_memo)
     if memo is None:
         memo = {}
-    edges = g.edge_list()
     counts = {}
-    for u, v in edges:
+    for u, v in g.edge_list():
         lam_u = None if constraints is None else tuple(constraints[u])
         lam_v = None if constraints is None else tuple(constraints[v])
         key = (degs[v], degs[u], lam_u, lam_v)

@@ -73,7 +73,6 @@ class Comparison(NamedTuple):
 
 
 _ORDERING = {-1: "less", 0: "equal", 1: "greater"}
-_COMPARISONS = {sign: Comparison(ordering, True) for sign, ordering in _ORDERING.items()}
 # Increasing base value of int factors (n, d, ...), d > 0, by cross-multiplying.
 _BY_BASE = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
@@ -86,28 +85,23 @@ class PowerProduct:
     factors in increasing base order.  `ints` holds each factor as (base
     numerator, base denominator, exponent numerator, exponent denominator),
     each pair in lowest terms with a positive denominator; the comparator
-    reads only these.  `log` is the float log10 of the value, summed in
+    reads only these.  `log10` is the float log10 of the value, summed in
     factor order; reporting only, it never decides.  `factors` stays the
     public view, the same factors as (Fraction, Fraction) pairs, built on
     first read (report writing and perfbench's power_product_bits read it).
     """
 
     ints: tuple[tuple[int, int, int, int], ...]
-    log: float = field(compare=False, repr=False)
+    log10: float = field(compare=False)
 
     @staticmethod
     def of(*factors) -> "PowerProduct":
         items = []
         for base, exponent in factors:
-            # Ints and Fractions are read as they are; anything else through Fraction.
-            if not isinstance(base, (int, Fraction)):
-                base = Fraction(base)
-            if not isinstance(exponent, (int, Fraction)):
-                exponent = Fraction(exponent)
-            n, d = base.as_integer_ratio()
-            if n <= 0:
+            base, exponent = Fraction(base), Fraction(exponent)
+            if base <= 0:
                 raise InvalidArgument("power product bases must be positive, got %s" % base)
-            items.append((n, d, *exponent.as_integer_ratio()))
+            items.append((*base.as_integer_ratio(), *exponent.as_integer_ratio()))
         return PowerProduct.of_ints(items)
 
     @staticmethod
@@ -124,12 +118,13 @@ class PowerProduct:
             merged[n, d] = en, ed
         merged.pop((1, 1), None)
         ints = [(n, d, en, ed) for (n, d), (en, ed) in merged.items() if en]
-        ints.sort(key=_BY_BASE)
-        log = 0.0
+        if len(ints) > 1:
+            ints.sort(key=_BY_BASE)
+        log10 = 0.0
         for n, d, en, ed in ints:
             # float(Fraction(en, ed)) is en / ed: the same float, in the same order.
-            log += en / ed * (math.log10(n) - math.log10(d))
-        return PowerProduct(tuple(ints), log)
+            log10 += en / ed * (math.log10(n) - math.log10(d))
+        return PowerProduct(tuple(ints), log10)
 
     @cached_property
     def factors(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -150,10 +145,6 @@ class PowerProduct:
         for b, e in self.factors:
             out *= b ** e
         return out
-
-    def log10(self) -> float:
-        """Float log10 of the value; reporting only, never decides."""
-        return self.log
 
     def __repr__(self):
         if not self.factors:
@@ -184,7 +175,7 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
         merged[n, d] = merged.get((n, d), 0) - en * (common // ed)
     diff = [(n, d, k) for (n, d), k in merged.items() if k]
     if not diff:
-        return _COMPARISONS[0]
+        return Comparison("equal", True)
     # Over divisors of common, the lcm of the reduced denominators
     # common / gcd(common, k) is common / gcd(common, every k).
     g = gcd(common, *(k for _, _, k in diff))
@@ -211,7 +202,7 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
         else:
             num *= d ** -k
             den *= n ** -k
-    return _COMPARISONS[(num > den) - (num < den)]
+    return Comparison(_ORDERING[(num > den) - (num < den)], True)
 
 
 def _compare_by_basis(diff_factors) -> str | None:

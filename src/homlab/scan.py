@@ -257,16 +257,14 @@ _JSON_ROW = (
     '    {\n      "exact": %s,\n      "graph": %s,\n      "instance_id": %s,\n'
     '      "model": %s,\n      "slack_log10": %s,\n      "verdict": %s\n    }'
 )
-_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_float(x: float) -> str:
-    """A float as the json module writes it with allow_nan=True."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+def _json_row(r: dict) -> str:
+    x, enc = r["slack_log10"], encode_basestring_ascii
+    # A float as json writes it with allow_nan=True: its repr when finite.
+    slack = float.__repr__(x) if x - x == 0 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    exact = "true" if r["exact"] else "false"
+    return _JSON_ROW % (exact, enc(r["graph"]), enc(r["instance_id"]), enc(r["model"]), slack, enc(r["verdict"]))
 
 
 def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
@@ -274,28 +272,19 @@ def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
 
     The json text is byte for byte json.dumps(summary.to_dict(), indent=2,
     sort_keys=True, allow_nan=True) + "\n".  The rows, flat dicts of the
-    CSV_COLUMNS scalars (str, bool and float) and nearly all of a report's
-    bytes, are written from one template with the json module's own scalar
-    encoders; every other top-level value goes through json.dumps,
-    indented one level.
+    CSV_COLUMNS scalars (str, bool, float) and nearly all of the bytes,
+    are written from one template with the json module's scalar encoders;
+    every other top-level value goes through json.dumps, indented a level.
     """
     if fmt == "json":
-        enc = encode_basestring_ascii
         parts = []
         for key, value in sorted(summary.to_dict().items()):
-            if key == "rows":
-                rows = [
-                    _JSON_ROW % (
-                        _JSON_BOOL[r["exact"]], enc(r["graph"]), enc(r["instance_id"]),
-                        enc(r["model"]), _json_float(r["slack_log10"]), enc(r["verdict"]),
-                    )
-                    for r in value
-                ]
-                text = "[\n%s\n  ]" % ",\n".join(rows) if rows else "[]"
+            if key == "rows" and value:
+                text = "[\n%s\n  ]" % ",\n".join(map(_json_row, value))
             else:
                 # A json string holds no raw newline, so every newline is indentation.
                 text = json.dumps(value, indent=2, sort_keys=True, allow_nan=True).replace("\n", "\n  ")
-            parts.append("  %s: %s" % (enc(key), text))
+            parts.append("  %s: %s" % (encode_basestring_ascii(key), text))
         return "{\n%s\n}\n" % ",\n".join(parts)
     if fmt == "csv":
         buf = io.StringIO()
