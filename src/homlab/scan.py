@@ -271,7 +271,7 @@ def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
     """Bit-reproducible report text for a summary.
 
     The json text is byte for byte json.dumps(summary.to_dict(), indent=2,
-    sort_keys=True, allow_nan=True) + "\n".  The rows, flat dicts of the
+    sort_keys=True, allow_nan=True) + "\\n".  The rows, flat dicts of the
     CSV_COLUMNS scalars (str, bool, float) and nearly all of the bytes,
     are written from one template with the json module's scalar encoders;
     every other top-level value goes through json.dumps, indented a level.
