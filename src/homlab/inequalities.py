@@ -146,18 +146,15 @@ def _check(small, big) -> tuple[str, float | None]:
 
 def _decide_sides(sides) -> tuple[str, float]:
     """decide over (small, big) pairs already read by _side."""
-    if len(sides) == 1:
-        verdict, slack = _check(*sides[0])
-        return verdict, clamp_slack(verdict, 0.0 if slack is None else slack)
-    checked = [_check(small, big) for small, big in sides]
-    verdicts = [verdict for verdict, _ in checked]
-    if "violated" in verdicts:
-        verdict = "violated"
-    elif verdicts and all(v == "equality" for v in verdicts):
-        verdict = "equality"
-    else:
-        verdict = "holds"
-    return verdict, clamp_slack(verdict, min((s for _, s in checked if s is not None), default=0.0))
+    violated, equal, least = False, bool(sides), None
+    for small, big in sides:
+        verdict, slack = _check(small, big)
+        violated = violated or verdict == "violated"
+        equal = equal and verdict == "equality"
+        if slack is not None and (least is None or slack < least):
+            least = slack
+    verdict = "violated" if violated else "equality" if equal else "holds"
+    return verdict, clamp_slack(verdict, 0.0 if least is None else least)
 
 
 def decide(checks) -> tuple[str, float]:

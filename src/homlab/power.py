@@ -3,17 +3,15 @@
 Two layers:
 
 * PowerProduct -- a formal product of positive rational bases raised to
-  rational exponents, compared exactly.  Each factor is read once into
-  ints, (base numerator, base denominator, exponent numerator, exponent
-  denominator), and the product carries its float log10 alongside; the
-  comparator reads only these ints.  `factors` stays the public view, the
-  same factors as (Fraction, Fraction) pairs.  The two sides' exponents
-  are put over one common denominator; small cases are then cleared, the
-  int exponents raising big integers, and large ones go over a coprime
-  basis of the bases (equality from the exponent vector, strict signs
-  from rigorous log intervals built on the decimal module's correctly
-  rounded ln, finished by clearing when the intervals reach their
-  precision cap).
+  rational exponents, compared exactly on its int view (each factor's
+  base and exponent numerators and denominators), kept beside its float
+  log10; `factors` stays the public (Fraction, Fraction) view.  The two
+  sides' exponents are put over one common denominator as ints; small
+  cases are then cleared, the int exponents raising big integers, and
+  large ones go over a coprime basis of the bases (equality from the
+  exponent vector, strict signs from rigorous log intervals built on the
+  decimal module's correctly rounded ln, finished by clearing when the
+  intervals reach their precision cap).
 
 * RadicalSum -- a QQ-linear combination of canonical radicals
   prod_p p^{e_p} with fractional prime exponents.  True sums of rational
@@ -82,13 +80,11 @@ class PowerProduct:
     """Product of factors base^exponent with positive rational bases.
 
     Normalized: equal bases merged, unit bases and zero exponents dropped,
-    factors in increasing base order.  `ints` holds each factor as (base
-    numerator, base denominator, exponent numerator, exponent denominator),
-    each pair in lowest terms with a positive denominator; the comparator
-    reads only these.  `log10` is the float log10 of the value, summed in
-    factor order; reporting only, it never decides.  `factors` stays the
-    public view, the same factors as (Fraction, Fraction) pairs, built on
-    first read (report writing and perfbench's power_product_bits read it).
+    factors in increasing base order.  `ints`, which the comparator reads,
+    holds each factor as (base numerator, base denominator, exponent
+    numerator, exponent denominator), pairs in lowest terms.  `log10` is
+    the value's float log10, for reports only.  `factors` stays the public
+    view as (Fraction, Fraction) pairs (perfbench's power_product_bits).
     """
 
     ints: tuple[tuple[int, int, int, int], ...]
@@ -118,8 +114,7 @@ class PowerProduct:
             merged[n, d] = en, ed
         merged.pop((1, 1), None)
         ints = [(n, d, en, ed) for (n, d), (en, ed) in merged.items() if en]
-        if len(ints) > 1:
-            ints.sort(key=_BY_BASE)
+        ints.sort(key=_BY_BASE)
         log10 = 0.0
         for n, d, en, ed in ints:
             # float(Fraction(en, ed)) is en / ed: the same float, in the same order.
@@ -179,8 +174,7 @@ def compare_power_products(lhs: PowerProduct, rhs: PowerProduct) -> Comparison:
     # Over divisors of common, the lcm of the reduced denominators
     # common / gcd(common, k) is common / gcd(common, every k).
     g = gcd(common, *(k for _, _, k in diff))
-    if g > 1:
-        diff = [(n, d, k // g) for n, d, k in diff]
+    diff = [(n, d, k // g) for n, d, k in diff]
     bits = sum(abs(k) * max(n.bit_length(), d.bit_length()) for n, d, k in diff)
     if bits > CLEARING_MAX_BITS:
         # In base order, as a normalized PowerProduct lists its factors:

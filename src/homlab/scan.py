@@ -19,6 +19,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
 
 from homlab.counting import compile_plans, lists_to_constraints
@@ -117,13 +118,17 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
         return [(path, load_model(path)) for path in source["paths"]]
     if kind == "random":
         rand_kind, qs, seeds = source["rand_kind"], source["qs"], source["seeds"]
-        # Seed i takes q = qs[i % len(qs)]: the sum of q^2 weights, before any is built.
-        rounds, rest = divmod(len(seeds), len(qs) or 1)
-        weights = rounds * sum(q * q for q in qs) + sum(q * q for q in qs[:rest])
+        # Seed i takes q = qs[i % len(qs)].  One model per q is built first,
+        # so random_model refuses a bad q or kind before the source is sized;
+        # a model counts q^2 edge weights, q vertex weights and one for itself.
+        pairs = zip(cycle(qs), seeds)
+        built = (("random:%s,%d,%d" % (rand_kind, q, seed), random_model(q, seed, rand_kind)) for q, seed in pairs)
+        out = list(islice(built, len(qs)))
+        rounds, rest = divmod(len(seeds), len(qs))
+        weights = rounds * sum(q * q + q + 1 for q in qs) + sum(q * q + q + 1 for q in qs[:rest])
         if weights > CONTRACTION_WORK_LIMIT:
             raise LimitExceeded("%d random models take %d weights, over %d" % (len(seeds), weights, CONTRACTION_WORK_LIMIT))
-        pairs = [(qs[i % len(qs)], seed) for i, seed in enumerate(seeds)]
-        return [("random:%s,%d,%d" % (rand_kind, q, seed), random_model(q, seed, rand_kind)) for q, seed in pairs]
+        return out + list(built)
     if kind == "complete-looped":
         # The sum of (q + 1) * q^2 weights over q <= t, before any is built.
         t = max(source["max_q"], 0)
@@ -263,19 +268,14 @@ def _json_row(r: dict) -> str:
     x, enc = r["slack_log10"], encode_basestring_ascii
     # A float as json writes it with allow_nan=True: its repr when finite.
     slack = float.__repr__(x) if x - x == 0 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-    exact = "true" if r["exact"] else "false"
-    return _JSON_ROW % (exact, enc(r["graph"]), enc(r["instance_id"]), enc(r["model"]), slack, enc(r["verdict"]))
+    return _JSON_ROW % ("true" if r["exact"] else "false", enc(r["graph"]), enc(r["instance_id"]), enc(r["model"]), slack, enc(r["verdict"]))
 
 
 def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
-    """Bit-reproducible report text for a summary.
-
-    The json text is byte for byte json.dumps(summary.to_dict(), indent=2,
-    sort_keys=True, allow_nan=True) + "\\n".  The rows, flat dicts of the
-    CSV_COLUMNS scalars (str, bool, float) and nearly all of the bytes,
-    are written from one template with the json module's scalar encoders;
-    every other top-level value goes through json.dumps, indented a level.
-    """
+    """Bit-reproducible report text for a summary.  The json text is byte
+    for byte json.dumps(summary.to_dict(), indent=2, sort_keys=True,
+    allow_nan=True) + "\\n"; its rows, flat dicts of the CSV_COLUMNS scalars,
+    come from one template filled by the json module's scalar encoders."""
     if fmt == "json":
         parts = []
         for key, value in sorted(summary.to_dict().items()):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from homlab import cli, scan
 from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans
-from homlab.errors import LimitExceeded
+from homlab.errors import InvalidArgument, LimitExceeded
 from homlab.fileio import report_to_dict
 from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
@@ -411,7 +411,6 @@ class TestReportJson:
         s = run_scan(small_finding_job(graphs={"kind": "enumerate", "min_vertices": 1, "max_vertices": 4, "dedup": True}))
         assert s.rows and s.findings and s.errors
         assert emit_report(s, "json") == _dumps(s)
-
 
 
 class TestReportDigests:
@@ -965,33 +964,52 @@ class TestCli:
             with pytest.raises(LimitExceeded, match="complete-looped models up to q = %d exceed 10000000 weights" % max_q):
                 scan.materialize_models({"kind": "complete-looped", "max_q": max_q})
         assert not built
+        assert cli.main(["scan", "--ineq", "bst", "--max-vertices", "3", "--complete-looped", "3000"]) == 1
+        assert capsys.readouterr().err == "scanning bst ...\nerror: complete-looped models up to q = 3000 exceed 10000000 weights\n"
 
     def test_random_model_source_is_sized_before_it_is_built(self, monkeypatch, capsys):
-        # Seed i takes q = qs[i % len(qs)]: five seeds over q = 2, 3 take
-        # 4 + 9 + 4 + 9 + 4 = 30 weights.  Counted with a stand-in model
-        # and a small limit, so nothing large is built.
+        # Seed i takes q = qs[i % len(qs)], and a model counts q^2 + q + 1
+        # weights: five seeds over q = 2, 3 take 7 + 13 + 7 + 13 + 7 = 47.
+        # Counted with a stand-in model and a small limit, so nothing large
+        # is built; one model per q is built before the source is sized.
         built = []
-        monkeypatch.setattr(scan, "random_model", lambda q, seed, kind: built.append(q * q) or None)
-        monkeypatch.setattr(scan, "CONTRACTION_WORK_LIMIT", 30)
+        monkeypatch.setattr(scan, "random_model", lambda q, seed, kind: built.append(q) or None)
+        monkeypatch.setattr(scan, "CONTRACTION_WORK_LIMIT", 47)
         source = {"kind": "random", "rand_kind": "psd", "qs": [2, 3], "seeds": list(range(5))}
-        assert len(scan.materialize_models(source)) == 5 and sum(built) == 30
+        assert len(scan.materialize_models(source)) == 5 and built == [2, 3, 2, 3, 2]
         built.clear()
         source["seeds"] = list(range(6))
-        with pytest.raises(LimitExceeded, match="6 random models take 39 weights, over 30"):
+        with pytest.raises(LimitExceeded, match="6 random models take 60 weights, over 47"):
             scan.materialize_models(source)
+        assert built == [2, 3]
+        built.clear()
         args = ["scan", "--ineq", "bst", "--graphs", "C4", "--random-models", "antiferro-2spin,2", "--seeds", "0:10", "--jobs", "1"]
         assert cli.main(args) == 1
-        assert not built
+        assert built == [2]
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "error: 10 random models take 40 weights, over 30" and "Traceback" not in err
+        assert err.splitlines()[-1] == "error: 10 random models take 70 weights, over 47" and "Traceback" not in err
+
+    def test_random_model_source_refuses_q_and_kind_before_its_size(self):
+        # A q = 1 source takes 3 weights per seed, so 10^7 seeds are refused;
+        # the seeds are a range and one model is built.
+        source = {"kind": "random", "rand_kind": "general", "qs": [1], "seeds": range(10 ** 7)}
+        with pytest.raises(LimitExceeded, match="10000000 random models take 30000000 weights, over 10000000"):
+            scan.materialize_models(source)
+        # Too large to build, yet the bad q or kind is what gets reported.
+        for rand_kind, qs, message in (
+            ("general", [2, 9], "random models limited to q <= 8"),
+            ("antiferro-2spin", [3], "antiferro-2spin models have q = 2"),
+            ("nope", [2], "unknown random model kind 'nope'"),
+        ):
+            source = {"kind": "random", "rand_kind": rand_kind, "qs": qs, "seeds": range(10 ** 7)}
+            with pytest.raises(InvalidArgument, match=message):
+                scan.materialize_models(source)
 
     def test_list_seeds_are_sized_before_they_are_built(self, capsys):
         # 10^9 list seeds used to build a list of 10^9 ints and leak a MemoryError traceback.
         args = ["scan", "--ineq", "bst", "--graphs", "C4", "--models", "hardcore", "--list-seeds", "1000000000", "--jobs", "1"]
         assert cli.main(args) == 1
         assert capsys.readouterr().err == "error: --list-seeds 1000000000 is over 10000000\n"
-        assert cli.main(["scan", "--ineq", "bst", "--max-vertices", "3", "--complete-looped", "3000"]) == 1
-        assert capsys.readouterr().err == "scanning bst ...\nerror: complete-looped models up to q = 3000 exceed 10000000 weights\n"
 
     def test_negative_search_budget_fails_fast(self, capsys):
         # A budget of -1 used to slice off the grid's last cell.
