@@ -47,9 +47,9 @@ def _report_text(report, fmt: str) -> str:
     )
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    """The seeds of 'lo:hi' or of one seed, sized from the two ends before
-    the list is built."""
+def _parse_seed_range(text: str) -> range:
+    """The seeds of 'lo:hi' or of one seed, sized from the two ends; the
+    range stays lazy until the model source that uses it is sized."""
     try:
         lo, hi = map(int, text.split(":")) if ":" in text else (int(text), int(text) + 1)
     except ValueError:
@@ -58,7 +58,7 @@ def _parse_seed_range(text: str) -> list[int]:
         raise LimitExceeded("--seeds range %r has %d seeds, over %d" % (text, hi - lo, CONTRACTION_WORK_LIMIT))
     if hi <= lo:
         raise InvalidArgument("--seeds range %r is empty" % text)
-    return list(range(lo, hi))
+    return range(lo, hi)
 
 
 def _at_least(value: int | None, least: int, flag: str) -> int | None:

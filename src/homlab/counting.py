@@ -418,22 +418,30 @@ def _contract(plan: Plan, choices, edge_matrix) -> int:
 
 
 def hom_biclique(a: int, b: int, m: Model, side_constraints=None) -> Fraction:
-    """hom(K_{a,b}, m): `biclique_kernel_sum` of the edge weights.
+    """hom(K_{a,b}, m): `biclique_kernel_sum` of the model's int view.
 
     `side_constraints` is an optional (lambda_a, lambda_b) pair applied to
-    every vertex of the respective side.
+    every vertex of the respective side.  The kernel is `Model.integer_edges`
+    and the weights `integer_colors` (times the constraints), so their
+    scales, edge_scale^(ab) * color_scale^(a+b), are divided out once here.
     """
     lam_a, lam_b = (None, None) if side_constraints is None else side_constraints
-    ew = m.edge_weights
-    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, _side_weights(m, lam_a), _side_weights(m, lam_b))
+    edge_scale, ew = m.integer_edges
+    color_scale, colors = m.integer_colors
+    weights = [0] * m.q
+    for c, w in colors:
+        weights[c] = w
+    w1, w2 = _side_weights(weights, lam_a), _side_weights(weights, lam_b)
+    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, w1, w2) / (edge_scale ** (a * b) * color_scale ** (a + b))
 
 
-def _side_weights(m: Model, lam):
+def _side_weights(weights, lam) -> list:
+    """The per-color weights times a side constraint, if one is given."""
     if lam is None:
-        return list(m.vertex_weights)
-    if len(lam) != m.q:
+        return list(weights)
+    if len(lam) != len(weights):
         raise DimensionMismatch("side constraint length != q")
-    return [m.vertex_weights[c] * Fraction(lam[c]) for c in range(m.q)]
+    return [w * Fraction(x) for w, x in zip(weights, lam)]
 
 
 def _multiset_permutations(combo: tuple) -> int:
@@ -457,22 +465,21 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
 
     Contracted over the cheaper side: the other side's points are summed
     as multisets with multinomial weight, and each multiset's a-side sum
-    is raised to the power a.  The kernel is tabulated once and scaled to
-    integers by the lcm of its denominators, the measures likewise (with
-    zero-weight points dropped), so the loop is pure big-int arithmetic
-    and the exact scale is divided back out once.  Raises LimitExceeded
-    when the work, C(size2 + b - 1, b) * size1 * b on the contracted
-    side, exceeds CONTRACTION_WORK_LIMIT.
+    is raised to the power a.  Kernel entries and measures are ints or
+    Fractions.  The kernel is tabulated once and scaled to integers by the
+    lcm of its denominators, the measures likewise (with zero-weight
+    points dropped), each entry read through as_integer_ratio(), so the
+    loop is pure big-int arithmetic and the exact scale is divided back
+    out once.  Raises LimitExceeded when the work,
+    C(size2 + b - 1, b) * size1 * b on the contracted side, exceeds
+    CONTRACTION_WORK_LIMIT.
     """
-    w1 = [Fraction(1)] * size1 if w1 is None else [Fraction(x) for x in w1]
-    w2 = [Fraction(1)] * size2 if w2 is None else [Fraction(x) for x in w2]
-    if a == 0 and b == 0:
-        return Fraction(1)
-    if a == 0:
-        return sum(w2, Fraction(0)) ** b
-    if b == 0:
-        return sum(w1, Fraction(0)) ** a
-    table = [[Fraction(f(x, y)) for y in range(size2)] for x in range(size1)]
+    w1 = [1] * size1 if w1 is None else w1
+    w2 = [1] * size2 if w2 is None else w2
+    if a == 0 or b == 0:  # the other side's total measure, to its size
+        scale, points = scaled_colors(w2 if a == 0 else w1)
+        return Fraction(sum(w for _, w in points) ** (a + b), scale ** (a + b))
+    table = [[f(x, y) for y in range(size2)] for x in range(size1)]
     work = _biclique_work(size1, size2, a, b)
     if _biclique_work(size2, size1, b, a) < work:
         table = [list(col) for col in zip(*table)]
@@ -566,7 +573,7 @@ def clique_terms(a: int, m: Model, lam=None):
     LimitExceeded when C(q + a - 1, a) * a^2 exceeds
     CONTRACTION_WORK_LIMIT, with q the number of nonzero-weight colors.
     """
-    weight_scale, colors = m.integer_colors if lam is None else scaled_colors(_side_weights(m, lam))
+    weight_scale, colors = m.integer_colors if lam is None else scaled_colors(_side_weights(m.vertex_weights, lam))
     q = len(colors)
     work = comb(q + a - 1, a) * a * a if a else 0
     if work > CONTRACTION_WORK_LIMIT:

@@ -71,6 +71,16 @@ class Graph:
         """str(self.edge_list()), formatted once: the G=... of reports."""
         return str(self.edge_list())
 
+    @cached_property
+    def degree_pairs(self) -> tuple:
+        """((d_v, d_u), edges) pairs: the edges (u, v), u < v, grouped by
+        their degrees, in order of first appearance in edge_list()."""
+        degs = self.degrees()
+        groups = {}
+        for u, v in self._sorted_edges:
+            groups.setdefault((degs[v], degs[u]), []).append((u, v))
+        return tuple((key, tuple(edges)) for key, edges in groups.items())
+
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 

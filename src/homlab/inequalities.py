@@ -12,17 +12,18 @@ models), and a scan reports it as such.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from homlab.counting import (
     _multiset_permutations,
-    _side_weights,
     biclique_kernel_sum,
     compile_plan,
     contract,
     hom,
+    hom_biclique,
     hom_clique,
     hom_double_cover,
 )
@@ -203,33 +204,31 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom
 
     `memo` is an optional dict owned by the caller, one per model: factors
     are looked up in it by (d_v, d_u, lambda_u, lambda_v) before they are
-    computed, and stored in it after.  Edges with equal keys give one
-    factor, its exponent multiplied by their count.  `hom_memo` is hom's
-    component memo for the same model, a separate dict.
+    computed by `hom_biclique`, and stored in it after.  Edges with equal
+    keys give one factor, its exponent multiplied by their count; the keys
+    come from `Graph.degree_pairs`, each degree pair split by its edges'
+    constraints.  A pair's work bound depends on its degrees and q alone,
+    so the first factor over the bound is that of the first such edge.
+    `hom_memo` is hom's component memo for the same model, a separate dict.
     """
-    degs = g.degrees()
-    if any(d == 0 for d in degs):
+    if not all(g.adjacency):
         raise IsolatedVertex("reverse-sidorenko needs no isolated vertices")
     lhs_value = hom(g, m, constraints, hom_memo)
     if memo is None:
         memo = {}
-    counts = {}
-    for u, v in g.edge_list():
-        lam_u = None if constraints is None else tuple(constraints[u])
-        lam_v = None if constraints is None else tuple(constraints[v])
-        key = (degs[v], degs[u], lam_u, lam_v)
-        counts[key] = counts.get(key, 0) + 1
     factors = []
-    kernel = lambda x, y: m.edge_weights[x][y]
-    for key, count in counts.items():
-        d_v, d_u, lam_u, lam_v = key
-        base = memo.get(key)
-        if base is None:
-            # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
-            base = memo[key] = biclique_kernel_sum(
-                kernel, m.q, m.q, d_v, d_u, _side_weights(m, lam_u), _side_weights(m, lam_v)
-            )
-        factors.append((base, Fraction(count, d_u * d_v)))
+    for (d_v, d_u), edges in g.degree_pairs:
+        if constraints is None:
+            counts = {(None, None): len(edges)}
+        else:
+            counts = Counter((tuple(constraints[u]), tuple(constraints[v])) for u, v in edges)
+        for (lam_u, lam_v), count in counts.items():
+            key = (d_v, d_u, lam_u, lam_v)
+            base = memo.get(key)
+            if base is None:
+                # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
+                base = memo[key] = hom_biclique(d_v, d_u, m, (lam_u, lam_v))
+            factors.append((base, Fraction(count, d_u * d_v)))
     instance = "G=%s, model q=%d" % (g.edge_text, m.q)
     return _report("reverse-sidorenko", instance, [(lhs_value, 1)], factors)
 

@@ -26,15 +26,19 @@ def read_rational(x) -> Fraction:
 
 def scaled_colors(weights) -> tuple:
     """(scale, ((color, scale * weight), ...)) over the nonzero weights,
-    with scale the lcm of their denominators, so every product is an int."""
-    scale = lcm(*(w.denominator for w in weights if w))
-    return scale, tuple((c, w.numerator * (scale // w.denominator)) for c, w in enumerate(weights) if w)
+    ints or Fractions, with scale the lcm of their denominators, so every
+    product is an int."""
+    ratios = [(c, *w.as_integer_ratio()) for c, w in enumerate(weights) if w]
+    scale = lcm(*(d for _, _, d in ratios))
+    return scale, tuple((c, n * (scale // d)) for c, n, d in ratios)
 
 
 def scaled_matrix(rows) -> tuple:
-    """(scale, int rows): the entries times the lcm of their denominators."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    """(scale, int rows): the entries, ints or Fractions, times the lcm of
+    their denominators."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = lcm(*(d for row in ratios for _, d in row))
+    return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)
 
 
 def integer_nth_root(x: int, n: int) -> int:

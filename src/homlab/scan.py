@@ -274,7 +274,8 @@ def _json_row(r: dict) -> str:
 def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
     """Bit-reproducible report text for a summary.  The json text is byte
     for byte json.dumps(summary.to_dict(), indent=2, sort_keys=True,
-    allow_nan=True) + "\\n"; its rows, flat dicts of the CSV_COLUMNS scalars,
+    allow_nan=True, default=list) + "\\n", so the job's seed ranges are
+    written as lists; its rows, flat dicts of the CSV_COLUMNS scalars,
     come from one template filled by the json module's scalar encoders."""
     if fmt == "json":
         parts = []
@@ -283,7 +284,7 @@ def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
                 text = "[\n%s\n  ]" % ",\n".join(map(_json_row, value))
             else:
                 # A json string holds no raw newline, so every newline is indentation.
-                text = json.dumps(value, indent=2, sort_keys=True, allow_nan=True).replace("\n", "\n  ")
+                text = json.dumps(value, indent=2, sort_keys=True, allow_nan=True, default=list).replace("\n", "\n  ")
             parts.append("  %s: %s" % (encode_basestring_ascii(key), text))
         return "{\n%s\n}\n" % ",\n".join(parts)
     if fmt == "csv":

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cc_oracle, hom_oracle, semiproper_oracle
 from homlab import counting
@@ -583,6 +585,61 @@ class TestPlanOrder:
             assert list(plan.widths) == _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
 
 
+def hom_biclique_reference(a, b, m, side_constraints=None):
+    """hom(K_{a,b}, m) as it was computed before the model's int view: the
+    kernel and side weights as Fractions, tabulated and scaled per call."""
+    def side(lam):
+        if lam is None:
+            return [Fraction(w) for w in m.vertex_weights]
+        if len(lam) != m.q:
+            raise DimensionMismatch("side constraint length != q")
+        return [m.vertex_weights[c] * Fraction(lam[c]) for c in range(m.q)]
+
+    lam_a, lam_b = (None, None) if side_constraints is None else side_constraints
+    w1, w2 = side(lam_a), side(lam_b)
+    if a == 0 and b == 0:
+        return Fraction(1)
+    if a == 0:
+        return sum(w2, Fraction(0)) ** b
+    if b == 0:
+        return sum(w1, Fraction(0)) ** a
+    table = [[Fraction(x) for x in row] for row in m.edge_weights]
+    if math.comb(m.q + a - 1, a) * b < math.comb(m.q + b - 1, b) * a:
+        table, a, b, w1, w2 = [list(col) for col in zip(*table)], b, a, w2, w1
+    kernel_scale = math.lcm(*(x.denominator for row in table for x in row))
+    kernel = [[x.numerator * (kernel_scale // x.denominator) for x in row] for row in table]
+    scale1 = math.lcm(*(w.denominator for w in w1 if w))
+    scale2 = math.lcm(*(w.denominator for w in w2 if w))
+    rows = [(w.numerator * (scale1 // w.denominator), kernel[x]) for x, w in enumerate(w1) if w]
+    points2 = [(y, w.numerator * (scale2 // w.denominator)) for y, w in enumerate(w2) if w]
+    total = 0
+    for combo in itertools.combinations_with_replacement(points2, b):
+        ys = [y for y, _ in combo]
+        inner = sum(math.prod((row[y] for y in ys), start=w) for w, row in rows)
+        orderings = math.factorial(b) // math.prod(math.factorial(ys.count(y)) for y in set(ys))
+        total += orderings * math.prod(w for _, w in combo) * inner ** a
+    return Fraction(total, scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
+
+
+_WEIGHTS = st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(5, 3), Fraction(7, 4)])
+
+
+@st.composite
+def _biclique_cases(draw):
+    """A general, PSD or antiferromagnetic 2-spin model with q <= 4, its
+    vertex weights redrawn with zeros allowed, and optional side
+    constraints with zero and fractional entries, given as ints, Fractions
+    or strings."""
+    kind = draw(st.sampled_from(["general", "psd", "antiferro-2spin"]))
+    q = 2 if kind == "antiferro-2spin" else draw(st.integers(1, 4))
+    m = random_model(q, draw(st.integers(0, 10 ** 6)), kind)
+    m = Model.from_rows(m.edge_weights, draw(st.lists(_WEIGHTS, min_size=q, max_size=q)))
+    entry = st.builds(lambda x, form: form(x), _WEIGHTS, st.sampled_from([Fraction, str, lambda x: x]))
+    side = st.none() | st.lists(entry, min_size=q, max_size=q)
+    constraints = draw(st.none() | st.tuples(side, side))
+    return draw(st.integers(0, 5)), draw(st.integers(0, 5)), m, constraints
+
+
 class TestHomBiclique:
     def test_known_values(self):
         assert hom_biclique(2, 2, model_complete_looped(3, 0)) == 18
@@ -609,6 +666,20 @@ class TestHomBiclique:
         g = named("biclique", 2, 2)
         cons = [tuple(Fraction(x) for x in lam_a)] * 2 + [tuple(Fraction(x) for x in lam_b)] * 2
         assert hom_biclique(2, 2, m, (lam_a, lam_b)) == hom(g, m, cons)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_biclique_cases())
+    def test_matches_the_fraction_reference(self, case):
+        a, b, m, constraints = case
+        assert hom_biclique(a, b, m, constraints) == hom_biclique_reference(a, b, m, constraints)
+
+    def test_wrong_length_side_constraint(self):
+        m = random_model(3, 4, "general")
+        for constraints in (((1, 1), None), (None, (1, 1, 1, 1)), ((1, 0, 1), (1, 1))):
+            with pytest.raises(DimensionMismatch, match=r"^side constraint length != q$"):
+                hom_biclique(2, 3, m, constraints)
+            with pytest.raises(DimensionMismatch, match=r"^side constraint length != q$"):
+                hom_biclique_reference(2, 3, m, constraints)
 
 
 class TestBicliqueKernelSum:
@@ -703,6 +774,24 @@ class TestBicliqueKernelSumDifferential:
         assert biclique_kernel_sum(f, 3, 2, 2, 2, [1, 1, 1], [0, 0]) == 0
         w1, w2 = [Fraction(0), Fraction(1, 3), Fraction(0)], [Fraction(2), Fraction(0)]
         assert biclique_kernel_sum(f, 3, 2, 2, 3, w1, w2) == kernel_sum_by_product(f, 3, 2, 2, 3, w1, w2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_int_fraction_and_float_entries_agree(self, data):
+        # Dyadic entries are exact as floats; integral ones are also given
+        # as ints.  Every form is read through as_integer_ratio().
+        size1, size2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        a, b = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        entry = st.builds(Fraction, st.integers(0, 9), st.sampled_from([1, 1, 2, 4, 8]))
+        mat = data.draw(st.lists(st.lists(entry, min_size=size2, max_size=size2), min_size=size1, max_size=size1))
+        w1 = data.draw(st.lists(entry, min_size=size1, max_size=size1))
+        w2 = data.draw(st.lists(entry, min_size=size2, max_size=size2))
+        expected = kernel_sum_by_product(lambda x, y: mat[x][y], size1, size2, a, b, w1, w2)
+        forms = [Fraction, float] + ([int] if all(x.denominator == 1 for x in [*w1, *w2, *itertools.chain(*mat)]) else [])
+        for form in forms:
+            table = [[form(x) for x in row] for row in mat]
+            value = biclique_kernel_sum(lambda x, y: table[x][y], size1, size2, a, b, [form(w) for w in w1], [form(w) for w in w2])
+            assert type(value) is Fraction and value == expected, form
 
     def test_work_limit(self):
         ones = lambda x, y: 1

@@ -220,6 +220,20 @@ class TestEnumeration:
             assert isomorphic_oracle(relabeled, g)
 
 
+class TestDegreePairs:
+    def test_equals_a_per_edge_recount(self):
+        # Every labeled graph with n <= 6: the edges (u, v), u < v, grouped by
+        # (d_v, d_u) in order of first appearance, degrees counted per edge.
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                edges = g.edge_list()
+                degree = lambda x: sum(x in e for e in edges)
+                groups = {}
+                for u, v in edges:
+                    groups.setdefault((degree(v), degree(u)), []).append((u, v))
+                assert g.degree_pairs == tuple((key, tuple(group)) for key, group in groups.items()), edges
+
+
 class TestPredicates:
     def test_against_networkx_on_labeled_graphs(self):
         nx = pytest.importorskip("networkx")

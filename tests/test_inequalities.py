@@ -9,7 +9,7 @@ import pytest
 
 from conftest import cleared_bits_oracle, clearing_oracle, independent_set_count_oracle
 from homlab import inequalities, power, ratmath
-from homlab.counting import CONTRACTION_WORK_LIMIT, compile_plan, hom, hom_clique
+from homlab.counting import CONTRACTION_WORK_LIMIT, compile_plan, hom, hom_clique, lists_to_constraints
 from homlab.errors import InvalidArgument, IsolatedVertex, LimitExceeded, NotTwoSpin
 from homlab.graphs import (
     Graph,
@@ -49,6 +49,7 @@ from homlab.power import (
     _compare_by_basis,
     compare_radical_products,
 )
+from homlab.scan import random_lists
 
 
 def named(kind, *params):
@@ -178,6 +179,30 @@ class TestReverseSidorenkoMemo:
         assert check_reverse_sidorenko(g, m).verdict == "holds"
         planted = {(2, 2, None, None): Fraction(1)}
         assert check_reverse_sidorenko(g, m, memo=planted).verdict == "violated"
+
+
+    def test_first_factor_over_the_bound_is_the_first_such_edge(self):
+        # Centers 0 - 1 - 2 on a path, each with leaves, so the edges (0, 1)
+        # and (1, 2) carry two degree pairs past the biclique work bound at
+        # q = 10, while hom on the tree is cheap.  A pair's bound depends on
+        # its degrees and q alone, so factor keys grouped by degree pair and
+        # split by constraints still reach the first such edge first: these
+        # are the texts a walk over the edges, one key at a time, gave.
+        m = model_complete_looped(10, 0)
+        for degrees, text in (
+            ((13, 12, 11), "biclique work bound 35271600 exceeds 10000000 (K_{13,12}, sizes 10 and 10)"),
+            ((11, 12, 13), "biclique work bound 18475600 exceeds 10000000 (K_{12,11}, sizes 10 and 10)"),
+        ):
+            edges = [(0, 1), (1, 2)]
+            for center, d in enumerate(degrees):
+                edges += [(center, len(edges) + 1 + i) for i in range(d - (2 if center == 1 else 1))]
+            g = Graph.from_edges(max(v for e in edges for v in e) + 1, edges)
+            assert [pair for pair, _ in g.degree_pairs][:3] == [(degrees[1], degrees[0]), (1, degrees[0]), (degrees[2], degrees[1])]
+            for seed in (None, 0, 1, 2):
+                cons = None if seed is None else lists_to_constraints(random_lists(seed, "star-path", g.n, 10), 10)
+                with pytest.raises(LimitExceeded) as err:
+                    check_reverse_sidorenko(g, m, cons)
+                assert str(err.value) == text
 
 
 class TestLargeReverseSidorenko:

@@ -5,11 +5,13 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -947,10 +949,34 @@ class TestCli:
         assert cli.main(args) == 1
         assert capsys.readouterr().err == "error: --seeds range '0:100000000' has 100000000 seeds, over 10000000\n"
         monkeypatch.setattr(cli, "CONTRACTION_WORK_LIMIT", 5)
-        assert cli._parse_seed_range("3:8") == [3, 4, 5, 6, 7]
-        assert cli._parse_seed_range("9") == [9]
+        assert cli._parse_seed_range("3:8") == range(3, 8)
+        assert cli._parse_seed_range("9") == range(9, 10)
         with pytest.raises(LimitExceeded, match="--seeds range '3:9' has 6 seeds, over 5"):
             cli._parse_seed_range("3:9")
+
+    def test_constrained_reverse_sidorenko_report_is_pinned(self, tmp_path):
+        # The report CI also compares on every Python of its matrix: biclique
+        # factors under list constraints, and a seed range echoed as a list.
+        out = tmp_path / "rs.json"
+        args = ["scan", "--ineq", "reverse-sidorenko", "--max-vertices", "4", "--no-isolated", "--models", "wr,hardcore,Kq:3"]
+        args += ["--random-models", "general,2,3", "--seeds", "0:4", "--list-seeds", "2", "--format", "json", "--jobs", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert out.read_bytes() == (pathlib.Path(__file__).parent / "data" / "rs-lists-n4.json").read_bytes()
+
+    def test_refused_seed_range_is_never_listed(self, capsys):
+        # --seeds stays a range until materialize_models sizes the source, so
+        # a refused source costs one model, not a list of 10^7 seeds (about
+        # 400 MB when the range was listed first).
+        args = ["scan", "--ineq", "bst", "--max-vertices", "1", "--random-models", "antiferro-2spin,2", "--seeds", "0:10000000", "--jobs", "1"]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: 10000000 random models take 70000000 weights, over 10000000" and "Traceback" not in err
+        assert peak < 10 * 2 ** 20
 
     def test_complete_looped_family_is_sized_before_it_is_built(self, monkeypatch, capsys):
         # Sum of (q + 1) * q^2 over q <= 78 is 9,653,800 weights, and 10,153,080
