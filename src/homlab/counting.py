@@ -476,7 +476,7 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     """
     w1 = [1] * size1 if w1 is None else w1
     w2 = [1] * size2 if w2 is None else w2
-    if a == 0 or b == 0:  # the other side's total measure, to its size
+    if a == 0 or b == 0:  # K_{a,0} or K_{0,b}: one side's total measure, to its size
         scale, points = scaled_colors(w2 if a == 0 else w1)
         return Fraction(sum(w for _, w in points) ** (a + b), scale ** (a + b))
     table = [[f(x, y) for y in range(size2)] for x in range(size1)]

@@ -604,7 +604,7 @@ def hom_biclique_reference(a, b, m, side_constraints=None):
     if b == 0:
         return sum(w1, Fraction(0)) ** a
     table = [[Fraction(x) for x in row] for row in m.edge_weights]
-    if math.comb(m.q + a - 1, a) * b < math.comb(m.q + b - 1, b) * a:
+    if math.comb(m.q + a - 1, a) * a < math.comb(m.q + b - 1, b) * b:  # contract the cheaper side
         table, a, b, w1, w2 = [list(col) for col in zip(*table)], b, a, w2, w1
     kernel_scale = math.lcm(*(x.denominator for row in table for x in row))
     kernel = [[x.numerator * (kernel_scale // x.denominator) for x in row] for row in table]

@@ -180,7 +180,6 @@ class TestReverseSidorenkoMemo:
         planted = {(2, 2, None, None): Fraction(1)}
         assert check_reverse_sidorenko(g, m, memo=planted).verdict == "violated"
 
-
     def test_first_factor_over_the_bound_is_the_first_such_edge(self):
         # Centers 0 - 1 - 2 on a path, each with leaves, so the edges (0, 1)
         # and (1, 2) carry two degree pairs past the biclique work bound at
