@@ -208,7 +208,7 @@ def _cmd_scan(args) -> int:
         ineq=args.ineq,
         graphs=_graph_source_from_args(args),
         models=_model_source_from_args(args),
-        lists={"kind": "random", "seeds": list(range(list_seeds))} if list_seeds else None,
+        lists={"kind": "random", "seeds": range(list_seeds)} if list_seeds else None,
         jobs=_at_least(args.jobs, 1, "--jobs"),
     )
     print("scanning %s ..." % args.ineq, file=sys.stderr)

@@ -47,8 +47,10 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     are multiplied.  A contraction is a frontier DP (bucket elimination)
     over the component's cached `Plan`: vertices are placed in the plan's
     order, and a table maps the colors of the placed vertices that still
-    have unplaced neighbors to the summed weight of all partial maps that
-    agree with them (see `compile_plan` for the order).
+    have unplaced neighbors, packed into one int key, to the summed weight
+    of all partial maps that agree with them (see `compile_plan` for the
+    order and `_step_kernel` for the key).  Every edge shares the model's
+    one int edge matrix.
     Zero-weight colors are pruned first.  All weights are scaled to
     integers by their common denominators (pure big-int arithmetic in the
     hot loop), and the exact scaling is divided back out once, at the end.
@@ -83,8 +85,9 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     q = max(map(len, choices), default=0)
     _check_work(sum(compile_plan(key).work(q) for _, key in parts), g.n, q)
     total = 1
+    bits = key_bits(m.q)
     for vertices, key in parts:
-        total *= _component_count(key, [choices[v] for v in vertices], ew, memo)
+        total *= _component_count(key, [choices[v] for v in vertices], ew, bits, memo)
         if not total:
             break
     return Fraction(total, denom)
@@ -112,31 +115,37 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     _check_work(sum(compile_plan(half).work(q) for _, halves in parts for half in halves), 2 * g.n, q)
     memo = {} if memo is None else memo
     total = 1
+    bits = key_bits(m.q)
     for key, halves in parts:
         if len(halves) == 2 and key in memo:  # a bipartite C: hom(C)^2
             total *= memo[key] ** 2
         else:  # the halves of a bipartite C's cover are both copies of C
-            total *= _component_count(halves[0], [colors] * len(halves[0]), ew, memo) ** len(halves)
+            total *= _component_count(halves[0], [colors] * len(halves[0]), ew, bits, memo) ** len(halves)
     return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * len(g.edges)))
 
 
-def compile_plans(adjacencies, cover: bool = False):
+def compile_plans(adjacencies, qs, cover: bool = False):
     """Compile the plan of each component that `hom` contracts for these
-    graphs, and with cover the parts that `hom_double_cover` contracts;
+    graphs, and with cover the parts that `hom_double_cover` contracts,
+    with the step kernels of each plan for models of q colors, q in qs;
     none if they outnumber the plan cache, which would evict the first."""
     keys = {key for adjacency in adjacencies for _, key in _components(adjacency)}
     keys |= {part for key in keys for part in _cover_parts(key)} if cover else set()
+    widths = {key_bits(q) for q in qs}
     for key in keys if len(keys) <= compile_plan.cache_parameters()["maxsize"] else ():
-        compile_plan(key)
+        plan = compile_plan(key)
+        for bits in widths:
+            plan.kernels(bits)
 
 
-def _component_count(key: tuple, choices, ew, memo) -> int:
+def _component_count(key: tuple, choices, ew, bits: int, memo) -> int:
     """The scaled count of the connected graph with adjacency `key`, read
-    from `memo` if there, else contracted (and stored unless memo is None).
-    The caller has checked a work bound that covers this plan."""
+    from `memo` if there, else contracted on the shared edge matrix ew
+    with keys of `bits` bits per position (and stored unless memo is
+    None).  The caller has checked a work bound that covers this plan."""
     value = None if memo is None else memo.get(key)
     if value is None:
-        value = _contract(compile_plan(key), choices, lambda u, v: ew)
+        value = _contract(compile_plan(key), choices, ew, bits)
         if memo is not None:
             memo[key] = value
     return value
@@ -175,7 +184,8 @@ def _cover_parts(key: tuple) -> tuple:
 
 # ---------------------------------------------------------------------------
 # The contraction engine shared by hom, semiproper_count, the graphical
-# Brascamp-Lieb assignment sum and the eps-polynomial.
+# Brascamp-Lieb assignment sum and the eps-polynomial.  All but the
+# Brascamp-Lieb sum give every edge one shared matrix.
 
 
 class Step(NamedTuple):
@@ -183,15 +193,24 @@ class Step(NamedTuple):
     back: tuple  # (frontier position, vertex) of each placed neighbor
     keep: tuple | None  # the frontier positions that stay; None if all do
     kept: bool  # whether the new vertex joins the frontier
-    run: object  # the generated loop of the step's shape (`_step_kernel`)
 
 
 class Plan(NamedTuple):
     steps: tuple
     widths: tuple  # frontier width before each step
+    runs: dict  # key bits -> the kernel of each step (`kernels`)
 
     def work(self, q: int) -> int:
         return sum(q ** (w + 1) for w in self.widths)
+
+    def kernels(self, bits: int) -> tuple:
+        """The loop of each step on frontier keys of `bits` bits per
+        position (`_step_kernel`), looked up once per plan and width."""
+        runs = self.runs.get(bits)
+        if runs is None:
+            shapes = zip(self.steps, self.widths)
+            runs = self.runs[bits] = tuple(_step_kernel(tuple(i for i, _ in s.back), s.keep, s.kept, w, bits) for s, w in shapes)
+        return runs
 
 
 def _projector(picks):
@@ -199,34 +218,69 @@ def _projector(picks):
     return itemgetter(*picks) if len(picks) > 1 else lambda items: (items[picks[0]],)
 
 
-# A step with more placed neighbours or kept positions than this reads them
-# through an itemgetter, so every kernel's source stays bounded: at q = 1 a
-# frontier may hold thousands of vertices.
+def key_bits(q: int) -> int:
+    """The bits a frontier key gives each position for colors 0..q-1."""
+    return (q - 1).bit_length() or 1
+
+
+# A step with more placed neighbours or runs of kept positions than this
+# reads their shifts from lists, so every kernel's source stays bounded: at
+# q = 1 a frontier may hold thousands of vertices.
 WIDE_STEP = 16
 
 
 @lru_cache(maxsize=1024)
-def _step_kernel(positions: tuple, keep, kept: bool):
-    """`step(table, colors, m0, m1, ...) -> table`, the contraction step of
-    this shape (positions: the frontier positions of the placed neighbours,
-    m_j the j-th one's link matrix; keep and kept as in `Step`), built from
-    ints and exec'd once, as namedtuple builds its methods."""
-    if len(positions) > WIDE_STEP:  # links: the link matrices, in order
-        args, rows, weight = ", *links", ["rows = [m[i] for m, i in zip(links, at(key))]"], ["    for r in rows:", "        w = w * r[c]"]
+def _step_kernel(positions: tuple, keep, kept: bool, width: int, bits: int):
+    """`step(table, colors, links) -> table`, the contraction step of this
+    shape on packed frontier keys, built from ints and exec'd once, as
+    namedtuple builds its methods.  Frontier position i of a key holds its
+    color in bits [bits*i, bits*(i+1)); positions are the frontier
+    positions of the placed neighbours, links[j] the j-th one's link
+    matrix, width the frontier width before the step, and keep and kept as
+    in `Step`.  The loop reads a neighbour's color as `key >> s & mask`,
+    packs the kept positions with one shift and mask per run of
+    consecutive positions, and places the new vertex as `p | c << s`; a
+    step that drops no position writes each new key once, with no
+    get-and-add."""
+    mask = (1 << bits) - 1
+
+    def read(i):  # the color at frontier position i; the top one needs no mask
+        shifted = "key >> %d" % (bits * i) if i else "key"
+        return shifted if i == width - 1 else "%s & %d" % (shifted, mask)
+
+    runs = []  # (shift, mask) of each run of kept positions; no mask on a lone top run
+    for j, i in enumerate(keep or ()):
+        if runs and keep[j - 1] == i - 1:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1, j])
+    runs = [(bits * (i - j), None if i + n == width and not j else ((1 << bits * n) - 1) << bits * j) for i, n, j in runs]
+    if len(positions) > WIDE_STEP:
+        rows = ["rows = [m[key >> s & %d] for m, s in zip(links, shifts)]" % mask]
+        weight = ["    for r in rows:", "        w = w * r[c]"]
     else:
-        args = "".join(", m%d" % j for j in range(len(positions)))
-        rows = ["r%d = m%d[key[%d]]" % (j, j, i) for j, i in enumerate(positions)]
+        rows = ["r%d = m%d[%s]" % (j, j, read(i)) for j, i in enumerate(positions)]
         weight = ["    w = w * " + " * ".join("r%d[c]" % j for j in range(len(positions)))] if positions else []
-    inline = keep is not None and len(keep) <= WIDE_STEP
-    items = "".join("key[%d], " % i for i in keep or ())
-    base = "(%s)" % items if inline else "key" if keep is None else "project(key)"
+    if not keep:  # all positions stay, or none
+        pack, base = [], "key" if keep is None else "0"
+    elif len(runs) > WIDE_STEP:
+        pack, base = ["p = 0", "for d, m in packs:", "    p |= key >> d & m"], "p"
+    else:
+        terms = [("key >> %d" % d if d else "key") + ("" if m is None else " & %d" % m) for d, m in runs]
+        pack, base = ["p = " + " | ".join(terms)], "p"
+    shift = bits * (width if keep is None else len(keep))
+    put = "new[k] = val * %s" if keep is None else "new[k] = get(k, 0) + val * %s"
     if kept:  # each color makes its own key
-        body = ["for c, w in colors:", *weight, "    if w:", "        k = " + ("(%sc,)" % items if inline else base + " + (c,)"), "        new[k] = get(k, 0) + val * w"]
+        k = "%s | c << %d" % (base, shift) if shift else "c"
+        body = [*pack, "for c, w in colors:", *weight, "    if w:", "        k = " + k, "        " + put % "w"]
     else:  # every color lands on one key
-        body = ["s = 0", "for c, w in colors:", *weight, "    s += w", "if s:", "    k = " + base, "    new[k] = get(k, 0) + val * s"]
-    lines = ["def step(table, colors%s):" % args, "    new = {}", "    get = new.get", "    for key, val in table.items():"]
-    lines += ["        " + line for line in rows + body] + ["    return new"]
-    namespace = {"at": positions and itemgetter(*positions), "project": keep and itemgetter(*keep)}
+        body = ["s = 0", "for c, w in colors:", *weight, "    s += w", "if s:", *["    " + line for line in pack], "    k = " + base, "    " + put % "s"]
+    lines = ["def step(table, colors, links):"]
+    lines += ["    m%d = links[%d]" % (j, j) for j in range(len(positions) if len(positions) <= WIDE_STEP else 0)]
+    lines += ["    new = {}"] + ["    get = new.get"] * (keep is not None)
+    lines += ["    for key, val in table.items():"] + ["        " + line for line in rows + body]
+    lines += ["    return new"]
+    namespace = {"shifts": positions if bits == 1 else [bits * i for i in positions], "packs": [(d, -1 if m is None else m) for d, m in runs]}
     exec("\n".join(lines), namespace)
     return namespace["step"]
 
@@ -260,8 +314,8 @@ def compile_plan(adjacency: tuple) -> Plan:
     each graph with many models; keyed by the adjacency tuple, not the
     Graph, so an entry keeps no graph alive.  Building the steps scans
     the frontier once per step, about n^2 steps, which every Graph bounds
-    by CONTRACTION_WORK_LIMIT, and gives each step the kernel of its
-    shape, whose source is bounded by WIDE_STEP.
+    by CONTRACTION_WORK_LIMIT.  The step kernels are looked up on first
+    use, per key bit width (`Plan.kernels`).
     """
     order = [v for v in range(len(adjacency)) if not adjacency[v]]
     for vertices, rows in _components(adjacency):
@@ -387,8 +441,8 @@ def _plan(adjacency: tuple, order: list) -> Plan:
         widths.append(len(frontier))
         frontier = [frontier[i] for i in keep] + ([v] if kept else [])
         keep = None if len(keep) == widths[-1] else keep
-        steps.append(Step(v, back, keep, kept, _step_kernel(tuple(map(itemgetter(0), back)), keep, kept)))
-    return Plan(tuple(steps), tuple(widths))
+        steps.append(Step(v, back, keep, kept))
+    return Plan(tuple(steps), tuple(widths), {})
 
 
 def _check_work(work: int, n: int, q: int):
@@ -398,23 +452,29 @@ def _check_work(work: int, n: int, q: int):
 
 def contract(plan: Plan, choices, edge_matrix) -> int:
     """Sum over all maps v -> colors in choices[v] of the product of the
-    color weights and, for every edge, edge_matrix(u, v)[color u][color v]
-    (u placed before v).  Weights and matrix entries are integers.
-    Raises LimitExceeded first when the plan's work bound exceeds
-    CONTRACTION_WORK_LIMIT.
+    color weights and, for every edge, E[color u][color v] (u placed
+    before v), where E is edge_matrix, one matrix shared by every edge, or
+    edge_matrix(u, v) if it is callable.  Weights and matrix entries are
+    integers.  Raises LimitExceeded first when the plan's work bound
+    exceeds CONTRACTION_WORK_LIMIT.
     """
     q = max(map(len, choices), default=0)
     _check_work(plan.work(q), len(plan.steps), q)
-    return _contract(plan, choices, edge_matrix)
+    top = max((c for colors in choices for c, _ in colors), default=0)
+    return _contract(plan, choices, edge_matrix, key_bits(top + 1))
 
 
-def _contract(plan: Plan, choices, edge_matrix) -> int:
+def _contract(plan: Plan, choices, edge_matrix, bits: int) -> int:
     """`contract` without its work check, for a caller that has checked a
-    bound covering the plan (hom sums its components' bounds)."""
-    table = {(): 1}
-    for v, back, _, _, run in plan.steps:
-        table = run(table, choices[v], *[edge_matrix(u, v) for _, u in back])
-    return table.get((), 0)
+    bound covering the plan (hom sums its components' bounds), on keys of
+    `bits` bits per position, enough for every color of choices.  The
+    table maps each packed frontier key to the summed weight of the
+    partial maps that agree with it; the empty frontier's key is 0."""
+    table = {0: 1}
+    same = None if callable(edge_matrix) else [edge_matrix] * len(plan.steps)
+    for (v, back, _, _), run in zip(plan.steps, plan.kernels(bits)):
+        table = run(table, choices[v], same or [edge_matrix(u, v) for _, u in back])
+    return table.get(0, 0)
 
 
 def hom_biclique(a: int, b: int, m: Model, side_constraints=None) -> Fraction:
@@ -550,7 +610,7 @@ def semiproper_count(g: Graph, lists, looped=()) -> int:
     if not all(choices):
         return 0
     ok = [[int(x != y or x in looped) for y in palette] for x in palette]
-    return contract(compile_plan(g.adjacency), choices, lambda u, v: ok)
+    return contract(compile_plan(g.adjacency), choices, ok)
 
 
 def hom_clique(a: int, m: Model, lam=None) -> Fraction:
@@ -626,7 +686,7 @@ def hom_eps_polynomial(g: Graph) -> EpsPolynomial:
     """
     n = g.n
     y = 1 << (n + 1)
-    packed = contract(compile_plan(g.adjacency), [[(0, 1), (1, 1)]] * n, lambda u, v: [[y, 1], [1, y]])
+    packed = contract(compile_plan(g.adjacency), [[(0, 1), (1, 1)]] * n, [[y, 1], [1, y]])
     mono_counts = []
     while packed:
         packed, count = divmod(packed, y)

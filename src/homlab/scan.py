@@ -130,14 +130,34 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
             raise LimitExceeded("%d random models take %d weights, over %d" % (len(seeds), weights, CONTRACTION_WORK_LIMIT))
         return out + list(built)
     if kind == "complete-looped":
-        # The sum of (q + 1) * q^2 weights over q <= t, before any is built.
-        t = max(source["max_q"], 0)
-        if t * (t + 1) * (t + 2) * (3 * t + 1) // 12 > CONTRACTION_WORK_LIMIT:
-            raise LimitExceeded("complete-looped models up to q = %d exceed %d weights" % (t, CONTRACTION_WORK_LIMIT))
-        qls = [(q, ell) for q in range(1, t + 1) for ell in range(q + 1)]
+        count_models(source)  # refuses the family by its weights
+        qls = [(q, ell) for q in range(1, max(source["max_q"], 0) + 1) for ell in range(q + 1)]
         return [("Kq-looped:%d,%d" % ql, model_complete_looped(*ql)) for ql in qls]
     if kind == "union":
         return [pair for part in source["parts"] for pair in materialize_models(part)]
+    raise InvalidArgument("unknown model source kind %r" % kind)
+
+
+def count_models(source: dict) -> int:
+    """The number of models `materialize_models` makes from source, counted
+    without building any.  A complete-looped family is refused here when
+    its weights, the sum of (q + 1) * q^2 over q <= t, exceed the work
+    limit; a random one is sized by `materialize_models`, which first
+    builds one model per q to check q and kind."""
+    kind = source["kind"]
+    if kind == "named":
+        return len(source["names"])
+    if kind == "files":
+        return len(source["paths"])
+    if kind == "random":
+        return len(source["seeds"])
+    if kind == "complete-looped":  # q + 1 models for each q <= t
+        t = max(source["max_q"], 0)
+        if t * (t + 1) * (t + 2) * (3 * t + 1) // 12 > CONTRACTION_WORK_LIMIT:
+            raise LimitExceeded("complete-looped models up to q = %d exceed %d weights" % (t, CONTRACTION_WORK_LIMIT))
+        return t * (t + 3) // 2
+    if kind == "union":
+        return sum(map(count_models, source["parts"]))
     raise InvalidArgument("unknown model source kind %r" % kind)
 
 
@@ -170,9 +190,14 @@ def check_instance(ineq: str, graph: Graph, model: Model, constraints=None, memo
 
 
 def _cells_for_job(job: ScanJob):
+    """The grid's cells, graph-major.  The grid is sized, graphs times
+    models times list seeds, before any model or cell is built."""
     graphs = materialize_graphs(job.graphs)
+    list_seeds = [None] if job.lists is None else job.lists["seeds"]
+    size = len(graphs) * count_models(job.models) * len(list_seeds)
+    if size > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("the scan grid has %d cells, over %d" % (size, CONTRACTION_WORK_LIMIT))
     models = materialize_models(job.models)
-    list_seeds = [None] if job.lists is None else list(job.lists["seeds"])
     cells = []
     for gid, g in graphs:
         for model_index, (mid, m) in enumerate(models):
@@ -206,9 +231,10 @@ def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
     cells = _cells_for_job(job)[:budget]
     k = min(job.jobs, len(cells), os.cpu_count() or 1)
     if k > 1:
-        # Made here, forked workers inherit the plans instead of each
-        # compiling them; a process that runs many scans keeps them warm.
-        compile_plans({c[1].adjacency for c in cells}, cover=job.ineq == "bst")
+        # Made here, forked workers inherit the plans and their kernels for
+        # the grid's key widths instead of each compiling them; a process
+        # that runs many scans keeps them warm.
+        compile_plans({c[1].adjacency for c in cells}, {c[3].q for c in cells}, job.ineq == "bst")
         # Cells are graph-major, so when k divides the model count every
         # model's cells go to one worker and each factor is computed once;
         # each slice is also a fair sample of cheap and costly graphs.

@@ -265,10 +265,13 @@ class TestContractionEngine:
 
     def test_step_kernels_are_bounded_and_shared_by_shape(self):
         assert counting._step_kernel.cache_parameters()["maxsize"] is not None
-        # A kernel is keyed by its step's shape, not its plan: the 2,000
-        # steps of a long cycle use 4 kernels.
+        # A kernel is keyed by its step's shape and the key's bit width, not
+        # its plan: the 2,000 steps of a long cycle use 4 kernels per width,
+        # and each width its own.
         plan = compile_plan(named("cycle", 2000).adjacency)
-        assert len({s.run for s in plan.steps}) == 4
+        kernels = [set(plan.kernels(bits)) for bits in (1, 2, 3)]
+        assert [len(k) for k in kernels] == [4, 4, 4] and len(set.union(*kernels)) == 12
+        assert plan.kernels(2) is plan.kernels(2)
         assert hom(named("cycle", 2000), model_complete_looped(3, 0)) == 2 ** 2000 + 2
 
     def test_wide_steps_match_brute_force(self):
@@ -300,10 +303,11 @@ class TestContractionEngine:
 
     def test_kernel_code_is_bounded_on_wide_frontiers(self):
         # A q = 1 frontier can hold thousands of vertices; past WIDE_STEP a
-        # kernel's code no longer grows with its step, so making K_n's
-        # kernels takes time linear in n.
-        size = lambda n: max(len(s.run.__code__.co_code) for s in compile_plan(named("complete", n).adjacency).steps)
-        assert size(3 * WIDE_STEP) == size(WIDE_STEP + 2) > size(WIDE_STEP - 1)
+        # kernel's code no longer grows with its step, at any key width, so
+        # making K_n's kernels takes time linear in n.
+        for bits in (1, 3):
+            size = lambda n: max(len(run.__code__.co_code) for run in compile_plan(named("complete", n).adjacency).kernels(bits))
+            assert size(3 * WIDE_STEP) == size(WIDE_STEP + 2) > size(WIDE_STEP - 1)
         assert hom(named("complete", 300), model_complete_looped(1, 1)) == 1
 
     def test_empty_and_single_vertex(self):
@@ -378,7 +382,7 @@ class TestContractionEngine:
         g2 = Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
         assert g1 is not g2
         assert compile_plan(g1.adjacency) is compile_plan(g2.adjacency)
-        shape = lambda plan: [(s.vertex, s.back, s.keep, s.kept, s.run, w) for s, w in zip(plan.steps, plan.widths)]
+        shape = lambda plan: [(s.vertex, s.back, s.keep, s.kept, run, w) for s, run, w in zip(plan.steps, plan.kernels(2), plan.widths)]
         cached = shape(compile_plan(g1.adjacency))
         compile_plan.cache_clear()
         assert shape(compile_plan(g2.adjacency)) == cached
@@ -511,6 +515,87 @@ def _order_widths(adjacency, order):
 
 def _work(widths, q):
     return sum(q ** (w + 1) for w in widths)
+
+
+def _enumerated_sum(edges, choices, link):
+    """Brute-force contraction: the sum over every pick from choices of
+    the weights times link(u, v)[color u][color v] over the edges u < v."""
+    total = 0
+    for pick in itertools.product(*choices):
+        colors = [c for c, _ in pick]
+        total += math.prod(w for _, w in pick) * math.prod(link(u, v)[colors[u]][colors[v]] for u, v in edges)
+    return total
+
+
+class TestPackedKeys:
+    """Frontier tables are keyed by one int: position i holds its color in
+    bits [b*i, b*(i+1)), b the bit width of the largest color index.  Each
+    check is against brute-force enumeration, with link matrices whose
+    entries differ by position, so a misplaced shift or run changes the
+    sum."""
+
+    def test_random_graphs_match_enumeration(self):
+        rng = random.Random(25)
+        widths = set()
+        for trial in range(240):
+            n = rng.randrange(1, 8)
+            top = (1, 3, 7)[trial % 3]  # keys of 1, 2 and 3 bits per position
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            # 1 to 3 colors per vertex, with gaps, and now and then weight 0.
+            choices = [[(c, rng.choice([0, 1, 2, 5])) for c in sorted(rng.sample(range(top + 1), rng.randrange(1, min(3, top + 1) + 1)))] for _ in range(n)]
+            if math.prod(map(len, choices)) > 400:
+                choices = [colors[:1] if v % 2 else colors for v, colors in enumerate(choices)]
+            # Each edge its own non-symmetric matrix, with zeros; the shared
+            # matrix is symmetric, as hom's is, with distinct entries.
+            mats = {e: [[rng.choice([0, 1, 2, 3, 7]) for _ in range(top + 1)] for _ in range(top + 1)] for e in edges}
+            per_edge = lambda u, v: mats[(u, v)] if u < v else [list(col) for col in zip(*mats[(v, u)])]
+            shared = [[1 + x * y + x + y for y in range(top + 1)] for x in range(top + 1)]
+            plan = compile_plan(Graph.from_edges(n, edges).adjacency)
+            assert counting.contract(plan, choices, per_edge) == _enumerated_sum(edges, choices, per_edge), (edges, choices)
+            assert counting.contract(plan, choices, shared) == _enumerated_sum(edges, choices, lambda u, v: shared), (edges, choices)
+            widths.add(counting.key_bits(max(c for colors in choices for c, _ in colors) + 1))
+        assert widths == {1, 2, 3}
+
+    def test_wide_runs_and_neighbours_match_enumeration(self):
+        # 2k leaves 0..2k-1, all joined to x = 2k, and the even ones also to
+        # y = 2k + 1, placed in order: x has 2k placed neighbours, and after
+        # it the odd leaves drop, leaving k runs of one kept position each,
+        # so both lists of a wide kernel are read.
+        k = WIDE_STEP + 3
+        x, y = 2 * k, 2 * k + 1
+        edges = [(v, x) for v in range(2 * k)] + [(v, y) for v in range(0, 2 * k, 2)] + [(x, y)]
+        adjacency = Graph.from_edges(2 * k + 2, edges).adjacency
+        plan = counting._plan(adjacency, list(range(2 * k + 2)))
+        step = plan.steps[x]
+        assert len(step.back) == 2 * k and step.kept
+        assert sum(1 for j, i in enumerate(step.keep) if not j or step.keep[j - 1] != i - 1) == k > WIDE_STEP
+        choices = [[((3 * v) % 8, 1 + v % 4)] + ([(7 - v % 8, 2)] if v % 9 == 0 else []) for v in range(2 * k + 2)]
+        link = lambda u, v: [[1 + (u + 2 * v + 3 * a + 5 * b * u) % 7 for b in range(8)] for a in range(8)]
+        # Five vertices have two colors, so the table stays small, but the
+        # work bound counts 2 colors at every position: skip it.
+        assert counting._contract(plan, choices, link, 3) == _enumerated_sum(edges, choices, link)
+
+    def test_zero_weights_are_pruned(self):
+        # A proper 2-coloring step on a one-position frontier: the zero
+        # entries of the link matrix and the zero-weight color write no key.
+        run = counting._step_kernel((0,), None, True, 1, 1)
+        assert run({0: 3, 1: 5}, [(0, 2), (1, 0)], [[[0, 1], [1, 0]]]) == {0b01: 10}
+        run = counting._step_kernel((0,), (), False, 1, 1)
+        assert run({0: 3, 1: 5}, [(1, 7)], [[[0, 1], [1, 0]]]) == {0: 21}
+
+    def test_key_wider_than_a_machine_word(self):
+        # K_200 with one allowed color out of 8 at each vertex: the frontier
+        # reaches 199 positions of 3 bits, a 597-bit key, and the sum has
+        # the closed form prod w_v * prod_{u < v} E[c_u][c_v].
+        n = 200
+        g = named("complete", n)
+        plan = compile_plan(g.adjacency)
+        assert max(plan.widths) * counting.key_bits(8) > 64
+        colors = [(5 * v) % 8 for v in range(n)]
+        choices = [[(c, 1 + v % 3)] for v, c in enumerate(colors)]
+        shared = [[1 + (x * y + x + y) % 5 for y in range(8)] for x in range(8)]
+        want = math.prod(1 + v % 3 for v in range(n)) * math.prod(shared[colors[u]][colors[v]] for u, v in g.edge_list())
+        assert counting.contract(plan, choices, shared) == want
 
 
 class TestPlanOrder:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import cli, scan
-from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans
+from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans, key_bits
 from homlab.errors import InvalidArgument, LimitExceeded
 from homlab.fileio import report_to_dict
 from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
@@ -496,9 +496,9 @@ class TestFindingsAcrossJobs:
 
 class TestPlansCompiledBeforeTheFork:
     """With k > 1 workers, run_scan compiles every plan of the grid, each
-    with its step kernels, in the parent before the pool starts
-    (`compile_plans`), so forked workers inherit them; the report does not
-    depend on it."""
+    with its step kernels for the key bit widths of the grid's models, in
+    the parent before the pool starts (`compile_plans`), so forked workers
+    inherit them; the report does not depend on it."""
 
     @pytest.mark.parametrize("ineq", ["clique-max", "bst"])
     def test_parent_holds_every_plan_and_kernel(self, ineq, monkeypatch):
@@ -508,6 +508,8 @@ class TestPlansCompiledBeforeTheFork:
         keys = {key for _, g in scan.materialize_graphs(graphs) for _, key in _components(g.adjacency)}
         if ineq == "bst":
             keys |= {half for key in keys for half in _cover_parts(key)}
+        widths = {key_bits(m.q) for _, m in scan.materialize_models(job.models)}
+        assert widths == ({1} if ineq == "bst" else {1, 2})
         docs = []
         for jobs in (1, 2, 3):
             compile_plan.cache_clear()
@@ -518,7 +520,11 @@ class TestPlansCompiledBeforeTheFork:
             if jobs > 1:
                 plans, kernels = compile_plan.cache_info().misses, _step_kernel.cache_info().misses
                 for key in keys:
-                    compile_plan(key)
+                    # Only the grid's widths were built, and no kernel of
+                    # them is left for a worker to compile.
+                    assert set(compile_plan(key).runs) == widths
+                    for bits in widths:
+                        compile_plan(key).kernels(bits)
                 assert (compile_plan.cache_info().misses, _step_kernel.cache_info().misses) == (plans, kernels)
         assert docs[0]["findings"] and docs[1] == docs[0] == docs[2]
 
@@ -529,9 +535,9 @@ class TestPlansCompiledBeforeTheFork:
         stars = [tuple(((1 << n) - 1) ^ (1 << c) if v == c else 1 << c for v in range(n)) for n in range(2, 47) for c in range(n)]
         assert len(set(stars)) > compile_plan.cache_parameters()["maxsize"]
         compile_plan.cache_clear()
-        compile_plans(stars)
+        compile_plans(stars, [2])
         assert compile_plan.cache_info().currsize == 0
-        compile_plans(stars[:10])
+        compile_plans(stars[:10], [2])
         assert compile_plan.cache_info().currsize == len(set(stars[:10])) == 9
 
 
@@ -1036,6 +1042,42 @@ class TestCli:
         args = ["scan", "--ineq", "bst", "--graphs", "C4", "--models", "hardcore", "--list-seeds", "1000000000", "--jobs", "1"]
         assert cli.main(args) == 1
         assert capsys.readouterr().err == "error: --list-seeds 1000000000 is over 10000000\n"
+
+    def test_grid_is_sized_before_any_model_is_built(self, monkeypatch, capsys):
+        # 4 graphs x 3 * 10^6 q = 1 models take 9 * 10^6 weights, under the
+        # limit, but make 1.2 * 10^7 cells: refused before a model is built
+        # (about 1 GB of models), by scan and search alike.
+        def no_models(source):
+            raise AssertionError("models built before the grid was sized")
+
+        monkeypatch.setattr(scan, "materialize_models", no_models)
+        graphs = {"kind": "named", "names": ["K2", "K3", "C4", "C5"]}
+        job = ScanJob("clique-max", graphs, {"kind": "random", "rand_kind": "general", "qs": [1], "seeds": range(3 * 10 ** 6)})
+        for budget in (None, 10):
+            with pytest.raises(LimitExceeded, match="the scan grid has 12000000 cells, over 10000000"):
+                run_scan(job, budget)
+        # Models times list seeds: 2 models x 5 * 10^6 list seeds on one graph.
+        job = ScanJob("clique-max", {"kind": "named", "names": ["C4"]}, {"kind": "named", "names": ["wr", "Kq:2"]}, {"kind": "random", "seeds": range(5 * 10 ** 6 + 1)})
+        with pytest.raises(LimitExceeded, match="the scan grid has 10000002 cells"):
+            run_scan(job)
+        args = ["scan", "--ineq", "clique-max", "--graphs", "K2;K3;C4;C5", "--random-models", "general,1", "--seeds", "0:3000000", "--jobs", "1"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "scanning clique-max ...\nerror: the scan grid has 12000000 cells, over 10000000\n"
+        assert cli.main(["search", "--ineq", "clique-max", "--graphs", "K2;K3;C4;C5", "--random-models", "general,1", "--seeds", "0:3000000"]) == 1
+        assert capsys.readouterr().err == "error: the scan grid has 12000000 cells, over 10000000\n"
+
+    def test_models_are_counted_as_built(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(scan.model_to_dict(scan.parse_model_name("wr"))))
+        sources = [
+            {"kind": "named", "names": ["wr", "hardcore", "Kq:3"]},
+            {"kind": "files", "paths": [str(path)] * 2},
+            {"kind": "random", "rand_kind": "psd", "qs": [2, 3], "seeds": range(7)},
+            *({"kind": "complete-looped", "max_q": t} for t in (-1, 0, 1, 2, 5)),
+        ]
+        sources.append({"kind": "union", "parts": sources[:4]})
+        for source in sources:
+            assert scan.count_models(source) == len(scan.materialize_models(source)), source
 
     def test_negative_search_budget_fails_fast(self, capsys):
         # A budget of -1 used to slice off the grid's last cell.
