@@ -294,69 +294,44 @@ def _mask_rows(n: int, mask: int) -> list[int]:
     return rows
 
 
-def _least_string(rows, early_exit: bool = False) -> int | None:
-    """Least column-major adjacency bitstring over all vertex relabelings.
+def _is_canonical(rows) -> bool:
+    """True iff no vertex relabeling of the graph with neighbor bitsets
+    `rows` has a smaller column-major adjacency bitstring than the identity.
 
-    The string reads the upper triangle column by column: placing vertex j
-    contributes bits (0,j),...,(j-1,j), so every partial labeling fixes a
-    prefix and a branch is cut once its prefix exceeds the best string's
-    prefix of the same length.  The search starts from the identity
-    labeling's string.  With `early_exit` it returns None the moment some
-    prefix falls below the identity's, i.e. once the graph is known not to
-    be canonical; the dedup sweeps mostly see such graphs.
+    The string reads the upper triangle column by column: placing vertex w
+    at position d contributes the bits (order[0], w), ..., (order[d-1], w).
+    Only prefixes that tie the identity's string are followed.  At depth d
+    the candidates that still tie form the bitset `agree`: where the
+    identity has edge (i, d), a candidate missing order[i] makes a smaller
+    string, so the graph is not canonical; where it has none, a candidate
+    adjacent to order[i] makes a larger one and is dropped.
     """
     n = len(rows)
-    total = n * (n - 1) // 2
-    best = [0]
-    for j in range(1, n):
-        for i in range(j):
-            best[0] = best[0] << 1 | (rows[i] >> j & 1)
+    order = [0] * n
 
-    def rec(order: list[int], value: int, remaining: list[int]) -> bool:
-        depth = len(order)
-        if depth == n:
-            best[0] = value
+    def rec(d: int, unplaced: int) -> bool:
+        if d == n:
             return True
-        shift = total - depth * (depth + 1) // 2
-        for idx, w in enumerate(remaining):
-            bits = 0
-            for u in order:
-                bits = bits << 1 | (rows[u] >> w & 1)
-            new_value = value << depth | bits
-            prefix = best[0] >> shift
-            if new_value > prefix:
-                continue
-            if new_value < prefix and early_exit:
+        agree = unplaced
+        column = rows[d]
+        for i in range(d):
+            r = rows[order[i]]
+            if column >> i & 1:
+                if agree & ~r:
+                    return False
+            else:
+                agree &= ~r
+                if not agree:
+                    return True
+        while agree:
+            low = agree & -agree
+            order[d] = low.bit_length() - 1
+            if not rec(d + 1, unplaced ^ low):
                 return False
-            if not rec(order + [w], new_value, remaining[:idx] + remaining[idx + 1 :]):
-                return False
+            agree ^= low
         return True
 
-    return best[0] if rec([], 0, list(range(n))) else None
-
-
-def canonical_mask(g: Graph) -> int:
-    """Edge mask of the relabeling with the least column-major bitstring,
-    the canonical form.  Limited to n <= 8."""
-    n = g.n
-    if n > ENUMERATION_VERTEX_LIMIT:
-        raise LimitExceeded("canonical form limited to n <= %d" % ENUMERATION_VERTEX_LIMIT)
-    value = _least_string(g.adjacency)
-    rows = [0] * n
-    pos = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if value >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return _rows_to_mask(rows)
-
-
-def is_canonical_mask(n: int, mask: int) -> bool:
-    """True iff no relabeling has a smaller column-major bitstring; the
-    early-exit form of canonical_mask(g) == mask."""
-    return _least_string(_mask_rows(n, mask), early_exit=True) is not None
+    return rec(0, (1 << n) - 1)
 
 
 def enumerate_graphs(
@@ -368,10 +343,10 @@ def enumerate_graphs(
 ):
     """Yield graphs on n labeled vertices passing the filters.
 
-    With dedup, yields exactly one representative per isomorphism class: the
-    graph whose edge mask equals its own canonical mask.  Deduped sweeps are
-    cached per (n, filters), so repeated scans pay the generation once per
-    process.
+    With dedup, yields exactly one representative per isomorphism class:
+    the labeling with the least column-major adjacency string.  Deduped
+    sweeps are cached per (n, filters), so repeated scans pay the
+    generation once per process.
     """
     if n > ENUMERATION_VERTEX_LIMIT:
         raise LimitExceeded("enumeration limited to n <= %d" % ENUMERATION_VERTEX_LIMIT)
@@ -399,37 +374,39 @@ def _filtered_masks(n: int, connected: bool, no_isolated: bool, triangle_free: b
 @lru_cache(maxsize=64)
 def _dedup_masks(n: int, connected: bool, no_isolated: bool, triangle_free: bool) -> tuple[int, ...]:
     """Edge masks of the canonical graphs on n vertices passing the filters,
-    in increasing order, by orderly generation (Read 1978; McKay 1998).
-
-    The column-major string of a graph puts vertex j's bits after the first
-    C(j,2), which are the string of vertices 0..j-1.  So a canonical graph's
-    restriction to its first k vertices is canonical: a smaller relabeling
-    of that prefix would give a smaller full string.  Level k is therefore
-    built by giving each canonical (k-1)-vertex graph a last vertex with
-    every neighbor set, keeping the extensions that pass the full canonicity
-    check.  Triangle-freeness is inherited by induced subgraphs, so a
-    neighbor set spanning an edge is skipped at once; connectivity and
-    isolated vertices are not, so they are checked on level n only.
-    """
-    level = [()]  # neighbor bitsets of each canonical graph on k vertices
-    for k in range(n):
-        grown = []
-        for rows in level:
-            for s in range(1 << k):  # neighbors of the new vertex k
-                if triangle_free and any(s >> u & 1 and rows[u] & s for u in range(k)):
-                    continue
-                ext = tuple(r | (s >> u & 1) << k for u, r in enumerate(rows)) + (s,)
-                if _least_string(ext, early_exit=True) is not None:
-                    grown.append(ext)
-        level = grown
-    keep = [rows for rows in level if not (no_isolated and 0 in rows) and (not connected or _connected(rows))]
+    in increasing order: level n of the orderly generation (`_level`), with
+    the filters that induced subgraphs do not inherit, connectivity and
+    isolated vertices, applied to that level only."""
+    keep = [rows for rows in _level(n, triangle_free) if not (no_isolated and 0 in rows) and (not connected or _connected(rows))]
     return tuple(sorted(map(_rows_to_mask, keep)))
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_mask(g1) == canonical_mask(g2)
+@lru_cache(maxsize=None)
+def _level(k: int, triangle_free: bool) -> tuple[tuple[int, ...], ...]:
+    """Neighbor bitsets of every canonical graph on k vertices, triangle-free
+    ones only if asked, by orderly generation (Read 1978; McKay 1998).
+
+    The column-major string of a graph puts vertex j's bits after the first
+    C(j,2), which are the string of vertices 0..j-1.  So a canonical graph's
+    restriction to its first k - 1 vertices is canonical: a smaller
+    relabeling of that prefix would give a smaller full string.  Level k is
+    therefore built by giving each graph of level k - 1 a last vertex with
+    every neighbor set, keeping the extensions that pass the full
+    canonicity test.  Triangle-freeness is inherited by induced subgraphs,
+    so a neighbor set spanning an edge is skipped at once.  Each level is
+    built once per process and shared by every n and filter above it.
+    """
+    if k == 0:
+        return ((),)
+    grown = []
+    for rows in _level(k - 1, triangle_free):
+        for s in range(1 << (k - 1)):  # neighbors of the new vertex k - 1
+            if triangle_free and any(s >> u & 1 and rows[u] & s for u in range(k - 1)):
+                continue
+            ext = tuple(r | (s >> u & 1) << (k - 1) for u, r in enumerate(rows)) + (s,)
+            if _is_canonical(ext):
+                grown.append(ext)
+    return tuple(grown)
 
 
 # ---------------------------------------------------------------------------

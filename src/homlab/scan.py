@@ -17,7 +17,6 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
@@ -231,6 +230,9 @@ def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
     cells = _cells_for_job(job)[:budget]
     k = min(job.jobs, len(cells), os.cpu_count() or 1)
     if k > 1:
+        # Imported here, so a serial scan never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Made here, forked workers inherit the plans and their kernels for
         # the grid's key widths instead of each compiling them; a process
         # that runs many scans keeps them warm.

@@ -92,6 +92,19 @@ def isomorphic_oracle(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def canonical_oracle(n: int, mask: int) -> bool:
+    """Whether no relabeling of the n-vertex graph with edge mask `mask`
+    (bit k is the k-th pair of (0,1), (0,2), ..., (n-2,n-1)) has a smaller
+    column-major adjacency string, trying all n! relabelings.  Column j of
+    the string holds the bits (0,j), ..., (j-1,j)."""
+    adj = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        adj[u][v] = adj[v][u] = mask >> k & 1
+    column_major = [(i, j) for j in range(1, n) for i in range(j)]
+    identity = [adj[i][j] for i, j in column_major]
+    return not any([adj[p[i]][p[j]] for i, j in column_major] < identity for p in itertools.permutations(range(n)))
+
+
 def independent_set_count_oracle(g: Graph) -> int:
     count = 0
     for subset in itertools.product((0, 1), repeat=g.n):

@@ -1,21 +1,18 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from conftest import isomorphic_oracle
+from conftest import canonical_oracle, isomorphic_oracle
 from homlab.errors import InvalidSpec, LimitExceeded
 from homlab.graphs import (
     Graph,
     GraphFamilySpec,
     add_apexes,
-    are_isomorphic,
     build_named,
-    canonical_mask,
     enumerate_graphs,
     graph_stats,
     graph_to_mask,
     is_bipartite,
-    is_canonical_mask,
     is_connected,
     is_triangle_free,
     mask_to_graph,
@@ -26,11 +23,80 @@ from homlab.graphs import (
     triangle_count,
     write_edge_list,
 )
-from homlab.graphs import _dedup_masks, _filtered_masks
+from homlab.graphs import _dedup_masks, _filtered_masks, _is_canonical, _mask_rows, _rows_to_mask
 
 
 def named(kind, *params):
     return build_named(GraphFamilySpec(kind, tuple(params)))
+
+
+# Reference canonical form: the full minimization search that generation
+# used before its bitset canonicity test, kept here to check that test.
+
+
+def _least_string(rows, early_exit: bool = False) -> int | None:
+    """Least column-major adjacency bitstring over all vertex relabelings.
+
+    The string reads the upper triangle column by column: placing vertex j
+    contributes bits (0,j),...,(j-1,j), so every partial labeling fixes a
+    prefix and a branch is cut once its prefix exceeds the best string's
+    prefix of the same length.  The search starts from the identity
+    labeling's string.  With `early_exit` it returns None the moment some
+    prefix falls below the identity's, i.e. once the graph is known not to
+    be canonical.
+    """
+    n = len(rows)
+    total = n * (n - 1) // 2
+    best = [0]
+    for j in range(1, n):
+        for i in range(j):
+            best[0] = best[0] << 1 | (rows[i] >> j & 1)
+
+    def rec(order: list[int], value: int, remaining: list[int]) -> bool:
+        depth = len(order)
+        if depth == n:
+            best[0] = value
+            return True
+        shift = total - depth * (depth + 1) // 2
+        for idx, w in enumerate(remaining):
+            bits = 0
+            for u in order:
+                bits = bits << 1 | (rows[u] >> w & 1)
+            new_value = value << depth | bits
+            prefix = best[0] >> shift
+            if new_value > prefix:
+                continue
+            if new_value < prefix and early_exit:
+                return False
+            if not rec(order + [w], new_value, remaining[:idx] + remaining[idx + 1 :]):
+                return False
+        return True
+
+    return best[0] if rec([], 0, list(range(n))) else None
+
+
+def canonical_mask(g: Graph) -> int:
+    """Edge mask of the relabeling with the least column-major bitstring."""
+    n = g.n
+    value = _least_string(g.adjacency)
+    rows = [0] * n
+    pos = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if value >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return _rows_to_mask(rows)
+
+
+def is_canonical_mask(n: int, mask: int) -> bool:
+    """The early-exit form of canonical_mask(g) == mask."""
+    return _least_string(_mask_rows(n, mask), early_exit=True) is not None
+
+
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return g1.n == g2.n and canonical_mask(g1) == canonical_mask(g2)
 
 
 class TestBuildNamed:
@@ -130,8 +196,6 @@ class TestTriangleCount:
         assert triangle_count(named("complete", 4)) == 4
 
     def test_against_brute_force(self):
-        from itertools import combinations
-
         for g in enumerate_graphs(5, dedup_isomorphism=True):
             brute = sum(
                 1
@@ -177,23 +241,35 @@ class TestEnumeration:
             next(enumerate_graphs(9))
 
     def test_early_exit_check_matches_full_minimization(self):
-        from homlab.graphs import is_canonical_mask, mask_to_graph
-
-        for n in range(1, 5):
+        for n in range(1, 6):
             for mask in range(1 << (n * (n - 1) // 2)):
-                fast = is_canonical_mask(n, mask)
-                full = canonical_mask(mask_to_graph(n, mask)) == mask
-                assert fast == full, (n, mask)
+                assert _is_canonical(_mask_rows(n, mask)) == (canonical_mask(mask_to_graph(n, mask)) == mask), (n, mask)
+
+    @pytest.mark.parametrize("n, samples", [(6, 60), (7, 20), (8, 6)])
+    def test_bitset_check_matches_permutation_oracle(self, n, samples):
+        # Random masks of every density, nearly all not canonical; their
+        # canonical forms by the reference search; and symmetric graphs,
+        # each both as named and in canonical form.
+        import random
+
+        rng = random.Random(2026 + n)
+        m = n * (n - 1) // 2
+        randoms = [Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < (k + 1) / (samples + 1)]) for k in range(samples)]
+        symmetric = [Graph.from_edges(n, []), named("complete", n), named("cycle", n), named("path", n), named("biclique", 2, n - 2), named("star", n - 1)]
+        masks = [rng.getrandbits(m) for _ in range(samples)]
+        masks += [f(g) for g in randoms + symmetric for f in (graph_to_mask, canonical_mask)]
+        verdicts = [canonical_oracle(n, mask) for mask in masks]
+        assert any(verdicts) and not all(verdicts)
+        for mask, verdict in zip(masks, verdicts):
+            assert _is_canonical(_mask_rows(n, mask)) == verdict, (n, mask)
 
     def test_seven_vertex_class_count(self):
         assert sum(1 for _ in enumerate_graphs(7, dedup_isomorphism=True)) == 1044
 
     def test_eight_vertex_class_count(self):
-        import os
-
-        if not os.environ.get("HOMLAB_SLOW_TESTS"):
-            pytest.skip("set HOMLAB_SLOW_TESTS=1 to run the ~15 s n=8 generation")
         assert sum(1 for _ in enumerate_graphs(8, dedup_isomorphism=True)) == 12346  # A000088
+        assert sum(1 for _ in enumerate_graphs(8, dedup_isomorphism=True, triangle_free=True)) == 410  # A006785
+        assert sum(1 for _ in enumerate_graphs(8, dedup_isomorphism=True, connected=True)) == 11117  # A001349
 
     @pytest.mark.parametrize("connected, no_isolated, triangle_free", list(product([False, True], repeat=3)))
     def test_generation_matches_filtered_sweep(self, connected, no_isolated, triangle_free):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -266,7 +267,7 @@ class TestFactorMemo:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(scan, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         job = ScanJob(
             "clique-max",
             {"kind": "named", "names": ["P2", "P3", "C4", "K3", "C5", "K4"][:cells]},
@@ -560,6 +561,22 @@ def run_cli(*args, env=None, timeout=None):
 
 
 class TestCli:
+    def test_serial_run_loads_no_process_pool(self):
+        # The pool's modules load only when a scan forks: neither importing
+        # the CLI nor a --jobs 1 scan adds them to sys.modules.
+        code = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "import homlab.cli\n"
+            "pool = lambda: sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+            "print(pool())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    homlab.cli.main(['scan', '--ineq', 'bst', '--max-vertices', '4', '--models', 'hardcore', '--jobs', '1'])\n"
+            "print(pool())\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0 and res.stdout.split("\n") == ["[]", "[]", ""], res.stdout + res.stderr
+
     def test_count(self):
         res = run_cli("count", "--graph", "C6", "--model", "Kq:3")
         assert res.returncode == 0 and res.stdout.strip() == "66"
