@@ -302,9 +302,9 @@ def _is_canonical(rows) -> bool:
     at position d contributes the bits (order[0], w), ..., (order[d-1], w).
     Only prefixes that tie the identity's string are followed.  At depth d
     the candidates that still tie form the bitset `agree`: where the
-    identity has edge (i, d), a candidate missing order[i] makes a smaller
-    string, so the graph is not canonical; where it has none, a candidate
-    adjacent to order[i] makes a larger one and is dropped.
+    identity has edge (i, d), a candidate not adjacent to order[i] makes a
+    smaller string, so the graph is not canonical; where it has none, a
+    candidate adjacent to order[i] makes a larger one and is dropped.
     """
     n = len(rows)
     order = [0] * n

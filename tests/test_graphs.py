@@ -30,8 +30,8 @@ def named(kind, *params):
     return build_named(GraphFamilySpec(kind, tuple(params)))
 
 
-# Reference canonical form: the full minimization search that generation
-# used before its bitset canonicity test, kept here to check that test.
+# Reference canonical form by full minimization, against which the bitset
+# canonicity test of the generation is checked.
 
 
 def _least_string(rows, early_exit: bool = False) -> int | None:
@@ -273,7 +273,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("connected, no_isolated, triangle_free", list(product([False, True], repeat=3)))
     def test_generation_matches_filtered_sweep(self, connected, no_isolated, triangle_free):
-        # Reference: filter all 2^C(n,2) labeled masks, keep the canonical ones.
+        # Reference: filter all 2^C(n,2) labeled masks, keep the canonical
+        # ones by the full minimization above.
         for n in range(7):
             reference = tuple(
                 mask
