@@ -15,7 +15,7 @@ from operator import add, and_, itemgetter
 from typing import NamedTuple
 
 from homlab.errors import DimensionMismatch, LimitExceeded
-from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component, triangle_count
+from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component
 from homlab.models import Model
 from homlab.ratmath import scaled_colors, scaled_matrix
 
@@ -80,7 +80,7 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     if not all(choices):
         return Fraction(0)
     edge_scale, ew = m.integer_edges
-    denom *= edge_scale ** len(g.edges)
+    denom *= edge_scale ** g.edge_count
     parts = _components(g.adjacency)
     q = max(map(len, choices), default=0)
     _check_work(sum(compile_plan(key).work(q) for _, key in parts), g.n, q)
@@ -121,7 +121,7 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
             total *= memo[key] ** 2
         else:  # the halves of a bipartite C's cover are both copies of C
             total *= _component_count(halves[0], [colors] * len(halves[0]), ew, bits, memo) ** len(halves)
-    return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * len(g.edges)))
+    return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * g.edge_count))
 
 
 def compile_plans(adjacencies, qs, cover: bool = False):
@@ -701,13 +701,3 @@ def hom_eps_polynomial(g: Graph) -> EpsPolynomial:
             coeffs[k] += scale * count * comb(j, k) * 2 ** k
     return EpsPolynomial(coeffs)
 
-
-def eps_poly_low_coefficients(g: Graph) -> tuple:
-    """The displayed low-order expansion (1, |E|, C(|E|,2), C(|E|,3)+|T|)."""
-    e = len(g.edges)
-    return (
-        Fraction(1),
-        Fraction(e),
-        Fraction(comb(e, 2)),
-        Fraction(comb(e, 3) + triangle_count(g)),
-    )

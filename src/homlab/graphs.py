@@ -1,11 +1,12 @@
 """Graph representation, named constructions, transformations, and
 small-graph enumeration with exact isomorphism dedup.
 
-Vertices are 0..n-1.  Edges are unordered pairs without loops.  A graph is
-immutable after construction, so instances are safely shareable.
+Vertices are 0..n-1.  A graph is its vertex count and one neighbour bitset
+per vertex, without loops; it is immutable after construction, so
+instances are safely shareable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -28,40 +29,51 @@ CONTRACTION_WORK_LIMIT = 10 ** 7
 
 @dataclass(frozen=True)
 class Graph:
-    """Built from any iterable of vertex pairs; n is checked before any
-    edge is read or bitset built, so a graph too large to plan fails."""
+    """n vertices 0..n-1 and their neighbour bitsets: bit v of adjacency[u]
+    is set iff uv is an edge.  Graph(n, rows) takes rows as they are, from
+    code that built them valid (a tuple, symmetric, no loops, no bit at or
+    above n), and checks only n; from_edges is the checked constructor for
+    pairs from outside.  Either way n is checked before any row is read or
+    built, so a graph too large to plan fails."""
 
     n: int
-    edges: frozenset[frozenset[int]]
-    adjacency: tuple[int, ...] = field(init=False)  # neighbor bitsets
+    adjacency: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise InvalidSpec("vertex count must be a nonnegative int, not %r" % (self.n,))
-        if self.n * self.n > CONTRACTION_WORK_LIMIT:
-            raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (self.n * self.n, CONTRACTION_WORK_LIMIT, self.n))
-        edges = frozenset(map(frozenset, self.edges))
-        object.__setattr__(self, "edges", edges)
-        adj = [0] * self.n
-        for e in edges:
-            if len(e) == 1:
-                raise InvalidSpec("self-loop at %d" % min(e))
-            u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidSpec("edge endpoint out of range: (%d, %d)" % tuple(sorted(e)))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        object.__setattr__(self, "adjacency", tuple(adj))
+        _check_vertex_count(self.n)
 
     @staticmethod
-    def from_edges(n: int, edges) -> "Graph":
-        return Graph(n, edges)
+    def from_edges(n: int, pairs) -> "Graph":
+        """The graph on n vertices with edges given as any iterable of
+        vertex pairs, in either order and with repeats."""
+        _check_vertex_count(n)
+        adj = [0] * n
+        for u, v in pairs:
+            if u == v:
+                raise InvalidSpec("self-loop at %d" % u)
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidSpec("edge endpoint out of range: (%d, %d)" % (min(u, v), max(u, v)))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return Graph(n, tuple(adj))
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(r.bit_count() for r in self.adjacency) // 2
 
     @cached_property
     def _sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        # Sorted once, on first use; cached_property writes the instance's
-        # __dict__ directly, which a frozen dataclass allows.
-        return tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        # Built once, on first use, by walking each row's bits above u;
+        # cached_property writes the instance's __dict__ directly, which a
+        # frozen dataclass allows.
+        edges = []
+        for u, row in enumerate(self.adjacency):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                edges.append((u, u + low.bit_length()))
+                row ^= low
+        return tuple(edges)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self._sorted_edges)
@@ -84,14 +96,15 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(a.bit_count() for a in self.adjacency)
 
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if self.adjacency[v] >> u & 1]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] >> v & 1)
-
     def __repr__(self):
         return "Graph(n=%d, edges=%s)" % (self.n, self.edge_list())
+
+
+def _check_vertex_count(n):
+    if type(n) is not int or n < 0:
+        raise InvalidSpec("vertex count must be a nonnegative int, not %r" % (n,))
+    if n * n > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (n * n, CONTRACTION_WORK_LIMIT, n))
 
 
 @dataclass(frozen=True)
@@ -168,12 +181,8 @@ def tensor_with_k2(g: Graph) -> Graph:
 
     Vertex (v, i) maps to index v + i*n; (v,i) ~ (u,1-i) for uv in E(G).
     """
-    n = g.n
-    edges = []
-    for u, v in g.edge_list():
-        edges.append((u, v + n))
-        edges.append((v, u + n))
-    return Graph.from_edges(2 * n, edges)
+    rows = g.adjacency
+    return Graph(2 * g.n, tuple(r << g.n for r in rows) + rows)
 
 
 def add_apexes(g: Graph, count: int) -> Graph:
@@ -183,11 +192,8 @@ def add_apexes(g: Graph, count: int) -> Graph:
     """
     if count not in (1, 2):
         raise InvalidSpec("apex count must be 1 or 2")
-    edges = list(g.edge_list())
-    for k in range(count):
-        apex = g.n + k
-        edges.extend((v, apex) for v in range(g.n))
-    return Graph.from_edges(g.n + count, edges)
+    apexes = ((1 << count) - 1) << g.n
+    return Graph(g.n + count, tuple(r | apexes for r in g.adjacency) + ((1 << g.n) - 1,) * count)
 
 
 def triangle_count(g: Graph) -> int:
@@ -195,19 +201,11 @@ def triangle_count(g: Graph) -> int:
     return sum((rows[u] & rows[v]).bit_count() for u, v in g.edge_list()) // 3
 
 
-def is_triangle_free(g: Graph) -> bool:
-    return not _has_triangle(g.adjacency)
-
-
 def _has_triangle(rows) -> bool:
     """Whether some edge uv of the graph with neighbor bitsets `rows` has
     a common neighbor of u and v."""
     n = len(rows)
     return any(rows[u] >> v & 1 and rows[u] & rows[v] for u in range(n) for v in range(u + 1, n))
-
-
-def is_connected(g: Graph) -> bool:
-    return _connected(g.adjacency)
 
 
 def _connected(rows) -> bool:
@@ -227,32 +225,6 @@ def _component(rows, start: int) -> int:
         frontier = reach & ~seen
         seen |= frontier
     return seen
-
-
-def is_bipartite(g: Graph) -> bool:
-    """A component is bipartite iff it has no closed walk of odd length,
-    i.e. iff in the double cover G x K_2 (vertex v + i*n is (v, i)) the
-    component of (v, 0) misses (v, 1)."""
-    n = g.n
-    cover = [r << n for r in g.adjacency] + list(g.adjacency)
-    left = (1 << n) - 1
-    while left:
-        v = (left & -left).bit_length() - 1
-        comp = _component(cover, v)
-        if comp >> (v + n) & 1:
-            return False
-        left &= ~(comp | comp >> n)
-    return True
-
-
-def graph_stats(g: Graph) -> dict:
-    degs = g.degrees()
-    return {
-        "degrees": degs,
-        "max_degree": max(degs, default=0),
-        "has_isolated_vertex": any(d == 0 for d in degs),
-        "triangle_free": is_triangle_free(g),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +248,7 @@ def graph_to_mask(g: Graph) -> int:
     return _rows_to_mask(g.adjacency)
 
 
-def mask_to_graph(n: int, mask: int) -> Graph:
-    rows = _mask_rows(n, mask)
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1))
-
-
-def _mask_rows(n: int, mask: int) -> list[int]:
+def _mask_rows(n: int, mask: int) -> tuple[int, ...]:
     """Adjacency as per-vertex neighbor bitsets, from an edge mask."""
     rows = [0] * n
     k = 0
@@ -291,7 +258,7 @@ def _mask_rows(n: int, mask: int) -> list[int]:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             k += 1
-    return rows
+    return tuple(rows)
 
 
 def _is_canonical(rows) -> bool:
@@ -351,11 +318,11 @@ def enumerate_graphs(
     if n > ENUMERATION_VERTEX_LIMIT:
         raise LimitExceeded("enumeration limited to n <= %d" % ENUMERATION_VERTEX_LIMIT)
     if dedup_isomorphism:
-        for mask in _dedup_masks(n, connected, no_isolated, triangle_free):
-            yield mask_to_graph(n, mask)
+        for rows in _dedup_rows(n, connected, no_isolated, triangle_free):
+            yield Graph(n, rows)
         return
     for mask in _filtered_masks(n, connected, no_isolated, triangle_free):
-        yield mask_to_graph(n, mask)
+        yield Graph(n, _mask_rows(n, mask))
 
 
 def _filtered_masks(n: int, connected: bool, no_isolated: bool, triangle_free: bool):
@@ -372,13 +339,13 @@ def _filtered_masks(n: int, connected: bool, no_isolated: bool, triangle_free: b
 
 
 @lru_cache(maxsize=64)
-def _dedup_masks(n: int, connected: bool, no_isolated: bool, triangle_free: bool) -> tuple[int, ...]:
-    """Edge masks of the canonical graphs on n vertices passing the filters,
-    in increasing order: level n of the orderly generation (`_level`), with
-    the filters that induced subgraphs do not inherit, connectivity and
-    isolated vertices, applied to that level only."""
+def _dedup_rows(n: int, connected: bool, no_isolated: bool, triangle_free: bool) -> tuple[tuple[int, ...], ...]:
+    """Neighbor bitsets of the canonical graphs on n vertices passing the
+    filters, in increasing order of edge mask: level n of the orderly
+    generation (`_level`), with the filters that induced subgraphs do not
+    inherit, connectivity and isolated vertices, applied to that level only."""
     keep = [rows for rows in _level(n, triangle_free) if not (no_isolated and 0 in rows) and (not connected or _connected(rows))]
-    return tuple(sorted(map(_rows_to_mask, keep)))
+    return tuple(sorted(keep, key=_rows_to_mask))
 
 
 @lru_cache(maxsize=None)
@@ -435,37 +402,47 @@ def _int_pair(line: str) -> tuple[int, int]:
     raise InvalidSpec("edge-list line %r is not two integers" % line.strip())
 
 
-def write_edge_list(g: Graph) -> str:
-    lines = ["%d %d" % (g.n, len(g.edges))]
-    lines.extend("%d %d" % e for e in g.edge_list())
-    return "\n".join(lines) + "\n"
+# str.translate table from a graph6 data character to its six bits.
+_SIX_BITS = {63 + x: format(x, "06b") for x in range(64)}
 
 
 def read_graph6(line: str) -> Graph:
-    """Decode one graph6 line (standard small-graph corpus format)."""
+    """Decode one graph6 line (standard small-graph corpus format).  The
+    vertex count, in its 1-, 4- or 8-character form, is checked against
+    Graph's bound before the body is read, and the body must have the
+    ceil(C(n, 2) / 6) characters graph6 fixes for n."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
-    data = [ord(c) - 63 for c in s]
-    if not data or not all(0 <= x <= 63 for x in data):
-        raise InvalidSpec("not a graph6 line: %r" % line.strip())
-    if data[0] <= 62:
-        n, data = data[0], data[1:]
-    elif len(data) >= 4:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        data = data[4:]
-    else:
-        raise InvalidSpec("graph6 line %r ends inside its vertex count" % line.strip())
-    bits = []
-    for value in data:
-        bits.extend((value >> (5 - i)) & 1 for i in range(6))
-    if len(bits) < n * (n - 1) // 2:
-        raise InvalidSpec("graph6 line %r is too short for %d vertices" % (line.strip(), n))
-    edges = []
+    # n in the last 1, 3 or 6 of the header's 1, 4 or 8 characters.
+    size, width = (1, 1) if s[:1] != "~" else (4, 3) if s[1:2] != "~" else (8, 6)
+    if not _graph6_text(s[:size]):
+        raise InvalidSpec("not a graph6 line: %.60r" % s)
+    if len(s) < size:
+        raise InvalidSpec("graph6 line %r ends inside its vertex count" % s)
+    n = 0
+    for c in s[size - width : size]:
+        n = n << 6 | ord(c) - 63
+    _check_vertex_count(n)
+    body = s[size:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise InvalidSpec("graph6 line for %d vertices needs %d data characters, not %d" % (n, need, len(body)))
+    if body and not _graph6_text(body):
+        raise InvalidSpec("not a graph6 line: %.60r" % s)
+    bits = body.translate(_SIX_BITS)
+    rows = [0] * n
     k = 0
-    for v in range(n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph.from_edges(n, edges)
+    for v in range(1, n):
+        column = int(bits[k : k + v][::-1], 2)  # bit u: the edge (u, v)
+        k += v
+        rows[v] = column
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << v
+            column ^= low
+    return Graph(n, tuple(rows))
+
+
+def _graph6_text(s: str) -> bool:
+    return bool(s) and min(s) >= "?" and max(s) <= "~"

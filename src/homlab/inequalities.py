@@ -185,15 +185,6 @@ def _report(ineq: str, instance: str, small, big) -> IneqReport:
     return IneqReport(ineq, instance, lhs and lhs[0], rhs and rhs[0], verdict, True, slack)
 
 
-def biclique_norm_power(kernel, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> tuple[Fraction, Fraction]:
-    """The K_{a,b} norm of a two-variable kernel as a (base, exponent) pair:
-    base is the exact pattern sum, exponent 1/(ab)."""
-    if a < 1 or b < 1:
-        raise DimensionMismatch("norm indices must be >= 1")
-    base = biclique_kernel_sum(kernel, size1, size2, a, b, w1, w2)
-    return base, Fraction(1, a * b)
-
-
 def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom_memo=None) -> IneqReport:
     """hom(G, H) vs prod_{uv} hom(K_{d_u, d_v}, H)^{1/(d_u d_v)}.
 

@@ -133,17 +133,6 @@ def model_two_spin(w00, w01, w11, v0=1, v1=1) -> Model:
     return Model.from_rows([[w00, w01], [w01, w11]], vertex_weights=[v0, v1])
 
 
-def two_spin_is_ferromagnetic(m: Model) -> bool:
-    """Determinant shortcut: w00*w11 >= w01^2."""
-    w = m.edge_weights
-    return w[0][0] * w[1][1] >= w[0][1] ** 2
-
-
-def two_spin_is_antiferromagnetic(m: Model) -> bool:
-    w = m.edge_weights
-    return w[0][0] * w[1][1] <= w[0][1] ** 2
-
-
 def _rand_fraction(rng: random.Random, max_num=16, max_den=16, positive=False) -> Fraction:
     lo = 1 if positive else 0
     return Fraction(rng.randrange(lo, max_num + 1), rng.randrange(1, max_den + 1))

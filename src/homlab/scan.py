@@ -29,7 +29,6 @@ from homlab.fileio import (
     load_graph,
     load_model,
     model_to_dict,
-    replay_from_dict,
     report_to_dict,
 )
 from homlab.graphs import (
@@ -102,7 +101,7 @@ def materialize_graphs(source: dict) -> list[tuple[str, Graph]]:
             ):
                 if source.get("require_triangle") and triangle_count(g) == 0:
                     continue
-                if source.get("require_edge") and not g.edges:
+                if source.get("require_edge") and not g.edge_count:
                     continue
                 out.append(("n%d-m%x" % (n, graph_to_mask(g)), g))
         return out
@@ -276,11 +275,6 @@ def make_replay(ineq: str, g: Graph, m: Model, constraints=None) -> dict:
     }
 
 
-def replay_finding(replay: dict):
-    """Re-run a finding's replay data through the named checker."""
-    return check_instance(*replay_from_dict(replay))
-
-
 CSV_COLUMNS = ("instance_id", "graph", "model", "verdict", "exact", "slack_log10")
 
 
@@ -338,6 +332,3 @@ def emit_report(summary: ScanSummary, fmt: str = "json") -> str:
         return "\n".join(lines) + "\n"
     raise InvalidArgument("unknown report format %r" % fmt)
 
-
-def parse_summary(text: str) -> ScanSummary:
-    return ScanSummary(**json.loads(text))

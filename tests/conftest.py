@@ -5,6 +5,7 @@ contraction, no incremental products.
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -83,13 +84,55 @@ def semiproper_oracle(g: Graph, lists, looped=frozenset()) -> int:
 
 def isomorphic_oracle(g1: Graph, g2: Graph) -> bool:
     """Brute-force permutation search."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+    if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return False
-    e2 = g2.edges
+    rows2 = g2.adjacency
     for perm in itertools.permutations(range(g1.n)):
-        if all(frozenset((perm[u], perm[v])) in e2 for u, v in g1.edge_list()):
+        if all(rows2[perm[u]] >> perm[v] & 1 for u, v in g1.edge_list()):
             return True
     return False
+
+
+def bipartite_oracle(g: Graph) -> bool:
+    """Two-colour each component by a depth-first search over edge_list()."""
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edge_list():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    side = {}
+    for start in range(g.n):
+        if start in side:
+            continue
+        side[start], stack = 0, [start]
+        while stack:
+            u = stack.pop()
+            for w in neighbours[u]:
+                if w not in side:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
+def eps_low_coefficients(g: Graph) -> tuple:
+    """The displayed low-order expansion (1, |E|, C(|E|,2), C(|E|,3)+|T|) of
+    hom(G, H_eps), with the triangles T counted over all vertex triples."""
+    e = len(g.edge_list())
+    edge = lambda u, v: g.adjacency[u] >> v & 1
+    t = sum(1 for a, b, c in itertools.combinations(range(g.n), 3) if edge(a, b) and edge(a, c) and edge(b, c))
+    return (1, e, comb(e, 2), comb(e, 3) + t)
+
+
+def two_spin_is_ferromagnetic(m) -> bool:
+    """Determinant shortcut: w00*w11 >= w01^2."""
+    w = m.edge_weights
+    return w[0][0] * w[1][1] >= w[0][1] ** 2
+
+
+def two_spin_is_antiferromagnetic(m) -> bool:
+    w = m.edge_weights
+    return w[0][0] * w[1][1] <= w[0][1] ** 2
 
 
 def canonical_oracle(n: int, mask: int) -> bool:

@@ -9,10 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import hom_oracle, independent_set_count_oracle
+from conftest import (
+    eps_low_coefficients,
+    hom_oracle,
+    independent_set_count_oracle,
+    two_spin_is_antiferromagnetic,
+    two_spin_is_ferromagnetic,
+)
 from homlab.counting import (
     cc,
-    eps_poly_low_coefficients,
     hom,
     hom_eps_polynomial,
 )
@@ -33,8 +38,6 @@ from homlab.models import (
     model_hardcore,
     model_widom_rowlinson,
     random_model,
-    two_spin_is_antiferromagnetic,
-    two_spin_is_ferromagnetic,
 )
 from homlab.power import PowerProduct, compare_power_products
 from homlab.scan import ScanJob, run_scan
@@ -112,7 +115,7 @@ class TestAcceptance:
             for g in enumerate_graphs(n, dedup_isomorphism=True):
                 poly = hom_eps_polynomial(g)
                 padded = poly.coefficients + (Fraction(0),) * 4
-                assert padded[:4] == eps_poly_low_coefficients(g), g
+                assert padded[:4] == eps_low_coefficients(g), g
                 checked += 1
         assert checked == 208
         announce(4, "eps expansion (1, |E|, C(|E|,2), C(|E|,3)+|T|) on %d graphs" % checked, t0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cc_oracle, hom_oracle, semiproper_oracle
+from conftest import bipartite_oracle, cc_oracle, eps_low_coefficients, hom_oracle, semiproper_oracle
 from homlab import counting
 from homlab.counting import (
     CONTRACTION_WORK_LIMIT,
@@ -26,7 +26,6 @@ from homlab.counting import (
     hom_clique,
     hom_double_cover,
     hom_eps_polynomial,
-    eps_poly_low_coefficients,
     lists_to_constraints,
     ominus,
     semiproper_count,
@@ -36,9 +35,8 @@ from homlab.graphs import (
     Graph,
     GraphFamilySpec,
     build_named,
+    _connected,
     enumerate_graphs,
-    is_bipartite,
-    is_connected,
     parse_graph_name,
     tensor_with_k2,
 )
@@ -155,7 +153,7 @@ def _disconnected_graphs():
     out.append(Graph.from_edges(5, [(0, 1), (1, 2)]))  # isolated vertices 3, 4
     out.append(Graph.from_edges(6, [(0, 4), (2, 5)]))  # interleaved components
     for g in (named("path", 3), named("cycle", 4), named("star", 3)):
-        assert is_bipartite(g)
+        assert bipartite_oracle(g)
         out.append(tensor_with_k2(g))  # two copies of g
     rng = random.Random(23)
     while len(out) < 30:  # random components and lone vertices, interleaved
@@ -195,7 +193,7 @@ class TestContractionEngine:
         m = random_model(2, 3, "antiferro-2spin")
         six = list(enumerate_graphs(6, dedup_isomorphism=True))
         bases = [g for g in _small_graphs() if g.n]
-        bases += [g for g in six if is_bipartite(g)][-2:] + [g for g in six if not is_bipartite(g)][-2:]
+        bases += [g for g in six if bipartite_oracle(g)][-2:] + [g for g in six if not bipartite_oracle(g)][-2:]
         for g in bases:
             cover = tensor_with_k2(g)
             assert hom(cover, m) == hom_oracle(cover, m), g
@@ -368,13 +366,13 @@ class TestContractionEngine:
             for step, width in zip(plan.steps, plan.widths):
                 assert width == len(frontier)
                 placed.add(step.vertex)
-                assert {u for _, u in step.back} == {u for u in g.neighbors(step.vertex) if u in placed}
+                assert {u for _, u in step.back} == {u for u in placed if g.adjacency[step.vertex] >> u & 1}
                 assert all(frontier[i] == u for i, u in step.back)
                 if step.keep is not None:  # None only when every position stays
                     assert step.keep != tuple(range(width))
                     frontier = [frontier[i] for i in step.keep]
                 frontier += [step.vertex] if step.kept else []
-                assert all(set(g.neighbors(u)) - placed for u in frontier)
+                assert all(g.adjacency[u] & ~sum(1 << v for v in placed) for u in frontier)
             assert frontier == []
 
     def test_plan_depends_only_on_adjacency(self):
@@ -420,7 +418,7 @@ class TestContractionEngine:
             n = rng.randrange(EXACT_ORDER_MAX_VERTICES + 1, 17)
             side = [rng.randrange(2) for _ in range(n)]
             g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v] and rng.random() < 0.3])
-            if is_connected(g):
+            if _connected(g.adjacency):
                 graphs.append(g)
         m = random_model(2, 4, "antiferro-2spin")
         works = []
@@ -624,7 +622,7 @@ class TestPlanOrder:
             parts = []
             for size in sizes:
                 g = _random_graph(rng, size, 0.5)
-                while not is_connected(g):
+                while not _connected(g.adjacency):
                     g = _random_graph(rng, size, 0.5)
                 parts.append(g)
             g = _scattered_union(rng, parts, rng.randrange(0, 3))
@@ -636,7 +634,7 @@ class TestPlanOrder:
                 # The component of `start`, renumbered in increasing order.
                 members, grow = {start}, [start]
                 while grow:
-                    grow = [u for v in grow for u in g.neighbors(v) if u not in members]
+                    grow = [u for v in grow for u in range(g.n) if g.adjacency[v] >> u & 1 and u not in members]
                     members.update(grow)
                 members = sorted(members)
                 local = Graph.from_edges(len(members), [(members.index(u), members.index(v)) for u, v in g.edge_list() if u in members])
@@ -661,10 +659,10 @@ class TestPlanOrder:
         graphs = [named("cycle", 40), tensor_with_k2(named("petersen")), named("complete", 30), named("biclique", 7, 9)]
         while len(graphs) < 30:
             g = _random_graph(rng, rng.randrange(EXACT_ORDER_MAX_VERTICES + 1, 30), rng.choice((0.1, 0.2, 0.5)))
-            if is_connected(g):
+            if _connected(g.adjacency):
                 graphs.append(g)
         for g in graphs:
-            assert g.n > EXACT_ORDER_MAX_VERTICES and is_connected(g)
+            assert g.n > EXACT_ORDER_MAX_VERTICES and _connected(g.adjacency)
             plan = compile_plan(g.adjacency)
             assert [s.vertex for s in plan.steps] == _reference_greedy_order(g.adjacency), g
             assert list(plan.widths) == _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
@@ -1019,18 +1017,18 @@ class TestEpsPolynomial:
         for n in range(1, 6):
             for g in enumerate_graphs(n, dedup_isomorphism=True):
                 poly = hom_eps_polynomial(g)
-                lead = eps_poly_low_coefficients(g)
+                lead = eps_low_coefficients(g)
                 padded = poly.coefficients + (Fraction(0),) * 4
                 assert padded[:4] == lead, g
 
     def test_degree_bounded_by_edges(self):
         g = named("complete", 4)
-        assert len(hom_eps_polynomial(g).coefficients) - 1 <= len(g.edges)
+        assert len(hom_eps_polynomial(g).coefficients) - 1 <= g.edge_count
 
     def test_long_cycle(self):
         # hom(C_n, H_eps) = (1 + eps)^n + eps^n.
         poly = hom_eps_polynomial(named("cycle", 40))
-        assert poly.coefficients[:4] == eps_poly_low_coefficients(named("cycle", 40)) == (1, 40, 780, 9880)
+        assert poly.coefficients[:4] == eps_low_coefficients(named("cycle", 40)) == (1, 40, 780, 9880)
         assert poly.coefficients == tuple(math.comb(40, k) for k in range(40)) + (2,)
 
     def test_work_limit(self):
@@ -1041,7 +1039,7 @@ class TestEpsPolynomial:
         # Reference: sum over all 2^n colorings of (1 + 2 eps)^(monochromatic edges).
         for n in range(0, 7):
             for g in enumerate_graphs(n, dedup_isomorphism=True):
-                coeffs = [Fraction(0)] * (len(g.edges) + 1)
+                coeffs = [Fraction(0)] * (g.edge_count + 1)
                 for x in itertools.product((0, 1), repeat=n):
                     mono = sum(1 for u, v in g.edge_list() if x[u] == x[v])
                     for k in range(mono + 1):

@@ -1,8 +1,9 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
-from conftest import canonical_oracle, isomorphic_oracle
+from conftest import bipartite_oracle, canonical_oracle, isomorphic_oracle
 from homlab.errors import InvalidSpec, LimitExceeded
 from homlab.graphs import (
     Graph,
@@ -10,20 +11,14 @@ from homlab.graphs import (
     add_apexes,
     build_named,
     enumerate_graphs,
-    graph_stats,
     graph_to_mask,
-    is_bipartite,
-    is_connected,
-    is_triangle_free,
-    mask_to_graph,
     parse_graph_name,
     read_edge_list,
     read_graph6,
     tensor_with_k2,
     triangle_count,
-    write_edge_list,
 )
-from homlab.graphs import _dedup_masks, _filtered_masks, _is_canonical, _mask_rows, _rows_to_mask
+from homlab.graphs import _connected, _dedup_rows, _filtered_masks, _has_triangle, _is_canonical, _mask_rows, _rows_to_mask
 
 
 def named(kind, *params):
@@ -99,21 +94,42 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return g1.n == g2.n and canonical_mask(g1) == canonical_mask(g2)
 
 
+def mask_to_graph(n: int, mask: int) -> Graph:
+    return Graph(n, _mask_rows(n, mask))
+
+
+def frozenset_reference(n: int, pairs):
+    """Graph's construction before it kept only neighbour bitsets: the edges
+    as a frozenset of frozensets, checked in its iteration order, and the
+    bitsets built from them.  The reference for Graph.from_edges."""
+    edges = frozenset(map(frozenset, pairs))
+    adj = [0] * n
+    for e in edges:
+        if len(e) == 1:
+            raise InvalidSpec("self-loop at %d" % min(e))
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidSpec("edge endpoint out of range: (%d, %d)" % tuple(sorted(e)))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return edges, tuple(adj)
+
+
 class TestBuildNamed:
     def test_biclique_k22(self):
         g = named("biclique", 2, 2)
-        assert g.n == 4 and len(g.edges) == 4
+        assert g.n == 4 and g.edge_count == 4
         assert set(g.degrees()) == {2}
         # part A first: vertices 0,1 only adjacent to 2,3
-        assert g.neighbors(0) == [2, 3]
+        assert g.adjacency[0] == 0b1100
 
     def test_cycle_c6(self):
         g = named("cycle", 6)
-        assert g.n == 6 and len(g.edges) == 6 and set(g.degrees()) == {2}
+        assert g.n == 6 and g.edge_count == 6 and set(g.degrees()) == {2}
 
     def test_complete_k4(self):
         g = named("complete", 4)
-        assert g.n == 4 and len(g.edges) == 6
+        assert g.n == 4 and g.edge_count == 6
 
     def test_star_and_path(self):
         assert named("star", 4).degrees() == (4, 1, 1, 1, 1)
@@ -121,8 +137,8 @@ class TestBuildNamed:
 
     def test_petersen(self):
         g = named("petersen")
-        assert g.n == 10 and len(g.edges) == 15
-        assert set(g.degrees()) == {3} and is_triangle_free(g)
+        assert g.n == 10 and g.edge_count == 15
+        assert set(g.degrees()) == {3} and not _has_triangle(g.adjacency)
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidSpec):
@@ -143,7 +159,7 @@ class TestBuildNamed:
 class TestTensorWithK2:
     def test_k2_gives_two_disjoint_edges(self):
         t = tensor_with_k2(named("complete", 2))
-        assert t.n == 4 and len(t.edges) == 2
+        assert t.n == 4 and t.edge_count == 2
         assert t.degrees() == (1, 1, 1, 1)
 
     def test_k3_gives_c6(self):
@@ -152,18 +168,16 @@ class TestTensorWithK2:
 
     def test_c4_gives_two_c4(self):
         t = tensor_with_k2(named("cycle", 4))
-        assert t.n == 8 and len(t.edges) == 8
+        assert t.n == 8 and t.edge_count == 8
         assert set(t.degrees()) == {2}
         # two components, each a 4-cycle
-        from homlab.graphs import is_connected
-
-        assert not is_connected(t)
+        assert not _connected(t.adjacency)
 
     def test_always_bipartite_and_triangle_free(self):
         for n in range(1, 7):
             for g in enumerate_graphs(n, dedup_isomorphism=True):
                 t = tensor_with_k2(g)
-                assert is_bipartite(t)
+                assert bipartite_oracle(t)
                 assert triangle_count(t) == 0
                 assert t.degrees() == g.degrees() * 2
 
@@ -174,8 +188,8 @@ class TestAddApexes:
 
     def test_k2_two_apexes_is_k4_minus_edge(self):
         g = add_apexes(named("complete", 2), 2)
-        assert g.n == 4 and len(g.edges) == 5
-        assert not g.has_edge(2, 3)
+        assert g.n == 4 and g.edge_count == 5
+        assert not g.adjacency[2] >> 3 & 1
 
     def test_empty2_two_apexes_is_k22(self):
         g = add_apexes(Graph.from_edges(2, []), 2)
@@ -186,7 +200,7 @@ class TestAddApexes:
         gg = add_apexes(g, 2)
         restricted = [(u, v) for u, v in gg.edge_list() if u < g.n and v < g.n]
         assert restricted == g.edge_list()
-        assert not gg.has_edge(g.n, g.n + 1)
+        assert not gg.adjacency[g.n] >> (g.n + 1) & 1
 
 
 class TestTriangleCount:
@@ -197,11 +211,8 @@ class TestTriangleCount:
 
     def test_against_brute_force(self):
         for g in enumerate_graphs(5, dedup_isomorphism=True):
-            brute = sum(
-                1
-                for a, b, c in combinations(range(g.n), 3)
-                if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
-            )
+            edge = lambda u, v: g.adjacency[u] >> v & 1
+            brute = sum(1 for a, b, c in combinations(range(g.n), 3) if edge(a, b) and edge(a, c) and edge(b, c))
             assert triangle_count(g) == brute
 
 
@@ -232,7 +243,7 @@ class TestEnumeration:
 
     def test_filters(self):
         tf = list(enumerate_graphs(4, dedup_isomorphism=True, triangle_free=True))
-        assert all(is_triangle_free(g) for g in tf)
+        assert not any(_has_triangle(g.adjacency) for g in tf)
         ni = list(enumerate_graphs(4, dedup_isomorphism=True, no_isolated=True))
         assert all(0 not in g.degrees() for g in ni)
 
@@ -250,8 +261,6 @@ class TestEnumeration:
         # Random masks of every density, nearly all not canonical; their
         # canonical forms by the reference search; and symmetric graphs,
         # each both as named and in canonical form.
-        import random
-
         rng = random.Random(2026 + n)
         m = n * (n - 1) // 2
         randoms = [Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < (k + 1) / (samples + 1)]) for k in range(samples)]
@@ -281,11 +290,9 @@ class TestEnumeration:
                 for mask in _filtered_masks(n, connected, no_isolated, triangle_free)
                 if is_canonical_mask(n, mask)
             )
-            assert _dedup_masks(n, connected, no_isolated, triangle_free) == reference, n
+            assert tuple(map(_rows_to_mask, _dedup_rows(n, connected, no_isolated, triangle_free))) == reference, n
 
     def test_canonical_form_matches_permutation_oracle(self):
-        import random
-
         rng = random.Random(11)
         graphs = list(enumerate_graphs(4, dedup_isomorphism=True))
         for g in graphs:
@@ -319,13 +326,13 @@ class TestPredicates:
                 g_nx = nx.Graph()
                 g_nx.add_nodes_from(range(n))
                 g_nx.add_edges_from(g.edge_list())
-                assert is_connected(g) == nx.is_connected(g_nx), g
-                assert is_bipartite(g) == nx.is_bipartite(g_nx), g
-                assert is_triangle_free(g) == (sum(nx.triangles(g_nx).values()) == 0), g
+                assert _connected(g.adjacency) == nx.is_connected(g_nx), g
+                assert bipartite_oracle(g) == nx.is_bipartite(g_nx), g
+                assert (not _has_triangle(g.adjacency)) == (sum(nx.triangles(g_nx).values()) == 0), g
 
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
-        assert is_connected(g) and is_bipartite(g) and is_triangle_free(g)
+        assert _connected(g.adjacency) and bipartite_oracle(g) and not _has_triangle(g.adjacency)
 
     def test_filters_on_rows_match_graph_predicates(self):
         for n in range(6):
@@ -334,32 +341,49 @@ class TestPredicates:
                 want = [
                     mask
                     for mask in every
-                    if (not connected or is_connected(mask_to_graph(n, mask)))
-                    and (not triangle_free or is_triangle_free(mask_to_graph(n, mask)))
+                    if (not connected or _connected(mask_to_graph(n, mask).adjacency))
+                    and (not triangle_free or not _has_triangle(mask_to_graph(n, mask).adjacency))
                 ]
                 assert list(_filtered_masks(n, connected, False, triangle_free)) == want
-
-
-class TestStats:
-    def test_c6(self):
-        s = graph_stats(build_named(GraphFamilySpec("cycle", (6,))))
-        assert s["max_degree"] == 2
-        assert not s["has_isolated_vertex"]
-        assert s["triangle_free"]
-
-    def test_star(self):
-        s = graph_stats(build_named(GraphFamilySpec("star", (4,))))
-        assert s["degrees"] == (4, 1, 1, 1, 1)
-
-    def test_single_vertex(self):
-        s = graph_stats(Graph.from_edges(1, []))
-        assert s["has_isolated_vertex"]
 
 
 class TestFormats:
     def test_edge_list_round_trip(self):
         g = build_named(GraphFamilySpec("petersen"))
-        assert read_edge_list(write_edge_list(g)).edges == g.edges
+        text = "%d %d\n" % (g.n, g.edge_count) + "".join("%d %d\n" % e for e in g.edge_list())
+        assert read_edge_list(text) == g
+        # Against the frozenset reference: seeded pair lists with repeats,
+        # reversed pairs and shuffled order, read by from_edges, by
+        # read_edge_list and reversed; then the same lists with one
+        # self-loop or one endpoint out of range added.
+        rng = random.Random(27)
+        for trial in range(400):
+            n = rng.randrange(9)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(2 * n + 1))] if n > 1 else []
+            pairs += rng.sample(pairs, len(pairs) // 3)
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(pairs)
+            edges, rows = frozenset_reference(n, pairs)
+            g = Graph.from_edges(n, pairs)
+            text = "%d %d\n" % (n, len(pairs)) + "".join("%d %d\n" % p for p in pairs)
+            for h in (read_edge_list(text), Graph.from_edges(n, [(v, u) for u, v in reversed(pairs)])):
+                assert h == g and hash(h) == hash(g)
+            assert g.adjacency == rows
+            assert g.edge_list() == sorted(tuple(sorted(e)) for e in edges)
+            assert g.edge_text == str(g.edge_list())
+            assert g.edge_count == len(edges)
+            if trial % 2:
+                w = rng.randrange(n + 2)
+                bad = (w, w)
+            else:
+                bad = (rng.randrange(-2, n), rng.choice((-1, n, n + 1)))
+            bad_pairs = pairs + [bad]
+            rng.shuffle(bad_pairs)
+            with pytest.raises(InvalidSpec) as want:
+                frozenset_reference(n, bad_pairs)
+            with pytest.raises(InvalidSpec) as got:
+                Graph.from_edges(n, bad_pairs)
+            assert str(got.value) == str(want.value)
 
     def test_edge_list_parsing(self):
         g = read_edge_list("3 2\n0 1\n1 2\n")
@@ -373,7 +397,7 @@ class TestFormats:
     @pytest.mark.parametrize("n", [-1, -2, True, 2.0, "3"])
     def test_vertex_count_must_be_a_nonnegative_int(self, n):
         with pytest.raises(InvalidSpec, match="vertex count must be a nonnegative int"):
-            Graph(n, frozenset())
+            Graph.from_edges(n, [])
 
     @pytest.mark.parametrize("line", ["", "0 x", "~A", "D?"])
     def test_malformed_graph6(self, line):
@@ -381,10 +405,19 @@ class TestFormats:
             read_graph6(line)
 
     def test_graph6_against_networkx(self):
+        # From n = 63 on, the vertex count takes the 4-character form.
         nx = pytest.importorskip("networkx")
-        for seed in range(10):
-            g_nx = nx.gnp_random_graph(6, 0.5, seed=seed)
+        for n, seed in product((6, 63, 64, 65, 66), range(10)):
+            g_nx = nx.gnp_random_graph(n, 0.5, seed=seed)
             line = nx.to_graph6_bytes(g_nx, header=False).decode().strip()
             g = read_graph6(line)
-            assert g.n == 6
-            assert {tuple(sorted(e)) for e in g_nx.edges()} == set(g.edge_list())
+            assert g.n == n
+            assert sorted(tuple(sorted(e)) for e in g_nx.edges()) == g.edge_list()
+
+    def test_graph6_vertex_count_is_checked_before_the_body(self):
+        # n = 300,000 in the 8-character form, refused by Graph's bound.
+        with pytest.raises(LimitExceeded, match=r"\(n = 300000\)"):
+            read_graph6("~~??@HN_" + "?" * 10)
+        # K3 needs one data character, not a long tail.
+        with pytest.raises(InvalidSpec, match="needs 1 data characters, not 2000000"):
+            read_graph6("Bw" + "w" * 1999999)

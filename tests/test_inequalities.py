@@ -522,21 +522,6 @@ class TestGraphicalBL:
         assert rep.lhs.as_fraction() == 17
 
 
-class TestBicliqueNormPower:
-    def test_all_ones_kernel(self):
-        from homlab.inequalities import biclique_norm_power
-
-        base, exp = biclique_norm_power(lambda x, y: Fraction(1), 2, 2, 2, 2)
-        assert base == 16 and exp == Fraction(1, 4)
-
-    def test_proper_coloring_kernels(self):
-        from homlab.inequalities import biclique_norm_power
-
-        ne = lambda x, y: Fraction(0 if x == y else 1)
-        assert biclique_norm_power(ne, 2, 2, 2, 2)[0] == 2
-        assert biclique_norm_power(ne, 3, 3, 2, 2)[0] == 18
-
-
 class TestAntiferroConjectureScan:
     def test_no_violations_on_rejection_sampled_q3_models(self):
         # The biclique bound is conjectured for every antiferromagnetic

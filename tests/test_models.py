@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from conftest import two_spin_is_antiferromagnetic, two_spin_is_ferromagnetic
 from homlab.errors import InvalidArgument, LimitExceeded, NegativeWeight, NonSymmetric
 from homlab.fileio import model_to_dict
 from homlab.graphs import CONTRACTION_WORK_LIMIT
@@ -19,8 +20,6 @@ from homlab.models import (
     model_widom_rowlinson,
     parse_model_name,
     random_model,
-    two_spin_is_antiferromagnetic,
-    two_spin_is_ferromagnetic,
 )
 from homlab.ratmath import eigenvalue_sign_counts, scaled_colors, scaled_matrix
 

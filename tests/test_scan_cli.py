@@ -22,15 +22,14 @@ from hypothesis import strategies as st
 from homlab import cli, scan
 from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans, key_bits
 from homlab.errors import InvalidArgument, LimitExceeded
-from homlab.fileio import report_to_dict
+from homlab.fileio import replay_from_dict, report_to_dict
 from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
 from homlab.scan import (
     ScanJob,
     ScanSummary,
+    check_instance,
     emit_report,
-    parse_summary,
-    replay_finding,
     run_scan,
 )
 
@@ -101,7 +100,7 @@ class TestRunScan:
         s = run_scan(small_finding_job())
         assert s.findings
         for f in s.findings:
-            rep = replay_finding(f["replay"])
+            rep = check_instance(*replay_from_dict(f["replay"]))
             assert rep.verdict == "violated" and rep.exact
 
     def test_zero_violations_on_triangle_free(self):
@@ -331,7 +330,7 @@ class TestEmit:
 
     def test_json_round_trip(self):
         s = run_scan(small_finding_job())
-        assert parse_summary(emit_report(s, "json")).to_dict() == s.to_dict()
+        assert ScanSummary(**json.loads(emit_report(s, "json"))).to_dict() == s.to_dict()
 
     def test_text_format(self):
         s = run_scan(small_finding_job())
@@ -584,6 +583,23 @@ class TestCli:
     def test_count_wr(self):
         res = run_cli("count", "--graph", "K1,4", "--model", "wr")
         assert res.stdout.strip() == "113"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_dense_graph_over_the_work_bound_fails_in_bounded_memory(self):
+        # K1000's plan is far over the work bound: one error line, in under
+        # 100 MB.  A fresh parent process reads the peak of this one child,
+        # as RUSAGE_CHILDREN holds the largest child this process ever waited for.
+        code = (
+            "import resource, subprocess, sys\n"
+            "res = subprocess.run([sys.executable, '-m', 'homlab.cli', 'count', '--graph', 'K1000', '--model', 'Kq:2'], capture_output=True, text=True)\n"
+            "print(res.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "sys.stdout.write(res.stderr)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        head, *err = res.stdout.splitlines()
+        returncode, max_rss_kib = map(int, head.split())
+        assert returncode == 1 and len(err) == 1 and err[0].startswith("error:"), res.stdout
+        assert max_rss_kib < 100 * 1024, max_rss_kib
 
     def test_verify_holds_exit_zero(self):
         res = run_cli("verify", "--ineq", "reverse-sidorenko", "--graph", "C6", "--model", "Kq:3")
