@@ -51,11 +51,10 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     of all partial maps that agree with them (see `compile_plan` for the
     order and `_step_kernel` for the key).  Every edge shares the model's
     one int edge matrix.
-    Zero-weight colors are pruned first.  All weights are scaled to
-    integers by their common denominators (pure big-int arithmetic in the
-    hot loop), and the exact scaling is divided back out once, at the end.
-    The model's own weights are scaled once per model (`Model.integer_edges`
-    and `integer_colors`); only constrained weights are scaled per call.
+    Zero-weight colors are pruned first.  The model holds its weights as
+    ints over a common scale (`Model.integer_edges` and `integer_colors`),
+    constrained weights are scaled per call, and the scales are divided
+    out once, at the end.
 
     `memo` is an optional dict owned by the caller, one per model: the
     scaled count of each component is looked up in it by the component's
@@ -183,14 +182,13 @@ def _cover_parts(key: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The contraction engine shared by hom, semiproper_count, the graphical
-# Brascamp-Lieb assignment sum and the eps-polynomial.  All but the
-# Brascamp-Lieb sum give every edge one shared matrix.
+# The contraction engine of hom, semiproper_count, the graphical Brascamp-Lieb
+# sum and the eps-polynomial, on one int edge matrix shared by every edge.
 
 
 class Step(NamedTuple):
     vertex: int
-    back: tuple  # (frontier position, vertex) of each placed neighbor
+    back: tuple  # the frontier position of each placed neighbor
     keep: tuple | None  # the frontier positions that stay; None if all do
     kept: bool  # whether the new vertex joins the frontier
 
@@ -209,7 +207,7 @@ class Plan(NamedTuple):
         runs = self.runs.get(bits)
         if runs is None:
             shapes = zip(self.steps, self.widths)
-            runs = self.runs[bits] = tuple(_step_kernel(tuple(i for i, _ in s.back), s.keep, s.kept, w, bits) for s, w in shapes)
+            runs = self.runs[bits] = tuple(_step_kernel(s.back, s.keep, s.kept, w, bits) for s, w in shapes)
         return runs
 
 
@@ -231,17 +229,16 @@ WIDE_STEP = 16
 
 @lru_cache(maxsize=1024)
 def _step_kernel(positions: tuple, keep, kept: bool, width: int, bits: int):
-    """`step(table, colors, links) -> table`, the contraction step of this
-    shape on packed frontier keys, built from ints and exec'd once, as
-    namedtuple builds its methods.  Frontier position i of a key holds its
-    color in bits [bits*i, bits*(i+1)); positions are the frontier
-    positions of the placed neighbours, links[j] the j-th one's link
-    matrix, width the frontier width before the step, and keep and kept as
-    in `Step`.  The loop reads a neighbour's color as `key >> s & mask`,
-    packs the kept positions with one shift and mask per run of
-    consecutive positions, and places the new vertex as `p | c << s`; a
-    step that drops no position writes each new key once, with no
-    get-and-add."""
+    """`step(table, colors, m) -> table`, the contraction step of this
+    shape on packed frontier keys and the edge matrix m, built from ints
+    and exec'd once, as namedtuple builds its methods.  Frontier position i
+    of a key holds its color in bits [bits*i, bits*(i+1)); positions are
+    the frontier positions of the placed neighbours, width the frontier
+    width before the step, and keep and kept as in `Step`.  The loop reads
+    a neighbour's color as `key >> s & mask`, packs the kept positions
+    with one shift and mask per run of consecutive positions, and places
+    the new vertex as `p | c << s`; a step that drops no position writes
+    each new key once, with no get-and-add."""
     mask = (1 << bits) - 1
 
     def read(i):  # the color at frontier position i; the top one needs no mask
@@ -256,15 +253,15 @@ def _step_kernel(positions: tuple, keep, kept: bool, width: int, bits: int):
             runs.append([i, 1, j])
     runs = [(bits * (i - j), None if i + n == width and not j else ((1 << bits * n) - 1) << bits * j) for i, n, j in runs]
     if len(positions) > WIDE_STEP:
-        rows = ["rows = [m[key >> s & %d] for m, s in zip(links, shifts)]" % mask]
+        rows = ["rows = [m[key >> s & %d] for s in shifts]" % mask]
         weight = ["    for r in rows:", "        w = w * r[c]"]
     else:
-        rows = ["r%d = m%d[%s]" % (j, j, read(i)) for j, i in enumerate(positions)]
+        rows = ["r%d = m[%s]" % (j, read(i)) for j, i in enumerate(positions)]
         weight = ["    w = w * " + " * ".join("r%d[c]" % j for j in range(len(positions)))] if positions else []
     if not keep:  # all positions stay, or none
         pack, base = [], "key" if keep is None else "0"
     elif len(runs) > WIDE_STEP:
-        pack, base = ["p = 0", "for d, m in packs:", "    p |= key >> d & m"], "p"
+        pack, base = ["p = 0", "for d, b in packs:", "    p |= key >> d & b"], "p"
     else:
         terms = [("key >> %d" % d if d else "key") + ("" if m is None else " & %d" % m) for d, m in runs]
         pack, base = ["p = " + " | ".join(terms)], "p"
@@ -275,9 +272,7 @@ def _step_kernel(positions: tuple, keep, kept: bool, width: int, bits: int):
         body = [*pack, "for c, w in colors:", *weight, "    if w:", "        k = " + k, "        " + put % "w"]
     else:  # every color lands on one key
         body = ["s = 0", "for c, w in colors:", *weight, "    s += w", "if s:", *["    " + line for line in pack], "    k = " + base, "    " + put % "s"]
-    lines = ["def step(table, colors, links):"]
-    lines += ["    m%d = links[%d]" % (j, j) for j in range(len(positions) if len(positions) <= WIDE_STEP else 0)]
-    lines += ["    new = {}"] + ["    get = new.get"] * (keep is not None)
+    lines = ["def step(table, colors, m):", "    new = {}"] + ["    get = new.get"] * (keep is not None)
     lines += ["    for key, val in table.items():"] + ["        " + line for line in rows + body]
     lines += ["    return new"]
     namespace = {"shifts": positions if bits == 1 else [bits * i for i in positions], "packs": [(d, -1 if m is None else m) for d, m in runs]}
@@ -435,7 +430,7 @@ def _plan(adjacency: tuple, order: list) -> Plan:
     for v in order:
         placed |= 1 << v
         unplaced = ~placed
-        back = tuple((i, u) for i, u in enumerate(frontier) if adjacency[v] >> u & 1)
+        back = tuple(i for i, u in enumerate(frontier) if adjacency[v] >> u & 1)
         keep = tuple(i for i, u in enumerate(frontier) if adjacency[u] & unplaced)
         kept = bool(adjacency[v] & unplaced)
         widths.append(len(frontier))
@@ -453,10 +448,9 @@ def _check_work(work: int, n: int, q: int):
 def contract(plan: Plan, choices, edge_matrix) -> int:
     """Sum over all maps v -> colors in choices[v] of the product of the
     color weights and, for every edge, E[color u][color v] (u placed
-    before v), where E is edge_matrix, one matrix shared by every edge, or
-    edge_matrix(u, v) if it is callable.  Weights and matrix entries are
-    integers.  Raises LimitExceeded first when the plan's work bound
-    exceeds CONTRACTION_WORK_LIMIT.
+    before v), where E is edge_matrix, one int matrix shared by every edge.
+    Weights are integers.  Raises LimitExceeded first when the plan's work
+    bound exceeds CONTRACTION_WORK_LIMIT.
     """
     q = max(map(len, choices), default=0)
     _check_work(plan.work(q), len(plan.steps), q)
@@ -471,9 +465,8 @@ def _contract(plan: Plan, choices, edge_matrix, bits: int) -> int:
     table maps each packed frontier key to the summed weight of the
     partial maps that agree with it; the empty frontier's key is 0."""
     table = {0: 1}
-    same = None if callable(edge_matrix) else [edge_matrix] * len(plan.steps)
-    for (v, back, _, _), run in zip(plan.steps, plan.kernels(bits)):
-        table = run(table, choices[v], same or [edge_matrix(u, v) for _, u in back])
+    for (v, _, _, _), run in zip(plan.steps, plan.kernels(bits)):
+        table = run(table, choices[v], edge_matrix)
     return table.get(0, 0)
 
 

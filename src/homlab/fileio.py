@@ -40,7 +40,7 @@ def model_to_dict(m: Model) -> dict:
 
 def model_from_dict(d) -> Model:
     p = read_fields(d, {"edge_weights": ("q", "q"), "vertex_weights": ("q",)})
-    return Model(len(p["vertex_weights"]), p["edge_weights"], p["vertex_weights"])
+    return Model.from_rows(p["edge_weights"], p["vertex_weights"])
 
 
 def graph_to_dict(g: Graph) -> dict:

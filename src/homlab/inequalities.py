@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 from homlab.counting import (
     _multiset_permutations,
@@ -34,7 +34,7 @@ from homlab.errors import (
     LimitExceeded,
     NotTwoSpin,
 )
-from homlab.graphs import Graph, _component
+from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component
 from homlab.models import Model
 from homlab.power import PowerProduct, RadicalSum, compare_power_products, compare_radical_products
 from homlab.ratmath import scaled_matrix
@@ -252,15 +252,23 @@ def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
 
 def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
     """Sum over x in prod_v [sizes[v]] of prod_{uv} kernels[(u, v)][x_u][x_v],
-    with each kernel scaled to integers for the contraction engine."""
+    on a block palette: vertex v takes the colors offsets[v] + c, and one
+    symmetric int matrix holds edge uv's scaled kernel in its (u, v) and
+    (v, u) blocks.  Its (sum of sizes)^2 entries are checked first."""
+    offsets = [0, *accumulate(sizes)]
+    total = offsets.pop()
+    if total * total > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("block palette of %d colors needs %d matrix entries, over %d" % (total, total * total, CONTRACTION_WORK_LIMIT))
+    matrix = [[0] * total for _ in range(total)]
     denom = 1
-    mats = {}
     for u, v in g.edge_list():
-        scale, mats[(u, v)] = scaled_matrix([[Fraction(x) for x in row] for row in kernels[(u, v)]])
-        mats[(v, u)] = [list(col) for col in zip(*mats[(u, v)])]
+        scale, rows = scaled_matrix(kernels[(u, v)])
         denom *= scale
-    choices = [[(c, 1) for c in range(size)] for size in sizes]
-    return Fraction(contract(compile_plan(g.adjacency), choices, lambda u, v: mats[(u, v)]), denom)
+        for x, row in enumerate(rows, offsets[u]):
+            for y, w in enumerate(row, offsets[v]):
+                matrix[x][y] = matrix[y][x] = w
+    choices = [[(offsets[v] + c, 1) for c in range(size)] for v, size in enumerate(sizes)]
+    return Fraction(contract(compile_plan(g.adjacency), choices, matrix), denom)
 
 
 def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None, hom_memo=None) -> IneqReport:

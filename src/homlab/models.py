@@ -1,7 +1,6 @@
-"""Weighted target models H: exact rational edge-weight matrix, vertex
-weights, their integer scalings (each computed once per model), named
-families, and ferro/antiferro classification via exact eigenvalue sign
-counts.
+"""Weighted target models H, held as integer weights over a common scale
+with exact rational views; named families; and ferro/antiferro
+classification via exact eigenvalue sign counts.
 """
 
 import random
@@ -18,54 +17,51 @@ RANDOM_MODEL_MAX_COLORS = 8
 
 @dataclass(frozen=True)
 class Model:
+    """integer_edges = (scale, int rows) and integer_colors = (scale,
+    ((color, int weight), ...)) over the nonzero vertex weights, each scale
+    the lcm of the denominators, so equal rational weights give equal
+    fields.  `from_rows` builds and checks one; edge_weights and
+    vertex_weights are Fraction views, cached on first read."""
+
     q: int
-    edge_weights: tuple[tuple[Fraction, ...], ...]
-    vertex_weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        q = self.q
-        if len(self.edge_weights) != q or any(len(r) != q for r in self.edge_weights):
-            raise InvalidArgument("edge weight matrix must be %d x %d" % (q, q))
-        if len(self.vertex_weights) != q:
-            raise InvalidArgument("vertex weight vector must have length %d" % q)
-        for i in range(q):
-            for j in range(q):
-                if self.edge_weights[i][j] != self.edge_weights[j][i]:
-                    raise NonSymmetric("edge weights not symmetric at (%d, %d)" % (i, j))
-                if self.edge_weights[i][j] < 0:
-                    raise NegativeWeight("edge weight (%d, %d) negative" % (i, j))
-        if any(w < 0 for w in self.vertex_weights):
-            raise NegativeWeight("negative vertex weight")
-
-    # The weights scaled to ints (ratmath), once per model, on first use;
-    # cached_property writes the instance's __dict__, which a frozen
-    # dataclass allows, and equality and hashing read the fields only.
-    @cached_property
-    def integer_edges(self) -> tuple:
-        return scaled_matrix(self.edge_weights)
+    integer_edges: tuple
+    integer_colors: tuple
 
     @cached_property
-    def integer_colors(self) -> tuple:
-        return scaled_colors(self.vertex_weights)
+    def edge_weights(self) -> tuple:
+        scale, rows = self.integer_edges
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+
+    @cached_property
+    def vertex_weights(self) -> tuple:
+        scale, colors = self.integer_colors
+        weights = dict(colors)
+        return tuple(Fraction(weights.get(c, 0), scale) for c in range(self.q))
 
     @property
     def looped_set(self) -> frozenset[int]:
         """The looped colors: those with a nonzero self-weight."""
-        return frozenset(c for c in range(self.q) if self.edge_weights[c][c])
+        return frozenset(c for c, row in enumerate(self.integer_edges[1]) if row[c])
 
     @staticmethod
     def from_rows(rows, vertex_weights=None) -> "Model":
+        """The model of a square symmetric nonnegative int or Fraction
+        matrix, vertex weights 1 unless given, checked on its ints."""
         q = len(rows)
-        ew = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if vertex_weights is None:
-            vw = tuple(Fraction(1) for _ in range(q))
-        else:
-            vw = tuple(Fraction(x) for x in vertex_weights)
-        return Model(q, ew, vw)
-
-    def scaled_edges(self, c) -> "Model":
-        c = Fraction(c)
-        return Model(self.q, tuple(tuple(w * c for w in row) for row in self.edge_weights), self.vertex_weights)
+        if any(len(row) != q for row in rows):
+            raise InvalidArgument("edge weight matrix must be %d x %d" % (q, q))
+        if vertex_weights is not None and len(vertex_weights) != q:
+            raise InvalidArgument("vertex weight vector must have length %d" % q)
+        scale, ints = scaled_matrix(rows)
+        if ints != tuple(zip(*ints)) or min(map(min, ints), default=0) < 0:
+            i, j = next((i, j) for i in range(q) for j in range(q) if ints[i][j] != ints[j][i] or ints[i][j] < 0)
+            if ints[i][j] != ints[j][i]:
+                raise NonSymmetric("edge weights not symmetric at (%d, %d)" % (i, j))
+            raise NegativeWeight("edge weight (%d, %d) negative" % (i, j))
+        colors = scaled_colors([1] * q if vertex_weights is None else vertex_weights)
+        if any(w < 0 for _, w in colors[1]):
+            raise NegativeWeight("negative vertex weight")
+        return Model(q, (scale, ints), colors)
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,9 @@ def classify_model(m: Model) -> Classification:
     Ferromagnetic (positive semidefinite): no negative eigenvalue.
     Antiferromagnetic: at most one strictly positive eigenvalue; zero
     eigenvalues are neutral for both flags, so the zero matrix carries both.
-    Vertex weights play no role.
+    Vertex weights play no role, nor does the positive edge scale.
     """
-    rows = [list(r) for r in m.edge_weights]
-    pos, _zero, neg = eigenvalue_sign_counts(rows)
+    pos, _zero, neg = eigenvalue_sign_counts(m.integer_edges[1])
     return Classification(
         ferromagnetic=(neg == 0),
         antiferromagnetic=(pos <= 1),

@@ -5,6 +5,7 @@ matrices.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 
@@ -35,7 +36,10 @@ def scaled_colors(weights) -> tuple:
 
 def scaled_matrix(rows) -> tuple:
     """(scale, int rows): the entries, ints or Fractions, times the lcm of
-    their denominators."""
+    their denominators; the rows themselves, as tuples, if all are ints."""
+    rows = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return 1, rows
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     scale = lcm(*(d for row in ratios for _, d in row))
     return scale, tuple(tuple(n * (scale // d) for n, d in row) for row in ratios)

@@ -4,7 +4,9 @@ import math
 import pathlib
 import random
 import re
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -274,10 +276,11 @@ class TestContractionEngine:
 
     def test_wide_steps_match_brute_force(self):
         # Around WIDE_STEP placed neighbours and kept positions, where a
-        # kernel switches from naming each position to an itemgetter.  Each
-        # edge has its own non-symmetric matrix, so a row bound to the wrong
-        # neighbour or read transposed changes the sum; most vertices have
-        # one color, so the brute-force sum stays small.
+        # kernel switches from naming each position to a list of shifts.
+        # Each pair of vertices has its own non-symmetric block on a block
+        # palette, so a row read at the wrong neighbour's shift or read
+        # transposed changes the sum; most vertices have one color, so the
+        # brute-force sum stays small.
         def link(u, v, x, y):  # the weight of colors x at u and y at v
             if u > v:
                 u, v, x, y = v, u, y, x
@@ -296,8 +299,22 @@ class TestContractionEngine:
             for x in itertools.product(*choices):
                 colors = [c for c, _ in x]
                 want += math.prod(w for _, w in x) * math.prod(link(u, v, colors[u], colors[v]) for u, v in g.edge_list())
-            got = counting.contract(plan, choices, lambda u, v: [[link(u, v, x, y) for y in range(2)] for x in range(2)])
-            assert got == want, g
+            blocks = lambda u, v: [[link(u, v, x, y) for y in range(2)] for x in range(2)]
+            assert counting.contract(plan, *_block_palette(choices, blocks)) == want, g
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="measured on Linux only, as the max RSS tests are")
+    def test_dense_plan_holds_little_memory(self):
+        # K1000's plan has about 500,000 placed-neighbour positions; its
+        # steps hold them as bare ints, in about 12 MB (38 MB when each was
+        # a (position, vertex) pair).
+        adjacency = named("complete", 1000).adjacency
+        tracemalloc.start()
+        try:
+            plan = compile_plan.__wrapped__(adjacency)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.steps) == 1000 and held < 16 * 2 ** 20, held
 
     def test_kernel_code_is_bounded_on_wide_frontiers(self):
         # A q = 1 frontier can hold thousands of vertices; past WIDE_STEP a
@@ -356,6 +373,14 @@ class TestContractionEngine:
                 want += math.prod(mat[x[u]][x[v]] for (u, v), mat in kernels.items())
             assert _kernel_assignment_sum(g, kernels, sizes) == want, g
 
+    def test_kernel_assignment_palette_is_sized_before_it_is_built(self):
+        # Two vertices of 1,600 colors each need a 3,200 x 3,200 block
+        # matrix, over the work limit however cheap the contraction is.
+        g = Graph.from_edges(2, [(0, 1)])
+        kernels = {(0, 1): [[1] * 1600] * 1600}
+        with pytest.raises(LimitExceeded, match="block palette of 3200 colors needs 10240000 matrix entries, over %d" % CONTRACTION_WORK_LIMIT):
+            _kernel_assignment_sum(g, kernels, [1600, 1600])
+
     def test_plan_places_each_vertex_once_and_empties_frontier(self):
         for g in list(_small_graphs()) + _disconnected_graphs() + [named("petersen"), named("cycle", 12)]:
             plan = compile_plan(g.adjacency)
@@ -366,8 +391,9 @@ class TestContractionEngine:
             for step, width in zip(plan.steps, plan.widths):
                 assert width == len(frontier)
                 placed.add(step.vertex)
-                assert {u for _, u in step.back} == {u for u in placed if g.adjacency[step.vertex] >> u & 1}
-                assert all(frontier[i] == u for i, u in step.back)
+                neighbours = [u for u in frontier if g.adjacency[step.vertex] >> u & 1]
+                assert [frontier[i] for i in step.back] == neighbours
+                assert set(neighbours) == {u for u in placed if g.adjacency[step.vertex] >> u & 1}
                 if step.keep is not None:  # None only when every position stays
                     assert step.keep != tuple(range(width))
                     frontier = [frontier[i] for i in step.keep]
@@ -525,6 +551,24 @@ def _enumerated_sum(edges, choices, link):
     return total
 
 
+def _block_palette(choices, link):
+    """(choices, matrix) on a block palette: vertex v's color c becomes
+    offsets[v] + c, offsets[v] the summed palette sizes of the vertices
+    before it, and the symmetric matrix holds link(u, v) in its (u, v)
+    block and the transpose in its (v, u) block, for every pair u < v.  A
+    kernel that reads a row at the wrong neighbour's shift reads another
+    pair's block."""
+    sizes = [max(c for c, _ in colors) + 1 for colors in choices]
+    offsets = [0, *itertools.accumulate(sizes)]
+    matrix = [[0] * offsets[-1] for _ in range(offsets[-1])]
+    for u, v in itertools.combinations(range(len(choices)), 2):
+        block = link(u, v)
+        for x in range(sizes[u]):
+            for y in range(sizes[v]):
+                matrix[offsets[u] + x][offsets[v] + y] = matrix[offsets[v] + y][offsets[u] + x] = block[x][y]
+    return [[(offsets[v] + c, w) for c, w in colors] for v, colors in enumerate(choices)], matrix
+
+
 class TestPackedKeys:
     """Frontier tables are keyed by one int: position i holds its color in
     bits [b*i, b*(i+1)), b the bit width of the largest color index.  Each
@@ -543,13 +587,14 @@ class TestPackedKeys:
             choices = [[(c, rng.choice([0, 1, 2, 5])) for c in sorted(rng.sample(range(top + 1), rng.randrange(1, min(3, top + 1) + 1)))] for _ in range(n)]
             if math.prod(map(len, choices)) > 400:
                 choices = [colors[:1] if v % 2 else colors for v, colors in enumerate(choices)]
-            # Each edge its own non-symmetric matrix, with zeros; the shared
-            # matrix is symmetric, as hom's is, with distinct entries.
-            mats = {e: [[rng.choice([0, 1, 2, 3, 7]) for _ in range(top + 1)] for _ in range(top + 1)] for e in edges}
-            per_edge = lambda u, v: mats[(u, v)] if u < v else [list(col) for col in zip(*mats[(v, u)])]
+            # Each pair its own non-symmetric matrix, with zeros, on a block
+            # palette; the shared matrix is symmetric, as hom's is, with
+            # distinct entries.
+            mats = {e: [[rng.choice([0, 1, 2, 3, 7]) for _ in range(top + 1)] for _ in range(top + 1)] for e in itertools.combinations(range(n), 2)}
+            per_edge = lambda u, v: mats[(u, v)]
             shared = [[1 + x * y + x + y for y in range(top + 1)] for x in range(top + 1)]
             plan = compile_plan(Graph.from_edges(n, edges).adjacency)
-            assert counting.contract(plan, choices, per_edge) == _enumerated_sum(edges, choices, per_edge), (edges, choices)
+            assert counting.contract(plan, *_block_palette(choices, per_edge)) == _enumerated_sum(edges, choices, per_edge), (edges, choices)
             assert counting.contract(plan, choices, shared) == _enumerated_sum(edges, choices, lambda u, v: shared), (edges, choices)
             widths.add(counting.key_bits(max(c for colors in choices for c, _ in colors) + 1))
         assert widths == {1, 2, 3}
@@ -571,15 +616,16 @@ class TestPackedKeys:
         link = lambda u, v: [[1 + (u + 2 * v + 3 * a + 5 * b * u) % 7 for b in range(8)] for a in range(8)]
         # Five vertices have two colors, so the table stays small, but the
         # work bound counts 2 colors at every position: skip it.
-        assert counting._contract(plan, choices, link, 3) == _enumerated_sum(edges, choices, link)
+        blocks, matrix = _block_palette(choices, link)
+        assert counting._contract(plan, blocks, matrix, counting.key_bits(len(matrix))) == _enumerated_sum(edges, choices, link)
 
     def test_zero_weights_are_pruned(self):
         # A proper 2-coloring step on a one-position frontier: the zero
-        # entries of the link matrix and the zero-weight color write no key.
+        # entries of the edge matrix and the zero-weight color write no key.
         run = counting._step_kernel((0,), None, True, 1, 1)
-        assert run({0: 3, 1: 5}, [(0, 2), (1, 0)], [[[0, 1], [1, 0]]]) == {0b01: 10}
+        assert run({0: 3, 1: 5}, [(0, 2), (1, 0)], [[0, 1], [1, 0]]) == {0b01: 10}
         run = counting._step_kernel((0,), (), False, 1, 1)
-        assert run({0: 3, 1: 5}, [(1, 7)], [[[0, 1], [1, 0]]]) == {0: 21}
+        assert run({0: 3, 1: 5}, [(1, 7)], [[0, 1], [1, 0]]) == {0: 21}
 
     def test_key_wider_than_a_machine_word(self):
         # K_200 with one allowed color out of 8 at each vertex: the frontier

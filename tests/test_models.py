@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import random
@@ -150,7 +151,7 @@ class TestClassification:
             m = random_model(3, seed, "general")
             base = classify_model(m)
             scale = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
-            scaled = classify_model(m.scaled_edges(scale))
+            scaled = classify_model(Model.from_rows([[w * scale for w in row] for row in m.edge_weights], m.vertex_weights))
             assert (base.positive_eigen_count, base.negative_eigen_count) == (
                 scaled.positive_eigen_count,
                 scaled.negative_eigen_count,
@@ -264,18 +265,128 @@ class TestIntegerWeights:
             scale, colors = m.integer_colors
             assert scale == lcm(*(w.denominator for w in m.vertex_weights if w))
             assert [(c, Fraction(w, scale)) for c, w in colors] == [(c, w) for c, w in enumerate(m.vertex_weights) if w]
-            assert m.integer_edges is m.integer_edges and m.integer_colors is m.integer_colors
+            assert m.edge_weights is m.edge_weights and m.vertex_weights is m.vertex_weights
 
     def test_filled_cache_keeps_equality_hash_pickle_and_bytes(self):
+        # The rational views are cached on first read; a model with them
+        # filled equals and hashes as a fresh one, and writes the same bytes.
         for m in _weight_models():
-            fresh = Model(m.q, m.edge_weights, m.vertex_weights)
-            text = json.dumps(model_to_dict(fresh), sort_keys=True)
-            m.integer_edges, m.integer_colors
+            fresh = Model.from_rows(m.edge_weights, m.vertex_weights)  # reads m's views
+            assert "vertex_weights" in vars(m) and "vertex_weights" not in vars(fresh)
             assert m == fresh and hash(m) == hash(fresh)
-            assert json.dumps(model_to_dict(m), sort_keys=True) == text
+            assert json.dumps(model_to_dict(m), sort_keys=True) == json.dumps(model_to_dict(fresh), sort_keys=True)
             back = pickle.loads(pickle.dumps(m))
             assert back == fresh and hash(back) == hash(fresh)
             assert back.integer_edges == fresh.integer_edges and back.integer_colors == fresh.integer_colors
+
+
+def _reference_error(rows, vertex_weights):
+    """(type, text) of the first check that weights fail, or None: the
+    checks of a model held as Fraction rows, cell by cell in row-major
+    order with symmetry before sign, independent of the int form."""
+    q = len(rows)
+    ew = [[Fraction(x) for x in row] for row in rows]
+    vw = [Fraction(1)] * q if vertex_weights is None else [Fraction(x) for x in vertex_weights]
+    if any(len(row) != q for row in ew):
+        return InvalidArgument, "edge weight matrix must be %d x %d" % (q, q)
+    if len(vw) != q:
+        return InvalidArgument, "vertex weight vector must have length %d" % q
+    for i in range(q):
+        for j in range(q):
+            if ew[i][j] != ew[j][i]:
+                return NonSymmetric, "edge weights not symmetric at (%d, %d)" % (i, j)
+            if ew[i][j] < 0:
+                return NegativeWeight, "edge weight (%d, %d) negative" % (i, j)
+    if any(w < 0 for w in vw):
+        return NegativeWeight, "negative vertex weight"
+    return None
+
+
+def _written(rng, x: Fraction):
+    """x as an int when it is one and a coin says so, else as a Fraction."""
+    return x.numerator if x.denominator == 1 and rng.random() < 0.5 else x
+
+
+class TestModelFromRows:
+    """`Model` holds only its scaled ints: equality, hashing and errors
+    must be those of the rational weights they stand for."""
+
+    def test_equality_and_hash_agree_with_rational_weights(self):
+        rng = random.Random(28)
+        pool = sorted({Fraction(n, d) for n in range(4) for d in range(1, 5)})
+        for _ in range(400):
+            q = rng.randrange(1, 5)
+            rows = [[None] * q for _ in range(q)]
+            for i in range(q):
+                for j in range(i, q):
+                    rows[i][j] = rows[j][i] = rng.choice(pool)
+            vw = [rng.choice(pool) for _ in range(q)]
+            other_rows, other_vw = [row[:] for row in rows], vw[:]
+            if rng.random() < 0.5:  # change one weight, keeping the matrix symmetric
+                i, j = rng.randrange(q), rng.randrange(q)
+                other_rows[i][j] = other_rows[j][i] = rng.choice(pool)
+            if rng.random() < 0.3:
+                other_vw[rng.randrange(q)] = rng.choice(pool)
+            a = Model.from_rows([[_written(rng, x) for x in row] for row in rows], [_written(rng, x) for x in vw])
+            b = Model.from_rows([[_written(rng, x) for x in row] for row in other_rows], [_written(rng, x) for x in other_vw])
+            assert (a == b) == (rows == other_rows and vw == other_vw), (rows, other_rows, vw, other_vw)
+            if a == b:
+                assert hash(a) == hash(b)
+            for m in (a, b):
+                back = pickle.loads(pickle.dumps(m))
+                assert back == m and hash(back) == hash(m)
+        # Equal values with different denominators give one model.
+        assert Model.from_rows([[Fraction(2, 4), 1], [1, 0]]) == Model.from_rows([[Fraction(1, 2), Fraction(3, 3)], [1, 0]])
+        assert Model.from_rows([[2]], [Fraction(4, 2)]) == Model.from_rows([[Fraction(2)]], [2])
+
+    def test_bad_weights_raise_the_first_failed_check(self):
+        cases = [
+            ([[1, 2], [3]], None),  # ragged
+            ([[1, 2], [2, 1]], [1]),  # short vertex weights
+            ([[1, 2], [2, 1]], [1, 1, 1]),
+            ([[1, 2], [3, 1]], None),  # non-symmetric
+            ([[1, -1], [-1, 1]], None),  # negative edge
+            ([[0, 1], [1, 0]], [1, -1]),  # negative vertex
+            ([[1, -2], [3, 1]], None),  # non-symmetric and negative: the first cell decides
+            ([[-1, 2], [3, 1]], None),
+            ([[1, 2, 0], [2, 1, -1], [0, -1, 0]], [Fraction(1, 2), -1, 0]),
+            ([[0, Fraction(-1, 2)], [Fraction(-2, 4), 0]], None),
+        ]
+        rng = random.Random(29)
+        for _ in range(300):
+            q = rng.randrange(1, 5)
+            rows = [[Fraction(rng.randrange(-1, 5), rng.randrange(1, 4)) for _ in range(q)] for _ in range(q)]
+            if rng.random() < 0.5:
+                for i in range(q):
+                    for j in range(i):
+                        rows[i][j] = rows[j][i]
+            vw = None if rng.random() < 0.3 else [Fraction(rng.randrange(-1, 4), rng.randrange(1, 3)) for _ in range(q)]
+            cases.append((rows, vw))
+        raised = 0
+        for rows, vw in cases:
+            want = _reference_error(rows, vw)
+            if want is None:
+                assert Model.from_rows(rows, vw).edge_weights == tuple(map(tuple, rows))
+                continue
+            with pytest.raises(want[0]) as info:
+                Model.from_rows(rows, vw)
+            assert type(info.value) is want[0] and str(info.value) == want[1], (rows, vw)
+            raised += 1
+        assert raised > 200
+
+    def test_model_documents_are_pinned(self):
+        # model_to_dict bytes of every named family and of random models at
+        # q <= 4, seeds 0-49, all three kinds, as the Fraction-row Model wrote them.
+        models = [model_hardcore(), model_widom_rowlinson(), model_h_eps(0), model_h_eps(Fraction(1, 10)), model_two_spin(1, 2, 1)]
+        models.append(model_two_spin(Fraction(2, 4), Fraction(1, 3), 0, Fraction(1, 2), 3))
+        models += [model_complete_looped(q, ell) for q in range(1, 6) for ell in range(q + 1)]
+        for kind in ("general", "psd", "antiferro-2spin"):
+            models += [random_model(q, seed, kind) for q in ((2,) if kind == "antiferro-2spin" else range(1, 5)) for seed in range(50)]
+        digest = hashlib.sha256()
+        for m in models:
+            digest.update((json.dumps(model_to_dict(m), sort_keys=True) + "\n").encode())
+        assert len(models) == 476
+        assert digest.hexdigest() == "da7035a01367708978c1e5ba3398852c33e0789f71480715ce7840dbbf956253"
 
 
 class TestModelSize:

@@ -584,22 +584,35 @@ class TestCli:
         res = run_cli("count", "--graph", "K1,4", "--model", "wr")
         assert res.stdout.strip() == "113"
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-    def test_dense_graph_over_the_work_bound_fails_in_bounded_memory(self):
-        # K1000's plan is far over the work bound: one error line, in under
-        # 100 MB.  A fresh parent process reads the peak of this one child,
-        # as RUSAGE_CHILDREN holds the largest child this process ever waited for.
+    @staticmethod
+    def _refused_in_bounded_memory(args, max_mib: int):
+        """Run `homlab args` and check it exits 1 with one error line and
+        no traceback, at under max_mib MiB max RSS.  A fresh parent process
+        reads the peak of this one child, as RUSAGE_CHILDREN holds the
+        largest child a process ever waited for."""
         code = (
             "import resource, subprocess, sys\n"
-            "res = subprocess.run([sys.executable, '-m', 'homlab.cli', 'count', '--graph', 'K1000', '--model', 'Kq:2'], capture_output=True, text=True)\n"
+            "res = subprocess.run([sys.executable, '-m', 'homlab.cli', *sys.argv[1:]], capture_output=True, text=True)\n"
             "print(res.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
             "sys.stdout.write(res.stderr)\n"
         )
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
         head, *err = res.stdout.splitlines()
         returncode, max_rss_kib = map(int, head.split())
         assert returncode == 1 and len(err) == 1 and err[0].startswith("error:"), res.stdout
-        assert max_rss_kib < 100 * 1024, max_rss_kib
+        assert max_rss_kib < max_mib * 1024, max_rss_kib
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_dense_graph_over_the_work_bound_fails_in_bounded_memory(self):
+        # K1000's plan is far over the work bound.
+        self._refused_in_bounded_memory(["count", "--graph", "K1000", "--model", "Kq:2"], 100)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_large_model_over_the_work_bound_fails_in_bounded_memory(self):
+        # Kq:3162's q^2 weights pass the model size check, and hom's work
+        # bound refuses it once built: the model is built and checked on
+        # its ints, in about 250 MB (1.3 GB as Fraction rows).
+        self._refused_in_bounded_memory(["count", "--graph", "P2", "--model", "Kq:3162"], 400)
 
     def test_verify_holds_exit_zero(self):
         res = run_cli("verify", "--ineq", "reverse-sidorenko", "--graph", "C6", "--model", "Kq:3")
