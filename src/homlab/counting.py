@@ -14,7 +14,7 @@ from math import comb, factorial, prod
 from operator import add, and_, itemgetter
 from typing import NamedTuple
 
-from homlab.errors import DimensionMismatch, LimitExceeded
+from homlab.errors import DimensionMismatch, LimitExceeded, work_bound_exceeded
 from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component
 from homlab.models import Model
 from homlab.ratmath import scaled_colors, scaled_matrix
@@ -442,7 +442,7 @@ def _plan(adjacency: tuple, order: list) -> Plan:
 
 def _check_work(work: int, n: int, q: int):
     if work > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("contraction work bound %d exceeds %d (n = %d, q = %d)" % (work, CONTRACTION_WORK_LIMIT, n, q))
+        raise work_bound_exceeded("contraction", work, CONTRACTION_WORK_LIMIT, "n = %d, q = %d" % (n, q))
 
 
 def contract(plan: Plan, choices, edge_matrix) -> int:
@@ -539,10 +539,7 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
         size1, size2, a, b, w1, w2 = size2, size1, b, a, w2, w1
         work = _biclique_work(size1, size2, a, b)
     if work > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded(
-            "biclique work bound %d exceeds %d (K_{%d,%d}, sizes %d and %d)"
-            % (work, CONTRACTION_WORK_LIMIT, a, b, size1, size2)
-        )
+        raise work_bound_exceeded("biclique", work, CONTRACTION_WORK_LIMIT, "K_{%d,%d}, sizes %d and %d" % (a, b, size1, size2))
     kernel_scale, kernel = scaled_matrix(table)
     scale1, points1 = scaled_colors(w1)
     scale2, points2 = scaled_colors(w2)
@@ -579,10 +576,7 @@ def cc(a_set, b_set, a: int, b: int, looped=()) -> int:
         return len(b_frozen) ** b
     work = comb(len(a_list) + a - 1, a) * (a + len(b_frozen))
     if work > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded(
-            "cc work bound %d exceeds %d (a = %d, |A| = %d, |B| = %d)"
-            % (work, CONTRACTION_WORK_LIMIT, a, len(a_list), len(b_frozen))
-        )
+        raise work_bound_exceeded("cc", work, CONTRACTION_WORK_LIMIT, "a = %d, |A| = %d, |B| = %d" % (a, len(a_list), len(b_frozen)))
     total = 0
     for x in combinations_with_replacement(a_list, a):
         mult = _multiset_permutations(x)
@@ -630,9 +624,7 @@ def clique_terms(a: int, m: Model, lam=None):
     q = len(colors)
     work = comb(q + a - 1, a) * a * a if a else 0
     if work > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded(
-            "clique work bound %d exceeds %d (K_%d, q = %d)" % (work, CONTRACTION_WORK_LIMIT, a, q)
-        )
+        raise work_bound_exceeded("clique", work, CONTRACTION_WORK_LIMIT, "K_%d, q = %d" % (a, q))
     edge_scale, ew = m.integer_edges
     terms = []
     for combo in combinations_with_replacement(range(q), a):

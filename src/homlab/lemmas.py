@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
-from homlab.errors import LimitExceeded, PreconditionViolated
+from homlab.errors import LimitExceeded, PreconditionViolated, work_bound_exceeded
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
 from homlab.fileio import _require, decode, frac_str, read_fields, read_text, to_json
 from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks
@@ -530,9 +530,7 @@ def _evaluate_m_log_conv(p):
     checks.append(("endpoint-power", [(1, a + 1)], [(a + 1, 1)]))
     work = _expansion_work(q, [side for _, small, big in checks for side in (small, big)])
     if work > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded(
-            "m-log-conv work bound %d exceeds %d (q = %d, a = %d, b = %d)" % (work, CONTRACTION_WORK_LIMIT, q, a, b)
-        )
+        raise work_bound_exceeded("m-log-conv", work, CONTRACTION_WORK_LIMIT, "q = %d, a = %d, b = %d" % (q, a, b))
     lam, mu = p["lam"], p["mu"]
     eta_atoms = []
     for x in range(q):

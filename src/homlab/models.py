@@ -91,9 +91,10 @@ def classify_model(m: Model) -> Classification:
 
 def model_complete_looped(q: int, ell: int) -> Model:
     """K_q with the first `ell` colors looped: semiproper-coloring target.
-    Its q^2 weights are counted before any is built."""
-    if q * q > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("model size q^2 = %d exceeds %d" % (q * q, CONTRACTION_WORK_LIMIT))
+    It is sized before any weight is built, as a random source sizes each
+    model: q^2 edge weights, q vertex weights and one for the model."""
+    if q * q + q + 1 > CONTRACTION_WORK_LIMIT:
+        raise LimitExceeded("model size q^2 + q + 1 = %d exceeds %d" % (q * q + q + 1, CONTRACTION_WORK_LIMIT))
     if not 0 <= ell <= q:
         raise InvalidArgument("need 0 <= ell <= q")
     rows = [[1 if i != j or i < ell else 0 for j in range(q)] for i in range(q)]

@@ -4,9 +4,12 @@ deterministic summaries, and report emission.
 A scan cell is independent and side-effect-free.  One runner call decides
 its cells in order and owns their memos, two per model: the factor memo
 of the inequality's right-hand side, and hom's component memo, so each
-connected component is contracted once per model.  With k workers, worker i
-takes the cells i, i + k, i + 2k, ..., and the results are merged back in
-cell order, so the summary is identical for any worker count.  A cell comes
+connected component is contracted once per model.  With k > 1 workers the
+parent compiles the grid's plans and forks k workers, which inherit the
+cells and the plans; worker i takes the cells i, i + k, i + 2k, ... and
+sends its outcomes back through a pipe, and the parent, which decides no
+cell, merges them back in cell order, so the summary is identical for any
+worker count.  Where os.fork is missing a scan runs serially.  A cell comes
 back as its verdict, exactness and slack; only a finding (a violated cell)
 carries its full report dict.
 """
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import random
+import signal
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
@@ -222,16 +226,67 @@ def _run_cells(ineq: str, cells) -> list:
     return results
 
 
+def _fork_cells(ineq: str, cells, k: int) -> list:
+    """Each cell's `_run_cells` outcome, in order, from k forked workers.
+    Worker i inherits the cells and runs cells[i::k]; it sends its pickled
+    outcomes, or the exception its slice raised, through its own pipe.
+    The parent decides no cell: it reads each pipe to EOF before it reaps
+    that worker, so no result is too large for the pipe, and re-raises a
+    worker's exception.  Every worker is reaped, and one still running
+    when the parent unwinds is killed first."""
+    import pickle
+
+    workers = []  # (pid, read end of its pipe) of each worker not yet reaped
+    try:
+        for i in range(k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The worker leaves by os._exit alone, so it never returns
+                # into the parent's stack or runs the parent's exit hooks.
+                try:
+                    os.close(r)
+                    try:
+                        out, status = _run_cells(ineq, cells[i::k]), 0
+                    except BaseException as exc:
+                        out, status = exc, 1
+                    data = pickle.dumps(out)
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(status)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        parts = []
+        for i in range(1, k + 1):
+            pid, pipe = workers[0]
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            pipe.close()
+            if code == 0:
+                parts.append(pickle.loads(data))
+            elif code == 1 and data:
+                raise pickle.loads(data)
+            else:
+                how = "was killed by signal %d" % -code if code < 0 else "exited with status %d" % code
+                raise HomlabError("scan worker %d of %d %s before sending its results" % (i, k, how))
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [parts[i % k][i // k] for i in range(len(cells))]
+
+
 def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
     """Decide the grid's cells, or its first `budget` cells, on up to
     job.jobs workers and summarize them in order, the same for any worker
     count.  Every cell ends in a verdict row or an error entry."""
     cells = _cells_for_job(job)[:budget]
-    k = min(job.jobs, len(cells), os.cpu_count() or 1)
+    k = min(job.jobs, len(cells), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if k > 1:
-        # Imported here, so a serial scan never loads the pool's modules.
-        from concurrent.futures import ProcessPoolExecutor
-
         # Made here, forked workers inherit the plans and their kernels for
         # the grid's key widths instead of each compiling them; a process
         # that runs many scans keeps them warm.
@@ -239,9 +294,7 @@ def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
         # Cells are graph-major, so when k divides the model count every
         # model's cells go to one worker and each factor is computed once;
         # each slice is also a fair sample of cheap and costly graphs.
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            parts = list(pool.map(_run_cells, [job.ineq] * k, [cells[i::k] for i in range(k)]))
-        results = [parts[i % k][i // k] for i in range(len(cells))]
+        results = _fork_cells(job.ineq, cells, k)
     else:
         results = _run_cells(job.ineq, cells)
 

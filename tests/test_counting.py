@@ -32,7 +32,7 @@ from homlab.counting import (
     ominus,
     semiproper_count,
 )
-from homlab.errors import DimensionMismatch, LimitExceeded
+from homlab.errors import DimensionMismatch, LimitExceeded, work_bound_exceeded
 from homlab.graphs import (
     Graph,
     GraphFamilySpec,
@@ -431,6 +431,20 @@ class TestContractionEngine:
         for memo in (None, {}, {k11.adjacency: 1}):
             with pytest.raises(LimitExceeded, match=re.escape(text)):
                 hom(two, model_complete_looped(4, 4), memo=memo)
+
+    def test_work_bound_text(self):
+        # In full up to 20 digits, then three digits as %.2e writes them,
+        # also for a bound past float range and at the rounding edges.
+        def bound(work):
+            return str(work_bound_exceeded("contraction", work, 10, "n = 1")).split()[3]
+
+        for work in (11, 10 ** 20 - 1):
+            assert bound(work) == str(work)
+        rng = random.Random(5)
+        for work in [10 ** 20, 10 ** 300 - 1, 9995 * 10 ** 96, 2 ** 1000] + [rng.randrange(10 ** 20, 10 ** 300) for _ in range(500)]:
+            assert bound(work) == "%.2e" % work, work
+        assert bound(3 * 10 ** 4000 + 7) == "3.00e+4000"
+        assert str(work_bound_exceeded("cc", 10 ** 30, 10, "a = 2")) == "cc work bound 1.00e+30 exceeds 10 (a = 2)"
 
     def test_double_cover_work_bound_is_the_cover_graphs(self, monkeypatch):
         # With the limit one below the cover graph's plan work the cover

@@ -391,10 +391,10 @@ class TestModelFromRows:
 
 class TestModelSize:
     def test_complete_looped_is_sized_before_it_is_built(self):
-        # q^2 is checked before the q x q matrix exists: these would need
-        # 10^10 and 10^18 entries.
-        for q in (10 ** 5, 10 ** 9):
-            with pytest.raises(LimitExceeded, match="model size q\\^2 = %d exceeds %d" % (q * q, CONTRACTION_WORK_LIMIT)):
+        # q^2 + q + 1 weights are counted before the q x q matrix exists:
+        # these would need 10^10 and 10^18 entries, and 3162 just over 10^7.
+        for q in (3162, 10 ** 5, 10 ** 9):
+            with pytest.raises(LimitExceeded, match="model size q\\^2 \\+ q \\+ 1 = %d exceeds %d" % (q * q + q + 1, CONTRACTION_WORK_LIMIT)):
                 model_complete_looped(q, 0)
             for name in ("Kq:%d" % q, "Kq-looped:%d,1" % q):
                 with pytest.raises(LimitExceeded):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
@@ -7,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import signal
 import subprocess
@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from homlab import cli, scan
 from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans, key_bits
-from homlab.errors import InvalidArgument, LimitExceeded
+from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import replay_from_dict, report_to_dict
+from homlab.graphs import parse_graph_name
 from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
 from homlab.scan import (
@@ -247,34 +248,133 @@ class TestFactorMemo:
         [(64, 4, 6, 4), (64, 16, 3, 3), (3, 16, 6, 3), (2, None, 6, None), (4, 1, 6, None), (2, 4, 1, None)],
     )
     def test_worker_count_clamp(self, monkeypatch, jobs, cpus, cells, workers):
-        # k = min(jobs, cells, cpu count) workers, and no pool for k = 1.
-        started = []
-
-        class FakePool:
-            """Records the worker count and maps inline: no process starts."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+        # k = min(jobs, cells, cpu count) forked workers, and no fork for k = 1.
+        forked = count_forks(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         job = ScanJob(
             "clique-max",
             {"kind": "named", "names": ["P2", "P3", "C4", "K3", "C5", "K4"][:cells]},
             {"kind": "named", "names": ["Kq:2"]},
         )
         serial = emit_report(run_scan(job), "json")
+        assert forked == []
         assert report_at_jobs_1(run_scan(dataclasses.replace(job, jobs=jobs))) == serial
-        assert started == ([workers] if workers else [])
+        assert len(forked) == (workers or 0)
+        assert_no_children()
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the processes os.fork starts from now on in this process."""
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_on_graph(monkeypatch, name, fail):
+    """Make scan.check_instance call fail() on the named graph's cells, and
+    only in a forked worker; every other cell is decided as before."""
+    target, parent, check = parse_graph_name(name), os.getpid(), scan.check_instance
+
+    def check_or_fail(ineq, graph, *rest):
+        if graph == target:
+            assert os.getpid() != parent, "the parent decided a cell"
+            fail()
+        return check(ineq, graph, *rest)
+
+    monkeypatch.setattr(scan, "check_instance", check_or_fail)
+
+
+class TestForkedWorkers:
+    # Six graphs at two workers: worker 1 takes P2, C4 and C5, worker 2
+    # takes P3, K3 and K4.
+    JOB = ScanJob(
+        "clique-max",
+        {"kind": "named", "names": ["P2", "P3", "C4", "K3", "C5", "K4"]},
+        {"kind": "named", "names": ["Kq:2"]},
+        jobs=2,
+    )
+
+    BUDGET_S = 60
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_and_a_time_budget(self, monkeypatch):
+        # A runner that deadlocks fails the test instead of hanging it;
+        # workers do not inherit the interval timer.
+        def over_budget(signum, frame):
+            raise TimeoutError("a forked scan ran past %d s" % self.BUDGET_S)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_parent_decides_no_cell(self, monkeypatch):
+        # Every cell runs in a worker: the patched check refuses the parent.
+        fail_on_graph(monkeypatch, "C4", lambda: None)
+        forked = count_forks(monkeypatch)
+        assert run_scan(self.JOB).instances_checked == 6
+        assert len(forked) == 2
+        assert_no_children()
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
+        def divide():
+            return 1 // 0
+
+        fail_on_graph(monkeypatch, "K3", divide)
+        with pytest.raises(ZeroDivisionError) as info:
+            run_scan(self.JOB)
+        assert str(info.value) == "integer division or modulo by zero"
+        assert_no_children()
+
+    @pytest.mark.parametrize(
+        "fail, how",
+        [
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal %d" % signal.SIGKILL),
+        ],
+        ids=["exit-3", "sigkill"],
+    )
+    def test_worker_that_dies_is_an_error(self, monkeypatch, fail, how):
+        # Worker 1 dies on C5, its last cell, while worker 2 may still run:
+        # the scan raises and leaves no process behind.
+        fail_on_graph(monkeypatch, "C5", fail)
+        with pytest.raises(HomlabError, match="^scan worker 1 of 2 %s before sending its results$" % how):
+            run_scan(self.JOB)
+        assert_no_children()
+
+    def test_no_fork_runs_serially(self, monkeypatch):
+        serial = emit_report(run_scan(dataclasses.replace(self.JOB, jobs=1)), "json")
+        monkeypatch.delattr(os, "fork")
+        assert report_at_jobs_1(run_scan(self.JOB)) == serial
+
+    def test_results_larger_than_a_pipe_buffer(self, monkeypatch):
+        # 251 of these 280 biclique cells are violated, and each finding's
+        # report spells out the graph's edges, so every worker sends well
+        # over a pipe's 64 KiB buffer and must be read before it is reaped.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        names = ["K%d,%d" % (a, b) for a in range(2, 7) for b in range(a, 60)]
+        job = ScanJob("clique-max", {"kind": "named", "names": names}, {"kind": "named", "names": ["wr"]})
+        cells = scan._cells_for_job(job)
+        assert len(pickle.dumps(scan._run_cells(job.ineq, cells[2::3]))) > 65536
+        serial = emit_report(run_scan(job), "json")
+        assert len(json.loads(serial)["findings"]) == 251
+        for jobs in (2, 3):
+            assert report_at_jobs_1(run_scan(dataclasses.replace(job, jobs=jobs))) == serial
+        assert_no_children()
 
 
 class TestSearch:
@@ -561,20 +661,23 @@ def run_cli(*args, env=None, timeout=None):
 
 class TestCli:
     def test_serial_run_loads_no_process_pool(self):
-        # The pool's modules load only when a scan forks: neither importing
-        # the CLI nor a --jobs 1 scan adds them to sys.modules.
+        # Neither importing the CLI, nor a --jobs 1 scan, nor a --jobs 2
+        # scan, whose workers are forked directly, adds a module of
+        # concurrent or multiprocessing to sys.modules.
         code = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, os, sys\n"
             "before = set(sys.modules)\n"
             "import homlab.cli\n"
             "pool = lambda: sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
             "print(pool())\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    homlab.cli.main(['scan', '--ineq', 'bst', '--max-vertices', '4', '--models', 'hardcore', '--jobs', '1'])\n"
-            "print(pool())\n"
+            "os.cpu_count = lambda: 2\n"
+            "for jobs in '1', '2':\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        homlab.cli.main(['scan', '--ineq', 'bst', '--max-vertices', '4', '--models', 'hardcore', '--jobs', jobs])\n"
+            "    print(pool())\n"
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert res.returncode == 0 and res.stdout.split("\n") == ["[]", "[]", ""], res.stdout + res.stderr
+        assert res.returncode == 0 and res.stdout.split("\n") == ["[]", "[]", "[]", ""], res.stdout + res.stderr
 
     def test_count(self):
         res = run_cli("count", "--graph", "C6", "--model", "Kq:3")
@@ -609,10 +712,17 @@ class TestCli:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_large_model_over_the_work_bound_fails_in_bounded_memory(self):
-        # Kq:3162's q^2 weights pass the model size check, and hom's work
-        # bound refuses it once built: the model is built and checked on
-        # its ints, in about 250 MB (1.3 GB as Fraction rows).
-        self._refused_in_bounded_memory(["count", "--graph", "P2", "--model", "Kq:3162"], 400)
+        # Kq:3162's q^2 + q + 1 weights are just over the work limit, so it
+        # is refused before any weight is built (19 MB max RSS on CPython
+        # 3.11; built, it took about 250 MB).
+        self._refused_in_bounded_memory(["count", "--graph", "P2", "--model", "Kq:3162"], 50)
+
+    def test_refused_work_bound_prints_one_short_line(self):
+        # K1000's work bound has 302 digits; the error line shows three.
+        res = run_cli("count", "--graph", "K1000", "--model", "Kq:2")
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == "error: contraction work bound 2.14e+301 exceeds 10000000 (n = 1000, q = 2)\n"
+        assert len(res.stderr) < 120
 
     def test_verify_holds_exit_zero(self):
         res = run_cli("verify", "--ineq", "reverse-sidorenko", "--graph", "C6", "--model", "Kq:3")
