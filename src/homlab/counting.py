@@ -14,7 +14,7 @@ from math import comb, factorial, prod
 from operator import add, and_, itemgetter
 from typing import NamedTuple
 
-from homlab.errors import DimensionMismatch, LimitExceeded, work_bound_exceeded
+from homlab.errors import DimensionMismatch, work_bound_exceeded
 from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component
 from homlab.models import Model
 from homlab.ratmath import scaled_colors, scaled_matrix

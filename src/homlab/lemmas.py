@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
-from homlab.errors import LimitExceeded, PreconditionViolated, work_bound_exceeded
+from homlab.errors import PreconditionViolated, work_bound_exceeded
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
 from homlab.fileio import _require, decode, frac_str, read_fields, read_text, to_json
 from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks
