@@ -9,8 +9,8 @@ Everything returns Fraction (or int for pure counts); no floats.
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement, compress, count
-from math import comb, factorial, prod
+from itertools import compress, count
+from math import comb, prod
 from operator import add, and_, itemgetter
 from typing import NamedTuple
 
@@ -82,7 +82,7 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     denom *= edge_scale ** g.edge_count
     parts = _components(g.adjacency)
     q = max(map(len, choices), default=0)
-    _check_work(sum(compile_plan(key).work(q) for _, key in parts), g.n, q)
+    check_work("contraction", sum(compile_plan(key).work(q) for _, key in parts), "n = %d, q = %d", g.n, q)
     total = 1
     bits = key_bits(m.q)
     for vertices, key in parts:
@@ -111,7 +111,7 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     edge_scale, ew = m.integer_edges
     parts = [(key, _cover_parts(key)) for _, key in _components(g.adjacency)]
     q = len(colors)
-    _check_work(sum(compile_plan(half).work(q) for _, halves in parts for half in halves), 2 * g.n, q)
+    check_work("contraction", sum(compile_plan(half).work(q) for _, halves in parts for half in halves), "n = %d, q = %d", 2 * g.n, q)
     memo = {} if memo is None else memo
     total = 1
     bits = key_bits(m.q)
@@ -440,9 +440,11 @@ def _plan(adjacency: tuple, order: list) -> Plan:
     return Plan(tuple(steps), tuple(widths), {})
 
 
-def _check_work(work: int, n: int, q: int):
+def check_work(kind: str, work: int, detail: str, *args):
+    """Raise LimitExceeded when a `kind` work bound is over
+    CONTRACTION_WORK_LIMIT; `detail % args` names the sizes it came from."""
     if work > CONTRACTION_WORK_LIMIT:
-        raise work_bound_exceeded("contraction", work, CONTRACTION_WORK_LIMIT, "n = %d, q = %d" % (n, q))
+        raise work_bound_exceeded(kind, work, CONTRACTION_WORK_LIMIT, detail % args)
 
 
 def contract(plan: Plan, choices, edge_matrix) -> int:
@@ -453,7 +455,7 @@ def contract(plan: Plan, choices, edge_matrix) -> int:
     bound exceeds CONTRACTION_WORK_LIMIT.
     """
     q = max(map(len, choices), default=0)
-    _check_work(plan.work(q), len(plan.steps), q)
+    check_work("contraction", plan.work(q), "n = %d, q = %d", len(plan.steps), q)
     top = max((c for colors in choices for c, _ in colors), default=0)
     return _contract(plan, choices, edge_matrix, key_bits(top + 1))
 
@@ -497,19 +499,39 @@ def _side_weights(weights, lam) -> list:
     return [w * Fraction(x) for w, x in zip(weights, lam)]
 
 
-def _multiset_permutations(combo: tuple) -> int:
-    out = factorial(len(combo))
-    counts = {}
-    for c in combo:
-        counts[c] = counts.get(c, 0) + 1
-    for c in counts.values():
-        out //= factorial(c)
-    return out
+def multiset_count(n: int, k: int) -> int:
+    """C(n + k - 1, k): how many multisets of k out of n points there are."""
+    return comb(n + k - 1, k) if n or k else 1
 
 
-def _biclique_work(size1: int, size2: int, a: int, b: int) -> int:
-    # Multisets of the b points on side 2, times an a-side row product each.
-    return comb(size2 + b - 1, b) * size1 * b
+def multisets(points, k: int):
+    """Each multiset of k of the points in combinations_with_replacement order,
+    as (((point, multiplicity), ...), k! / prod multiplicity!) without zero
+    multiplicities.  The next multiset moves one copy off the last point below
+    the final one, and every copy of the final point, onto the point after it,
+    so the coefficient is carried by one product and one exact division."""
+    points = tuple(points)
+    if not k:
+        yield (), 1
+    if not (k and points):
+        return
+    index, chosen, coef = [0], [(points[0], k)], 1
+    while True:
+        yield tuple(chosen), coef
+        moved = 0
+        if index[-1] == len(points) - 1:
+            index.pop()
+            moved = chosen.pop()[1]
+            if not index:
+                return
+        j = index.pop()
+        point, m = chosen.pop()
+        coef = coef * m // (moved + 1)
+        if m > 1:
+            index.append(j)
+            chosen.append((point, m - 1))
+        index.append(j + 1)
+        chosen.append((points[j + 1], moved + 1))
 
 
 def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> Fraction:
@@ -524,31 +546,26 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     points dropped), each entry read through as_integer_ratio(), so the
     loop is pure big-int arithmetic and the exact scale is divided back
     out once.  Raises LimitExceeded when the work,
-    C(size2 + b - 1, b) * size1 * b on the contracted side, exceeds
+    multiset_count(size2, b) * size1 * b on the contracted side, exceeds
     CONTRACTION_WORK_LIMIT.
     """
     w1 = [1] * size1 if w1 is None else w1
     w2 = [1] * size2 if w2 is None else w2
-    if a == 0 or b == 0:  # K_{a,0} or K_{0,b}: one side's total measure, to its size
-        scale, points = scaled_colors(w2 if a == 0 else w1)
-        return Fraction(sum(w for _, w in points) ** (a + b), scale ** (a + b))
     table = [[f(x, y) for y in range(size2)] for x in range(size1)]
-    work = _biclique_work(size1, size2, a, b)
-    if _biclique_work(size2, size1, b, a) < work:
+    # Multisets of the b points on side 2, times an a-side row product each.
+    work, flipped = multiset_count(size2, b) * size1 * b, multiset_count(size1, a) * size2 * a
+    if flipped < work:
         table = [list(col) for col in zip(*table)]
-        size1, size2, a, b, w1, w2 = size2, size1, b, a, w2, w1
-        work = _biclique_work(size1, size2, a, b)
-    if work > CONTRACTION_WORK_LIMIT:
-        raise work_bound_exceeded("biclique", work, CONTRACTION_WORK_LIMIT, "K_{%d,%d}, sizes %d and %d" % (a, b, size1, size2))
+        size1, size2, a, b, w1, w2, work = size2, size1, b, a, w2, w1, flipped
+    check_work("biclique", work, "K_{%d,%d}, sizes %d and %d", a, b, size1, size2)
     kernel_scale, kernel = scaled_matrix(table)
     scale1, points1 = scaled_colors(w1)
     scale2, points2 = scaled_colors(w2)
     rows = [(w, kernel[x]) for x, w in points1]
     total = 0
-    for combo in combinations_with_replacement(points2, b):
-        ys = [y for y, _ in combo]
-        inner = sum(prod(map(row.__getitem__, ys), start=w) for w, row in rows)
-        total += _multiset_permutations(ys) * prod(w for _, w in combo) * inner ** a
+    for combo, mult in multisets(points2, b):
+        inner = sum(prod([row[y] ** m for (y, _), m in combo], start=w) for w, row in rows)
+        total += mult * prod([w ** m for (_, w), m in combo]) * inner ** a
     return Fraction(total, scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
 
 
@@ -564,24 +581,16 @@ def ominus(a_set, b, looped) -> frozenset:
 def cc(a_set, b_set, a: int, b: int, looped=()) -> int:
     """Semiproper colorings of K_{a,b} with side lists A and B: computed by
     the expansion sum over x in A^a of |B (-) x|^b, grouped by the multiset
-    of x.  Raises LimitExceeded when the work, C(|A| + a - 1, a) * (a + |B|),
-    exceeds CONTRACTION_WORK_LIMIT.
+    of x.  Raises LimitExceeded when the work,
+    multiset_count(|A|, a) * (a + |B|), exceeds CONTRACTION_WORK_LIMIT.
 
     Symmetric: cc(A, B, a, b) == cc(B, A, b, a).
     """
     a_list = sorted(a_set)
     b_frozen = frozenset(b_set)
     looped = frozenset(looped)
-    if a == 0:
-        return len(b_frozen) ** b
-    work = comb(len(a_list) + a - 1, a) * (a + len(b_frozen))
-    if work > CONTRACTION_WORK_LIMIT:
-        raise work_bound_exceeded("cc", work, CONTRACTION_WORK_LIMIT, "a = %d, |A| = %d, |B| = %d" % (a, len(a_list), len(b_frozen)))
-    total = 0
-    for x in combinations_with_replacement(a_list, a):
-        mult = _multiset_permutations(x)
-        total += mult * len(b_frozen - (frozenset(x) - looped)) ** b
-    return total
+    check_work("cc", multiset_count(len(a_list), a) * (a + len(b_frozen)), "a = %d, |A| = %d, |B| = %d", a, len(a_list), len(b_frozen))
+    return sum(mult * len(b_frozen - (frozenset(c for c, _ in x) - looped)) ** b for x, mult in multisets(a_list, a))
 
 
 def semiproper_count(g: Graph, lists, looped=()) -> int:
@@ -613,29 +622,24 @@ def clique_terms(a: int, m: Model, lam=None):
 
     Every vertex of K_a carries the same weights, so a coloring's weight
     depends only on its color multiset: the terms run over the
-    C(q + a - 1, a) multisets instead of the q^a colorings.  Each term is
-    (counts, t): counts pairs every color of the multiset with its
+    multiset_count(q, a) multisets instead of the q^a colorings.  Each term
+    is (counts, t): counts pairs every color of the multiset with its
     multiplicity, and t / denominator is the multiset's weight times its
     number of orderings, t an int on integer-scaled weights.  Raises
-    LimitExceeded when C(q + a - 1, a) * a^2 exceeds
+    LimitExceeded when multiset_count(q, a) * a^2 exceeds
     CONTRACTION_WORK_LIMIT, with q the number of nonzero-weight colors.
     """
     weight_scale, colors = m.integer_colors if lam is None else scaled_colors(_side_weights(m.vertex_weights, lam))
-    q = len(colors)
-    work = comb(q + a - 1, a) * a * a if a else 0
-    if work > CONTRACTION_WORK_LIMIT:
-        raise work_bound_exceeded("clique", work, CONTRACTION_WORK_LIMIT, "K_%d, q = %d" % (a, q))
+    check_work("clique", multiset_count(len(colors), a) * a * a, "K_%d, q = %d", a, len(colors))
     edge_scale, ew = m.integer_edges
     terms = []
-    for combo in combinations_with_replacement(range(q), a):
-        counts = [(c, w, combo.count(i)) for i, (c, w) in enumerate(colors) if i in combo]
-        t = _multiset_permutations(combo)
-        for i, (c, w, k) in enumerate(counts):
+    for counts, t in multisets(colors, a):
+        for i, ((c, w), k) in enumerate(counts):
             row = ew[c]
             t *= w ** k * row[c] ** (k * (k - 1) // 2)
-            for d, _, j in counts[i + 1 :]:
+            for (d, _), j in counts[i + 1 :]:
                 t *= row[d] ** (k * j)
-        terms.append((tuple((c, k) for c, _, k in counts), t))
+        terms.append((tuple((c, k) for (c, _), k in counts), t))
     return weight_scale ** a * edge_scale ** (a * (a - 1) // 2), terms
 
 

@@ -15,17 +15,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 
 from homlab.counting import (
-    _multiset_permutations,
     biclique_kernel_sum,
+    check_work,
     compile_plan,
     contract,
     hom,
     hom_biclique,
     hom_clique,
     hom_double_cover,
+    multiset_count,
+    multisets,
 )
 from homlab.errors import (
     DimensionMismatch,
@@ -376,14 +378,15 @@ def _support_sums(alphas, k: int) -> dict:
     S: how many such x there are, and the sum of prod alpha_{x_i}.
 
     Tuples are grouped by their index multiset (the product only depends on
-    it), weighted by the number of orderings.
+    it), weighted by the number of orderings.  Raises LimitExceeded when
+    multiset_count(n, k) * k exceeds CONTRACTION_WORK_LIMIT.
     """
+    check_work("symmetric-sum", multiset_count(len(alphas), k) * k, "n = %d, k = %d", len(alphas), k)
     sums = {}
-    for chosen in combinations_with_replacement(range(len(alphas)), k):
-        support = frozenset(chosen)
-        mult = _multiset_permutations(chosen)
+    for chosen, mult in multisets(range(len(alphas)), k):
+        support = frozenset(i for i, _ in chosen)
         count, total = sums.get(support, (0, Fraction(0)))
-        sums[support] = (count + mult, total + mult * math.prod((alphas[i] for i in chosen), start=Fraction(1)))
+        sums[support] = (count + mult, total + mult * math.prod((alphas[i] ** m for i, m in chosen), start=Fraction(1)))
     return sums
 
 

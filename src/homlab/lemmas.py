@@ -23,10 +23,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
-from homlab.counting import CONTRACTION_WORK_LIMIT, _multiset_permutations, biclique_kernel_sum, cc, clique_terms, hom, hom_clique, ominus
-from homlab.errors import PreconditionViolated, work_bound_exceeded
+from homlab.counting import biclique_kernel_sum, cc, check_work, clique_terms, hom, hom_clique, multiset_count, multisets, ominus
+from homlab.errors import PreconditionViolated
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
 from homlab.fileio import _require, decode, frac_str, read_fields, read_text, to_json
 from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks
@@ -135,17 +134,19 @@ def _evaluate_local_123(p):
     beta, gamma, delta = p["beta"], p["gamma"], p["delta"]
     f12, f23, w1, w2, w3 = p["f12"], p["f23"], p["w1"], p["w2"], p["w3"]
     n1, n2, n3 = len(w1), len(w2), len(w3)
+    # Each multiset of ys takes a beta-fold product for every z and every x.
+    check_work("local-123", multiset_count(n2, beta) * beta * (n1 + n3), "beta = %d, n1 = %d, n2 = %d, n3 = %d", beta, n1, n2, n3)
     # The summand over ys in [n2]^beta depends only on the multiset of ys:
     # its z-sum part is the same for every x.
     ys_terms = []
-    for ys in combinations_with_replacement(range(n2), beta):
-        z_sum = sum(w3[z] * math.prod(f23[y][z] for y in ys) for z in range(n3))
-        ys_terms.append((ys, _multiset_permutations(ys) * z_sum ** (gamma - 1)))
+    for ys, mult in multisets(range(n2), beta):
+        z_sum = sum(w3[z] * math.prod(f23[y][z] ** m for y, m in ys) for z in range(n3))
+        ys_terms.append((ys, mult * z_sum ** (gamma - 1)))
     s_l = RadicalSum()
     for x in range(n1):
         if w1[x] == 0:
             continue
-        inner = sum((t * math.prod(w2[y] * f12[x][y] for y in ys) for ys, t in ys_terms), Fraction(0))
+        inner = sum((t * math.prod((w2[y] * f12[x][y]) ** m for y, m in ys) for ys, t in ys_terms), Fraction(0))
         s_l = s_l + RadicalSum.from_power(inner, Fraction(delta, beta)).scale(w1[x])
     s12 = biclique_kernel_sum(lambda x, y: f12[x][y], n1, n2, gamma, delta, w1, w2)
     s23 = biclique_kernel_sum(lambda y, z: f23[y][z], n2, n3, beta, gamma, w2, w3)
@@ -240,6 +241,8 @@ def _evaluate_color_bcd(p):
     b_set, c_set, d_set = set(p["B"]), set(p["C"]), set(p["D"])
     looped = set(p["looped"])
     b_int, c_int, k, t = p["b"], p["c"], p["k"], p["t"]
+    # Each multiset of x takes k products of radical sums on either side.
+    check_work("color-bcd", multiset_count(len(d_set), k) * k, "|D| = %d, k = %d", len(d_set), k)
     left = {
         xi: RadicalSum.from_power(cc(b_set - {xi}, c_set - {xi}, c_int - 1, b_int - 1, looped), t / (b_int - 1))
         for xi in d_set
@@ -251,13 +254,13 @@ def _evaluate_color_bcd(p):
     lhs_sum = RadicalSum()
     rhs_sum = RadicalSum()
     # Both summands over x in D^k depend only on the multiset of x.
-    for x in combinations_with_replacement(sorted(d_set), k):
-        mult = _multiset_permutations(x)
+    for x, mult in multisets(sorted(d_set), k):
         term_l = RadicalSum.from_rational(mult)
-        term_r = RadicalSum.from_power(len(c_set - set(x)), t).scale(mult) * RadicalSum.from_power(len(c_set), -(1 - Fraction(k, c_int)) * t)
-        for xi in x:
-            term_l = term_l * left[xi]
-            term_r = term_r * right[xi]
+        term_r = RadicalSum.from_power(len(c_set - {xi for xi, _ in x}), t).scale(mult) * RadicalSum.from_power(len(c_set), -(1 - Fraction(k, c_int)) * t)
+        for xi, m in x:
+            for _ in range(m):
+                term_l = term_l * left[xi]
+                term_r = term_r * right[xi]
         lhs_sum = lhs_sum + term_l
         rhs_sum = rhs_sum + term_r
     return [("bcd-correlation", [(lhs_sum, Fraction(1))], [(rhs_sum, Fraction(1))])]
@@ -494,27 +497,26 @@ def _hom_clique_radical(s: int, m: Model, lam, eta_atoms, eta_power: int) -> Rad
 def _expansion_work(q: int, sides) -> int:
     """Term work of m-log-conv's checks, from the sizes alone.  Each side
     is a list of (s, e) for a factor body_s^e; body_s has at most
-    C(q+s-1, s) terms, one per color multiset, and a product of sums of
-    degrees d1 and d2 forms at most C(q+d1-1, d1) * C(q+d2-1, d2) term
-    products.  The work is every body's terms plus the products formed
-    expanding each side as compare_radical_products does, powers by
-    RadicalSum.int_pow's squaring."""
-    terms = lambda d: math.comb(q + d - 1, d)
+    multiset_count(q, s) terms, one per color multiset, and a product of
+    sums of degrees d1 and d2 forms at most multiset_count(q, d1) *
+    multiset_count(q, d2) term products.  The work is every body's terms
+    plus the products formed expanding each side as compare_radical_products
+    does, powers by RadicalSum.int_pow's squaring."""
     work = 0
     for side in sides:
         deg = 0
         for s, e in side:
-            work += terms(s)
+            work += multiset_count(q, s)
             power, square = 0, s
             while e:
                 if e & 1:
-                    work += terms(power) * terms(square)
+                    work += multiset_count(q, power) * multiset_count(q, square)
                     power += square
                 if e > 1:
-                    work += terms(square) ** 2
+                    work += multiset_count(q, square) ** 2
                     square *= 2
                 e >>= 1
-            work += terms(deg) * terms(power)
+            work += multiset_count(q, deg) * multiset_count(q, power)
             deg += power
     return work
 
@@ -528,9 +530,7 @@ def _evaluate_m_log_conv(p):
         checks.append(("step-ratio[b+1 vs b,1]", [(b, 1), (1, 1)], [(b + 1, 1)]))
         checks.extend(("chain-log-convex[s=%d]" % s, [(s + 1, 2)], [(s, 1), (s + 2, 1)]) for s in range(b, a))
     checks.append(("endpoint-power", [(1, a + 1)], [(a + 1, 1)]))
-    work = _expansion_work(q, [side for _, small, big in checks for side in (small, big)])
-    if work > CONTRACTION_WORK_LIMIT:
-        raise work_bound_exceeded("m-log-conv", work, CONTRACTION_WORK_LIMIT, "q = %d, a = %d, b = %d" % (q, a, b))
+    check_work("m-log-conv", _expansion_work(q, [side for _, small, big in checks for side in (small, big)]), "q = %d, a = %d, b = %d", q, a, b)
     lam, mu = p["lam"], p["mu"]
     eta_atoms = []
     for x in range(q):

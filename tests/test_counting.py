@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import math
 import pathlib
@@ -7,6 +8,7 @@ import re
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,8 @@ from homlab.counting import (
     hom_double_cover,
     hom_eps_polynomial,
     lists_to_constraints,
+    multiset_count,
+    multisets,
     ominus,
     semiproper_count,
 )
@@ -726,6 +730,67 @@ class TestPlanOrder:
             plan = compile_plan(g.adjacency)
             assert [s.vertex for s in plan.steps] == _reference_greedy_order(g.adjacency), g
             assert list(plan.widths) == _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
+
+
+def _multiset_permutations(combo: tuple) -> int:
+    # The multinomial of a tuple, counted from scratch: the reference for
+    # the coefficients `multisets` carries.
+    out = math.factorial(len(combo))
+    counts = {}
+    for c in combo:
+        counts[c] = counts.get(c, 0) + 1
+    for c in counts.values():
+        out //= math.factorial(c)
+    return out
+
+
+def _reference_multisets(points, k):
+    """The old multiset loop: combinations_with_replacement, each tuple
+    grouped into (point, multiplicity) pairs and weighted by
+    _multiset_permutations."""
+    for combo in itertools.combinations_with_replacement(points, k):
+        pairs = []
+        for p in combo:
+            if pairs and pairs[-1][0] == p:
+                pairs[-1][1] += 1
+            else:
+                pairs.append([p, 1])
+        yield tuple((p, m) for p, m in pairs), _multiset_permutations(combo)
+
+
+class TestMultisets:
+    def test_against_product_and_the_old_loop(self):
+        # Each multiset's coefficient is its number of orderings among the
+        # n^k tuples, and the sequence is combinations_with_replacement's.
+        for n in range(6):
+            for k in range(7):
+                points = ["p%d" % i for i in range(n)]
+                got = list(multisets(points, k))
+                assert got == list(_reference_multisets(points, k)), (n, k)
+                assert len(got) == multiset_count(n, k) == (math.comb(n + k - 1, k) if n or k else 1)
+                orderings = {}
+                for xs in itertools.product(points, repeat=k):
+                    key = tuple(sorted(Counter(xs).items(), key=lambda item: points.index(item[0])))
+                    orderings[key] = orderings.get(key, 0) + 1
+                assert dict(got) == orderings, (n, k)
+                assert all(m > 0 for pairs, _ in got for _, m in pairs)
+
+    def test_points_may_be_any_iterable(self):
+        assert list(multisets(iter("ab"), 2)) == [((("a", 2),), 1), ((("a", 1), ("b", 1)), 2), ((("b", 2),), 1)]
+
+    def test_depth_does_not_grow_with_points_or_k(self):
+        # Three thousand points at k = 1 (clique-max of K1 on Kq:3000) and
+        # one point at k = 500, with almost no stack to spare.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+        try:
+            wide = list(multisets(range(3000), 1))
+            deep = list(multisets(["x"], 500))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert wide == [(((i, 1),), 1) for i in range(3000)]
+        assert deep == [((("x", 500),), 1)]
+        assert len(list(multisets(range(3), 21))) == multiset_count(3, 21) == 253
 
 
 def hom_biclique_reference(a, b, m, side_constraints=None):

@@ -6,6 +6,7 @@ import operator
 import os
 import random
 import re
+import signal
 import tempfile
 import time
 from fractions import Fraction
@@ -472,3 +473,68 @@ class TestCliqueRadicalDifferential:
         with pytest.raises(LimitExceeded, match="m-log-conv work bound"):
             check_local_lemma(LemmaInstance("m-log-conv", params))
         assert time.time() - t0 < 1
+
+
+# Three multiset loops past the work limit: C(n + k - 1, k) multisets
+# times each one's cost.  Each ran past 15 s before its loop had a bound.
+_OVER_LIMIT_FILES = [
+    ("symmetric-sum", {"lemma": "sym-monotone", "params": {"k": 400, "alphas": ["1", "2", "3", "4", "5", "6"]}}),
+    (
+        "local-123",
+        {
+            "lemma": "local-123",
+            "params": {
+                "beta": 300,
+                "gamma": 2,
+                "delta": 300,
+                "f12": [["1", "1", "1", "1"]],
+                "f23": [["1"], ["1"], ["1"], ["1"]],
+                "w1": ["1"],
+                "w2": ["1", "1", "1", "1"],
+                "w3": ["1"],
+            },
+        },
+    ),
+    (
+        "color-bcd",
+        {"lemma": "color-bcd", "params": {"q": 4, "looped": [], "B": [0, 1, 2, 3], "C": [0, 1, 2, 3], "D": [0, 1, 2, 3], "b": 2, "c": 1, "k": 300, "t": 1}},
+    ),
+]
+
+
+class TestMultisetLoopBounds:
+    BUDGET_S = 5
+
+    def _main(self, argv):
+        """cli.main in-process under a SIGALRM budget: (exit code, stdout, stderr)."""
+
+        def over_budget(signum, frame):
+            raise TimeoutError("%r ran past %d s" % (argv, self.BUDGET_S))
+
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("kind, doc", _OVER_LIMIT_FILES, ids=[kind for kind, _ in _OVER_LIMIT_FILES])
+    def test_over_limit_file_is_refused(self, tmp_path, kind, doc):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, out, err = self._main(["lemma", "--file", str(path)])
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and not out
+        assert err.startswith("error: %s work bound " % kind) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_large_palette_at_k_one_is_decided(self):
+        # clique_terms over 3,000 colors at a = 1: one multiset per color.
+        code, out, err = self._main(["verify", "--ineq", "clique-max", "--graph", "K1", "--model", "Kq:3000"])
+        assert code == 0 and not err
+        assert "verdict=equality" in out
