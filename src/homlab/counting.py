@@ -9,7 +9,7 @@ Everything returns Fraction (or int for pure counts); no floats.
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
+from itertools import compress, count, product
 from math import comb, prod
 from operator import add, and_, itemgetter
 from typing import NamedTuple
@@ -63,30 +63,37 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     then depends on its adjacency alone; with no memo a local one still
     merges the repeated components of g.
     Raises LimitExceeded, before any contraction, when the components'
-    summed plan work bound exceeds CONTRACTION_WORK_LIMIT.
+    summed plan work bound (`_graph_parts`) exceeds CONTRACTION_WORK_LIMIT.
     """
     constraints = _check_constraints(constraints, g.n, m.q)
     if constraints is None:
         scale, colors = m.integer_colors
-        choices = [colors] * g.n
+        if g.n and not colors:
+            return Fraction(0)
         denom = scale ** g.n
+        q = len(colors)
         memo = {} if memo is None else memo
     else:
         scaled = [scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)]) for lam in constraints]
         denom = prod(scale for scale, _ in scaled)
         choices = [colors for _, colors in scaled]
-        memo = None
-    if not all(choices):
-        return Fraction(0)
+        if not all(choices):
+            return Fraction(0)
+        q = max(map(len, choices), default=0)
     edge_scale, ew = m.integer_edges
     denom *= edge_scale ** g.edge_count
-    parts = _components(g.adjacency)
-    q = max(map(len, choices), default=0)
-    check_work("contraction", sum(compile_plan(key).work(q) for _, key in parts), "n = %d, q = %d", g.n, q)
+    parts = _graph_parts(g.adjacency, False)
+    check_work("contraction", parts.work(q), "n = %d, q = %d", g.n, q)
     total = 1
     bits = key_bits(m.q)
-    for vertices, key in parts:
-        total *= _component_count(key, [choices[v] for v in vertices], ew, bits, memo)
+    for vertices, key, plan in parts.parts:
+        if constraints is not None:
+            total *= _contract(plan, [choices[v] for v in vertices], ew, bits)
+        else:
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = _contract(plan, [colors] * len(vertices), ew, bits)
+            total *= value
         if not total:
             break
     return Fraction(total, denom)
@@ -109,45 +116,63 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     if g.n and not colors:
         return Fraction(0)
     edge_scale, ew = m.integer_edges
-    parts = [(key, _cover_parts(key)) for _, key in _components(g.adjacency)]
+    parts = _graph_parts(g.adjacency, True)
     q = len(colors)
-    check_work("contraction", sum(compile_plan(half).work(q) for _, halves in parts for half in halves), "n = %d, q = %d", 2 * g.n, q)
+    check_work("contraction", parts.work(q), "n = %d, q = %d", 2 * g.n, q)
     memo = {} if memo is None else memo
     total = 1
     bits = key_bits(m.q)
-    for key, halves in parts:
+    for key, halves, plan in parts.parts:
         if len(halves) == 2 and key in memo:  # a bipartite C: hom(C)^2
             total *= memo[key] ** 2
         else:  # the halves of a bipartite C's cover are both copies of C
-            total *= _component_count(halves[0], [colors] * len(halves[0]), ew, bits, memo) ** len(halves)
+            if halves[0] not in memo:
+                memo[halves[0]] = _contract(plan, [colors] * len(halves[0]), ew, bits)
+            total *= memo[halves[0]] ** len(halves)
     return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * g.edge_count))
 
 
 def compile_plans(adjacencies, qs, cover: bool = False):
     """Compile the plan of each component that `hom` contracts for these
     graphs, and with cover the parts that `hom_double_cover` contracts,
-    with the step kernels of each plan for models of q colors, q in qs;
-    none if they outnumber the plan cache, which would evict the first."""
+    with the step kernels of each plan for models of q colors, q in qs, and
+    the graphs' `_graph_parts` with their work bounds for these q; none if
+    they outnumber their cache, which would evict the first."""
     keys = {key for adjacency in adjacencies for _, key in _components(adjacency)}
     keys |= {part for key in keys for part in _cover_parts(key)} if cover else set()
-    widths = {key_bits(q) for q in qs}
-    for key in keys if len(keys) <= compile_plan.cache_parameters()["maxsize"] else ():
+    widths, kinds = {key_bits(q) for q in qs}, {False, cover}
+    room = compile_plan.cache_parameters()["maxsize"]  # the parts cache's size too
+    for key in keys if len(keys) <= room else ():
         plan = compile_plan(key)
         for bits in widths:
             plan.kernels(bits)
+    for adjacency in adjacencies if len(keys) <= room and len(adjacencies) * len(kinds) <= room else ():
+        for kind, q in product(kinds, qs):
+            _graph_parts(adjacency, kind).work(q)
 
 
-def _component_count(key: tuple, choices, ew, bits: int, memo) -> int:
-    """The scaled count of the connected graph with adjacency `key`, read
-    from `memo` if there, else contracted on the shared edge matrix ew
-    with keys of `bits` bits per position (and stored unless memo is
-    None).  The caller has checked a work bound that covers this plan."""
-    value = None if memo is None else memo.get(key)
-    if value is None:
-        value = _contract(compile_plan(key), choices, ew, bits)
-        if memo is not None:
-            memo[key] = value
-    return value
+class _Parts(NamedTuple):
+    parts: tuple  # (vertices, key, plan) per component; for a cover (key, halves, plan of halves[0])
+    plans: tuple  # every plan whose work the bound sums
+    works: dict  # q -> the plans' summed work(q)
+
+    def work(self, q: int) -> int:
+        if q not in self.works:
+            self.works[q] = sum(plan.work(q) for plan in self.plans)
+        return self.works[q]
+
+
+@lru_cache(maxsize=1024)
+def _graph_parts(adjacency: tuple, cover: bool) -> _Parts:
+    """What `hom`, or with cover `hom_double_cover`, contracts for a graph:
+    each component (`_components`) with its compiled plan, or each
+    component's `_cover_parts` with the plan of the first, and the summed
+    work bound of all these plans per q.  Cached like `_components`."""
+    if cover:
+        parts = tuple((key, halves, compile_plan(halves[0])) for _, key in _components(adjacency) for halves in [_cover_parts(key)])
+        return _Parts(parts, tuple(compile_plan(half) for _, halves, _ in parts for half in halves), {})
+    parts = tuple((vertices, key, compile_plan(key)) for vertices, key in _components(adjacency))
+    return _Parts(parts, tuple(plan for _, _, plan in parts), {})
 
 
 @lru_cache(maxsize=1024)

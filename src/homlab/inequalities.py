@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from homlab.counting import (
@@ -179,12 +180,29 @@ def decide(checks) -> tuple[str, float]:
     return _decide_sides([(_side(small), _side(big)) for _, small, big in checks])
 
 
-def _report(ineq: str, instance: str, small, big) -> IneqReport:
-    """Report on the one check small <= big; its lhs and rhs are the sides'
-    PowerProducts, None for a zero side."""
-    lhs, rhs = _side(small), _side(big)
+def _report(ineq: str, instance: str, value, factors) -> IneqReport:
+    """Report on the one check value <= prod factors, with the sides'
+    PowerProducts (None if 0) and the verdict and slack of _decide_sides,
+    which two nonzero rational sides skip for one comparison."""
+    n, d = value.as_integer_ratio()
+    lhs = (PowerProduct(((n, d, 1, 1),) if n != d else (), math.log10(n) - math.log10(d)), []) if n > 0 else _side([(value, 1)])
+    rhs = _side(factors)
+    if lhs and rhs and not rhs[1]:
+        verdict = _VERDICTS[compare_power_products(lhs[0], rhs[0]).ordering]
+        return IneqReport(ineq, instance, lhs[0], rhs[0], verdict, True, clamp_slack(verdict, rhs[0].log10 - lhs[0].log10))
     verdict, slack = _decide_sides([(lhs, rhs)])
     return IneqReport(ineq, instance, lhs and lhs[0], rhs and rhs[0], verdict, True, slack)
+
+
+@lru_cache(maxsize=1024)
+def _factor_keys(adjacency: tuple, clique: bool) -> tuple:
+    """(memo key, exponent) of each factor of an unconstrained cell, in the
+    checks' order: (d_v, d_u, None, None), count/(d_u d_v) per degree pair of
+    the edges (reverse Sidorenko), or (d + 1, None), count/(d + 1) per degree."""
+    if clique:
+        return tuple(((a, None), Fraction(count, a)) for a, count in Counter(row.bit_count() + 1 for row in adjacency).items())
+    g = Graph(len(adjacency), adjacency)
+    return tuple(((d_v, d_u, None, None), Fraction(len(edges), d_u * d_v)) for (d_v, d_u), edges in g.degree_pairs)
 
 
 def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom_memo=None) -> IneqReport:
@@ -200,30 +218,30 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom
     computed by `hom_biclique`, and stored in it after.  Edges with equal
     keys give one factor, its exponent multiplied by their count; the keys
     come from `Graph.degree_pairs`, each degree pair split by its edges'
-    constraints.  A pair's work bound depends on its degrees and q alone,
-    so the first factor over the bound is that of the first such edge.
+    constraints; without constraints they are read, with their exponents,
+    once per graph (`_factor_keys`).  A pair's work bound depends on its
+    degrees and q alone, so the first factor over the bound is that of the
+    first such edge.
     `hom_memo` is hom's component memo for the same model, a separate dict.
     """
     if not all(g.adjacency):
         raise IsolatedVertex("reverse-sidorenko needs no isolated vertices")
     lhs_value = hom(g, m, constraints, hom_memo)
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo
+    if constraints is None:
+        keys = _factor_keys(g.adjacency, False)
+    else:
+        keys = [((d_v, d_u, *lams), Fraction(count, d_u * d_v)) for (d_v, d_u), edges in g.degree_pairs
+                for lams, count in Counter((tuple(constraints[u]), tuple(constraints[v])) for u, v in edges).items()]
     factors = []
-    for (d_v, d_u), edges in g.degree_pairs:
-        if constraints is None:
-            counts = {(None, None): len(edges)}
-        else:
-            counts = Counter((tuple(constraints[u]), tuple(constraints[v])) for u, v in edges)
-        for (lam_u, lam_v), count in counts.items():
-            key = (d_v, d_u, lam_u, lam_v)
-            base = memo.get(key)
-            if base is None:
-                # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
-                base = memo[key] = hom_biclique(d_v, d_u, m, (lam_u, lam_v))
-            factors.append((base, Fraction(count, d_u * d_v)))
+    for key, exponent in keys:
+        base = memo.get(key)
+        if base is None:
+            # u-side colors appear d_v times: the norm is K_{d_v, d_u}.
+            base = memo[key] = hom_biclique(key[0], key[1], m, key[2:])
+        factors.append((base, exponent))
     instance = "G=%s, model q=%d" % (g.edge_text, m.q)
-    return _report("reverse-sidorenko", instance, [(lhs_value, 1)], factors)
+    return _report("reverse-sidorenko", instance, lhs_value, factors)
 
 
 def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
@@ -249,7 +267,7 @@ def check_graphical_bl(g: Graph, kernels: dict, sizes) -> IneqReport:
         base = biclique_kernel_sum(lambda x, y, mat=mat: mat[x][y], sizes[u], sizes[v], degs[v], degs[u])
         factors.append((base, Fraction(1, degs[u] * degs[v])))
     instance = "G=%s, sizes=%s" % (edges, tuple(sizes))
-    return _report("graphical-bl", instance, [(lhs_value, 1)], factors)
+    return _report("graphical-bl", instance, lhs_value, factors)
 
 
 def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
@@ -281,27 +299,25 @@ def check_clique_max(g: Graph, m: Model, lambdas=None, memo=None, hom_memo=None)
 
     `memo` is an optional dict owned by the caller, one per model, as in
     check_reverse_sidorenko: factors are keyed by (d_v + 1, lambda_v), and
-    vertices with equal keys give one factor.  `hom_memo` is hom's
-    component memo for the same model, a separate dict.
+    vertices with equal keys give one factor (`_factor_keys` without
+    lambdas).  `hom_memo` is hom's component memo for the same model, a
+    separate dict.
     """
-    degs = g.degrees()
     lhs_value = hom(g, m, lambdas, hom_memo)
-    if memo is None:
-        memo = {}
-    counts = {}
-    for v in range(g.n):
-        lam = None if lambdas is None else tuple(Fraction(x) for x in lambdas[v])
-        key = (degs[v] + 1, lam)
-        counts[key] = counts.get(key, 0) + 1
+    memo = {} if memo is None else memo
+    if lambdas is None:
+        keys = _factor_keys(g.adjacency, True)
+    else:
+        counts = Counter((row.bit_count() + 1, tuple(map(Fraction, lam))) for row, lam in zip(g.adjacency, lambdas))
+        keys = [(key, Fraction(count, key[0])) for key, count in counts.items()]
     factors = []
-    for key, count in counts.items():
-        a, lam = key
+    for key, exponent in keys:
         base = memo.get(key)
         if base is None:
-            base = memo[key] = hom_clique(a, m, lam)
-        factors.append((base, Fraction(count, a)))
+            base = memo[key] = hom_clique(key[0], m, key[1])
+        factors.append((base, exponent))
     instance = "G=%s, model q=%d" % (g.edge_text, m.q)
-    return _report("clique-max", instance, [(lhs_value, 1)], factors)
+    return _report("clique-max", instance, lhs_value, factors)
 
 
 def check_bst(g: Graph, m: Model, hom_memo=None) -> IneqReport:
@@ -318,9 +334,7 @@ def check_bst(g: Graph, m: Model, hom_memo=None) -> IneqReport:
         raise NotTwoSpin("the swapping bound is stated for 2-spin models")
     hom_memo = {} if hom_memo is None else hom_memo
     lhs_value = hom(g, m, memo=hom_memo) ** 2
-    rhs_value = hom_double_cover(g, m, hom_memo)
-    instance = "G=" + g.edge_text
-    return _report("bst", instance, [(lhs_value, 1)], [(rhs_value, 1)])
+    return _report("bst", "G=" + g.edge_text, lhs_value, [(hom_double_cover(g, m, hom_memo), 1)])
 
 
 def independent_set_masks(g: Graph) -> list[int]:

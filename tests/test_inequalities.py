@@ -39,6 +39,7 @@ from homlab.models import (
     model_h_eps,
     model_hardcore,
     model_widom_rowlinson,
+    parse_model_name,
     random_model,
 )
 from homlab.lemmas import _LEMMAS as lemma_table, check_local_lemma, random_lemma_instance
@@ -233,6 +234,104 @@ class TestLargeReverseSidorenko:
         ordering = clearing_oracle(diff, lcm(*(e.denominator for _, e in diff)))
         assert _compare_by_basis(diff) == ordering
         assert rep.verdict == {"less": "holds", "greater": "violated"}[ordering] and rep.exact
+
+
+class TestDirectReport:
+    """`_report(ineq, instance, value, factors)` decides a check of two
+    nonzero rational sides on one comparison.  Every field of its report,
+    the slack by repr, equals the general route's: `_side` on both sides,
+    then `_decide_sides`.  The `seen` fixture wraps `_report` so that every
+    check the inequality code makes is compared."""
+
+    @staticmethod
+    def general(ineq, instance, value, factors):
+        lhs, rhs = inequalities._side([(value, 1)]), inequalities._side(factors)
+        verdict, slack = inequalities._decide_sides([(lhs, rhs)])
+        return inequalities.IneqReport(ineq, instance, lhs and lhs[0], rhs and rhs[0], verdict, True, slack)
+
+    @staticmethod
+    def fields(rep):
+        # PowerProduct equality skips log10, so each side is its ints and its log10's repr.
+        sides = [None if p is None else (p.ints, repr(p.log10)) for p in (rep.lhs, rep.rhs)]
+        return (rep.ineq, rep.instance, *sides, rep.verdict, rep.exact, repr(rep.slack_log10))
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        direct, seen = inequalities._report, []
+
+        def both(ineq, instance, value, factors):
+            rep = direct(ineq, instance, value, factors)
+            assert self.fields(rep) == self.fields(self.general(ineq, instance, value, factors)), (ineq, instance)
+            seen.append(rep)
+            return rep
+
+        monkeypatch.setattr(inequalities, "_report", both)
+        return seen
+
+    def test_random_cells(self, seen):
+        rng = random.Random(32)
+        graphs = [g for n in range(1, 6) for g in enumerate_graphs(n, dedup_isomorphism=True)]
+        for i in range(240):
+            g, q = rng.choice(graphs), rng.randrange(2, 5)
+            m = random_model(q, rng.randrange(1000), rng.choice(["general", "psd"]))
+            lams = [tuple(Fraction(rng.randrange(3), rng.randrange(1, 3)) for _ in range(q)) for _ in range(g.n)]
+            lams = rng.choice([None, lams])
+            if all(g.adjacency):
+                check_reverse_sidorenko(g, m, lams)
+            check_clique_max(g, m, lams)
+            check_bst(g, random_model(2, rng.randrange(1000), rng.choice(["general", "antiferro-2spin"])))
+            if all(g.adjacency) and g.n <= 4:
+                sizes = [rng.randrange(1, 4) for _ in range(g.n)]
+                pick = lambda: Fraction(rng.randrange(0, 5) * (rng.random() < 0.95), rng.randrange(1, 4))
+                check_graphical_bl(g, {(u, v): [[pick() for _ in range(sizes[v])] for _ in range(sizes[u])] for u, v in g.edge_list()}, sizes)
+        verdicts = {rep.verdict for rep in seen}
+        assert verdicts == {"holds", "equality", "violated"}
+        assert any(rep.lhs is None for rep in seen) and any(rep.lhs is not None for rep in seen)
+
+    def test_zero_left_side(self, seen):
+        rep = check_reverse_sidorenko(named("cycle", 5), parse_model_name("Kq:2"))
+        assert rep.lhs is None and rep.verdict == "holds" and rep.slack_log10 == math.inf
+
+    def test_zero_factor(self, seen):
+        cases = TestZeroFactor()
+        cases.test_reverse_sidorenko()
+        cases.test_clique_max()
+        cases.test_graphical_bl()
+        rep = inequalities._report("t", "i", Fraction(3), [(Fraction(0), Fraction(1, 2)), (Fraction(5), 1)])
+        assert rep.rhs is None and rep.verdict == "violated" and rep.slack_log10 == -math.inf
+        # A zero base to the power 0 is 1.
+        assert inequalities._report("t", "i", Fraction(3), [(Fraction(0), 0), (Fraction(5), 1)]).verdict == "holds"
+        assert len(seen) == 5
+
+    def test_value_of_one(self, seen):
+        assert inequalities._report("t", "i", Fraction(1), [(Fraction(2), Fraction(1, 2))]).verdict == "holds"
+        assert inequalities._report("t", "i", Fraction(1), [(Fraction(1, 2), Fraction(1, 3))]).verdict == "violated"
+        rep = inequalities._report("t", "i", Fraction(1), [(Fraction(1), 1)])
+        assert rep.lhs.ints == rep.rhs.ints == () and rep.verdict == "equality" and repr(rep.slack_log10) == "0.0"
+        # hom(K1, heps) is the sum of its vertex weights, 1.
+        rep = check_clique_max(named("complete", 1), model_h_eps(Fraction(1, 10)))
+        assert rep.lhs.ints == () and rep.verdict == "equality"
+
+    def test_equality(self, seen):
+        for g in (named("path", 3), named("cycle", 4), named("biclique", 2, 3)):
+            for seed in range(5):
+                assert check_bst(g, random_model(2, seed, "general")).verdict == "equality"
+        for seed in range(5):
+            assert check_clique_max(named("complete", 1), random_model(3, seed, "general")).verdict == "equality"
+
+    def test_radical_factor(self, seen):
+        root = RadicalSum.from_rational(1) + RadicalSum.from_power(2, Fraction(1, 2))
+        assert inequalities._report("t", "i", Fraction(5, 2), [(root, 1)]).verdict == "violated"
+        assert inequalities._report("t", "i", Fraction(12, 5), [(root, 1)]).verdict == "holds"
+
+    def test_above_the_clearing_threshold(self, seen, monkeypatch):
+        calls = []
+        basis = power._compare_by_basis
+        monkeypatch.setattr(power, "_compare_by_basis", lambda diff: calls.append(diff) or basis(diff))
+        edges = [(0, 2), (0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 6), (1, 7), (2, 3), (2, 5), (2, 6), (3, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
+        for model in (model_h_eps(Fraction(1, 10)), random_model(2, 0, "general")):
+            check_reverse_sidorenko(Graph.from_edges(8, edges), model)
+        assert len(calls) == 4 and len(seen) == 2
 
 
 class TestCliqueMax:

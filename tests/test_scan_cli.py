@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import cli, scan
-from homlab.counting import _components, _cover_parts, _step_kernel, compile_plan, compile_plans, key_bits
+from homlab.counting import _components, _cover_parts, _graph_parts, _step_kernel, compile_plan, compile_plans, key_bits
 from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import replay_from_dict, report_to_dict
 from homlab.graphs import parse_graph_name
@@ -549,6 +549,32 @@ class TestReportDigests:
         assert summary.findings and not summary.errors
         assert hashlib.sha256(emit_report(summary, "json").encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "ineq, graphs, models, digest",
+        [
+            (
+                "reverse-sidorenko",
+                {"kind": "enumerate", "min_vertices": 2, "max_vertices": 5, "no_isolated": True, "dedup": True},
+                {"kind": "random", "rand_kind": "general", "qs": [2, 3, 4], "seeds": list(range(6))},
+                "f1c42eaaaa9e2bdf0d18d2715ec0a3feb402a134272e11c0d1c4d07430fed3ad",
+            ),
+            (
+                "clique-max",
+                {"kind": "enumerate", "min_vertices": 1, "max_vertices": 5, "dedup": True},
+                {"kind": "union", "parts": [{"kind": "named", "names": ["wr"]}, {"kind": "random", "rand_kind": "psd", "qs": [2, 3, 4], "seeds": list(range(6))}]},
+                "ab91744aab6f72920e083bc8053001ab3d186c0fe9c58b9337ebae31d82d60a0",
+            ),
+        ],
+        ids=["reverse-sidorenko", "clique-max"],
+    )
+    def test_random_model_report(self, ineq, graphs, models, digest):
+        # Two more grids with findings, on random rational models: factors
+        # with fractional exponents, and slacks from logs of large
+        # numerators and denominators.
+        summary = run_scan(ScanJob(ineq, graphs, models))
+        assert summary.findings and not summary.errors
+        assert hashlib.sha256(emit_report(summary, "json").encode()).hexdigest() == digest
+
     def test_lemma_stream(self):
         digest = hashlib.sha256()
         for lemma_id in LEMMA_IDS:
@@ -639,6 +665,55 @@ class TestPlansCompiledBeforeTheFork:
         assert compile_plan.cache_info().currsize == 0
         compile_plans(stars[:10], [2])
         assert compile_plan.cache_info().currsize == len(set(stars[:10])) == 9
+
+
+def _disjoint_paths(sizes) -> tuple:
+    """The adjacency of disjoint paths of these vertex counts, in order."""
+    rows = []
+    for k in sizes:
+        base = len(rows)
+        rows += [(1 << base + v - 1 if v else 0) | (1 << base + v + 1 if v < k - 1 else 0) for v in range(k)]
+    return tuple(rows)
+
+
+class TestGraphPartsBeforeTheFork:
+    """compile_plans also fills each graph's `_graph_parts` entry, for hom
+    and with cover for hom_double_cover, with its work bound for every q of
+    the grid, so forked workers inherit them.  It fills none when the plans
+    outnumber the plan cache, or the entries the parts cache."""
+
+    def test_entries_and_bounds_are_filled(self):
+        adjacencies = {g.adjacency for _, g in scan.materialize_graphs(REPORT_DIGEST_GRIDS["bst"][0])}
+        _graph_parts.cache_clear()
+        compile_plans(adjacencies, [2, 3], True)
+        filled = _graph_parts.cache_info()
+        assert filled.misses == filled.currsize == 2 * len(adjacencies)
+        for adjacency in adjacencies:
+            keys = [key for _, key in _components(adjacency)]
+            for cover, plans in ((False, keys), (True, [half for key in keys for half in _cover_parts(key)])):
+                parts = _graph_parts(adjacency, cover)
+                assert parts.works == {q: sum(compile_plan(key).work(q) for key in plans) for q in (2, 3)}
+        assert _graph_parts.cache_info().misses == filled.misses
+
+    def test_nothing_when_the_plans_outnumber_the_plan_cache(self):
+        stars = [tuple(((1 << n) - 1) ^ (1 << c) if v == c else 1 << c for v in range(n)) for n in range(2, 47) for c in range(n)]
+        _graph_parts.cache_clear()
+        compile_plans(stars, [2])
+        assert _graph_parts.cache_info().currsize == 0
+
+    def test_no_entry_when_the_graphs_outnumber_the_parts_cache(self):
+        # Paths of 1, 2 and 3 vertices in every order, up to 10 vertices:
+        # 599 graphs, two entries each with cover, and only 3 components.
+        sequences, frontier = [], [()]
+        while frontier:
+            frontier = [seq + (k,) for seq in frontier for k in (1, 2, 3) if sum(seq) + k <= 10]
+            sequences += frontier
+        adjacencies = {_disjoint_paths(seq) for seq in sequences}
+        assert len(adjacencies) == 599 and 2 * 599 > _graph_parts.cache_parameters()["maxsize"]
+        _graph_parts.cache_clear()
+        compile_plan.cache_clear()
+        compile_plans(adjacencies, [2], True)
+        assert _graph_parts.cache_info().currsize == 0 and compile_plan.cache_info().currsize > 0
 
 
 def _no_labeled_walk(*args, **kwargs):
