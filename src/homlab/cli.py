@@ -9,8 +9,8 @@ import argparse
 import json
 import sys
 
-from homlab.counting import CONTRACTION_WORK_LIMIT, hom
-from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
+from homlab.counting import hom
+from homlab.errors import HomlabError, InvalidArgument, check_work
 from homlab.fileio import frac_str, graph_from_any, load_replay, model_from_any, parse_constraints, read_text, report_to_dict
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, lemma_instance_to_dict, load_lemma_instance, random_lemma_instance
 from homlab.scan import (
@@ -54,8 +54,7 @@ def _parse_seed_range(text: str) -> range:
         lo, hi = map(int, text.split(":")) if ":" in text else (int(text), int(text) + 1)
     except ValueError:
         raise InvalidArgument("--seeds must be 'lo:hi' or one seed, not %r" % text) from None
-    if hi - lo > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("--seeds range %r has %d seeds, over %d" % (text, hi - lo, CONTRACTION_WORK_LIMIT))
+    check_work("seed-range", hi - lo, "--seeds %r", text)
     if hi <= lo:
         raise InvalidArgument("--seeds range %r is empty" % text)
     return range(lo, hi)
@@ -201,9 +200,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    list_seeds = _at_least(args.list_seeds, 0, "--list-seeds")
-    if list_seeds and list_seeds > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("--list-seeds %d is over %d" % (list_seeds, CONTRACTION_WORK_LIMIT))
+    list_seeds = _at_least(args.list_seeds, 0, "--list-seeds") or 0
+    check_work("list-seeds", list_seeds, "--list-seeds %d", list_seeds)
     job = ScanJob(
         ineq=args.ineq,
         graphs=_graph_source_from_args(args),

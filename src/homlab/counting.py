@@ -14,8 +14,8 @@ from math import comb, prod
 from operator import add, and_, itemgetter
 from typing import NamedTuple
 
-from homlab.errors import DimensionMismatch, work_bound_exceeded
-from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component
+from homlab.errors import DimensionMismatch, check_work
+from homlab.graphs import Graph, _component
 from homlab.models import Model
 from homlab.ratmath import scaled_colors, scaled_matrix
 
@@ -63,40 +63,25 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     then depends on its adjacency alone; with no memo a local one still
     merges the repeated components of g.
     Raises LimitExceeded, before any contraction, when the components'
-    summed plan work bound (`_graph_parts`) exceeds CONTRACTION_WORK_LIMIT.
+    summed plan work bound (`_graph_parts`) exceeds WORK_LIMIT.
     """
     constraints = _check_constraints(constraints, g.n, m.q)
     if constraints is None:
-        scale, colors = m.integer_colors
-        if g.n and not colors:
-            return Fraction(0)
-        denom = scale ** g.n
-        q = len(colors)
-        memo = {} if memo is None else memo
-    else:
-        scaled = [scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)]) for lam in constraints]
-        denom = prod(scale for scale, _ in scaled)
-        choices = [colors for _, colors in scaled]
-        if not all(choices):
-            return Fraction(0)
-        q = max(map(len, choices), default=0)
-    edge_scale, ew = m.integer_edges
-    denom *= edge_scale ** g.edge_count
+        return _hom_parts(g, m, False, memo)
+    scaled = [scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)]) for lam in constraints]
+    choices = [colors for _, colors in scaled]
+    if not all(choices):
+        return Fraction(0)
+    q = max(map(len, choices), default=0)
     parts = _graph_parts(g.adjacency, False)
     check_work("contraction", parts.work(q), "n = %d, q = %d", g.n, q)
-    total = 1
-    bits = key_bits(m.q)
-    for vertices, key, plan in parts.parts:
-        if constraints is not None:
-            total *= _contract(plan, [choices[v] for v in vertices], ew, bits)
-        else:
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = _contract(plan, [colors] * len(vertices), ew, bits)
-            total *= value
+    edge_scale, ew = m.integer_edges
+    total, bits = 1, key_bits(m.q)
+    for _, vertices, _, plan in parts.parts:
+        total *= _contract(plan, [choices[v] for v in vertices], ew, bits)
         if not total:
             break
-    return Fraction(total, denom)
+    return Fraction(total, prod(scale for scale, _ in scaled) * edge_scale ** g.edge_count)
 
 
 def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
@@ -105,31 +90,35 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
     The cover of a connected bipartite C is two copies of C, so C gives
     hom(C)^2 (the identity behind the swapping bound); the cover of any
     other connected C is connected and is contracted as one component.
-    `memo` is hom's component memo for this model, shared with hom(g, m):
-    it holds hom(C) after that call, and the covers are stored in it by
-    their own adjacency.  The work bound is the one of the cover graph,
-    summed over the cover's components, and is checked first; only the
+    `memo` is hom's component memo for this model, shared with hom(g, m),
+    and holds hom(C) under C's key and each connected cover's count under
+    its own.  The work bound is the cover graph's, checked first; only the
     cover's component plans are contracted, since C's own plan may cost
     more than either copy's above EXACT_ORDER_MAX_VERTICES.
     """
+    return _hom_parts(g, m, True, memo)
+
+
+def _hom_parts(g: Graph, m: Model, cover: bool, memo) -> Fraction:
+    """Unconstrained hom(g, m), or with cover hom(g x K_2, m): the product
+    of each `_graph_parts` entry's count, memoized by its key, to its power."""
     scale, colors = m.integer_colors
     if g.n and not colors:
         return Fraction(0)
+    n, edges = (2 * g.n, 2 * g.edge_count) if cover else (g.n, g.edge_count)
+    parts = _graph_parts(g.adjacency, cover)
+    check_work("contraction", parts.work(len(colors)), "n = %d, q = %d", n, len(colors))
     edge_scale, ew = m.integer_edges
-    parts = _graph_parts(g.adjacency, True)
-    q = len(colors)
-    check_work("contraction", parts.work(q), "n = %d, q = %d", 2 * g.n, q)
     memo = {} if memo is None else memo
-    total = 1
-    bits = key_bits(m.q)
-    for key, halves, plan in parts.parts:
-        if len(halves) == 2 and key in memo:  # a bipartite C: hom(C)^2
-            total *= memo[key] ** 2
-        else:  # the halves of a bipartite C's cover are both copies of C
-            if halves[0] not in memo:
-                memo[halves[0]] = _contract(plan, [colors] * len(halves[0]), ew, bits)
-            total *= memo[halves[0]] ** len(halves)
-    return Fraction(total, scale ** (2 * g.n) * edge_scale ** (2 * g.edge_count))
+    total, bits = 1, key_bits(m.q)
+    for key, vertices, power, plan in parts.parts:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = _contract(plan, [colors] * len(vertices), ew, bits)
+        total *= value ** power
+        if not total:
+            break
+    return Fraction(total, scale ** n * edge_scale ** edges)
 
 
 def compile_plans(adjacencies, qs, cover: bool = False):
@@ -152,7 +141,7 @@ def compile_plans(adjacencies, qs, cover: bool = False):
 
 
 class _Parts(NamedTuple):
-    parts: tuple  # (vertices, key, plan) per component; for a cover (key, halves, plan of halves[0])
+    parts: tuple  # (memo key, vertices, power, plan) per part (`_graph_parts`)
     plans: tuple  # every plan whose work the bound sums
     works: dict  # q -> the plans' summed work(q)
 
@@ -164,15 +153,20 @@ class _Parts(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _graph_parts(adjacency: tuple, cover: bool) -> _Parts:
-    """What `hom`, or with cover `hom_double_cover`, contracts for a graph:
-    each component (`_components`) with its compiled plan, or each
-    component's `_cover_parts` with the plan of the first, and the summed
-    work bound of all these plans per q.  Cached like `_components`."""
-    if cover:
-        parts = tuple((key, halves, compile_plan(halves[0])) for _, key in _components(adjacency) for halves in [_cover_parts(key)])
-        return _Parts(parts, tuple(compile_plan(half) for _, halves, _ in parts for half in halves), {})
-    parts = tuple((vertices, key, compile_plan(key)) for vertices, key in _components(adjacency))
-    return _Parts(parts, tuple(plan for _, _, plan in parts), {})
+    """What `hom`, or with cover `hom_double_cover`, contracts for a graph,
+    and the summed work(q) of every component's, or cover component's, plan.
+    A component (`_components`) is (its key, its vertices, 1, its plan).  In
+    the cover a bipartite C is (C's key, range(|C|), 2, its first cover
+    copy's plan), any other C (its cover's key, range(2|C|), 1, the cover's
+    plan).  Cached like `_components`."""
+    parts, plans = [], []
+    for vertices, key in _components(adjacency):
+        halves = _cover_parts(key) if cover else (key,)
+        plans += map(compile_plan, halves)
+        if cover:
+            key, vertices = key if len(halves) == 2 else halves[0], range(len(halves[0]))
+        parts.append((key, vertices, len(halves), plans[-len(halves)]))
+    return _Parts(tuple(parts), tuple(plans), {})
 
 
 @lru_cache(maxsize=1024)
@@ -334,7 +328,7 @@ def compile_plan(adjacency: tuple) -> Plan:
     each graph with many models; keyed by the adjacency tuple, not the
     Graph, so an entry keeps no graph alive.  Building the steps scans
     the frontier once per step, about n^2 steps, which every Graph bounds
-    by CONTRACTION_WORK_LIMIT.  The step kernels are looked up on first
+    by WORK_LIMIT.  The step kernels are looked up on first
     use, per key bit width (`Plan.kernels`).
     """
     order = [v for v in range(len(adjacency)) if not adjacency[v]]
@@ -465,19 +459,12 @@ def _plan(adjacency: tuple, order: list) -> Plan:
     return Plan(tuple(steps), tuple(widths), {})
 
 
-def check_work(kind: str, work: int, detail: str, *args):
-    """Raise LimitExceeded when a `kind` work bound is over
-    CONTRACTION_WORK_LIMIT; `detail % args` names the sizes it came from."""
-    if work > CONTRACTION_WORK_LIMIT:
-        raise work_bound_exceeded(kind, work, CONTRACTION_WORK_LIMIT, detail % args)
-
-
 def contract(plan: Plan, choices, edge_matrix) -> int:
     """Sum over all maps v -> colors in choices[v] of the product of the
     color weights and, for every edge, E[color u][color v] (u placed
     before v), where E is edge_matrix, one int matrix shared by every edge.
     Weights are integers.  Raises LimitExceeded first when the plan's work
-    bound exceeds CONTRACTION_WORK_LIMIT.
+    bound exceeds WORK_LIMIT.
     """
     q = max(map(len, choices), default=0)
     check_work("contraction", plan.work(q), "n = %d, q = %d", len(plan.steps), q)
@@ -572,7 +559,7 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     loop is pure big-int arithmetic and the exact scale is divided back
     out once.  Raises LimitExceeded when the work,
     multiset_count(size2, b) * size1 * b on the contracted side, exceeds
-    CONTRACTION_WORK_LIMIT.
+    WORK_LIMIT.
     """
     w1 = [1] * size1 if w1 is None else w1
     w2 = [1] * size2 if w2 is None else w2
@@ -607,7 +594,7 @@ def cc(a_set, b_set, a: int, b: int, looped=()) -> int:
     """Semiproper colorings of K_{a,b} with side lists A and B: computed by
     the expansion sum over x in A^a of |B (-) x|^b, grouped by the multiset
     of x.  Raises LimitExceeded when the work,
-    multiset_count(|A|, a) * (a + |B|), exceeds CONTRACTION_WORK_LIMIT.
+    multiset_count(|A|, a) * (a + |B|), exceeds WORK_LIMIT.
 
     Symmetric: cc(A, B, a, b) == cc(B, A, b, a).
     """
@@ -652,7 +639,7 @@ def clique_terms(a: int, m: Model, lam=None):
     multiplicity, and t / denominator is the multiset's weight times its
     number of orderings, t an int on integer-scaled weights.  Raises
     LimitExceeded when multiset_count(q, a) * a^2 exceeds
-    CONTRACTION_WORK_LIMIT, with q the number of nonzero-weight colors.
+    WORK_LIMIT, with q the number of nonzero-weight colors.
     """
     weight_scale, colors = m.integer_colors if lam is None else scaled_colors(_side_weights(m.vertex_weights, lam))
     check_work("clique", multiset_count(len(colors), a) * a * a, "K_%d, q = %d", a, len(colors))

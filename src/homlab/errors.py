@@ -19,10 +19,25 @@ class LimitExceeded(HomlabError):
     """Instance larger than the documented desk-scale bound."""
 
 
-def work_bound_exceeded(kind: str, work: int, limit: int, detail: str) -> LimitExceeded:
-    """The error for a `kind` work bound over `limit`.  The bound is written
-    in full up to 20 digits and as d.dde+k past that, so that a bound of
+# The one bound on every up-front size estimate.  A contraction plan's work
+# is the sum over its steps of q^(frontier width + 1), q the most colors
+# allowed at any vertex: the table entries the DP may touch, and so its
+# time and memory.  K10 at q = 4 (work 1.4e6) takes 1.4 s and 67 MB on a
+# 2-vCPU VM with CPython 3.11; the test suite and the benchmark stay below
+# 6e3.  A plan orders a component by an exact subset DP up to
+# counting.EXACT_ORDER_MAX_VERTICES = 10 vertices (0.8 ms at n = 10), else
+# greedily in about m + n log n steps, and builds its steps in about n^2,
+# so a Graph bounds n^2 by this limit too.
+WORK_LIMIT = 10 ** 7
+
+
+def check_work(kind: str, work: int, detail: str, *args):
+    """Raise LimitExceeded when a `kind` work bound is over WORK_LIMIT;
+    `detail % args` names the sizes it came from.  The bound is written in
+    full up to 20 digits and as d.dde+k past that, so that a bound of
     hundreds of digits still makes one short line."""
+    if work <= WORK_LIMIT:
+        return
     if work < 10 ** 20:
         text = "%d" % work
     else:
@@ -31,7 +46,7 @@ def work_bound_exceeded(kind: str, work: int, limit: int, detail: str) -> LimitE
         lead = (work + 5 * 10 ** (k - 3)) // 10 ** (k - 2)  # the leading three digits, rounded half up
         k, lead = (k + 1, 100) if lead == 1000 else (k, lead)
         text = "%d.%02de+%d" % (lead // 100, lead % 100, k)
-    return LimitExceeded("%s work bound %s exceeds %d (%s)" % (kind, text, limit, detail))
+    raise LimitExceeded("%s work bound %s exceeds %d (%s)" % (kind, text, WORK_LIMIT, detail % args))
 
 
 class DimensionMismatch(HomlabError):

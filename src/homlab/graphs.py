@@ -10,21 +10,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from homlab.errors import InvalidSpec, LimitExceeded
+from homlab.errors import InvalidSpec, LimitExceeded, check_work
 
 ENUMERATION_VERTEX_LIMIT = 8
-
-# Bound on a contraction plan's work, the sum over its steps of
-# q^(frontier width + 1) with q the most colors allowed at any vertex: the
-# table entries the DP may touch, and so its time and memory.  K10 at q = 4
-# (work 1.4e6) takes 1.4 s and 67 MB on a 2-vCPU VM with CPython 3.11; the
-# test suite and the benchmark stay below 6e3.  A plan orders each
-# connected component by an exact subset DP over its placed sets when it
-# has at most counting.EXACT_ORDER_MAX_VERTICES = 10 vertices (0.8 ms at
-# n = 10) and by the greedy min-frontier search, about m + n log n steps,
-# above that; building the plan's steps scans the frontier once per step,
-# about n^2 steps, so a Graph bounds n^2 by this limit too.
-CONTRACTION_WORK_LIMIT = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -103,8 +91,7 @@ class Graph:
 def _check_vertex_count(n):
     if type(n) is not int or n < 0:
         raise InvalidSpec("vertex count must be a nonnegative int, not %r" % (n,))
-    if n * n > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("plan search bound %d exceeds %d (n = %d)" % (n * n, CONTRACTION_WORK_LIMIT, n))
+    check_work("plan-search", n * n, "n = %d", n)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from itertools import accumulate
 
 from homlab.counting import (
     biclique_kernel_sum,
-    check_work,
     compile_plan,
     contract,
     hom,
@@ -36,8 +35,9 @@ from homlab.errors import (
     IsolatedVertex,
     LimitExceeded,
     NotTwoSpin,
+    check_work,
 )
-from homlab.graphs import CONTRACTION_WORK_LIMIT, Graph, _component
+from homlab.graphs import Graph, _component
 from homlab.models import Model
 from homlab.power import PowerProduct, RadicalSum, compare_power_products, compare_radical_products
 from homlab.ratmath import scaled_matrix
@@ -277,8 +277,7 @@ def _kernel_assignment_sum(g: Graph, kernels: dict, sizes) -> Fraction:
     (v, u) blocks.  Its (sum of sizes)^2 entries are checked first."""
     offsets = [0, *accumulate(sizes)]
     total = offsets.pop()
-    if total * total > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("block palette of %d colors needs %d matrix entries, over %d" % (total, total * total, CONTRACTION_WORK_LIMIT))
+    check_work("block-palette", total * total, "matrix entries of %d colors", total)
     matrix = [[0] * total for _ in range(total)]
     denom = 1
     for u, v in g.edge_list():
@@ -393,7 +392,7 @@ def _support_sums(alphas, k: int) -> dict:
 
     Tuples are grouped by their index multiset (the product only depends on
     it), weighted by the number of orderings.  Raises LimitExceeded when
-    multiset_count(n, k) * k exceeds CONTRACTION_WORK_LIMIT.
+    multiset_count(n, k) * k exceeds WORK_LIMIT.
     """
     check_work("symmetric-sum", multiset_count(len(alphas), k) * k, "n = %d, k = %d", len(alphas), k)
     sums = {}

@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from homlab.counting import biclique_kernel_sum, cc, check_work, clique_terms, hom, hom_clique, multiset_count, multisets, ominus
-from homlab.errors import PreconditionViolated
+from homlab.counting import biclique_kernel_sum, cc, clique_terms, hom, hom_clique, multiset_count, multisets, ominus
+from homlab.errors import PreconditionViolated, check_work
 from homlab.graphs import Graph, add_apexes, build_named, GraphFamilySpec
 from homlab.fileio import _require, decode, frac_str, read_fields, read_text, to_json
 from homlab.inequalities import IneqReport, decide, sym_corollary_sides, sym_monotone_checks

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from homlab.errors import InvalidArgument, LimitExceeded, NegativeWeight, NonSymmetric
-from homlab.graphs import CONTRACTION_WORK_LIMIT
+from homlab.errors import InvalidArgument, NegativeWeight, NonSymmetric, check_work
 from homlab.ratmath import eigenvalue_sign_counts, read_rational, scaled_colors, scaled_matrix
 
 RANDOM_MODEL_MAX_COLORS = 8
@@ -93,8 +92,7 @@ def model_complete_looped(q: int, ell: int) -> Model:
     """K_q with the first `ell` colors looped: semiproper-coloring target.
     It is sized before any weight is built, as a random source sizes each
     model: q^2 edge weights, q vertex weights and one for the model."""
-    if q * q + q + 1 > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("model size q^2 + q + 1 = %d exceeds %d" % (q * q + q + 1, CONTRACTION_WORK_LIMIT))
+    check_work("model", q * q + q + 1, "q^2 + q + 1 weights, q = %d", q)
     if not 0 <= ell <= q:
         raise InvalidArgument("need 0 <= ell <= q")
     rows = [[1 if i != j or i < ell else 0 for j in range(q)] for i in range(q)]

@@ -26,7 +26,7 @@ from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
 
 from homlab.counting import compile_plans, lists_to_constraints
-from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
+from homlab.errors import HomlabError, InvalidArgument, check_work
 from homlab.fileio import (
     frac_str,
     graph_to_dict,
@@ -36,7 +36,6 @@ from homlab.fileio import (
     report_to_dict,
 )
 from homlab.graphs import (
-    CONTRACTION_WORK_LIMIT,
     ENUMERATION_VERTEX_LIMIT,
     Graph,
     enumerate_graphs,
@@ -128,8 +127,7 @@ def materialize_models(source: dict) -> list[tuple[str, Model]]:
         out = list(islice(built, len(qs)))
         rounds, rest = divmod(len(seeds), len(qs))
         weights = rounds * sum(q * q + q + 1 for q in qs) + sum(q * q + q + 1 for q in qs[:rest])
-        if weights > CONTRACTION_WORK_LIMIT:
-            raise LimitExceeded("%d random models take %d weights, over %d" % (len(seeds), weights, CONTRACTION_WORK_LIMIT))
+        check_work("random-models", weights, "%d models", len(seeds))
         return out + list(built)
     if kind == "complete-looped":
         count_models(source)  # refuses the family by its weights
@@ -155,8 +153,7 @@ def count_models(source: dict) -> int:
         return len(source["seeds"])
     if kind == "complete-looped":  # q + 1 models for each q <= t
         t = max(source["max_q"], 0)
-        if t * (t + 1) * (t + 2) * (3 * t + 1) // 12 > CONTRACTION_WORK_LIMIT:
-            raise LimitExceeded("complete-looped models up to q = %d exceed %d weights" % (t, CONTRACTION_WORK_LIMIT))
+        check_work("complete-looped", t * (t + 1) * (t + 2) * (3 * t + 1) // 12, "weights of the models up to q = %d", t)
         return t * (t + 3) // 2
     if kind == "union":
         return sum(map(count_models, source["parts"]))
@@ -196,9 +193,8 @@ def _cells_for_job(job: ScanJob):
     models times list seeds, before any model or cell is built."""
     graphs = materialize_graphs(job.graphs)
     list_seeds = [None] if job.lists is None else job.lists["seeds"]
-    size = len(graphs) * count_models(job.models) * len(list_seeds)
-    if size > CONTRACTION_WORK_LIMIT:
-        raise LimitExceeded("the scan grid has %d cells, over %d" % (size, CONTRACTION_WORK_LIMIT))
+    sizes = len(graphs), count_models(job.models), len(list_seeds)
+    check_work("scan-grid", math.prod(sizes), "cells of %d graphs x %d models x %d list seeds", *sizes)
     models = materialize_models(job.models)
     cells = []
     for gid, g in graphs:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from conftest import bipartite_oracle, cc_oracle, eps_low_coefficients, hom_oracle, semiproper_oracle
 from homlab import counting
 from homlab.counting import (
-    CONTRACTION_WORK_LIMIT,
     EXACT_ORDER_MAX_VERTICES,
     WIDE_STEP,
     _components,
@@ -36,7 +35,8 @@ from homlab.counting import (
     ominus,
     semiproper_count,
 )
-from homlab.errors import DimensionMismatch, LimitExceeded, work_bound_exceeded
+from homlab import errors
+from homlab.errors import WORK_LIMIT, DimensionMismatch, LimitExceeded, check_work
 from homlab.graphs import (
     Graph,
     GraphFamilySpec,
@@ -382,7 +382,7 @@ class TestContractionEngine:
         # matrix, over the work limit however cheap the contraction is.
         g = Graph.from_edges(2, [(0, 1)])
         kernels = {(0, 1): [[1] * 1600] * 1600}
-        with pytest.raises(LimitExceeded, match="block palette of 3200 colors needs 10240000 matrix entries, over %d" % CONTRACTION_WORK_LIMIT):
+        with pytest.raises(LimitExceeded, match=re.escape("block-palette work bound 10240000 exceeds 10000000 (matrix entries of 3200 colors)")):
             _kernel_assignment_sum(g, kernels, [1600, 1600])
 
     def test_plan_places_each_vertex_once_and_empties_frontier(self):
@@ -422,33 +422,47 @@ class TestContractionEngine:
 
     def test_work_limit(self):
         plan = compile_plan(named("complete", 16).adjacency)
-        assert plan.work(4) > CONTRACTION_WORK_LIMIT
+        assert plan.work(4) > WORK_LIMIT
         with pytest.raises(LimitExceeded):
             hom(named("complete", 16), model_complete_looped(4, 4))
         # Two copies of K11 are each under the bound and over it together:
         # the whole graph's bound is checked before any contraction or memo
         # lookup, with its text, also when the memo holds the component.
         k11 = named("complete", 11)
-        assert compile_plan(k11.adjacency).work(4) <= CONTRACTION_WORK_LIMIT
+        assert compile_plan(k11.adjacency).work(4) <= WORK_LIMIT
         two = Graph.from_edges(22, k11.edge_list() + [(u + 11, v + 11) for u, v in k11.edge_list()])
-        text = "contraction work bound %d exceeds %d (n = 22, q = 4)" % (compile_plan(two.adjacency).work(4), CONTRACTION_WORK_LIMIT)
+        text = "contraction work bound %d exceeds %d (n = 22, q = 4)" % (compile_plan(two.adjacency).work(4), WORK_LIMIT)
         for memo in (None, {}, {k11.adjacency: 1}):
             with pytest.raises(LimitExceeded, match=re.escape(text)):
                 hom(two, model_complete_looped(4, 4), memo=memo)
 
-    def test_work_bound_text(self):
+    def test_work_bound_text(self, monkeypatch):
         # In full up to 20 digits, then three digits as %.2e writes them,
         # also for a bound past float range and at the rounding edges.
-        def bound(work):
-            return str(work_bound_exceeded("contraction", work, 10, "n = 1")).split()[3]
+        monkeypatch.setattr(errors, "WORK_LIMIT", 10)
 
+        def text(work, kind="contraction", detail=("n = %d", 1)):
+            with pytest.raises(LimitExceeded) as info:
+                check_work(kind, work, *detail)
+            return str(info.value)
+
+        def bound(work):
+            return text(work).split()[3]
+
+        check_work("contraction", 10, "n = %d", 1)  # at the limit: no error
         for work in (11, 10 ** 20 - 1):
             assert bound(work) == str(work)
         rng = random.Random(5)
         for work in [10 ** 20, 10 ** 300 - 1, 9995 * 10 ** 96, 2 ** 1000] + [rng.randrange(10 ** 20, 10 ** 300) for _ in range(500)]:
             assert bound(work) == "%.2e" % work, work
         assert bound(3 * 10 ** 4000 + 7) == "3.00e+4000"
-        assert str(work_bound_exceeded("cc", 10 ** 30, 10, "a = 2")) == "cc work bound 1.00e+30 exceeds 10 (a = 2)"
+        # The last full bound, the first short one, and a lead of 999.5
+        # that rounds up to 1000 and carries into the exponent.
+        assert text(10 ** 20 - 1) == "contraction work bound 99999999999999999999 exceeds 10 (n = 1)"
+        assert text(10 ** 20) == "contraction work bound 1.00e+20 exceeds 10 (n = 1)"
+        assert text(9995 * 10 ** 96) == "contraction work bound 1.00e+100 exceeds 10 (n = 1)"
+        assert text(9994 * 10 ** 96) == "contraction work bound 9.99e+99 exceeds 10 (n = 1)"
+        assert text(10 ** 30, "cc", ("a = %d, |A| = %d", 2, 3)) == "cc work bound 1.00e+30 exceeds 10 (a = 2, |A| = 3)"
 
     def test_double_cover_work_bound_is_the_cover_graphs(self, monkeypatch):
         # With the limit one below the cover graph's plan work the cover
@@ -466,15 +480,16 @@ class TestContractionEngine:
                 graphs.append(g)
         m = random_model(2, 4, "antiferro-2spin")
         works = []
-        for g in graphs:
-            work = compile_plan(tensor_with_k2(g).adjacency).work(2)
+        # The covers are built first, as the limit bounds their n^2 too.
+        for g, cover in [(g, tensor_with_k2(g)) for g in graphs]:
+            work = compile_plan(cover.adjacency).work(2)
             works.append((work, 2 * compile_plan(g.adjacency).work(2)))
-            monkeypatch.setattr(counting, "CONTRACTION_WORK_LIMIT", work - 1)
+            monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
             text = "contraction work bound %d exceeds %d (n = %d, q = 2)" % (work, work - 1, 2 * g.n)
             with pytest.raises(LimitExceeded, match=re.escape(text)):
                 hom_double_cover(g, m)
-            monkeypatch.setattr(counting, "CONTRACTION_WORK_LIMIT", work)
-            assert hom_double_cover(g, m) == hom(tensor_with_k2(g), m), g
+            monkeypatch.setattr(errors, "WORK_LIMIT", work)
+            assert hom_double_cover(g, m) == hom(cover, m), g
         assert any(cover != twice for cover, twice in works[2:])
 
     def test_plan_search_limit(self):
@@ -484,10 +499,10 @@ class TestContractionEngine:
             raise AssertionError("edges read before the size check")
             yield
 
-        assert 4000 ** 2 > CONTRACTION_WORK_LIMIT
-        with pytest.raises(LimitExceeded, match="plan search bound 16000000"):
+        assert 4000 ** 2 > WORK_LIMIT
+        with pytest.raises(LimitExceeded, match=re.escape("plan-search work bound 16000000 exceeds 10000000 (n = 4000)")):
             Graph.from_edges(4000, edges())
-        with pytest.raises(LimitExceeded, match="plan search bound 100000000000000"):
+        with pytest.raises(LimitExceeded, match="plan-search work bound 100000000000000 exceeds"):
             parse_graph_name("C10000000")
 
     def test_isolated_vertices_placed_in_one_pass(self):

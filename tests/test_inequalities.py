@@ -9,8 +9,8 @@ import pytest
 
 from conftest import cleared_bits_oracle, clearing_oracle, independent_set_count_oracle
 from homlab import inequalities, power, ratmath
-from homlab.counting import CONTRACTION_WORK_LIMIT, compile_plan, hom, hom_clique, lists_to_constraints
-from homlab.errors import InvalidArgument, IsolatedVertex, LimitExceeded, NotTwoSpin
+from homlab.counting import compile_plan, hom, hom_clique, lists_to_constraints
+from homlab.errors import WORK_LIMIT, InvalidArgument, IsolatedVertex, LimitExceeded, NotTwoSpin
 from homlab.graphs import (
     Graph,
     GraphFamilySpec,
@@ -429,8 +429,8 @@ class TestBst:
         # right-hand side raises with the cover graph's bound and size.
         g = named("complete", 19)
         cover = tensor_with_k2(g)
-        assert compile_plan(g.adjacency).work(2) <= CONTRACTION_WORK_LIMIT < compile_plan(cover.adjacency).work(2)
-        text = "contraction work bound %d exceeds %d (n = 38, q = 2)" % (compile_plan(cover.adjacency).work(2), CONTRACTION_WORK_LIMIT)
+        assert compile_plan(g.adjacency).work(2) <= WORK_LIMIT < compile_plan(cover.adjacency).work(2)
+        text = "contraction work bound %d exceeds %d (n = 38, q = 2)" % (compile_plan(cover.adjacency).work(2), WORK_LIMIT)
         for memo in (None, {}):
             with pytest.raises(LimitExceeded) as exc:
                 check_bst(g, model_hardcore(), memo)

@@ -2,15 +2,15 @@ import hashlib
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 from conftest import two_spin_is_antiferromagnetic, two_spin_is_ferromagnetic
-from homlab.errors import InvalidArgument, LimitExceeded, NegativeWeight, NonSymmetric
+from homlab.errors import WORK_LIMIT, InvalidArgument, LimitExceeded, NegativeWeight, NonSymmetric
 from homlab.fileio import model_to_dict
-from homlab.graphs import CONTRACTION_WORK_LIMIT
 from homlab.models import (
     Model,
     classify_model,
@@ -394,7 +394,7 @@ class TestModelSize:
         # q^2 + q + 1 weights are counted before the q x q matrix exists:
         # these would need 10^10 and 10^18 entries, and 3162 just over 10^7.
         for q in (3162, 10 ** 5, 10 ** 9):
-            with pytest.raises(LimitExceeded, match="model size q\\^2 \\+ q \\+ 1 = %d exceeds %d" % (q * q + q + 1, CONTRACTION_WORK_LIMIT)):
+            with pytest.raises(LimitExceeded, match=re.escape("model work bound %d exceeds %d (q^2 + q + 1 weights, q = %d)" % (q * q + q + 1, WORK_LIMIT, q))):
                 model_complete_looped(q, 0)
             for name in ("Kq:%d" % q, "Kq-looped:%d,1" % q):
                 with pytest.raises(LimitExceeded):

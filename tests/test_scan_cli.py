@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab import cli, scan
+from homlab import cli, errors, scan
 from homlab.counting import _components, _cover_parts, _graph_parts, _step_kernel, compile_plan, compile_plans, key_bits
 from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import replay_from_dict, report_to_dict
@@ -1184,11 +1184,11 @@ class TestCli:
         # list of 10^8 ints and leak a MemoryError traceback.
         args = ["scan", "--ineq", "bst", "--max-vertices", "3", "--random-models", "antiferro-2spin,2", "--seeds", "0:100000000"]
         assert cli.main(args) == 1
-        assert capsys.readouterr().err == "error: --seeds range '0:100000000' has 100000000 seeds, over 10000000\n"
-        monkeypatch.setattr(cli, "CONTRACTION_WORK_LIMIT", 5)
+        assert capsys.readouterr().err == "error: seed-range work bound 100000000 exceeds 10000000 (--seeds '0:100000000')\n"
+        monkeypatch.setattr(errors, "WORK_LIMIT", 5)
         assert cli._parse_seed_range("3:8") == range(3, 8)
         assert cli._parse_seed_range("9") == range(9, 10)
-        with pytest.raises(LimitExceeded, match="--seeds range '3:9' has 6 seeds, over 5"):
+        with pytest.raises(LimitExceeded, match=re.escape("seed-range work bound 6 exceeds 5 (--seeds '3:9')")):
             cli._parse_seed_range("3:9")
 
     def test_constrained_reverse_sidorenko_report_is_pinned(self, tmp_path):
@@ -1212,7 +1212,7 @@ class TestCli:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "error: 10000000 random models take 70000000 weights, over 10000000" and "Traceback" not in err
+        assert err.splitlines()[-1] == "error: random-models work bound 70000000 exceeds 10000000 (10000000 models)" and "Traceback" not in err
         assert peak < 10 * 2 ** 20
 
     def test_complete_looped_family_is_sized_before_it_is_built(self, monkeypatch, capsys):
@@ -1224,11 +1224,11 @@ class TestCli:
         assert sum(built) == 9_653_800
         built.clear()
         for max_q in (79, 3000, 10 ** 9):
-            with pytest.raises(LimitExceeded, match="complete-looped models up to q = %d exceed 10000000 weights" % max_q):
+            with pytest.raises(LimitExceeded, match=r"complete-looped work bound \S+ exceeds 10000000 \(weights of the models up to q = %d\)" % max_q):
                 scan.materialize_models({"kind": "complete-looped", "max_q": max_q})
         assert not built
         assert cli.main(["scan", "--ineq", "bst", "--max-vertices", "3", "--complete-looped", "3000"]) == 1
-        assert capsys.readouterr().err == "scanning bst ...\nerror: complete-looped models up to q = 3000 exceed 10000000 weights\n"
+        assert capsys.readouterr().err == "scanning bst ...\nerror: complete-looped work bound 20272506750500 exceeds 10000000 (weights of the models up to q = 3000)\n"
 
     def test_random_model_source_is_sized_before_it_is_built(self, monkeypatch, capsys):
         # Seed i takes q = qs[i % len(qs)], and a model counts q^2 + q + 1
@@ -1237,12 +1237,12 @@ class TestCli:
         # is built; one model per q is built before the source is sized.
         built = []
         monkeypatch.setattr(scan, "random_model", lambda q, seed, kind: built.append(q) or None)
-        monkeypatch.setattr(scan, "CONTRACTION_WORK_LIMIT", 47)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 47)
         source = {"kind": "random", "rand_kind": "psd", "qs": [2, 3], "seeds": list(range(5))}
         assert len(scan.materialize_models(source)) == 5 and built == [2, 3, 2, 3, 2]
         built.clear()
         source["seeds"] = list(range(6))
-        with pytest.raises(LimitExceeded, match="6 random models take 60 weights, over 47"):
+        with pytest.raises(LimitExceeded, match=re.escape("random-models work bound 60 exceeds 47 (6 models)")):
             scan.materialize_models(source)
         assert built == [2, 3]
         built.clear()
@@ -1250,13 +1250,13 @@ class TestCli:
         assert cli.main(args) == 1
         assert built == [2]
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "error: 10 random models take 70 weights, over 47" and "Traceback" not in err
+        assert err.splitlines()[-1] == "error: random-models work bound 70 exceeds 47 (10 models)" and "Traceback" not in err
 
     def test_random_model_source_refuses_q_and_kind_before_its_size(self):
         # A q = 1 source takes 3 weights per seed, so 10^7 seeds are refused;
         # the seeds are a range and one model is built.
         source = {"kind": "random", "rand_kind": "general", "qs": [1], "seeds": range(10 ** 7)}
-        with pytest.raises(LimitExceeded, match="10000000 random models take 30000000 weights, over 10000000"):
+        with pytest.raises(LimitExceeded, match=re.escape("random-models work bound 30000000 exceeds 10000000 (10000000 models)")):
             scan.materialize_models(source)
         # Too large to build, yet the bad q or kind is what gets reported.
         for rand_kind, qs, message in (
@@ -1272,7 +1272,7 @@ class TestCli:
         # 10^9 list seeds used to build a list of 10^9 ints and leak a MemoryError traceback.
         args = ["scan", "--ineq", "bst", "--graphs", "C4", "--models", "hardcore", "--list-seeds", "1000000000", "--jobs", "1"]
         assert cli.main(args) == 1
-        assert capsys.readouterr().err == "error: --list-seeds 1000000000 is over 10000000\n"
+        assert capsys.readouterr().err == "error: list-seeds work bound 1000000000 exceeds 10000000 (--list-seeds 1000000000)\n"
 
     def test_grid_is_sized_before_any_model_is_built(self, monkeypatch, capsys):
         # 4 graphs x 3 * 10^6 q = 1 models take 9 * 10^6 weights, under the
@@ -1285,17 +1285,18 @@ class TestCli:
         graphs = {"kind": "named", "names": ["K2", "K3", "C4", "C5"]}
         job = ScanJob("clique-max", graphs, {"kind": "random", "rand_kind": "general", "qs": [1], "seeds": range(3 * 10 ** 6)})
         for budget in (None, 10):
-            with pytest.raises(LimitExceeded, match="the scan grid has 12000000 cells, over 10000000"):
+            with pytest.raises(LimitExceeded, match=re.escape("scan-grid work bound 12000000 exceeds 10000000 (cells of 4 graphs x 3000000 models x 1 list seeds)")):
                 run_scan(job, budget)
         # Models times list seeds: 2 models x 5 * 10^6 list seeds on one graph.
         job = ScanJob("clique-max", {"kind": "named", "names": ["C4"]}, {"kind": "named", "names": ["wr", "Kq:2"]}, {"kind": "random", "seeds": range(5 * 10 ** 6 + 1)})
-        with pytest.raises(LimitExceeded, match="the scan grid has 10000002 cells"):
+        with pytest.raises(LimitExceeded, match=re.escape("scan-grid work bound 10000002 exceeds 10000000 (cells of 1 graphs x 2 models x 5000001 list seeds)")):
             run_scan(job)
         args = ["scan", "--ineq", "clique-max", "--graphs", "K2;K3;C4;C5", "--random-models", "general,1", "--seeds", "0:3000000", "--jobs", "1"]
+        grid = "scan-grid work bound 12000000 exceeds 10000000 (cells of 4 graphs x 3000000 models x 1 list seeds)"
         assert cli.main(args) == 1
-        assert capsys.readouterr().err == "scanning clique-max ...\nerror: the scan grid has 12000000 cells, over 10000000\n"
+        assert capsys.readouterr().err == "scanning clique-max ...\nerror: %s\n" % grid
         assert cli.main(["search", "--ineq", "clique-max", "--graphs", "K2;K3;C4;C5", "--random-models", "general,1", "--seeds", "0:3000000"]) == 1
-        assert capsys.readouterr().err == "error: the scan grid has 12000000 cells, over 10000000\n"
+        assert capsys.readouterr().err == "error: %s\n" % grid
 
     def test_models_are_counted_as_built(self, tmp_path):
         path = tmp_path / "m.json"
