@@ -42,28 +42,28 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     """Weighted homomorphism count: sum over all maps V -> colors of the
     product of edge weights times per-vertex weight * constraint.
 
-    hom is multiplicative over connected components, so each component
-    (an isolated vertex is one) is contracted on its own and the results
-    are multiplied.  A contraction is a frontier DP (bucket elimination)
-    over the component's cached `Plan`: vertices are placed in the plan's
-    order, and a table maps the colors of the placed vertices that still
-    have unplaced neighbors, packed into one int key, to the summed weight
-    of all partial maps that agree with them (see `compile_plan` for the
-    order and `_step_kernel` for the key).  Every edge shares the model's
-    one int edge matrix.
+    A contraction is a frontier DP (bucket elimination) over a cached
+    `Plan`: vertices are placed in the plan's order, and a table maps the
+    colors of the placed vertices that still have unplaced neighbors,
+    packed into one int key, to the summed weight of all partial maps that
+    agree with them (see `compile_plan` for the order and `_step_kernel`
+    for the key).  Every edge shares the model's one int edge matrix.
     Zero-weight colors are pruned first.  The model holds its weights as
     ints over a common scale (`Model.integer_edges` and `integer_colors`),
     constrained weights are scaled per call, and the scales are divided
     out once, at the end.
 
-    `memo` is an optional dict owned by the caller, one per model: the
-    scaled count of each component is looked up in it by the component's
-    adjacency (`_components`) before it is contracted, and stored in it
-    after.  It is read only without constraints, as a component's count
-    then depends on its adjacency alone; with no memo a local one still
-    merges the repeated components of g.
-    Raises LimitExceeded, before any contraction, when the components'
-    summed plan work bound (`_graph_parts`) exceeds WORK_LIMIT.
+    Without constraints hom is multiplicative over connected components,
+    so each component (an isolated vertex is one) is contracted on its own
+    (`_hom_parts`) and the results are multiplied.  `memo` is an optional
+    dict owned by the caller, one per model: the scaled count of each
+    component is looked up in it by the component's adjacency
+    (`_components`) before it is contracted, and stored in it after; with
+    no memo a local one still merges the repeated components of g.  With
+    constraints, memo is not read and the graph is one `contract` call,
+    after a list that allows no color has given 0.  Raises LimitExceeded,
+    before any contraction, when the summed work bound of the components'
+    plans, the whole graph's plan's (`compile_plan`), exceeds WORK_LIMIT.
     """
     constraints = _check_constraints(constraints, g.n, m.q)
     if constraints is None:
@@ -72,16 +72,8 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     choices = [colors for _, colors in scaled]
     if not all(choices):
         return Fraction(0)
-    q = max(map(len, choices), default=0)
-    parts = _graph_parts(g.adjacency, False)
-    check_work("contraction", parts.work(q), "n = %d, q = %d", g.n, q)
     edge_scale, ew = m.integer_edges
-    total, bits = 1, key_bits(m.q)
-    for _, vertices, _, plan in parts.parts:
-        total *= _contract(plan, [choices[v] for v in vertices], ew, bits)
-        if not total:
-            break
-    return Fraction(total, prod(scale for scale, _ in scaled) * edge_scale ** g.edge_count)
+    return Fraction(contract(compile_plan(g.adjacency), choices, ew), prod(scale for scale, _ in scaled) * edge_scale ** g.edge_count)
 
 
 def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
@@ -111,10 +103,10 @@ def _hom_parts(g: Graph, m: Model, cover: bool, memo) -> Fraction:
     edge_scale, ew = m.integer_edges
     memo = {} if memo is None else memo
     total, bits = 1, key_bits(m.q)
-    for key, vertices, power, plan in parts.parts:
+    for key, power, plan in parts.parts:
         value = memo.get(key)
         if value is None:
-            value = memo[key] = _contract(plan, [colors] * len(vertices), ew, bits)
+            value = memo[key] = _contract(plan, [colors] * len(plan.steps), ew, bits)
         total *= value ** power
         if not total:
             break
@@ -122,11 +114,11 @@ def _hom_parts(g: Graph, m: Model, cover: bool, memo) -> Fraction:
 
 
 def compile_plans(adjacencies, qs, cover: bool = False):
-    """Compile the plan of each component that `hom` contracts for these
-    graphs, and with cover the parts that `hom_double_cover` contracts,
-    with the step kernels of each plan for models of q colors, q in qs, and
-    the graphs' `_graph_parts` with their work bounds for these q; none if
-    they outnumber their cache, which would evict the first."""
+    """Compile the component plans that unconstrained `hom` contracts for
+    these graphs, and with cover the parts that `hom_double_cover`
+    contracts, with the step kernels of each plan for models of q colors,
+    q in qs, and the graphs' `_graph_parts` with their work bounds for these
+    q; none if they outnumber their cache, which would evict the first."""
     keys = {key for adjacency in adjacencies for _, key in _components(adjacency)}
     keys |= {part for key in keys for part in _cover_parts(key)} if cover else set()
     widths, kinds = {key_bits(q) for q in qs}, {False, cover}
@@ -141,7 +133,7 @@ def compile_plans(adjacencies, qs, cover: bool = False):
 
 
 class _Parts(NamedTuple):
-    parts: tuple  # (memo key, vertices, power, plan) per part (`_graph_parts`)
+    parts: tuple  # (memo key, power, plan) per part (`_graph_parts`)
     plans: tuple  # every plan whose work the bound sums
     works: dict  # q -> the plans' summed work(q)
 
@@ -153,19 +145,18 @@ class _Parts(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _graph_parts(adjacency: tuple, cover: bool) -> _Parts:
-    """What `hom`, or with cover `hom_double_cover`, contracts for a graph,
-    and the summed work(q) of every component's, or cover component's, plan.
-    A component (`_components`) is (its key, its vertices, 1, its plan).  In
-    the cover a bipartite C is (C's key, range(|C|), 2, its first cover
-    copy's plan), any other C (its cover's key, range(2|C|), 1, the cover's
-    plan).  Cached like `_components`."""
+    """What unconstrained `hom`, or with cover `hom_double_cover`, contracts
+    for a graph, and the summed work(q) of every component's, or cover
+    component's, plan.  A component (`_components`) is (its key, 1, its
+    plan).  In the cover a bipartite C is (C's key, 2, its first cover
+    copy's plan), any other C (its cover's key, 1, the cover's plan).
+    Each plan is on its part's own vertices 0..k-1.  Cached like
+    `_components`."""
     parts, plans = [], []
-    for vertices, key in _components(adjacency):
+    for _, key in _components(adjacency):
         halves = _cover_parts(key) if cover else (key,)
         plans += map(compile_plan, halves)
-        if cover:
-            key, vertices = key if len(halves) == 2 else halves[0], range(len(halves[0]))
-        parts.append((key, vertices, len(halves), plans[-len(halves)]))
+        parts.append((key if len(halves) == 2 else halves[0], len(halves), plans[-len(halves)]))
     return _Parts(tuple(parts), tuple(plans), {})
 
 
@@ -485,21 +476,17 @@ def _contract(plan: Plan, choices, edge_matrix, bits: int) -> int:
 
 
 def hom_biclique(a: int, b: int, m: Model, side_constraints=None) -> Fraction:
-    """hom(K_{a,b}, m): `biclique_kernel_sum` of the model's int view.
+    """hom(K_{a,b}, m): `biclique_kernel_sum` of the model's int edge view.
 
     `side_constraints` is an optional (lambda_a, lambda_b) pair applied to
-    every vertex of the respective side.  The kernel is `Model.integer_edges`
-    and the weights `integer_colors` (times the constraints), so their
-    scales, edge_scale^(ab) * color_scale^(a+b), are divided out once here.
+    every vertex of the respective side.  The kernel is `Model.integer_edges`,
+    so its scale edge_scale^(ab) is divided out here; the measures are the
+    vertex weights (times the constraints), which the kernel sum scales.
     """
     lam_a, lam_b = (None, None) if side_constraints is None else side_constraints
     edge_scale, ew = m.integer_edges
-    color_scale, colors = m.integer_colors
-    weights = [0] * m.q
-    for c, w in colors:
-        weights[c] = w
-    w1, w2 = _side_weights(weights, lam_a), _side_weights(weights, lam_b)
-    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, w1, w2) / (edge_scale ** (a * b) * color_scale ** (a + b))
+    w1, w2 = _side_weights(m.vertex_weights, lam_a), _side_weights(m.vertex_weights, lam_b)
+    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, w1, w2) / edge_scale ** (a * b)
 
 
 def _side_weights(weights, lam) -> list:

@@ -203,7 +203,8 @@ def parse_constraints(text: str, q: int, n: int):
     A line is either whitespace-separated nonnegative rational weights
     ("1/2 0 3"; a negative one raises NegativeWeight), or
     the list shorthand "v: {0,2}" marking allowed colors 0..q-1 of vertex
-    v in 0..n-1.  Lines may arrive in any order when using the shorthand.
+    v in 0..n-1; a vertex with no shorthand line allows every color.
+    Lines may arrive in any order when using the shorthand.
     A line that is neither raises InvalidArgument.
     """
     weight_lines = []
@@ -233,7 +234,7 @@ def parse_constraints(text: str, q: int, n: int):
     if shorthand and weight_lines:
         raise InvalidArgument("mix of shorthand and weight lines in constraint file")
     if shorthand:
-        return lists_to_constraints([shorthand.get(v, range(q)) for v in range(max(shorthand) + 1)], q)
+        return lists_to_constraints([shorthand.get(v, range(q)) for v in range(n)], q)
     return weight_lines
 
 

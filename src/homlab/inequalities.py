@@ -183,15 +183,13 @@ def decide(checks) -> tuple[str, float]:
 def _report(ineq: str, instance: str, value, factors) -> IneqReport:
     """Report on the one check value <= prod factors, with the sides'
     PowerProducts (None if 0) and the verdict and slack of _decide_sides,
-    which two nonzero rational sides skip for one comparison."""
+    read as its one `_check` and clamp.  A positive rational value's side
+    is built directly, as _side would read it."""
     n, d = value.as_integer_ratio()
     lhs = (PowerProduct(((n, d, 1, 1),) if n != d else (), math.log10(n) - math.log10(d)), []) if n > 0 else _side([(value, 1)])
     rhs = _side(factors)
-    if lhs and rhs and not rhs[1]:
-        verdict = _VERDICTS[compare_power_products(lhs[0], rhs[0]).ordering]
-        return IneqReport(ineq, instance, lhs[0], rhs[0], verdict, True, clamp_slack(verdict, rhs[0].log10 - lhs[0].log10))
-    verdict, slack = _decide_sides([(lhs, rhs)])
-    return IneqReport(ineq, instance, lhs and lhs[0], rhs and rhs[0], verdict, True, slack)
+    verdict, slack = _check(lhs, rhs)
+    return IneqReport(ineq, instance, lhs and lhs[0], rhs and rhs[0], verdict, True, clamp_slack(verdict, 0.0 if slack is None else slack))
 
 
 @lru_cache(maxsize=1024)

@@ -47,6 +47,7 @@ from homlab.graphs import (
     tensor_with_k2,
 )
 from homlab.inequalities import _kernel_assignment_sum
+from homlab.ratmath import scaled_colors
 from homlab.models import (
     Model,
     model_complete_looped,
@@ -745,6 +746,76 @@ class TestPlanOrder:
             plan = compile_plan(g.adjacency)
             assert [s.vertex for s in plan.steps] == _reference_greedy_order(g.adjacency), g
             assert list(plan.widths) == _order_widths(g.adjacency, _reference_greedy_order(g.adjacency))
+
+
+def _hom_by_components(g, m, constraints):
+    """Constrained hom as one contraction per component on the component's
+    own plan, multiplied: the loop hom ran before it made one `contract`
+    call on the whole graph's plan."""
+    scaled = [scaled_colors([w * Fraction(x) for w, x in zip(m.vertex_weights, lam)]) for lam in constraints]
+    choices = [colors for _, colors in scaled]
+    if not all(choices):
+        return Fraction(0)
+    edge_scale, ew = m.integer_edges
+    total = math.prod(counting.contract(compile_plan(key), [choices[v] for v in vertices], ew) for vertices, key in _components(g.adjacency))
+    return Fraction(total, math.prod(scale for scale, _ in scaled) * edge_scale ** g.edge_count)
+
+
+class TestConstrainedHom:
+    """Constrained hom is one `contract` call on the whole graph's plan,
+    unconstrained hom one contraction per `_graph_parts` entry.  The two
+    agree on the work bound and its text because the whole plan orders each
+    component on its own and sums their widths' work."""
+
+    @staticmethod
+    def several_components():
+        # Random components, some disconnected themselves, and lone
+        # vertices, interleaved, on 7 to 15 vertices.
+        rng = random.Random(34)
+        out = []
+        while len(out) < 40:
+            parts = [_random_graph(rng, rng.randrange(2, 7), rng.choice((0.3, 0.6))) for _ in range(rng.randrange(2, 4))]
+            g = _scattered_union(rng, parts, rng.randrange(0, 4))
+            if 7 <= g.n <= 15 and len(_components(g.adjacency)) > 1:
+                out.append(g)
+        return out
+
+    def test_whole_plan_work_is_the_parts_work(self):
+        graphs = [g for n in range(7) for g in enumerate_graphs(n)] + self.several_components()
+        for g in graphs:
+            plan, parts = compile_plan(g.adjacency), counting._graph_parts(g.adjacency, False)
+            for q in (1, 2, 3, 4):
+                assert plan.work(q) == parts.work(q), (g, q)
+
+    def test_matches_the_per_component_loop(self):
+        # One random q per labeled graph with n <= 6 (`enumerate_graphs`
+        # without dedup yields every one), every q on the graphs
+        # with several components; the lists come from a pool per q in
+        # which two entries in five are zero.
+        rng = random.Random(35)
+        models = {q: random_model(q, q, "general") for q in (1, 2, 3, 4)}
+        pools = {q: [tuple(rng.choice((0, 0, 1, 2, Fraction(1, 2))) for _ in range(q)) for _ in range(40)] for q in models}
+        cases = [(g, models[rng.randrange(1, 5)]) for n in range(7) for g in enumerate_graphs(n)]
+        cases += [(g, m) for g in self.several_components() for m in models.values()]
+        for g, m in cases:
+            constraints = [rng.choice(pools[m.q]) for _ in range(g.n)]
+            assert hom(g, m, constraints) == _hom_by_components(g, m, constraints), (g, m, constraints)
+        assert any(not any(lam) for pool in pools.values() for lam in pool)  # some vertex allows no color
+
+    def test_over_the_bound_on_a_disconnected_graph(self):
+        # Two K11 and a lone vertex between them: each K11 is under the
+        # bound at q = 4, the whole graph over it.  A list that allows no
+        # color gives 0 before the bound is checked; the bound's q is the
+        # longest list, and with two colors a vertex the count is 2^23.
+        k11 = named("complete", 11)
+        g = Graph.from_edges(23, k11.edge_list() + [(u + 12, v + 12) for u, v in k11.edge_list()])
+        m = model_complete_looped(4, 4)
+        text = "contraction work bound 11184812 exceeds 10000000 (n = 23, q = 4)"
+        for constraints in ([(1, 1, 1, 1)] * 23, [(1, 1, 1, 1)] * 22 + [(1, 0, 0, 0)]):
+            with pytest.raises(LimitExceeded, match="^%s$" % re.escape(text)):
+                hom(g, m, constraints)
+        assert hom(g, m, [(1, 1, 1, 1)] * 22 + [(0, 0, 0, 0)]) == 0
+        assert hom(g, m, [(1, 1, 0, 0)] * 23) == 2 ** 23
 
 
 def _multiset_permutations(combo: tuple) -> int:

@@ -237,11 +237,12 @@ class TestLargeReverseSidorenko:
 
 
 class TestDirectReport:
-    """`_report(ineq, instance, value, factors)` decides a check of two
-    nonzero rational sides on one comparison.  Every field of its report,
-    the slack by repr, equals the general route's: `_side` on both sides,
-    then `_decide_sides`.  The `seen` fixture wraps `_report` so that every
-    check the inequality code makes is compared."""
+    """`_report(ineq, instance, value, factors)` builds a positive rational
+    value's side directly and decides the pair on one `_check` and its
+    clamp.  Every field of its report, the slack by repr, equals the
+    general route's: `_side` on both sides, then `_decide_sides`.  The
+    `seen` fixture wraps `_report` so that every check the inequality code
+    makes is compared."""
 
     @staticmethod
     def general(ineq, instance, value, factors):

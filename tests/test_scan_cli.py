@@ -1355,6 +1355,10 @@ class TestConstraintFiles:
 
         cons = parse_constraints("0: {0,2}\n1: {1}\n", 3, 2)
         assert cons[0] == (1, 0, 1) and cons[1] == (0, 1, 0)
+        # Every vertex of the graph gets a vector, and an unlisted one, the
+        # last ones included, allows every color.
+        assert parse_constraints("0: {0}\n", 2, 4) == [(1, 0), (1, 1), (1, 1), (1, 1)]
+        assert parse_constraints("3: {1}\n0: {0}\n", 2, 4) == [(1, 0), (1, 1), (1, 1), (0, 1)]
 
     def test_model_file_round_trip(self, tmp_path):
         from homlab.fileio import load_model, model_to_dict
