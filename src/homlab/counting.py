@@ -10,8 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, product
-from math import comb, prod
-from operator import add, and_, itemgetter
+from math import comb, lcm
+from operator import add, and_, itemgetter, mul
 from typing import NamedTuple
 
 from homlab.errors import DimensionMismatch, check_work
@@ -20,17 +20,26 @@ from homlab.models import Model
 from homlab.ratmath import scaled_colors, scaled_matrix
 
 
-def _check_constraints(constraints, n: int, q: int):
-    if constraints is None:
-        return None
+def _constrained_choices(constraints, n: int, m: Model):
+    """(choices, scale) of a constrained count: each vertex's (color, int
+    weight) pairs over the colors with a nonzero weight and list entry, the
+    model's int vertex weight times the entry's integer ratio over the lcm
+    of the entries' denominators, and the product of every vertex's scale.
+    Entries other than ints and Fractions are read as Fraction(x)."""
     if len(constraints) != n:
         raise DimensionMismatch("need one constraint per vertex (%d)" % n)
-    out = []
     for lam in constraints:
-        if len(lam) != q:
-            raise DimensionMismatch("constraint length %d != q = %d" % (len(lam), q))
-        out.append(tuple(Fraction(x) for x in lam))
-    return out
+        if len(lam) != m.q:
+            raise DimensionMismatch("constraint length %d != q = %d" % (len(lam), m.q))
+    weight_scale, colors = m.integer_colors
+    choices, scale = [], weight_scale ** n
+    for lam in constraints:
+        ratios = [x.as_integer_ratio() if type(x) in (int, Fraction) else Fraction(x).as_integer_ratio() for x in lam]
+        picked = [(c, w * ratios[c][0], ratios[c][1]) for c, w in colors if ratios[c][0]]
+        common = lcm(*(d for _, _, d in picked))
+        choices.append([(c, w * (common // d)) for c, w, d in picked])
+        scale *= common
+    return choices, scale
 
 
 def lists_to_constraints(lists, q: int):
@@ -50,8 +59,9 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     for the key).  Every edge shares the model's one int edge matrix.
     Zero-weight colors are pruned first.  The model holds its weights as
     ints over a common scale (`Model.integer_edges` and `integer_colors`),
-    constrained weights are scaled per call, and the scales are divided
-    out once, at the end.
+    constrained weights are scaled per call from those ints and the list
+    entries' integer ratios (`_constrained_choices`), and the scales are
+    divided out once, at the end.
 
     Without constraints hom is multiplicative over connected components,
     so each component (an isolated vertex is one) is contracted on its own
@@ -65,15 +75,13 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     before any contraction, when the summed work bound of the components'
     plans, the whole graph's plan's (`compile_plan`), exceeds WORK_LIMIT.
     """
-    constraints = _check_constraints(constraints, g.n, m.q)
     if constraints is None:
         return _hom_parts(g, m, False, memo)
-    scaled = [scaled_colors([w * x for w, x in zip(m.vertex_weights, lam)]) for lam in constraints]
-    choices = [colors for _, colors in scaled]
+    choices, scale = _constrained_choices(constraints, g.n, m)
     if not all(choices):
         return Fraction(0)
     edge_scale, ew = m.integer_edges
-    return Fraction(contract(compile_plan(g.adjacency), choices, ew), prod(scale for scale, _ in scaled) * edge_scale ** g.edge_count)
+    return Fraction(contract(compile_plan(g.adjacency), choices, ew), scale * edge_scale ** g.edge_count)
 
 
 def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
@@ -482,11 +490,17 @@ def hom_biclique(a: int, b: int, m: Model, side_constraints=None) -> Fraction:
     every vertex of the respective side.  The kernel is `Model.integer_edges`,
     so its scale edge_scale^(ab) is divided out here; the measures are the
     vertex weights (times the constraints), which the kernel sum scales.
+    Its `sums` dict is the model's (`Model.biclique_sums`) for these
+    measures, keyed by the side measures, None for a side without a
+    constraint, so every (a, b) of one model and measure pair shares the
+    scaled kernel and the multiset terms of each contracted side and size.
     """
     lam_a, lam_b = (None, None) if side_constraints is None else side_constraints
     edge_scale, ew = m.integer_edges
     w1, w2 = _side_weights(m.vertex_weights, lam_a), _side_weights(m.vertex_weights, lam_b)
-    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, w1, w2) / edge_scale ** (a * b)
+    key = (None if lam_a is None else tuple(w1), None if lam_b is None else tuple(w2))
+    sums = m.biclique_sums.setdefault(key, {})
+    return biclique_kernel_sum(lambda x, y: ew[x][y], m.q, m.q, a, b, w1, w2, sums=sums) / edge_scale ** (a * b)
 
 
 def _side_weights(weights, lam) -> list:
@@ -533,7 +547,7 @@ def multisets(points, k: int):
         chosen.append((points[j + 1], moved + 1))
 
 
-def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=None) -> Fraction:
+def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=None, *, sums=None) -> Fraction:
     """K_{a,b} pattern sum of a kernel f(x, y): sum over x in [size1]^a,
     y in [size2]^b of prod f(x_i, y_j), with optional per-point measures.
 
@@ -547,25 +561,67 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     out once.  Raises LimitExceeded when the work,
     multiset_count(size2, b) * size1 * b on the contracted side, exceeds
     WORK_LIMIT.
+
+    The sum is sum coef * inner^a over the multisets M of the contracted
+    side, coef = mult * prod w_y and inner = sum_x w_x prod_{y in M} f(x, y)
+    (`_multiset_terms`), so the terms of one side and size serve every a.
+    `sums` is an optional dict owned by the caller, for one kernel and one
+    pair of measures: it keeps the scaled kernel ("kernel"), the scaled
+    measures of each contracted side (False for side 2, True for side 1)
+    and, in each side's entry, the (coef, inner) pairs of every size b
+    walked so far.  Without it the sum is built from scratch and streams
+    its pairs, keeping none; the work is checked first either way.
     """
     w1 = [1] * size1 if w1 is None else w1
     w2 = [1] * size2 if w2 is None else w2
-    table = [[f(x, y) for y in range(size2)] for x in range(size1)]
-    # Multisets of the b points on side 2, times an a-side row product each.
     work, flipped = multiset_count(size2, b) * size1 * b, multiset_count(size1, a) * size2 * a
-    if flipped < work:
-        table = [list(col) for col in zip(*table)]
-        size1, size2, a, b, w1, w2, work = size2, size1, b, a, w2, w1, flipped
-    check_work("biclique", work, "K_{%d,%d}, sizes %d and %d", a, b, size1, size2)
-    kernel_scale, kernel = scaled_matrix(table)
-    scale1, points1 = scaled_colors(w1)
-    scale2, points2 = scaled_colors(w2)
-    rows = [(w, kernel[x]) for x, w in points1]
-    total = 0
-    for combo, mult in multisets(points2, b):
-        inner = sum(prod([row[y] ** m for (y, _), m in combo], start=w) for w, row in rows)
-        total += mult * prod([w ** m for (_, w), m in combo]) * inner ** a
-    return Fraction(total, scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
+    flip = flipped < work
+    if flip:
+        a, b, work = b, a, flipped
+    check_work("biclique", work, "K_{%d,%d}, sizes %d and %d", a, b, *((size2, size1) if flip else (size1, size2)))
+    cached, sums = sums is not None, {} if sums is None else sums
+    if "kernel" not in sums:
+        sums["kernel"] = scaled_matrix([[f(x, y) for y in range(size2)] for x in range(size1)])
+    kernel_scale, kernel = sums["kernel"]
+    if flip not in sums:
+        (scale1, points1), (scale2, points2) = scaled_colors(w1), scaled_colors(w2)
+        if flip:
+            kernel, scale1, points1, scale2, points2 = tuple(zip(*kernel)), scale2, points2, scale1, points1
+        columns = list(zip(*[kernel[x] for x, _ in points1])) or [()] * (size1 if flip else size2)
+        sums[flip] = (scale1, scale2, tuple(w for _, w in points1), points2, columns, {})
+    scale1, scale2, weights, points, columns, terms = sums[flip]
+    pairs = terms.get(b)
+    if pairs is None:
+        pairs = _multiset_terms(weights, points, columns, b)
+        if cached:
+            pairs = terms[b] = list(pairs)
+    return Fraction(sum(c * x ** a for c, x in pairs), scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
+
+
+def _multiset_terms(weights: tuple, points: tuple, columns: list, b: int):
+    """Each (coef, inner) over the multisets M of b of the (point, weight)
+    points, in `multisets` order: coef = mult * prod w_y^m and inner = sum
+    of weights[i] * prod columns[y][i]^m over the other side's points i.
+    Consecutive multisets share all but their last one or two (point,
+    multiplicity) pairs, so the products of the shared prefix are kept on a
+    stack, one (vector, weight product) per pair, and each multiset costs
+    one or two vector products.  A generator, so an uncached sum keeps no
+    pair."""
+    stack = [(weights, 1)]
+    last = ()
+    for combo, mult in multisets(points, b):
+        i = len(last) - 2
+        keep = i + 1 if i >= 0 and combo[i] == last[i] else max(i, 0)
+        del stack[keep + 1 :]
+        vector, product = stack[-1]
+        for (y, w), m in combo[keep:]:
+            if m == 1:
+                vector, product = list(map(mul, vector, columns[y])), product * w
+            else:
+                vector, product = [v * c ** m for v, c in zip(vector, columns[y])], product * w ** m
+            stack.append((vector, product))
+        yield mult * product, sum(vector)
+        last = combo
 
 
 def ominus(a_set, b, looped) -> frozenset:

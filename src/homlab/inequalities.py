@@ -217,9 +217,12 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom
     keys give one factor, its exponent multiplied by their count; the keys
     come from `Graph.degree_pairs`, each degree pair split by its edges'
     constraints; without constraints they are read, with their exponents,
-    once per graph (`_factor_keys`).  A pair's work bound depends on its
-    degrees and q alone, so the first factor over the bound is that of the
-    first such edge.
+    once per graph (`_factor_keys`).  Below the memo, `hom_biclique`
+    keeps the multiset terms of each contracted side and size on the model
+    (`Model.biclique_sums`), so the factors of one model and measure pair
+    share one walk per side and size, and each is one power sum.  A pair's
+    work bound depends on its degrees and q alone, so the first factor over
+    the bound is that of the first such edge.
     `hom_memo` is hom's component memo for the same model, a separate dict.
     """
     if not all(g.adjacency):

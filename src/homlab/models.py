@@ -20,7 +20,9 @@ class Model:
     ((color, int weight), ...)) over the nonzero vertex weights, each scale
     the lcm of the denominators, so equal rational weights give equal
     fields.  `from_rows` builds and checks one; edge_weights and
-    vertex_weights are Fraction views, cached on first read."""
+    vertex_weights are Fraction views, cached on first read, and
+    biclique_sums is `hom_biclique`'s cache, which lives and dies with
+    the object."""
 
     q: int
     integer_edges: tuple
@@ -36,6 +38,14 @@ class Model:
         scale, colors = self.integer_colors
         weights = dict(colors)
         return tuple(Fraction(weights.get(c, 0), scale) for c in range(self.q))
+
+    @cached_property
+    def biclique_sums(self) -> dict:
+        """`hom_biclique`'s `biclique_kernel_sum` caches, one per pair of
+        side measures.  It is kept on the object, not keyed by it: a Model
+        hashes by value, so such a cache would serve a model built later,
+        in another scan, and outlive this one."""
+        return {}
 
     @property
     def looped_set(self) -> frozenset[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
 
-from homlab.counting import compile_plans, lists_to_constraints
+from homlab.counting import compile_plan, compile_plans, key_bits, lists_to_constraints
 from homlab.errors import HomlabError, InvalidArgument, check_work
 from homlab.fileio import (
     frac_str,
@@ -206,6 +206,22 @@ def _cells_for_job(job: ScanJob):
     return cells
 
 
+def _compile_for_workers(job: ScanJob, cells) -> None:
+    """Compile the plans the cells contract, with their kernels, so forked
+    workers inherit them instead of each compiling them; a process that
+    runs many scans keeps them warm.  These are the component plans of
+    unconstrained hom (`compile_plans`) and, when the job has lists, each
+    graph's whole plan, which constrained hom contracts on keys as wide as
+    its highest listed color needs: every width up to key_bits(q)."""
+    adjacencies, qs = {c[1].adjacency for c in cells}, {c[3].q for c in cells}
+    compile_plans(adjacencies, qs, job.ineq == "bst")
+    if job.lists is not None and len(adjacencies) <= compile_plan.cache_parameters()["maxsize"]:
+        for adjacency in adjacencies:
+            plan = compile_plan(adjacency)
+            for bits in range(1, key_bits(max(qs)) + 1):
+                plan.kernels(bits)
+
+
 def _run_cells(ineq: str, cells) -> list:
     """Each cell's outcome, in order: (verdict, exact, slack_log10, report),
     report being the report dict of a violated cell and None otherwise, or
@@ -283,10 +299,7 @@ def run_scan(job: ScanJob, budget: int | None = None) -> ScanSummary:
     cells = _cells_for_job(job)[:budget]
     k = min(job.jobs, len(cells), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if k > 1:
-        # Made here, forked workers inherit the plans and their kernels for
-        # the grid's key widths instead of each compiling them; a process
-        # that runs many scans keeps them warm.
-        compile_plans({c[1].adjacency for c in cells}, {c[3].q for c in cells}, job.ineq == "bst")
+        _compile_for_workers(job, cells)
         # Cells are graph-major, so when k divides the model count every
         # model's cells go to one worker and each factor is computed once;
         # each slice is also a fair sample of cheap and costly graphs.

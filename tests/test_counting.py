@@ -46,7 +46,7 @@ from homlab.graphs import (
     parse_graph_name,
     tensor_with_k2,
 )
-from homlab.inequalities import _kernel_assignment_sum
+from homlab.inequalities import _kernel_assignment_sum, check_reverse_sidorenko
 from homlab.ratmath import scaled_colors
 from homlab.models import (
     Model,
@@ -818,6 +818,26 @@ class TestConstrainedHom:
         assert hom(g, m, [(1, 1, 0, 0)] * 23) == 2 ** 23
 
 
+class TestConstrainedChoices:
+    """Constrained hom scales each vertex's list from the model's int
+    vertex weights and the entries' integer ratios."""
+
+    def test_entry_types_give_one_count(self):
+        g = named("cycle", 5)
+        m = random_model(3, 2, "general")
+        fractions = [(Fraction(1, 2), 0, Fraction(3)), (1, Fraction(3, 4), 0), (0, 0, Fraction(5, 4))] * 2
+        want = hom_oracle(g, m, fractions[:5])
+        for form in (lambda x: x, Fraction, str, float):
+            assert hom(g, m, [tuple(map(form, lam)) for lam in fractions[:5]]) == want
+
+    def test_dimension_texts(self):
+        g, m = named("path", 3), model_complete_looped(3, 0)
+        with pytest.raises(DimensionMismatch, match=r"^need one constraint per vertex \(3\)$"):
+            hom(g, m, [(1, 1, 1)] * 2)
+        with pytest.raises(DimensionMismatch, match=r"^constraint length 2 != q = 3$"):
+            hom(g, m, [(0, 0, 0), (1, 1, 1), (1, 1)])
+
+
 def _multiset_permutations(combo: tuple) -> int:
     # The multinomial of a tuple, counted from scratch: the reference for
     # the coefficients `multisets` carries.
@@ -974,6 +994,103 @@ class TestHomBiclique:
                 hom_biclique(2, 3, m, constraints)
             with pytest.raises(DimensionMismatch, match=r"^side constraint length != q$"):
                 hom_biclique_reference(2, 3, m, constraints)
+
+
+@st.composite
+def _biclique_call_sequences(draw):
+    """One model, its vertex weights redrawn with zeros allowed, and a
+    sequence of (a, b, side constraints) calls on it: keys repeat, come in
+    both orders, and the constraints are drawn from a small pool, so the
+    model's cached terms are read back under every kind of key."""
+    _, _, m, _ = draw(_biclique_cases())
+    entry = st.builds(lambda x, form: form(x), _WEIGHTS, st.sampled_from([Fraction, str, lambda x: x]))
+    side = st.none() | st.lists(entry, min_size=m.q, max_size=m.q)
+    pool = draw(st.lists(st.none() | st.tuples(side, side), min_size=1, max_size=3))
+    calls = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(pool))
+    return m, draw(st.lists(calls, min_size=1, max_size=12))
+
+
+def _double_star(d: int) -> Graph:
+    """Two adjacent centres of degree d, each with d - 1 leaves."""
+    edges = [(0, 1)] + [(0, v) for v in range(2, d + 1)] + [(1, v) for v in range(d + 1, 2 * d)]
+    return Graph.from_edges(2 * d, edges)
+
+
+class TestBicliqueSums:
+    """hom_biclique reads the multiset terms of each contracted side and
+    size from its model (`Model.biclique_sums`), so every exponent is one
+    power sum over terms walked once."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_biclique_call_sequences())
+    def test_call_sequences_match_the_fraction_reference(self, case):
+        m, calls = case
+        for a, b, constraints in calls:
+            assert hom_biclique(a, b, m, constraints) == hom_biclique_reference(a, b, m, constraints), (a, b, constraints)
+
+    def test_kernel_sums_with_and_without_a_cache(self):
+        # A kernel that is not symmetric, measures with zeros and unequal
+        # sides: one cache serves both sides and every size.
+        rng = random.Random(35)
+        for _ in range(30):
+            size1, size2 = rng.randrange(1, 5), rng.randrange(1, 5)
+            mat = [[Fraction(rng.randrange(0, 5), rng.randrange(1, 4)) for _ in range(size2)] for _ in range(size1)]
+            w1 = [Fraction(rng.randrange(0, 3), rng.randrange(1, 3)) for _ in range(size1)]
+            w2 = [rng.randrange(0, 3) for _ in range(size2)]
+            f = lambda x, y, mat=mat: mat[x][y]
+            sums = {}
+            for _ in range(12):
+                a, b = rng.randrange(0, 5), rng.randrange(0, 5)
+                want = biclique_kernel_sum(f, size1, size2, a, b, w1, w2)
+                assert biclique_kernel_sum(f, size1, size2, a, b, w1, w2, sums=sums) == want
+                if size1 ** a * size2 ** b <= 600:
+                    assert want == _brute_kernel_sum(mat, a, b, w1, w2)
+
+    def test_empty_sides(self):
+        # A side with no points has one empty tuple at exponent 0 and none above.
+        one = lambda x, y: 1
+        for cached in (False, True):
+            sums = [{} if cached else None for _ in range(3)]
+            for a in range(3):
+                for b in range(3):
+                    assert biclique_kernel_sum(one, 0, 3, a, b, sums=sums[0]) == (3 ** b if a == 0 else 0)
+                    assert biclique_kernel_sum(one, 3, 0, a, b, sums=sums[1]) == (3 ** a if b == 0 else 0)
+                    assert biclique_kernel_sum(one, 0, 0, a, b, sums=sums[2]) == (a == b == 0)
+        assert hom_biclique(2, 3, model_complete_looped(0, 0)) == 0
+
+    def test_equal_models_do_not_share_terms(self):
+        m1 = random_model(3, 7, "general")
+        m2 = Model(m1.q, m1.integer_edges, m1.integer_colors)
+        assert m1 == m2 and hash(m1) == hash(m2)
+        hom_biclique(2, 3, m1)
+        assert m1.biclique_sums and not m2.biclique_sums
+        assert m1.biclique_sums is not m2.biclique_sums
+        assert hom_biclique(2, 3, m2) == hom_biclique(2, 3, m1)
+
+    def test_double_star_just_under_the_bound_in_little_memory(self):
+        # K_{187,187} at q = 3 walks 17,766 multisets of 187 colors, a
+        # work bound of 9,966,726; only their (coef, inner) pairs are kept.
+        m = model_complete_looped(3, 0)
+        tracemalloc.start()
+        try:
+            report = check_reverse_sidorenko(_double_star(187), m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "holds" and peak < 8 * 2 ** 20, peak
+        text = "biclique work bound 10126620 exceeds 10000000 (K_{188,188}, sizes 3 and 3)"
+        with pytest.raises(LimitExceeded, match="^%s$" % re.escape(text)):
+            check_reverse_sidorenko(_double_star(188), m)
+
+
+def _brute_kernel_sum(mat, a, b, w1, w2):
+    # The K_{a,b} pattern sum over every tuple of both sides.
+    total = Fraction(0)
+    for xs in itertools.product(range(len(mat)), repeat=a):
+        for ys in itertools.product(range(len(mat[0])), repeat=b):
+            term = math.prod((w1[x] for x in xs), start=Fraction(1)) * math.prod(w2[y] for y in ys)
+            total += term * math.prod(mat[x][y] for x in xs for y in ys)
+    return total
 
 
 class TestBicliqueKernelSum:

@@ -564,8 +564,16 @@ class TestReportDigests:
                 {"kind": "union", "parts": [{"kind": "named", "names": ["wr"]}, {"kind": "random", "rand_kind": "psd", "qs": [2, 3, 4], "seeds": list(range(6))}]},
                 "ab91744aab6f72920e083bc8053001ab3d186c0fe9c58b9337ebae31d82d60a0",
             ),
+            (
+                # 3,100 cells, 53 findings: biclique factors of degrees up
+                # to 5 on the complete-looped family and random models.
+                "reverse-sidorenko",
+                {"kind": "enumerate", "min_vertices": 2, "max_vertices": 6, "no_isolated": True, "dedup": True},
+                {"kind": "union", "parts": [{"kind": "complete-looped", "max_q": 4}, {"kind": "random", "rand_kind": "general", "qs": [2, 3, 4], "seeds": list(range(6))}]},
+                "3df24658cdb7bd450c35cca2cee91f5ef50fc4079845c8d79ff5ea4a37e1fc0d",
+            ),
         ],
-        ids=["reverse-sidorenko", "clique-max"],
+        ids=["reverse-sidorenko", "clique-max", "reverse-sidorenko-n6"],
     )
     def test_random_model_report(self, ineq, graphs, models, digest):
         # Two more grids with findings, on random rational models: factors
@@ -665,6 +673,27 @@ class TestPlansCompiledBeforeTheFork:
         assert compile_plan.cache_info().currsize == 0
         compile_plans(stars[:10], [2])
         assert compile_plan.cache_info().currsize == len(set(stars[:10])) == 9
+
+
+    @pytest.mark.parametrize("ineq", ["reverse-sidorenko", "clique-max"])
+    def test_list_scans_find_every_whole_plan(self, ineq):
+        # Constrained hom contracts each graph's whole plan, a cache entry
+        # of its own for a disconnected graph, on keys as wide as its
+        # highest listed color needs; the parent compiles both.
+        graphs = {"kind": "enumerate", "min_vertices": 1, "max_vertices": 6, "dedup": True}
+        models = {"kind": "union", "parts": [{"kind": "complete-looped", "max_q": 3}, {"kind": "random", "rand_kind": "general", "qs": [2, 4], "seeds": [0, 1]}]}
+        if ineq == "reverse-sidorenko":
+            graphs = dict(graphs, min_vertices=2, no_isolated=True)
+        job = ScanJob(ineq, graphs, models, lists={"seeds": [0, 1]}, jobs=2)
+        cells = scan._cells_for_job(job)
+        assert any(len(_components(c[1].adjacency)) > 1 for c in cells)
+        scan._compile_for_workers(job, cells)
+        misses = compile_plan.cache_info().misses, _step_kernel.cache_info().misses
+        widths = set(range(1, key_bits(4) + 1))
+        assert all(set(compile_plan(c[1].adjacency).runs) >= widths for c in cells)
+        results = scan._run_cells(ineq, cells)
+        assert (compile_plan.cache_info().misses, _step_kernel.cache_info().misses) == misses
+        assert not any(r[0] == "error" for r in results)
 
 
 def _disjoint_paths(sizes) -> tuple:
