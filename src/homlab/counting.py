@@ -554,11 +554,12 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     Contracted over the cheaper side: the other side's points are summed
     as multisets with multinomial weight, and each multiset's a-side sum
     is raised to the power a.  Kernel entries and measures are ints or
-    Fractions.  The kernel is tabulated once and scaled to integers by the
-    lcm of its denominators, the measures likewise (with zero-weight
-    points dropped), each entry read through as_integer_ratio(), so the
-    loop is pure big-int arithmetic and the exact scale is divided back
-    out once.  Raises LimitExceeded when the work,
+    Fractions.  The measures are scaled to integers by the lcm of their
+    denominators (with zero-weight points dropped), and the kernel is
+    tabulated once, as one column per contracted point at the other side's
+    points, and scaled likewise, each entry read through
+    as_integer_ratio(), so the loop is pure big-int arithmetic and the
+    exact scale is divided back out once.  Raises LimitExceeded when the work,
     multiset_count(size2, b) * size1 * b on the contracted side, exceeds
     WORK_LIMIT.
 
@@ -566,10 +567,9 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     side, coef = mult * prod w_y and inner = sum_x w_x prod_{y in M} f(x, y)
     (`_multiset_terms`), so the terms of one side and size serve every a.
     `sums` is an optional dict owned by the caller, for one kernel and one
-    pair of measures: it keeps the scaled kernel ("kernel"), the scaled
-    measures of each contracted side (False for side 2, True for side 1)
-    and, in each side's entry, the (coef, inner) pairs of every size b
-    walked so far.  Without it the sum is built from scratch and streams
+    pair of measures: under each contracted side (False for side 2, True
+    for side 1) it keeps that side's scaled kernel columns and measures and
+    the (coef, inner) pairs of every size b walked so far.  Without it the sum is built from scratch and streams
     its pairs, keeping none; the work is checked first either way.
     """
     w1 = [1] * size1 if w1 is None else w1
@@ -579,26 +579,30 @@ def biclique_kernel_sum(f, size1: int, size2: int, a: int, b: int, w1=None, w2=N
     if flip:
         a, b, work = b, a, flipped
     check_work("biclique", work, "K_{%d,%d}, sizes %d and %d", a, b, *((size2, size1) if flip else (size1, size2)))
-    cached, sums = sums is not None, {} if sums is None else sums
-    if "kernel" not in sums:
-        sums["kernel"] = scaled_matrix([[f(x, y) for y in range(size2)] for x in range(size1)])
-    kernel_scale, kernel = sums["kernel"]
-    if flip not in sums:
+    side = None if sums is None else sums.get(flip)
+    if side is None:
         (scale1, points1), (scale2, points2) = scaled_colors(w1), scaled_colors(w2)
-        if flip:
-            kernel, scale1, points1, scale2, points2 = tuple(zip(*kernel)), scale2, points2, scale1, points1
-        columns = list(zip(*[kernel[x] for x, _ in points1])) or [()] * (size1 if flip else size2)
-        sums[flip] = (scale1, scale2, tuple(w for _, w in points1), points2, columns, {})
-    scale1, scale2, weights, points, columns, terms = sums[flip]
+        if flip:  # side 1 is contracted: point x's column holds f(x, y) at the side-2 points
+            scale1, points1, scale2, points2 = scale2, points2, scale1, points1
+            table = [[f(x, y) for y, _ in points1] for x in range(size1)]
+        else:
+            table = [[f(x, y) for x, _ in points1] for y in range(size2)]
+        side = (*scaled_matrix(table), scale1, scale2, [w for _, w in points1], points2, {})
+        if sums is not None:
+            sums[flip] = side
+    kernel_scale, columns, scale1, scale2, weights, points, terms = side
     pairs = terms.get(b)
     if pairs is None:
         pairs = _multiset_terms(weights, points, columns, b)
-        if cached:
+        if sums is not None:
             pairs = terms[b] = list(pairs)
-    return Fraction(sum(c * x ** a for c, x in pairs), scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
+    total = 0
+    for c, x in pairs:
+        total += c * x ** a
+    return Fraction(total, scale1 ** a * scale2 ** b * kernel_scale ** (a * b))
 
 
-def _multiset_terms(weights: tuple, points: tuple, columns: list, b: int):
+def _multiset_terms(weights: list, points: tuple, columns: tuple, b: int):
     """Each (coef, inner) over the multisets M of b of the (point, weight)
     points, in `multisets` order: coef = mult * prod w_y^m and inner = sum
     of weights[i] * prod columns[y][i]^m over the other side's points i.

@@ -825,10 +825,10 @@ class TestConstrainedChoices:
     def test_entry_types_give_one_count(self):
         g = named("cycle", 5)
         m = random_model(3, 2, "general")
-        fractions = [(Fraction(1, 2), 0, Fraction(3)), (1, Fraction(3, 4), 0), (0, 0, Fraction(5, 4))] * 2
-        want = hom_oracle(g, m, fractions[:5])
+        lists = [(Fraction(1, 2), 0, Fraction(3)), (1, Fraction(3, 4), 0), (0, 0, Fraction(5, 4)), (1, 1, 1), (Fraction(1, 2), 2, 0)]
+        want = hom_oracle(g, m, lists)
         for form in (lambda x: x, Fraction, str, float):
-            assert hom(g, m, [tuple(map(form, lam)) for lam in fractions[:5]]) == want
+            assert hom(g, m, [tuple(map(form, lam)) for lam in lists]) == want
 
     def test_dimension_texts(self):
         g, m = named("path", 3), model_complete_looped(3, 0)
