@@ -14,7 +14,7 @@ from math import comb, lcm
 from operator import add, and_, itemgetter, mul
 from typing import NamedTuple
 
-from homlab.errors import DimensionMismatch, check_work
+from homlab.errors import DimensionMismatch, LimitExceeded, check_work
 from homlab.graphs import Graph, _component
 from homlab.models import Model
 from homlab.ratmath import scaled_colors, scaled_matrix
@@ -43,8 +43,9 @@ def _constrained_choices(constraints, n: int, m: Model):
 
 
 def lists_to_constraints(lists, q: int):
-    """Turn per-vertex color sets into 0/1 weight vectors."""
-    return [tuple(Fraction(1 if c in allowed else 0) for c in range(q)) for allowed in lists]
+    """Turn per-vertex color sets into 0/1 int weight vectors; 1 equals
+    Fraction(1) and hashes alike, so memo keys built from them match."""
+    return [tuple(1 if c in allowed else 0 for c in range(q)) for allowed in lists]
 
 
 def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
@@ -68,8 +69,10 @@ def hom(g: Graph, m: Model, constraints=None, memo=None) -> Fraction:
     (`_hom_parts`) and the results are multiplied.  `memo` is an optional
     dict owned by the caller, one per model: the scaled count of each
     component is looked up in it by the component's adjacency
-    (`_components`) before it is contracted, and stored in it after; with
-    no memo a local one still merges the repeated components of g.  With
+    (`_components`), and the components it lacks are contracted in one
+    walk and stored in it (`_walk`; `fill_memo` fills it for many graphs
+    at once); with no memo a local one still merges the repeated
+    components of g.  With
     constraints, memo is not read and the graph is one `contract` call,
     after a list that allows no color has given 0.  Raises LimitExceeded,
     before any contraction, when the summed work bound of the components'
@@ -101,7 +104,8 @@ def hom_double_cover(g: Graph, m: Model, memo=None) -> Fraction:
 
 def _hom_parts(g: Graph, m: Model, cover: bool, memo) -> Fraction:
     """Unconstrained hom(g, m), or with cover hom(g x K_2, m): the product
-    of each `_graph_parts` entry's count, memoized by its key, to its power."""
+    of each `_graph_parts` entry's count, memoized by its key, to its power.
+    The parts missing from memo are contracted in one `_walk`."""
     scale, colors = m.integer_colors
     if g.n and not colors:
         return Fraction(0)
@@ -110,15 +114,62 @@ def _hom_parts(g: Graph, m: Model, cover: bool, memo) -> Fraction:
     check_work("contraction", parts.work(len(colors)), "n = %d, q = %d", n, len(colors))
     edge_scale, ew = m.integer_edges
     memo = {} if memo is None else memo
-    total, bits = 1, key_bits(m.q)
-    for key, power, plan in parts.parts:
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = _contract(plan, [colors] * len(plan.steps), ew, bits)
-        total *= value ** power
-        if not total:
-            break
+    missing = {key: plan for key, _, plan in parts.parts if key not in memo}
+    if missing:
+        _walk(missing, colors, ew, key_bits(m.q), memo)
+    total = 1
+    for key, power, _ in parts.parts:
+        total *= memo[key] ** power
     return Fraction(total, scale ** n * edge_scale ** edges)
+
+
+def fill_memo(adjacencies, m: Model, covers: bool, memo: dict) -> None:
+    """Store in memo, hom's component memo of m, the count of every part
+    that unconstrained hom(g, m), and with covers hom_double_cover(g, m),
+    contracts for the graphs of these adjacencies, where memo lacks it; all
+    of them in one `_walk`, so the graphs' equal plan prefixes are
+    contracted once.  A graph whose parts' work bound is over the limit is
+    skipped, so its own hom call refuses it with the same text."""
+    colors = m.integer_colors[1]
+    if not colors:
+        return
+    missing = {}
+    for adjacency in adjacencies:
+        for cover in (False, True)[: 1 + covers]:
+            parts = _graph_parts(adjacency, cover)
+            try:
+                check_work("contraction", parts.work(len(colors)), "n = %d, q = %d", len(adjacency) << cover, len(colors))
+            except LimitExceeded:
+                continue
+            for key, _, plan in parts.parts:
+                if key not in memo:
+                    missing.setdefault(key, plan)
+    _walk(missing, colors, m.integer_edges[1], key_bits(m.q), memo)
+
+
+def _walk(plans: dict, colors, edge_matrix, bits: int, memo: dict) -> None:
+    """memo[key] = the contraction of plan with every vertex taking colors,
+    for each key -> plan of plans, on keys of `bits` bits per position.
+    The table after k steps depends only on the plan's first k step shapes
+    (`Plan.shape`), the colors and the edge matrix, so the plans are taken
+    in shape order and each continues from its longest shared prefix with
+    the one before: a stack holds the table after each step of the current
+    plan, and each distinct prefix is contracted once (bucket elimination
+    with buckets shared across graphs: Dechter, Artif. Intell. 113, 1999).
+    The same stack idiom serves `_multiset_terms`."""
+    tables, last = [{0: 1}], ()
+    for key, plan in sorted(plans.items(), key=lambda item: item[1].shape):
+        shape = plan.shape
+        depth = 0
+        for a, b in zip(last, shape):
+            if a != b:
+                break
+            depth += 1
+        del tables[depth + 1 :]
+        for run in plan.kernels(bits)[depth:]:
+            tables.append(run(tables[-1], colors, edge_matrix))
+        memo[key] = tables[-1].get(0, 0)
+        last = shape
 
 
 def compile_plans(adjacencies, qs, cover: bool = False):
@@ -127,8 +178,7 @@ def compile_plans(adjacencies, qs, cover: bool = False):
     contracts, with the step kernels of each plan for models of q colors,
     q in qs, and the graphs' `_graph_parts` with their work bounds for these
     q; none if they outnumber their cache, which would evict the first."""
-    keys = {key for adjacency in adjacencies for _, key in _components(adjacency)}
-    keys |= {part for key in keys for part in _cover_parts(key)} if cover else set()
+    keys = set().union(*(part_keys(adjacency, cover) for adjacency in adjacencies))
     widths, kinds = {key_bits(q) for q in qs}, {False, cover}
     room = compile_plan.cache_parameters()["maxsize"]  # the parts cache's size too
     for key in keys if len(keys) <= room else ():
@@ -138,6 +188,13 @@ def compile_plans(adjacencies, qs, cover: bool = False):
     for adjacency in adjacencies if len(keys) <= room and len(adjacencies) * len(kinds) <= room else ():
         for kind, q in product(kinds, qs):
             _graph_parts(adjacency, kind).work(q)
+
+
+def part_keys(adjacency: tuple, cover: bool = False) -> set:
+    """The keys of the plans that `_graph_parts` compiles for a graph: its
+    components' and, with cover, their cover parts' too."""
+    keys = {key for _, key in _components(adjacency)}
+    return keys | {part for key in keys for part in _cover_parts(key)} if cover else keys
 
 
 class _Parts(NamedTuple):
@@ -214,6 +271,7 @@ class Step(NamedTuple):
 class Plan(NamedTuple):
     steps: tuple
     widths: tuple  # frontier width before each step
+    shape: tuple  # (back, keep is None, keep or (), kept) per step: a step without its vertex
     runs: dict  # key bits -> the kernel of each step (`kernels`)
 
     def work(self, q: int) -> int:
@@ -445,6 +503,7 @@ def _plan(adjacency: tuple, order: list) -> Plan:
     frontier = []
     steps = []
     widths = []
+    shape = []
     for v in order:
         placed |= 1 << v
         unplaced = ~placed
@@ -455,7 +514,8 @@ def _plan(adjacency: tuple, order: list) -> Plan:
         frontier = [frontier[i] for i in keep] + ([v] if kept else [])
         keep = None if len(keep) == widths[-1] else keep
         steps.append(Step(v, back, keep, kept))
-    return Plan(tuple(steps), tuple(widths), {})
+        shape.append((back, keep is None, keep or (), kept))
+    return Plan(tuple(steps), tuple(widths), tuple(shape), {})
 
 
 def contract(plan: Plan, choices, edge_matrix) -> int:

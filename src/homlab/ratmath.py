@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
 
+from homlab.errors import check_work
+
 
 def read_rational(x) -> Fraction:
     """x as an exact rational: a Fraction, an int, or a string Fraction
@@ -67,11 +69,23 @@ def integer_nth_root(x: int, n: int) -> int:
     return r
 
 
+# Trial division stops at this bound.  A cofactor left above its square is
+# kept only as a proven prime: Miller-Rabin with the 13 prime bases 2..41
+# decides primality below 3.317e24 (Sorenson and Webster, Math. Comp. 86,
+# 2017).  Any other such cofactor's remaining divisions are a work bound.
+_TRIAL_BOUND = 10 ** 6
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BELOW = 3317044064679887385961981
+
+
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
-    Inputs here are counting quantities (at most a few tens of digits with
-    small prime support), so trial division is plenty.
+    Inputs here are counting quantities, mostly of small prime support, so
+    trial division runs up to _TRIAL_BOUND.  A cofactor left above its
+    square is a prime if `_proven_prime` proves it; otherwise its remaining
+    trial divisions, about 8/30 of its square root, go through check_work
+    ("trial-division"), so a product of two large primes is refused fast.
     """
     if m <= 0:
         raise ValueError("can only factor positive integers")
@@ -83,7 +97,13 @@ def factorize(m: int) -> dict[int, int]:
     f = 7
     increments = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
     i = 0
+    bound = _TRIAL_BOUND  # m once the remaining divisions passed check_work
     while f * f <= m:
+        if f > bound:
+            if _proven_prime(m):
+                break
+            check_work("trial-division", (isqrt(m) - f) * 8 // 30, "cofactor of %d bits", m.bit_length())
+            bound = m
         if m % f == 0:
             out[f] = out.get(f, 0) + 1
             m //= f
@@ -93,6 +113,27 @@ def factorize(m: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def _proven_prime(n: int) -> bool:
+    """Whether the odd n > 41 is prime by Miller-Rabin with _PRIME_BASES,
+    which decides every n below _PROVEN_BELOW; False at or above it."""
+    if n >= _PROVEN_BELOW:
+        return False
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def coprime_basis(numbers) -> list[int]:

@@ -4,7 +4,8 @@ deterministic summaries, and report emission.
 A scan cell is independent and side-effect-free.  One runner call decides
 its cells in order and owns their memos, two per model: the factor memo
 of the inequality's right-hand side, and hom's component memo, so each
-connected component is contracted once per model.  With k > 1 workers the
+connected component is contracted once per model, in one walk per model
+and block of cells that shares equal plan prefixes.  With k > 1 workers the
 parent compiles the grid's plans and forks k workers, which inherit the
 cells and the plans; worker i takes the cells i, i + k, i + 2k, ... and
 sends its outcomes back through a pipe, and the parent, which decides no
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import cycle, islice
 from json.encoder import encode_basestring_ascii
 
-from homlab.counting import compile_plan, compile_plans, key_bits, lists_to_constraints
+from homlab.counting import compile_plan, compile_plans, fill_memo, key_bits, lists_to_constraints, part_keys
 from homlab.errors import HomlabError, InvalidArgument, check_work
 from homlab.fileio import (
     frac_str,
@@ -226,16 +227,50 @@ def _run_cells(ineq: str, cells) -> list:
     """Each cell's outcome, in order: (verdict, exact, slack_log10, report),
     report being the report dict of a violated cell and None otherwise, or
     ("error", message).  The memos, a factor memo and a component memo per
-    model index, live for this call."""
+    model index, live for this call.  The cells are taken in blocks
+    (`_blocks`); before a block's cells, each of its models' component memo
+    is filled with every part its unconstrained hom calls will contract
+    (`fill_memo`), so the parts' shared plan prefixes are contracted once
+    per model, not once per part."""
     memos = {}
     results = []
-    for _, g, model_index, m, constraints in cells:
-        try:
-            r = check_instance(ineq, g, m, constraints, *memos.setdefault(model_index, ({}, {})))
-            results.append((r.verdict, r.exact, r.slack_log10, report_to_dict(r) if r.verdict == "violated" else None))
-        except HomlabError as exc:
-            results.append(("error", "%s: %s" % (type(exc).__name__, exc)))
+    for block in _blocks(cells, ineq == "bst"):
+        graphs = {}  # model index -> (model, the adjacencies of its unconstrained cells)
+        for _, g, model_index, m, constraints in block:
+            if constraints is None and (ineq != "bst" or m.q == 2):  # bst refuses q != 2 before hom
+                graphs.setdefault(model_index, (m, {}))[1][g.adjacency] = None
+        for model_index, (m, adjacencies) in graphs.items():
+            fill_memo(adjacencies, m, ineq == "bst", memos.setdefault(model_index, ({}, {}))[1])
+        for _, g, model_index, m, constraints in block:
+            try:
+                r = check_instance(ineq, g, m, constraints, *memos.setdefault(model_index, ({}, {})))
+                results.append((r.verdict, r.exact, r.slack_log10, report_to_dict(r) if r.verdict == "violated" else None))
+            except HomlabError as exc:
+                results.append(("error", "%s: %s" % (type(exc).__name__, exc)))
     return results
+
+
+def _blocks(cells, covers: bool):
+    """The cells in runs of consecutive cells whose graphs fit the plan
+    caches: their plans (`part_keys`) and their `_graph_parts` entries,
+    two per graph with covers, each at most the caches' size, the room
+    rule of `compile_plans`.  Cells are graph-major, so every model's fill
+    of a block compiles each of its plans at most once, as its cells alone
+    would."""
+    room = compile_plan.cache_parameters()["maxsize"]  # the parts cache's size too
+    block, graphs, keys = [], set(), set()
+    for cell in cells:
+        adjacency = cell[1].adjacency
+        if adjacency not in graphs:
+            new = part_keys(adjacency, covers)
+            if block and (len(keys) + len(new - keys) > room or (len(graphs) + 1) << covers > room):
+                yield block
+                block, graphs, keys = [], set(), set()
+            graphs.add(adjacency)
+            keys |= new
+        block.append(cell)
+    if block:
+        yield block
 
 
 def _fork_cells(ineq: str, cells, k: int) -> list:

@@ -761,6 +761,110 @@ def _hom_by_components(g, m, constraints):
     return Fraction(total, math.prod(scale for scale, _ in scaled) * edge_scale ** g.edge_count)
 
 
+def _part_counts(adjacencies, m, covers):
+    """key -> count of every part unconstrained hom, and with covers
+    hom_double_cover, contracts for these graphs, each contracted on its
+    own plan, as `_hom_parts` did part by part."""
+    colors, ew = m.integer_colors[1], m.integer_edges[1]
+    want = {}
+    for adjacency in adjacencies:
+        for cover in (False, True)[: 1 + covers]:
+            for key, _, plan in counting._graph_parts(adjacency, cover).parts:
+                want.setdefault(key, counting._contract(plan, [colors] * len(plan.steps), ew, counting.key_bits(m.q)))
+    return want
+
+
+class TestFillMemo:
+    """`fill_memo` contracts every part of many graphs in one walk over
+    their plans in step-shape order, each continuing from its longest
+    shared prefix with the one before; the counts are those of contracting
+    each part on its own."""
+
+    def test_matches_per_part_contractions(self):
+        rng = random.Random(36)
+        models = []
+        for q in (1, 2, 3, 4):
+            models += [random_model(q, seed, kind) for seed in range(2) for kind in ("general", "psd")]
+            weights = [rng.choice((0, 1, Fraction(2, 3))) for _ in range(q)]
+            models.append(Model.from_rows(random_model(q, 7, "general").edge_weights, weights))  # zero-weight colors, maybe all
+        models.append(Model.from_rows([[1, 2], [2, 0]], [0, 0]))  # no colors at all
+        for trial in range(12):
+            graphs = []
+            for _ in range(rng.randrange(1, 8)):
+                parts = [_random_graph(rng, rng.randrange(1, 5), 0.6) for _ in range(rng.randrange(1, 3))]
+                g = _scattered_union(rng, parts, rng.randrange(0, 3))
+                graphs.append(g if g.n <= 8 else _random_graph(rng, 8, 0.4))
+            adjacencies = [g.adjacency for g in graphs]
+            for m in models:
+                covers = m.q == 2
+                memo = {}
+                counting.fill_memo(adjacencies, m, covers, memo)
+                assert memo == (_part_counts(adjacencies, m, covers) if m.integer_colors[1] else {}), (trial, m)
+                for g in graphs:
+                    assert hom(g, m, memo=dict(memo)) == hom(g, m), (g, m)
+                    if covers:
+                        assert hom_double_cover(g, m, dict(memo)) == hom_double_cover(g, m), (g, m)
+
+    def test_each_distinct_prefix_is_contracted_once(self, monkeypatch):
+        graphs = [g.adjacency for n in range(1, 7) for g in enumerate_graphs(n, dedup_isomorphism=True)]
+        m = random_model(2, 4, "antiferro-2spin")
+        plans = {}
+        for adjacency in graphs:
+            for cover in (False, True):
+                for key, _, plan in counting._graph_parts(adjacency, cover).parts:
+                    plans.setdefault(key, plan)
+        prefixes = {plan.shape[:k] for plan in plans.values() for k in range(1, len(plan.shape) + 1)}
+        assert len(prefixes) < sum(len(plan.shape) for plan in plans.values())
+        runs = []
+        kernels = counting.Plan.kernels
+
+        def counted(plan, bits):
+            return tuple((lambda run: lambda *args: runs.append(run) or run(*args))(run) for run in kernels(plan, bits))
+
+        monkeypatch.setattr(counting.Plan, "kernels", counted)
+        memo = {(0,): 11}  # a part the memo knows is kept, not contracted
+        counting.fill_memo(graphs, m, True, memo)
+        monkeypatch.undo()
+        assert memo.pop((0,)) == 11 and memo == {key: count for key, count in _part_counts(graphs, m, True).items() if key != (0,)}
+        assert len(runs) == len(prefixes - {compile_plan((0,)).shape})
+
+    def test_a_graph_over_the_bound_is_skipped(self, monkeypatch):
+        m = random_model(2, 0, "general")
+        k5, p3 = named("complete", 5), named("path", 3)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 40)  # P3's plan works 14, K5's 62
+        memo = {}
+        counting.fill_memo([k5.adjacency, p3.adjacency], m, False, memo)
+        assert list(memo) == [p3.adjacency]
+        with pytest.raises(LimitExceeded) as info:
+            hom(k5, m, memo=memo)
+        assert str(info.value) == "contraction work bound 62 exceeds 40 (n = 5, q = 2)"
+        with pytest.raises(LimitExceeded, match=re.escape(str(info.value))):
+            hom(k5, m)
+
+    def test_walk_holds_no_more_than_per_graph_hom(self):
+        # The walk keeps one table per step of the plan it is on, and
+        # nothing once it returns, so its peak stays near that of one hom
+        # call per graph.
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n, dedup_isomorphism=True)]
+        m = random_model(4, 1, "psd")
+        for g in graphs:  # compiles the plans and kernels before measuring
+            hom(g, m)
+        peaks = []
+        for fill in (False, True):
+            memo = {}
+            tracemalloc.start()
+            try:
+                if fill:
+                    counting.fill_memo([g.adjacency for g in graphs], m, False, memo)
+                else:
+                    for g in graphs:
+                        hom(g, m, memo=memo)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 class TestConstrainedHom:
     """Constrained hom is one `contract` call on the whole graph's plan,
     unconstrained hom one contraction per `_graph_parts` entry.  The two

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import cleared_bits_oracle, clearing_oracle
 from homlab.errors import InvalidArgument, LimitExceeded
-from homlab import power
+from homlab import cli, power
 from homlab.power import (
     CLEARING_LIMIT_BITS,
     CLEARING_MAX_BITS,
@@ -168,6 +170,58 @@ def product_over(basis, n):
             k += 1
         exps.append(k)
     return exps if n == 1 else None
+
+
+def _trial_division(m):
+    """Prime factorization by trial division with no bound."""
+    out, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+class TestFactorizeBudget:
+    """Trial division stops at 10^6; a cofactor left above 10^12 is kept
+    only when Miller-Rabin with the bases 2..41 proves it prime, and its
+    remaining divisions are otherwise a `trial-division` work bound."""
+
+    def test_small_factors_are_unchanged(self):
+        rng = random.Random(36)
+        for _ in range(300):
+            m = math.prod(rng.choice((2, 3, 5, 7, 11, 997, 9973)) ** rng.randrange(0, 3) for _ in range(4)) * rng.randrange(1, 10 ** 4)
+            assert factorize(m) == _trial_division(m), m
+        # A square of a prime below 10^6, and cofactors just above 10^12 whose
+        # remaining divisions are within the bound.
+        for m in (999983 ** 2 * 12, 1000003 * 1000033, 1000003 ** 2, 2 ** 5 * 1000003 * 1000037):
+            assert factorize(m) == _trial_division(m), m
+
+    def test_a_prime_cofactor_above_the_bound_is_proven(self):
+        for p in (1000000000039, 2 ** 61 - 1, 2 ** 79 - 67):  # 2^79 - 67 < 3.317e24 is prime
+            assert factorize(6 * p) == {2: 1, 3: 1, p: 1}
+        assert factorize(1000000000039) == _trial_division(1000000000039)
+
+    def test_a_product_of_two_large_primes_is_refused(self):
+        for m in ((2 ** 31 - 1) * (2 ** 61 - 1), (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2):
+            with pytest.raises(LimitExceeded, match=r"^trial-division work bound [0-9.e+]+ exceeds 10000000 \(cofactor of %d bits\)$" % m.bit_length()):
+                factorize(m)
+        # A prime above the Miller-Rabin bound is not proven either.
+        with pytest.raises(LimitExceeded, match="^trial-division"):
+            factorize(2 ** 89 - 1)
+
+    def test_the_semiprime_lemma_fails_fast(self, tmp_path, capsys):
+        w = (2 ** 61 - 1) * (2 ** 89 - 1)
+        path = tmp_path / "semiprime.json"
+        path.write_text(json.dumps({"lemma": "mixed-norm", "params": {"q": "3/2", "A": [[str(w)]], "B": [["1"]]}}))
+        start = time.perf_counter()
+        assert cli.main(["lemma", "--file", str(path)]) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == ["error: trial-division work bound 1.01e+22 exceeds 10000000 (cofactor of 150 bits)"]
 
 
 class TestCoprimeBasis:

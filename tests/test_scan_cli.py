@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import cli, errors, scan
-from homlab.counting import _components, _cover_parts, _graph_parts, _step_kernel, compile_plan, compile_plans, key_bits
+from homlab.counting import _components, _cover_parts, _graph_parts, _step_kernel, compile_plan, compile_plans, key_bits, part_keys
 from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import replay_from_dict, report_to_dict
 from homlab.graphs import parse_graph_name
@@ -743,6 +743,61 @@ class TestGraphPartsBeforeTheFork:
         compile_plan.cache_clear()
         compile_plans(adjacencies, [2], True)
         assert _graph_parts.cache_info().currsize == 0 and compile_plan.cache_info().currsize > 0
+
+
+class TestFilledMemos:
+    """Before a block of cells, `_run_cells` fills each model's component
+    memo with the parts of the block's graphs in one walk (`fill_memo`);
+    blocks fit the plan caches, so no plan is compiled more often than
+    when each cell contracts its own parts."""
+
+    N7_MODELS = {
+        "bst": {"kind": "random", "rand_kind": "antiferro-2spin", "qs": [2], "seeds": [0, 1, 2]},
+        "clique-max": {"kind": "random", "rand_kind": "psd", "qs": [2, 3, 4], "seeds": [0, 1, 2]},
+    }
+
+    @pytest.mark.parametrize("ineq", ["bst", "clique-max"])
+    def test_no_plan_is_compiled_more_often_than_cell_by_cell(self, ineq):
+        # The n <= 7 grid: 1,252 graphs, whose 2,004 (bst) or 996 plans
+        # outnumber the plan cache for bst.  Cell by cell, bst missed
+        # compile_plan 2,182 times and _graph_parts 2,504 times, and
+        # clique-max 996 and 1,252 times.
+        job = ScanJob(ineq, {"kind": "enumerate", "min_vertices": 1, "max_vertices": 7, "dedup": True}, self.N7_MODELS[ineq])
+        cells = scan._cells_for_job(job)
+        misses, outcomes = [], []
+        for filled in (False, True):
+            compile_plan.cache_clear()
+            _graph_parts.cache_clear()
+            if filled:
+                outcomes.append(scan._run_cells(ineq, cells))
+            else:
+                memos = {}
+                outcomes.append([check_instance(ineq, g, m, None, *memos.setdefault(i, ({}, {}))).verdict for _, g, i, m, _ in cells])
+            misses.append((compile_plan.cache_info().misses, _graph_parts.cache_info().misses))
+        assert [r[0] for r in outcomes[1]] == outcomes[0]
+        assert misses[1][0] <= misses[0][0] and misses[1][1] <= misses[0][1], misses
+
+    def test_blocks_fit_the_plan_caches(self):
+        graphs = scan.materialize_graphs({"kind": "enumerate", "min_vertices": 1, "max_vertices": 7, "dedup": True})
+        cells = [(gid, g, 0, None, None) for gid, g in graphs]
+        room = compile_plan.cache_parameters()["maxsize"]
+        for covers in (False, True):
+            blocks = list(scan._blocks(cells, covers))
+            assert [c for block in blocks for c in block] == cells and len(blocks) > 1
+            for block in blocks:
+                keys = set().union(*(part_keys(c[1].adjacency, covers) for c in block))
+                assert len(keys) <= room and len(block) << covers <= room
+
+    @pytest.mark.parametrize("ineq", ["bst", "clique-max", "reverse-sidorenko"])
+    def test_a_cell_over_the_bound_errors_as_on_its_own(self, ineq, monkeypatch):
+        monkeypatch.setattr(errors, "WORK_LIMIT", 40)  # K5's plan works 62 at q = 2, P3's 14
+        k5 = parse_graph_name("K5")
+        model = scan.materialize_models({"kind": "named", "names": ["Kq-looped:2,1"]})[0][1]
+        with pytest.raises(LimitExceeded) as info:
+            check_instance(ineq, k5, model)
+        summary = run_scan(ScanJob(ineq, {"kind": "named", "names": ["K5", "P3"]}, {"kind": "named", "names": ["Kq-looped:2,1"]}))
+        assert summary.errors == [{"instance_id": "K5|Kq-looped:2,1", "error": "LimitExceeded: %s" % info.value}]
+        assert summary.instances_checked == 1 and "exceeds 40 (n = " in str(info.value)
 
 
 def _no_labeled_walk(*args, **kwargs):
