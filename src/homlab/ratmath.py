@@ -94,22 +94,21 @@ def factorize(m: int) -> dict[int, int]:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-    f = 7
+    f, i = 7, 0
     increments = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
-    i = 0
-    bound = _TRIAL_BOUND  # m once the remaining divisions passed check_work
-    while f * f <= m:
-        if f > bound:
-            if _proven_prime(m):
-                break
-            check_work("trial-division", (isqrt(m) - f) * 8 // 30, "cofactor of %d bits", m.bit_length())
-            bound = m
-        if m % f == 0:
-            out[f] = out.get(f, 0) + 1
-            m //= f
-        else:
-            f += increments[i]
-            i = (i + 1) % 8
+    for bound in (_TRIAL_BOUND, m):  # the second pass runs once check_work passed
+        limit = min(isqrt(m), bound)
+        while f <= limit:
+            if m % f == 0:
+                out[f] = out.get(f, 0) + 1
+                m //= f
+                limit = min(limit, isqrt(m))
+            else:
+                f += increments[i]
+                i = (i + 1) % 8
+        if f * f > m or _proven_prime(m):
+            break
+        check_work("trial-division", (isqrt(m) - f) * 8 // 30, "cofactor of %d bits", m.bit_length())
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out

@@ -795,8 +795,7 @@ class TestFillMemo:
                 g = _scattered_union(rng, parts, rng.randrange(0, 3))
                 graphs.append(g if g.n <= 8 else _random_graph(rng, 8, 0.4))
             adjacencies = [g.adjacency for g in graphs]
-            for m in models:
-                covers = m.q == 2
+            for m, covers in itertools.product(models, (False, True)):
                 memo = {}
                 counting.fill_memo(adjacencies, m, covers, memo)
                 assert memo == (_part_counts(adjacencies, m, covers) if m.integer_colors[1] else {}), (trial, m)
@@ -819,7 +818,14 @@ class TestFillMemo:
         kernels = counting.Plan.kernels
 
         def counted(plan, bits):
-            return tuple((lambda run: lambda *args: runs.append(run) or run(*args))(run) for run in kernels(plan, bits))
+            def wrap(run):
+                def step(*args):
+                    runs.append(run)
+                    return run(*args)
+
+                return step
+
+            return tuple(map(wrap, kernels(plan, bits)))
 
         monkeypatch.setattr(counting.Plan, "kernels", counted)
         memo = {(0,): 11}  # a part the memo knows is kept, not contracted
