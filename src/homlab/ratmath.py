@@ -5,7 +5,7 @@ matrices.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 
 from homlab.errors import check_work
@@ -69,23 +69,25 @@ def integer_nth_root(x: int, n: int) -> int:
     return r
 
 
-# Trial division stops at this bound.  A cofactor left above its square is
-# kept only as a proven prime: Miller-Rabin with the 13 prime bases 2..41
-# decides primality below 3.317e24 (Sorenson and Webster, Math. Comp. 86,
-# 2017).  Any other such cofactor's remaining divisions are a work bound.
+# Trial division stops at this bound.  A cofactor left above its square
+# has only prime factors above it, and below 3.317e24 Miller-Rabin with the
+# 13 prime bases 2..41 decides whether it is prime (Sorenson and Webster,
+# Math. Comp. 86, 2017); a composite one is split by Pollard's rho.  A
+# larger cofactor's remaining trial divisions are a work bound.
 _TRIAL_BOUND = 10 ** 6
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PROVEN_BELOW = 3317044064679887385961981
 
 
 def factorize(m: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division.
+    """Prime factorization of a positive integer, primes in increasing order.
 
     Inputs here are counting quantities, mostly of small prime support, so
     trial division runs up to _TRIAL_BOUND.  A cofactor left above its
-    square is a prime if `_proven_prime` proves it; otherwise its remaining
-    trial divisions, about 8/30 of its square root, go through check_work
-    ("trial-division"), so a product of two large primes is refused fast.
+    square and below _PROVEN_BELOW is split into primes by `_is_prime` and
+    `_rho_factor`; above, its remaining trial divisions, about 8/30 of its
+    square root, go through check_work ("trial-division"), so a product of
+    two large primes is refused fast.
     """
     if m <= 0:
         raise ValueError("can only factor positive integers")
@@ -106,19 +108,27 @@ def factorize(m: int) -> dict[int, int]:
             else:
                 f += increments[i]
                 i = (i + 1) % 8
-        if f * f > m or _proven_prime(m):
+        if f * f > m:
             break
+        if m < _PROVEN_BELOW:
+            pieces = [m]
+            while pieces:
+                n = pieces.pop()
+                if _is_prime(n):
+                    out[n] = out.get(n, 0) + 1
+                else:
+                    d = _rho_factor(n)
+                    pieces += [d, n // d]
+            return dict(sorted(out.items()))
         check_work("trial-division", (isqrt(m) - f) * 8 // 30, "cofactor of %d bits", m.bit_length())
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
 
 
-def _proven_prime(n: int) -> bool:
-    """Whether the odd n > 41 is prime by Miller-Rabin with _PRIME_BASES,
-    which decides every n below _PROVEN_BELOW; False at or above it."""
-    if n >= _PROVEN_BELOW:
-        return False
+def _is_prime(n: int) -> bool:
+    """Whether the odd n, 41 < n < _PROVEN_BELOW, is prime: Miller-Rabin
+    with _PRIME_BASES, which decides every such n."""
     d, r = n - 1, 0
     while not d & 1:
         d, r = d >> 1, r + 1
@@ -133,6 +143,23 @@ def _proven_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _rho_factor(n: int) -> int:
+    """A factor 1 < d < n of the composite n: Pollard's rho (Pollard, BIT
+    15, 1975) on x -> x^2 + c with Floyd's cycle search, for c = 1, 2, ...
+    until one splits n; about the square root of n's least prime factor
+    steps."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
 
 
 def coprime_basis(numbers) -> list[int]:

@@ -26,7 +26,7 @@ FILES = {
         "params": {"beta": 3, "gamma": 2, "delta": 3, "f12": [["1", "1"]], "f23": [["1"], ["1"]], "w1": ["1"], "w2": ["1", "1"], "w3": ["1"]},
     },
     "bcd": {"lemma": "color-bcd", "params": {"q": 3, "looped": [], "B": [0, 1, 2], "C": [0, 1, 2], "D": [0, 1, 2], "b": 2, "c": 1, "k": 3, "t": 1}},
-    "semiprime": {"lemma": "mixed-norm", "params": {"q": "3/2", "A": [[str((10 ** 6 + 3) * (10 ** 6 + 1003))]], "B": [["1"]]}},
+    "semiprime": {"lemma": "mixed-norm", "params": {"q": "3/2", "A": [[str((2 ** 31 - 1) * (2 ** 61 - 1))]], "B": [["1"]]}},
 }
 
 
@@ -56,7 +56,7 @@ CASES = [
     ("seed-range", 20, ["scan", "--ineq", "bst", "--graphs", "K2", "--random-models", "antiferro-2spin,2", "--seeds", "0:30"]),
     ("list-seeds", 20, ["scan", "--ineq", "clique-max", "--graphs", "K2", "--models", "Kq:1", "--list-seeds", "30"]),
     ("block-palette", 10, _block_palette),
-    ("trial-division", 20, ["lemma", "--file", "{semiprime}"]),  # about 133 divisions past 10^6
+    ("trial-division", 20, ["lemma", "--file", "{semiprime}"]),  # a 92-bit cofactor of two primes
 ]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import cleared_bits_oracle, clearing_oracle
 from homlab.errors import InvalidArgument, LimitExceeded
 from homlab import cli, power
+from homlab.lemmas import check_local_lemma, random_lemma_instance
 from homlab.power import (
     CLEARING_LIMIT_BITS,
     CLEARING_MAX_BITS,
@@ -186,32 +187,46 @@ def _trial_division(m):
 
 
 class TestFactorizeBudget:
-    """Trial division stops at 10^6; a cofactor left above 10^12 is kept
-    only when Miller-Rabin with the bases 2..41 proves it prime, and its
-    remaining divisions are otherwise a `trial-division` work bound."""
+    """Trial division stops at 10^6.  A cofactor left above 10^12 and below
+    3.317e24 is split into primes by Miller-Rabin with the bases 2..41 and
+    Pollard's rho; a larger one's remaining divisions are a
+    `trial-division` work bound."""
 
     def test_small_factors_are_unchanged(self):
         rng = random.Random(36)
         for _ in range(300):
             m = math.prod(rng.choice((2, 3, 5, 7, 11, 997, 9973)) ** rng.randrange(0, 3) for _ in range(4)) * rng.randrange(1, 10 ** 4)
             assert factorize(m) == _trial_division(m), m
-        # A square of a prime below 10^6, and cofactors just above 10^12 whose
-        # remaining divisions are within the bound.
+        # A square of a prime below 10^6, and cofactors just above 10^12.
         for m in (999983 ** 2 * 12, 1000003 * 1000033, 1000003 ** 2, 2 ** 5 * 1000003 * 1000037):
             assert factorize(m) == _trial_division(m), m
 
-    def test_a_prime_cofactor_above_the_bound_is_proven(self):
-        for p in (1000000000039, 2 ** 61 - 1, 2 ** 79 - 67):  # 2^79 - 67 < 3.317e24 is prime
+    def test_large_cofactors_below_the_miller_rabin_bound_are_split(self):
+        for p in (1000000000039, 2 ** 61 - 1, 2 ** 79 - 67):  # primes; 2^79 - 67 < 3.317e24
             assert factorize(6 * p) == {2: 1, 3: 1, p: 1}
         assert factorize(1000000000039) == _trial_division(1000000000039)
+        cases = {
+            15557863 * 98684111: {15557863: 1, 98684111: 1},
+            1000037 * 1000033 * 1000003: {1000003: 1, 1000033: 1, 1000037: 1},
+            (2 ** 31 - 1) * 1000000000039 * 4: {2: 2, 2 ** 31 - 1: 1, 1000000000039: 1},
+            (2 ** 31 - 1) ** 2 * 13: {13: 1, 2 ** 31 - 1: 2},
+        }
+        for m, want in cases.items():
+            got = factorize(m)
+            assert got == want and list(got) == sorted(got), m
 
-    def test_a_product_of_two_large_primes_is_refused(self):
-        for m in ((2 ** 31 - 1) * (2 ** 61 - 1), (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2):
+    def test_an_m_log_conv_cofactor_of_two_large_primes(self):
+        # Its h_{b+1} has the cofactor 15557863 * 98684111, whose remaining
+        # trial divisions, 10,182,154, are just over the work limit; trial
+        # division alone took 2.5 s on it.
+        start = time.perf_counter()
+        assert check_local_lemma(random_lemma_instance("m-log-conv", 669943424)).verdict == "holds"
+        assert time.perf_counter() - start < 1
+
+    def test_a_cofactor_above_the_miller_rabin_bound_is_refused(self):
+        for m in ((2 ** 31 - 1) * (2 ** 61 - 1), (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2, 2 ** 89 - 1):
             with pytest.raises(LimitExceeded, match=r"^trial-division work bound [0-9.e+]+ exceeds 10000000 \(cofactor of %d bits\)$" % m.bit_length()):
                 factorize(m)
-        # A prime above the Miller-Rabin bound is not proven either.
-        with pytest.raises(LimitExceeded, match="^trial-division"):
-            factorize(2 ** 89 - 1)
 
     def test_the_semiprime_lemma_fails_fast(self, tmp_path, capsys):
         w = (2 ** 61 - 1) * (2 ** 89 - 1)
