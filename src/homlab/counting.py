@@ -190,7 +190,7 @@ def compile_plans(adjacencies, qs, cover: bool = False):
             _graph_parts(adjacency, kind).work(q)
 
 
-def part_keys(adjacency: tuple, cover: bool = False) -> set:
+def part_keys(adjacency: tuple, cover: bool) -> set:
     """The keys of the plans that `_graph_parts` compiles for a graph: its
     components' and, with cover, their cover parts' too."""
     keys = {key for _, key in _components(adjacency)}
@@ -363,7 +363,9 @@ def _step_kernel(positions: tuple, keep, kept: bool, width: int, bits: int):
 # saves 0.9, 2.0 and 6.1 ms at n = 8, 9 and 10, so the DP pays for itself
 # with one model; at q = 2 it saves 0.02-0.09 ms, so a cold scan of the
 # 8-vertex graphs with one q = 2 model runs 2-6% slower.  At n = 12 the
-# DP makes a cold bst scan of the n <= 6 double covers 0.35 s slower.
+# DP costs 2.2 ms per cover, and a cold bst scan of the n <= 7 grid with 3
+# models, which re-plans covers the plan cache evicted, takes 1.17 s
+# against 0.88 s at this cap (medians of 10).
 EXACT_ORDER_MAX_VERTICES = 10
 
 
