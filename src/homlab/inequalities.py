@@ -203,6 +203,28 @@ def _factor_keys(adjacency: tuple, clique: bool) -> tuple:
     return tuple(((d_v, d_u, None, None), Fraction(len(edges), d_u * d_v)) for (d_v, d_u), edges in g.degree_pairs)
 
 
+def _refusal(ineq: str, g: Graph, m: Model):
+    """The error the `ineq` check raises on g and m before it counts
+    anything, or None."""
+    if ineq == "reverse-sidorenko" and not all(g.adjacency):
+        return IsolatedVertex("reverse-sidorenko needs no isolated vertices")
+    if ineq == "bst" and m.q != 2:
+        return NotTwoSpin("the swapping bound is stated for 2-spin models")
+    return None
+
+
+def unconstrained_hom_calls(ineq: str, g: Graph, m: Model, constraints=None) -> tuple | None:
+    """(g.adjacency, cover) when the `ineq` check of this cell calls
+    unconstrained hom(g, m) with hom's component memo, cover telling
+    whether it also calls hom_double_cover(g, m); None when it calls
+    neither: with constraints, or when it refuses the cell first
+    (`_refusal`).  A scan fills the memo from this before the checks run
+    (`counting.fill_memo`)."""
+    if constraints is not None or _refusal(ineq, g, m) is not None:
+        return None
+    return g.adjacency, ineq == "bst"
+
+
 def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom_memo=None) -> IneqReport:
     """hom(G, H) vs prod_{uv} hom(K_{d_u, d_v}, H)^{1/(d_u d_v)}.
 
@@ -225,8 +247,9 @@ def check_reverse_sidorenko(g: Graph, m: Model, constraints=None, memo=None, hom
     the bound is that of the first such edge.
     `hom_memo` is hom's component memo for the same model, a separate dict.
     """
-    if not all(g.adjacency):
-        raise IsolatedVertex("reverse-sidorenko needs no isolated vertices")
+    refusal = _refusal("reverse-sidorenko", g, m)
+    if refusal is not None:
+        raise refusal
     lhs_value = hom(g, m, constraints, hom_memo)
     memo = {} if memo is None else memo
     if constraints is None:
@@ -330,8 +353,9 @@ def check_bst(g: Graph, m: Model, hom_memo=None) -> IneqReport:
     `hom_memo` is hom's component memo for this model, owned by the
     caller; with none, a local one links the two sides.
     """
-    if m.q != 2:
-        raise NotTwoSpin("the swapping bound is stated for 2-spin models")
+    refusal = _refusal("bst", g, m)
+    if refusal is not None:
+        raise refusal
     hom_memo = {} if hom_memo is None else hom_memo
     lhs_value = hom(g, m, memo=hom_memo) ** 2
     return _report("bst", "G=" + g.edge_text, lhs_value, [(hom_double_cover(g, m, hom_memo), 1)])

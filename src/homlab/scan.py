@@ -48,6 +48,7 @@ from homlab.inequalities import (
     check_bst,
     check_clique_max,
     check_reverse_sidorenko,
+    unconstrained_hom_calls,
 )
 from homlab.models import Model, model_complete_looped, parse_model_name, random_model
 
@@ -229,19 +230,20 @@ def _run_cells(ineq: str, cells) -> list:
     ("error", message).  The memos, a factor memo and a component memo per
     model index, live for this call.  The cells are taken in blocks
     (`_blocks`); before a block's cells, each of its models' component memo
-    is filled with every part its unconstrained hom calls will contract
-    (`fill_memo`), so the parts' shared plan prefixes are contracted once
-    per model, not once per part."""
+    is filled with every part its cells' unconstrained hom calls
+    (`unconstrained_hom_calls`) will contract (`fill_memo`), so the parts'
+    shared plan prefixes are contracted once per model, not once per part."""
     memos = {}
     results = []
-    for block in _blocks(cells, ineq == "bst"):
-        graphs = {}  # model index -> (model, the adjacencies of its unconstrained cells)
-        for _, g, model_index, m, constraints in block:
-            if constraints is None and (ineq != "bst" or m.q == 2):  # bst refuses q != 2 before hom
-                graphs.setdefault(model_index, (m, {}))[1][g.adjacency] = None
-        for model_index, (m, adjacencies) in graphs.items():
-            fill_memo(adjacencies, m, ineq == "bst", memos.setdefault(model_index, ({}, {}))[1])
-        for _, g, model_index, m, constraints in block:
+    calls = [unconstrained_hom_calls(ineq, g, m, constraints) for _, g, _, m, constraints in cells]
+    for block in _blocks(list(zip(cells, calls))):
+        fills = {}  # (model index, cover) -> (model, the adjacencies of its cells' calls)
+        for (_, _, model_index, m, _), call in block:
+            if call is not None:
+                fills.setdefault((model_index, call[1]), (m, {}))[1][call[0]] = None
+        for (model_index, cover), (m, adjacencies) in fills.items():
+            fill_memo(adjacencies, m, cover, memos.setdefault(model_index, ({}, {}))[1])
+        for (_, g, model_index, m, constraints), _ in block:
             try:
                 r = check_instance(ineq, g, m, constraints, *memos.setdefault(model_index, ({}, {})))
                 results.append((r.verdict, r.exact, r.slack_log10, report_to_dict(r) if r.verdict == "violated" else None))
@@ -250,25 +252,27 @@ def _run_cells(ineq: str, cells) -> list:
     return results
 
 
-def _blocks(cells, covers: bool):
-    """The cells in runs of consecutive cells whose graphs fit the plan
-    caches: their plans (`part_keys`) and their `_graph_parts` entries,
-    two per graph with covers, each at most the caches' size, the room
-    rule of `compile_plans`.  Cells are graph-major, so every model's fill
-    of a block compiles each of its plans at most once, as its cells alone
+def _blocks(pairs):
+    """The (cell, its `unconstrained_hom_calls`) pairs in runs of
+    consecutive pairs whose calls fit the plan caches: their plans
+    (`part_keys`) and their `_graph_parts` entries, two per call with
+    cover, each at most the caches' size, the room rule of
+    `compile_plans`.  Cells are graph-major, so every model's fill of a
+    block compiles each of its plans at most once, as its cells alone
     would."""
     room = compile_plan.cache_parameters()["maxsize"]  # the parts cache's size too
-    block, graphs, keys = [], set(), set()
-    for cell in cells:
-        adjacency = cell[1].adjacency
-        if adjacency not in graphs:
-            new = part_keys(adjacency, covers)
-            if block and (len(keys) + len(new - keys) > room or (len(graphs) + 1) << covers > room):
+    block, calls, keys, entries = [], set(), set(), 0
+    for pair in pairs:
+        call = pair[1]
+        if call is not None and call not in calls:
+            new = part_keys(*call)
+            if block and (len(keys) + len(new - keys) > room or entries + 1 + call[1] > room):
                 yield block
-                block, graphs, keys = [], set(), set()
-            graphs.add(adjacency)
+                block, calls, keys, entries = [], set(), set(), 0
+            calls.add(call)
             keys |= new
-        block.append(cell)
+            entries += 1 + call[1]
+        block.append(pair)
     if block:
         yield block
 

@@ -27,6 +27,7 @@ FILES = {
     },
     "bcd": {"lemma": "color-bcd", "params": {"q": 3, "looped": [], "B": [0, 1, 2], "C": [0, 1, 2], "D": [0, 1, 2], "b": 2, "c": 1, "k": 3, "t": 1}},
     "semiprime": {"lemma": "mixed-norm", "params": {"q": "3/2", "A": [[str((2 ** 31 - 1) * (2 ** 61 - 1))]], "B": [["1"]]}},
+    "rho": {"lemma": "mixed-norm", "params": {"q": "3/2", "A": [[str(1000000007 * 3000000019)]], "B": [["1"]]}},
 }
 
 
@@ -57,6 +58,7 @@ CASES = [
     ("list-seeds", 20, ["scan", "--ineq", "clique-max", "--graphs", "K2", "--models", "Kq:1", "--list-seeds", "30"]),
     ("block-palette", 10, _block_palette),
     ("trial-division", 20, ["lemma", "--file", "{semiprime}"]),  # a 92-bit cofactor of two primes
+    ("rho", 20, ["lemma", "--file", "{rho}"]),  # a 62-bit cofactor of two primes, about 3e4 rho steps
 ]
 
 

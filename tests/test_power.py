@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import cleared_bits_oracle, clearing_oracle
 from homlab.errors import InvalidArgument, LimitExceeded
-from homlab import cli, power
+from homlab import cli, errors, power
 from homlab.lemmas import check_local_lemma, random_lemma_instance
 from homlab.power import (
     CLEARING_LIMIT_BITS,
@@ -227,6 +227,15 @@ class TestFactorizeBudget:
         for m in ((2 ** 31 - 1) * (2 ** 61 - 1), (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2, 2 ** 89 - 1):
             with pytest.raises(LimitExceeded, match=r"^trial-division work bound [0-9.e+]+ exceeds 10000000 \(cofactor of %d bits\)$" % m.bit_length()):
                 factorize(m)
+
+    def test_rho_steps_are_a_work_bound(self, monkeypatch):
+        # About 3e4 rho steps split this cofactor; at a limit of 1,000 the
+        # 1,001st step is refused.
+        monkeypatch.setattr(errors, "WORK_LIMIT", 1000)
+        with pytest.raises(LimitExceeded, match=r"^rho work bound 1001 exceeds 1000 \(steps on a cofactor of 62 bits\)$"):
+            factorize(1000000007 * 3000000019)
+        monkeypatch.undo()
+        assert factorize(1000000007 * 3000000019) == {1000000007: 1, 3000000019: 1}
 
     def test_the_semiprime_lemma_fails_fast(self, tmp_path, capsys):
         w = (2 ** 61 - 1) * (2 ** 89 - 1)

@@ -20,12 +20,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab import cli, errors, scan
-from homlab.counting import _components, _cover_parts, _graph_parts, _step_kernel, compile_plan, compile_plans, key_bits, part_keys
+from homlab.counting import (
+    _components,
+    _cover_parts,
+    _graph_parts,
+    _step_kernel,
+    compile_plan,
+    compile_plans,
+    fill_memo,
+    key_bits,
+    lists_to_constraints,
+    part_keys,
+)
 from homlab.errors import HomlabError, InvalidArgument, LimitExceeded
 from homlab.fileio import replay_from_dict, report_to_dict
 from homlab.graphs import parse_graph_name
-from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko
+from homlab.inequalities import check_bst, check_clique_max, check_reverse_sidorenko, unconstrained_hom_calls
 from homlab.lemmas import LEMMA_IDS, check_local_lemma, random_lemma_instance
+from homlab.models import Model
 from homlab.scan import (
     ScanJob,
     ScanSummary,
@@ -782,11 +794,46 @@ class TestFilledMemos:
         cells = [(gid, g, 0, None, None) for gid, g in graphs]
         room = compile_plan.cache_parameters()["maxsize"]
         for covers in (False, True):
-            blocks = list(scan._blocks(cells, covers))
-            assert [c for block in blocks for c in block] == cells and len(blocks) > 1
+            pairs = [(c, (c[1].adjacency, covers)) for c in cells]
+            blocks = list(scan._blocks(pairs))
+            assert [pair for block in blocks for pair in block] == pairs and len(blocks) > 1
             for block in blocks:
-                keys = set().union(*(part_keys(c[1].adjacency, covers) for c in block))
+                keys = set().union(*(part_keys(*call) for _, call in block))
                 assert len(keys) <= room and len(block) << covers <= room
+        # A cell whose check calls no unconstrained hom takes no room.
+        assert list(scan._blocks([(c, None) for c in cells])) == [[(c, None) for c in cells]]
+
+    @pytest.mark.parametrize("ineq", ["bst", "clique-max", "reverse-sidorenko"])
+    def test_a_fill_holds_exactly_what_the_check_reads(self, ineq):
+        # Graphs with isolated vertices and several components, models at
+        # q = 1..3 with a zero-weight color, with and without lists: the
+        # memo `fill_memo` leaves from `unconstrained_hom_calls` is the one
+        # the check alone would leave, and the check adds nothing to it.
+        graphs = scan.materialize_graphs({"kind": "enumerate", "min_vertices": 1, "max_vertices": 5, "dedup": True})
+        models = [
+            Model.from_rows([[1]]),
+            Model.from_rows([[0, 1], [1, 1]], [1, 2]),
+            Model.from_rows([[1, 2], [2, 1]], [0, 1]),
+            Model.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 2]], [1, 0, Fraction(1, 2)]),
+        ]
+        for gid, g in graphs:
+            for m in models:
+                for constraints in (None, lists_to_constraints(scan.random_lists(0, gid, g.n, m.q), m.q)):
+                    call = unconstrained_hom_calls(ineq, g, m, constraints)
+                    filled, alone = {}, {}
+                    if call is not None:
+                        assert call == (g.adjacency, ineq == "bst")
+                        fill_memo([call[0]], m, call[1], filled)
+                    before = dict(filled)
+                    for memo in (filled, alone):
+                        try:
+                            check_instance(ineq, g, m, constraints, {}, memo)
+                            refused = False
+                        except HomlabError:
+                            refused = True
+                        # Without lists, a check refuses exactly the cells that call no hom.
+                        assert constraints is not None or refused == (call is None)
+                    assert filled == before and alone.keys() == before.keys(), (gid, m, constraints)
 
     @pytest.mark.parametrize("ineq", ["bst", "clique-max", "reverse-sidorenko"])
     def test_a_cell_over_the_bound_errors_as_on_its_own(self, ineq, monkeypatch):
